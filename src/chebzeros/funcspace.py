@@ -6,15 +6,20 @@ samples whose magnitude is within a relative tolerance of the overall
 maximum, collapse maximal runs of marked samples, and count transitions
 between opposite strict signs.  Counts on a circle are cyclic, which
 makes them even for any function that is not numerically zero.
-Transition locations are sharpened by bisection between the bracketing
-grid samples.
+
+A count costs one grid evaluation of f.  Transition locations are
+sharpened by bisection between the bracketing grid samples, but only
+when a report's `locations` is first read; callers that need only the
+count (every lower bound in the package) never evaluate f between grid
+points.  Bisection stops once every bracket has shrunk to float
+resolution, where further halvings could not move it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,7 +35,8 @@ TRAPEZOID = "trapezoid"
 DEFAULT_GRID_N = 2048
 DEFAULT_TOL_REL = 1e-9
 
-# 60 halvings of a grid cell put the bracket far below 1e-10 of span
+# cap on halvings of a grid cell; a double-precision bracket reaches float
+# resolution after about 52, where bisection stops early
 _BISECT_ITERS = 60
 
 
@@ -130,7 +136,8 @@ class Func1D:
     """A real function of one real parameter.
 
     eval should accept an ndarray and return an ndarray of the same
-    shape; scalar-only callables are tolerated through sample(), at the
+    shape; scalar-only callables (raising TypeError or returning the
+    wrong shape on an array) are tolerated through sample(), at the
     cost of a Python loop.  Values must be finite on the domain.
     """
 
@@ -142,19 +149,21 @@ class Func1D:
 
 
 def sample(f: Func1D, ts) -> np.ndarray:
-    """Evaluate f on an array of parameters, with a scalar fallback."""
+    """Evaluate f on an array of parameters.
+
+    Falls back to one call per point only when the array call raises
+    TypeError or returns the wrong shape (a scalar-only callable); any
+    other exception from f propagates.
+    """
     ts = np.asarray(ts, dtype=float)
-    vals = None
     try:
-        out = np.asarray(f.eval(ts), dtype=float)
-        if out.shape == ts.shape:
-            vals = out
-    except Exception:
+        vals = np.asarray(f.eval(ts), dtype=float)
+    except TypeError:
         vals = None
-    if vals is None:
+    if vals is None or vals.shape != ts.shape:
         flat = np.array([float(f.eval(t)) for t in ts.ravel()])
         vals = flat.reshape(ts.shape)
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         raise ValueError(f"function {f.label or '<anon>'} returned non-finite values")
     return vals
 
@@ -163,11 +172,6 @@ def constant(c: float, label: str = "") -> Func1D:
     c = float(c)
     return Func1D(lambda t, c=c: np.full_like(np.asarray(t, dtype=float), c),
                   label or f"{c:g}")
-
-
-def scaled(f: Func1D, c: float) -> Func1D:
-    c = float(c)
-    return Func1D(lambda t: c * sample(f, t), f"{c:g}*{f.label}")
 
 
 def product(f: Func1D, g: Func1D, label: str = "") -> Func1D:
@@ -333,9 +337,16 @@ def integrate_with_breaks(f: Func1D, dom: Domain, breaks,
 # sign-change and extremum counting
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignChangeReport:
     """Count of strict sign transitions with their refined locations.
+
+    count and degenerate come from one pass over the sample grid.
+    locations is computed by bisection on its first read and cached, so
+    the same array comes back on every later read; refinement stops once
+    every bracket has reached float resolution.  A caller that reads only
+    count never evaluates f between grid points, so a non-finite value
+    of f there raises ValueError only when locations is read.
 
     locations is sorted increasing (representatives in [0, 2pi) on the
     circle) and has length == count.  degenerate flags inputs that were
@@ -344,8 +355,16 @@ class SignChangeReport:
     """
 
     count: int
-    locations: np.ndarray
+    _locate: Callable[[], np.ndarray] = field(repr=False)
     degenerate: bool = False
+
+    @cached_property
+    def locations(self) -> np.ndarray:
+        return self._locate()
+
+
+def _no_roots() -> np.ndarray:
+    return np.empty(0)
 
 
 def _check_count_args(grid_n: int, tol_rel: float) -> None:
@@ -379,16 +398,36 @@ def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,
                   slos: np.ndarray) -> np.ndarray:
     """Vectorized bisection: each (lo, hi) brackets one sign transition,
     slos holds the sign at lo.  fvals maps an array of parameters to
-    values."""
+    values.
+
+    Stops early once every midpoint rounds onto an end of its bracket:
+    the sign at each end is already known, so later halvings would leave
+    every bracket, and the result, bit for bit as it is.
+    """
     los = los.copy()
     his = his.copy()
     for _ in range(_BISECT_ITERS):
         mids = 0.5 * (los + his)
+        if np.all((mids == los) | (mids == his)):
+            break
         vm = fvals(mids)
         same = np.sign(vm) == slos
         los = np.where(same, mids, los)
         his = np.where(same, his, mids)
     return 0.5 * (los + his)
+
+
+def _root_finder(fvals: Callable, dom: Domain, ts: np.ndarray,
+                 vals: np.ndarray, pairs) -> Callable[[], np.ndarray]:
+    """Deferred bisection of the transition pairs found on (ts, vals):
+    the returned callable yields the sorted roots of fvals."""
+    ii = np.array([p[0] for p in pairs], dtype=int)
+    jj = np.array([p[1] for p in pairs], dtype=int)
+    los = ts[ii]
+    his = ts[jj]
+    his = np.where(his <= los, his + TWO_PI, his)  # only the cyclic closing pair
+    slos = np.sign(vals[ii])
+    return lambda: np.sort(dom.wrap(_bisect_roots(fvals, los, his, slos)))
 
 
 def count_sign_changes(f: Func1D, dom: Domain,
@@ -404,28 +443,18 @@ def count_sign_changes(f: Func1D, dom: Domain,
 
     Zero runs collapse to one transition when the signs on both sides
     differ and to none when they agree, so tangential touches are not
-    counted.  Circle counts are cyclic.  Locations are refined by
-    bisection and reported sorted.
+    counted.  Circle counts are cyclic.  The count costs one evaluation
+    of f on the grid; locations are refined by bisection when first
+    read, and reported sorted.
     """
     _check_count_args(grid_n, tol_rel)
     ts = dom.grid(grid_n)
     vals = sample(f, ts)
     pairs, degenerate = _sign_transitions(vals, tol_rel, dom.is_circle)
     if degenerate:
-        return SignChangeReport(0, np.empty(0), True)
-    if not pairs:
-        return SignChangeReport(0, np.empty(0), False)
-
-    ii = np.array([p[0] for p in pairs])
-    jj = np.array([p[1] for p in pairs])
-    los = ts[ii]
-    his = ts[jj]
-    wrapped = his <= los  # only the cyclic closing pair
-    his = np.where(wrapped, his + TWO_PI, his)
-    slos = np.sign(vals[ii])
-    roots = _bisect_roots(lambda m: sample(f, dom.wrap(m)), los, his, slos)
-    locs = np.sort(dom.wrap(roots))
-    return SignChangeReport(len(pairs), locs, False)
+        return SignChangeReport(0, _no_roots, True)
+    roots = _root_finder(lambda m: sample(f, dom.wrap(m)), dom, ts, vals, pairs)
+    return SignChangeReport(len(pairs), roots, False)
 
 
 def count_extrema(f: Func1D, dom: Domain,
@@ -437,14 +466,15 @@ def count_extrema(f: Func1D, dom: Domain,
     On an interval the two endpoints always count as extrema and appear
     in locations; on the circle the count is cyclic (hence even).  A
     numerically constant f (range within tol_rel of its scale) comes
-    back degenerate with count 0.
+    back degenerate with count 0.  As for count_sign_changes, locations
+    are refined only when first read.
     """
     _check_count_args(grid_n, tol_rel)
     ts = dom.grid(grid_n)
     vals = sample(f, ts)
     fscale = float(np.max(np.abs(vals))) if vals.size else 0.0
     if fscale == 0.0 or float(np.ptp(vals)) <= tol_rel * fscale:
-        return SignChangeReport(0, np.empty(0), True)
+        return SignChangeReport(0, _no_roots, True)
 
     h = dom.span / grid_n
     if dom.is_circle:
@@ -454,25 +484,17 @@ def count_extrema(f: Func1D, dom: Domain,
         dv = (vals[2:] - vals[:-2]) / (2.0 * h)
         dts = ts[1:-1]
     pairs, degenerate = _sign_transitions(dv, tol_rel, dom.is_circle)
-    if degenerate:
-        if dom.is_circle:
-            return SignChangeReport(0, np.empty(0), True)
-        # monotone on the whole interval: just the endpoint extrema
-        return SignChangeReport(2, np.array([dom.a, dom.b]), False)
+    if degenerate and dom.is_circle:
+        return SignChangeReport(0, _no_roots, True)
+    # a degenerate derivative on an interval leaves pairs empty: f is
+    # monotone and only the endpoint extrema remain
 
     def dfun(m):
         return (sample(f, dom.wrap(m + h)) - sample(f, dom.wrap(m - h))) / (2.0 * h)
 
-    if pairs:
-        ii = np.array([p[0] for p in pairs])
-        jj = np.array([p[1] for p in pairs])
-        los, his = dts[ii], dts[jj]
-        wrapped = his <= los
-        his = np.where(wrapped, his + TWO_PI, his)
-        roots = np.sort(dom.wrap(_bisect_roots(dfun, los, his, np.sign(dv[ii]))))
-    else:
-        roots = np.empty(0)
+    roots = _root_finder(dfun, dom, dts, dv, pairs)
     if dom.is_circle:
         return SignChangeReport(len(pairs), roots, False)
-    locs = np.concatenate([[dom.a], roots, [dom.b]])
-    return SignChangeReport(len(pairs) + 2, locs, False)
+    return SignChangeReport(
+        len(pairs) + 2,
+        lambda: np.concatenate([[dom.a], roots(), [dom.b]]), False)

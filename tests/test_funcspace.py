@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from chebzeros import funcspace as fs
 
@@ -49,6 +49,18 @@ def test_sample_scalar_fallback():
     f = fs.Func1D(lambda t: math.sin(t))  # scalar-only callable
     ts = np.array([0.0, 0.5, 1.0])
     assert np.allclose(fs.sample(f, ts), np.sin(ts))
+
+
+def test_sample_propagates_user_errors():
+    calls = []
+
+    def ev(t):
+        calls.append(t)
+        raise IndexError("bug in user code")
+
+    with pytest.raises(IndexError):
+        fs.sample(fs.Func1D(ev), np.linspace(0.0, 1.0, 64))
+    assert len(calls) == 1  # no point-by-point retry
 
 
 def test_sample_rejects_nonfinite():
@@ -222,3 +234,193 @@ def test_circle_counts_always_even(k, seed):
     rep = fs.count_sign_changes(prod, fs.circle())
     assert rep.count % 2 == 0
     assert rep.count == 2 * k
+
+
+# ---------------------------------------------------------------------------
+# lazy root refinement
+
+
+class _Counted:
+    """Array function that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, t):
+        self.calls += 1
+        return self.fn(np.asarray(t, float))
+
+
+def _reference_bisect(fvals, los, his, slos):
+    # the fixed 60-step bisection that refined locations must reproduce
+    los, his = los.copy(), his.copy()
+    for _ in range(60):
+        mids = 0.5 * (los + his)
+        same = np.sign(fvals(mids)) == slos
+        los = np.where(same, mids, los)
+        his = np.where(same, his, mids)
+    return 0.5 * (los + his)
+
+
+def _reference_roots(fvals, dom, ts, vals):
+    # brackets are consecutive samples of opposite sign; the inputs below
+    # have no sample near zero, so no tolerance collapse is involved
+    s = np.sign(vals)
+    ii = np.nonzero(s[:-1] != s[1:])[0]
+    los, his = ts[ii], ts[ii + 1]
+    if dom.is_circle and s[-1] != s[0]:
+        ii = np.append(ii, ts.size - 1)
+        los, his = np.append(los, ts[-1]), np.append(his, ts[0] + fs.TWO_PI)
+    return np.sort(dom.wrap(_reference_bisect(fvals, los, his, s[ii])))
+
+
+_H_CIRCLE = fs.TWO_PI / fs.DEFAULT_GRID_N
+_LAZY_CASES = [
+    (fs.interval(-1.0, 1.0),
+     lambda t: (t + 0.6) * (t + 0.1) * (t - 0.4) * (t - 0.8) * (t + 2.0)),
+    # one root in the last grid cell, so a transition spans the wrap
+    (fs.circle(), lambda t: np.sin(2.0 * t + _H_CIRCLE) + 0.3 * np.cos(5.0 * t)),
+]
+
+
+@pytest.mark.parametrize("dom, fn", _LAZY_CASES)
+def test_count_sign_changes_refines_on_first_read(dom, fn):
+    f = _Counted(fn)
+    rep = fs.count_sign_changes(fs.Func1D(f), dom)
+    assert rep.count > 0
+    assert f.calls == 1  # the grid pass only
+
+    locs = rep.locations
+    refine_calls = f.calls - 1
+    assert 0 < refine_calls < 60  # stopped at float resolution, before the cap
+    assert rep.locations is locs
+    assert f.calls == 1 + refine_calls
+
+    ts = dom.grid(fs.DEFAULT_GRID_N)
+    want = _reference_roots(lambda m: fn(dom.wrap(m)), dom, ts, fn(ts))
+    assert locs.size == rep.count
+    assert locs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dom, fn", _LAZY_CASES)
+def test_count_extrema_refines_on_first_read(dom, fn):
+    f = _Counted(fn)
+    rep = fs.count_extrema(fs.Func1D(f), dom)
+    assert f.calls == 1
+
+    locs = rep.locations
+    refine_calls = f.calls - 1
+    assert 0 < refine_calls < 2 * 60  # two evaluations per central difference
+    assert rep.locations is locs
+    assert f.calls == 1 + refine_calls
+
+    n = fs.DEFAULT_GRID_N
+    ts = dom.grid(n)
+    vals = fn(ts)
+    h = dom.span / n
+    if dom.is_circle:
+        dts, dv = ts, (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
+    else:
+        dts, dv = ts[1:-1], (vals[2:] - vals[:-2]) / (2.0 * h)
+    want = _reference_roots(
+        lambda m: (fn(dom.wrap(m + h)) - fn(dom.wrap(m - h))) / (2.0 * h),
+        dom, dts, dv)
+    if not dom.is_circle:
+        want = np.concatenate([[dom.a], want, [dom.b]])
+    assert locs.size == rep.count
+    assert locs.tobytes() == want.tobytes()
+
+
+def test_count_only_never_evaluates_off_grid():
+    dom = fs.interval(0.0, 1.0)
+    grid = dom.grid(fs.DEFAULT_GRID_N)
+
+    def ev(t):
+        t = np.asarray(t, float)
+        return np.where(np.isin(t, grid), t - 0.3, np.nan)
+
+    rep = fs.count_sign_changes(fs.Func1D(ev), dom)
+    assert rep.count == 1
+    with pytest.raises(ValueError):
+        rep.locations
+
+
+# ---------------------------------------------------------------------------
+# exact-root oracle: companion-matrix roots of polynomials, and the roots
+# on |z| = 1 of the degree-2k polynomial z^k f(t), z = e^{it}, of trig
+# polynomials (Boyd 2006)
+
+
+def _assert_matches_exact(rep, roots, dom, f_prime, scale):
+    """Count and locations of rep against exact roots; inputs whose roots
+    are not simple and well separated are discarded."""
+    h = dom.span / fs.DEFAULT_GRID_N
+    roots = np.sort(roots)
+    if dom.is_circle:
+        gaps = np.diff(np.append(roots, roots[:1] + fs.TWO_PI))
+    else:
+        gaps = np.diff(np.concatenate([[dom.a], roots, [dom.b]]))
+    assume(roots.size == 0 or np.min(gaps) >= 4.0 * h)
+    # root error of a double-precision evaluation, relative to the slope
+    assume(np.all(np.finfo(float).eps * scale <= 1e-12 * np.abs(f_prime(roots))))
+    assert rep.count == roots.size
+    dist = np.abs(rep.locations[:, None] - roots[None, :])
+    if dom.is_circle:
+        dist = np.minimum(dist, fs.TWO_PI - dist)
+    assert roots.size == 0 or np.max(np.min(dist, axis=0)) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7),
+       st.floats(0.1, 1.0))
+def test_count_matches_companion_matrix_roots(lower, lead):
+    c = np.append(np.asarray(lower, float), lead)
+    P = np.polynomial.polynomial
+    dom = fs.interval(-1.0, 1.0)
+    z = P.polyroots(c)
+    real = z.real[np.abs(z.imag) <= 1e-9]
+    h = dom.span / fs.DEFAULT_GRID_N
+    # a real root just outside the domain would sit within 4 cells of an end
+    assume(not np.any((real > dom.a - 4 * h) & (real < dom.a + 4 * h)))
+    assume(not np.any((real > dom.b - 4 * h) & (real < dom.b + 4 * h)))
+    inside = real[(real > dom.a) & (real < dom.b)]
+    rep = fs.count_sign_changes(fs.Func1D(lambda t: P.polyval(t, c)), dom)
+    _assert_matches_exact(rep, inside, dom, lambda r: P.polyval(r, P.polyder(c)),
+                          float(np.sum(np.abs(c))))
+
+
+_unit = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_unit, st.lists(st.tuples(_unit, _unit), max_size=3),
+       st.floats(0.1, 1.0), st.floats(0.0, fs.TWO_PI))
+def test_count_matches_trig_roots_on_unit_circle(a0, harmonics, amp, phase):
+    # f = a0 + sum_j a_j cos(jt) + b_j sin(jt); the top harmonic k has
+    # amplitude amp, so z^k f below has degree exactly 2k
+    harmonics = harmonics + [(amp * np.cos(phase), amp * np.sin(phase))]
+    k = len(harmonics)
+    a = np.array([a0] + [ab[0] for ab in harmonics])
+    b = np.array([0.0] + [ab[1] for ab in harmonics])
+    j = np.arange(k + 1)
+
+    def f(t):
+        jt = np.multiply.outer(np.asarray(t, float), j)
+        return np.cos(jt) @ a + np.sin(jt) @ b
+
+    def f_prime(t):
+        jt = np.multiply.outer(np.asarray(t, float), j)
+        return (np.cos(jt) * j) @ b - (np.sin(jt) * j) @ a
+
+    # z^k f = a0 z^k + sum_j (a_j - i b_j)/2 z^(k+j) + (a_j + i b_j)/2 z^(k-j)
+    poly = np.zeros(2 * k + 1, complex)
+    poly[k] = a0
+    poly[k + 1:] = 0.5 * (a[1:] - 1j * b[1:])
+    poly[k - 1::-1] = 0.5 * (a[1:] + 1j * b[1:])
+    z = np.polynomial.polynomial.polyroots(poly)
+    roots = np.mod(np.angle(z[np.abs(np.abs(z) - 1.0) <= 1e-9]), fs.TWO_PI)
+    dom = fs.circle()
+    rep = fs.count_sign_changes(fs.Func1D(f), dom)
+    _assert_matches_exact(rep, roots, dom, f_prime,
+                          float(np.sum(np.abs(a)) + np.sum(np.abs(b))))
