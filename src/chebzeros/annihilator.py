@@ -112,17 +112,11 @@ def default_annihilator(points, dom: fs.Domain) -> fs.Func1D:
 
 
 def _condition_matrix(sys: ChebSystem, rp: RootPrescription, h: float) -> np.ndarray:
-    rows = []
     pts = np.asarray(rp.simple_roots + rp.double_roots, dtype=float)
-    vals = np.column_stack([fs.sample(f, pts) for f in sys.basis]) if pts.size else \
-        np.empty((0, sys.order_n))
-    for i in range(pts.size):
-        rows.append(vals[i])
-    for x in rp.double_roots:
-        fwd = np.array([float(fs.sample(f, np.array([x + h]))[0]) for f in sys.basis])
-        bwd = np.array([float(fs.sample(f, np.array([x - h]))[0]) for f in sys.basis])
-        rows.append((fwd - bwd) / (2.0 * h))
-    return np.array(rows) if rows else np.empty((0, sys.order_n))
+    dr = np.asarray(rp.double_roots, dtype=float)
+    deriv = (fs.basis_matrix(sys.basis, dr + h)
+             - fs.basis_matrix(sys.basis, dr - h)) / (2.0 * h)
+    return np.vstack([fs.basis_matrix(sys.basis, pts), deriv])
 
 
 def _fix_probe_sign(combo: fs.Func1D, dom: fs.Domain, coeffs: np.ndarray) -> np.ndarray:

@@ -5,7 +5,9 @@ basis has n or more distinct zeros.  That property cannot be certified
 numerically, so verify_chebyshev falsifies: it hunts for a combination
 with too many sign changes, both directly (random coefficients) and
 through sign flips of collocation determinants.  The honest verdict for
-a clean run is therefore "NoViolationFound", never "proved".
+a clean run is therefore "NoViolationFound", never "proved".  The basis
+is evaluated on the counting grid once per call, and each combination
+is counted as that grid matrix times its coefficients.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ def collocation_matrix(sys, points) -> np.ndarray:
         raise ValueError("points must be strictly increasing")
     if not dom.all_inside(pts):
         raise ValueError("points must lie inside the domain")
-    return np.column_stack([fs.sample(f, pts) for f in basis])
+    return fs.basis_matrix(basis, pts)
 
 
 @dataclass(frozen=True)
@@ -172,31 +174,26 @@ def _det_sign(M: np.ndarray):
     return float(sign), sign != 0.0
 
 
-def _colloc(basis, pts: np.ndarray) -> np.ndarray:
-    return np.column_stack([fs.sample(f, pts) for f in basis])
-
-
-def _flip_witness(basis, dom, pts_ref, sign_ref, pts_bad, grid_n, tol_rel):
+def _flip_witness(basis, G, cyclic, pts_ref, sign_ref, pts_bad, tol_rel):
     """Walk the segment between two point tuples whose collocation
     determinants disagree in sign, land on a near-singular tuple, and
     return (coeffs, count) for its null combination if that combination
-    really has >= n sign changes."""
+    really has >= n sign changes on the grid where G holds the basis."""
     lo, hi = pts_ref.copy(), pts_bad.copy()
     mid = 0.5 * (lo + hi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        sign, informative = _det_sign(_colloc(basis, mid))
+        sign, informative = _det_sign(fs.basis_matrix(basis, mid))
         if not informative:
             break
         if sign == sign_ref:
             lo = mid
         else:
             hi = mid
-    coeffs = smallest_direction(_colloc(basis, mid))
-    combo = fs.combination(basis, coeffs, "witness")
-    rep = fs.count_sign_changes(combo, dom, grid_n, tol_rel)
-    if not rep.degenerate and rep.count >= len(basis):
-        return coeffs, rep.count
+    coeffs = smallest_direction(fs.basis_matrix(basis, mid))
+    count = fs.count_grid_sign_changes(G @ coeffs, cyclic, tol_rel)
+    if count >= len(basis):
+        return coeffs, count
     return None
 
 
@@ -224,6 +221,8 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     n = len(basis)
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    fs._check_count_args(grid_n, tol_rel)
+    G = fs.basis_matrix(basis, dom.grid(grid_n))
     ref_sign = 0.0
     ref_pts = None
     for trial in range(trials):
@@ -231,14 +230,14 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
 
         for pts in (_stratified_tuple(rng, dom, n),
                     _clustered_tuple(rng, dom, n)):
-            sign, informative = _det_sign(_colloc(basis, pts))
+            sign, informative = _det_sign(fs.basis_matrix(basis, pts))
             if not informative:
                 continue
             if ref_sign == 0.0:
                 ref_sign, ref_pts = sign, pts
             elif sign != ref_sign:
-                witness = _flip_witness(basis, dom, ref_pts, ref_sign, pts,
-                                        grid_n, tol_rel)
+                witness = _flip_witness(basis, G, dom.is_circle, ref_pts,
+                                        ref_sign, pts, tol_rel)
                 if witness is not None:
                     return ChebVerdict(COUNTEREXAMPLE, trial + 1,
                                        witness[0], witness[1])
@@ -251,10 +250,9 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
         if norm == 0.0:
             continue
         coeffs = coeffs / norm
-        rep = fs.count_sign_changes(fs.combination(basis, coeffs), dom,
-                                    grid_n, tol_rel)
-        if not rep.degenerate and rep.count >= n:
-            return ChebVerdict(COUNTEREXAMPLE, trial + 1, coeffs, rep.count)
+        count = fs.count_grid_sign_changes(G @ coeffs, dom.is_circle, tol_rel)
+        if count >= n:
+            return ChebVerdict(COUNTEREXAMPLE, trial + 1, coeffs, count)
     return ChebVerdict(NO_VIOLATION, trials, None, None)
 
 
@@ -282,8 +280,7 @@ def dimension_estimate(funcs: Sequence[fs.Func1D], dom: fs.Domain,
     if sample_n < 4 * len(funcs):
         raise ValueError("sample_n must be at least 4x the function count")
     pts = spread_points(dom, sample_n)
-    M = np.column_stack([fs.sample(f, pts) for f in funcs])
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(fs.basis_matrix(funcs, pts), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > rank_tol * s[0]))

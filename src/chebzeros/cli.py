@@ -643,7 +643,7 @@ _RUNNERS: Dict[str, Callable] = {
 def run_all(args) -> List[Record]:
     recs: List[Record] = []
     saved = args.trials
-    args.trials = min(saved if saved is not None else 3, 3)
+    args.trials = saved if saved is not None else _DEFAULT_TRIALS["all"]
     try:
         for name in _RUNNERS:
             what0 = args.what

@@ -13,7 +13,8 @@ crossing patterns.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -223,19 +224,22 @@ def _compositions(total: int, slots: int):
             for rest in _compositions(total - first, slots - 1)]
 
 
+def monomial_values(X, alphas) -> np.ndarray:
+    """Values x^alpha at each row x of X for each exponent tuple alpha:
+    an (len(X), len(alphas)) matrix."""
+    X = np.asarray(X, dtype=float)
+    A = np.asarray(alphas, dtype=float).reshape(-1, X.shape[1])
+    return np.prod(X[:, None, :] ** A[None, :, :], axis=2)
+
+
 def restrict_polynomials(curve: CurveRd, n: int,
                          homogeneous_only: bool = False):
     """Func1D restrictions t -> x(t)^alpha of all monomials of degree <= n
     (== n when homogeneous_only)."""
-    funcs = []
-    for alpha in monomial_multi_indices(n, curve.d, homogeneous_only):
-        a = np.asarray(alpha, dtype=float)
-
-        def ev(ts, _a=a):
-            return np.prod(curve_points(curve, ts) ** _a[None, :], axis=1)
-
-        funcs.append(fs.Func1D(ev, "x^" + "".join(map(str, alpha))))
-    return funcs
+    return [fs.Func1D(lambda ts, _a=alpha: monomial_values(curve_points(curve, ts),
+                                                           [_a])[:, 0],
+                      "x^" + "".join(map(str, alpha)))
+            for alpha in monomial_multi_indices(n, curve.d, homogeneous_only)]
 
 
 # ---------------------------------------------------------------------------
@@ -281,27 +285,27 @@ def hyperplane_through(points) -> Hyperplane:
     return Hyperplane(w, c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntersectionCount:
     """Crossing count of one hyperplane with one curve.
 
-    simple_roots are the transversal sign-change parameters;
-    count_with_multiplicity adds tangential touches, realized as the
-    maximum crossing count under small parallel shifts of the plane.
+    simple_roots are the transversal sign-change parameters, refined by
+    bisection on their first read and cached (the counts need only the
+    grid); count_with_multiplicity adds tangential touches, realized as
+    the maximum crossing count under small parallel shifts of the plane.
     perturbation_used is the shift magnitude that attained the maximum
     (0 when the unshifted count did).  A curve lying inside the plane is
     degenerate and reports count = grid_n.
     """
 
     count_with_multiplicity: int
-    simple_roots: np.ndarray
+    _locate: Callable[[], np.ndarray] = field(repr=False)
     perturbation_used: float
     degenerate: bool = False
 
-
-def _grid_flip_count(vals: np.ndarray, cyclic: bool, tol_rel: float) -> int:
-    pairs, degen = fs._sign_transitions(vals, tol_rel, cyclic)
-    return 0 if degen else len(pairs)
+    @cached_property
+    def simple_roots(self) -> np.ndarray:
+        return self._locate()
 
 
 def hyperplane_intersections(curve: CurveRd, hp: Hyperplane,
@@ -316,22 +320,25 @@ def hyperplane_intersections(curve: CurveRd, hp: Hyperplane,
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
+    fs._check_count_args(grid_n, tol_rel)
+    dom = curve.dom
     F = hp.func_on(curve)
-    base = fs.count_sign_changes(F, curve.dom, grid_n, tol_rel)
-    if base.degenerate:
-        return IntersectionCount(grid_n, np.empty(0), 0.0, True)
-    vals = fs.sample(F, curve.dom.grid(grid_n))
+    vals = fs.sample(F, dom.grid(grid_n))
+    if not np.any(vals):
+        return IntersectionCount(grid_n, fs._no_roots, 0.0, True)
     spread = float(np.ptp(vals))
-    best, used = base.count, 0.0
+    best, used = fs.count_grid_sign_changes(vals, dom.is_circle, tol_rel), 0.0
     for scale in _MULT_SCALES:
         delta = eps * scale * spread
         if delta == 0.0:
             continue
         for sgn in (1.0, -1.0):
-            c = _grid_flip_count(vals - sgn * delta, curve.dom.is_circle, tol_rel)
+            c = fs.count_grid_sign_changes(vals - sgn * delta, dom.is_circle, tol_rel)
             if c > best:
                 best, used = c, delta
-    return IntersectionCount(best, base.locations, used, False)
+    return IntersectionCount(
+        best, lambda: fs.count_sign_changes(F, dom, grid_n, tol_rel).locations,
+        used, False)
 
 
 @dataclass(frozen=True)
@@ -394,7 +401,8 @@ def _confirmed_violation(curve, hp, svals, cyclic, tol_rel, grid_n):
     d = curve.d
     spread = float(np.ptp(svals))
     shifts = (0.0,) if spread == 0.0 else (0.0, 1e-4 * spread, -1e-4 * spread)
-    if all(_grid_flip_count(svals - s, cyclic, tol_rel) <= d for s in shifts):
+    if all(fs.count_grid_sign_changes(svals - s, cyclic, tol_rel) <= d
+           for s in shifts):
         return None
     full = hyperplane_intersections(curve, hp, grid_n, tol_rel=tol_rel)
     if full.degenerate or full.count_with_multiplicity > d:
@@ -572,11 +580,7 @@ def _linear_form_product(factors, d: int) -> dict:
 
 
 def polynomial_eval(poly: dict, X) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    out = np.zeros(X.shape[0])
-    for alpha, c in poly.items():
-        out += c * np.prod(X ** np.asarray(alpha, dtype=float)[None, :], axis=1)
-    return out
+    return monomial_values(X, list(poly)) @ np.array(list(poly.values()), dtype=float)
 
 
 def polynomial_on_curve(poly: dict, curve: CurveRd) -> fs.Func1D:

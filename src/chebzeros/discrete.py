@@ -20,7 +20,8 @@ import numpy as np
 from . import funcspace as fs
 from ._linalg import fix_leading_sign, svd_kernel
 from .chebsys import COUNTEREXAMPLE, NO_VIOLATION
-from .curves import Hyperplane, hyperplane_through, monomial_multi_indices
+from .curves import (Hyperplane, hyperplane_through, monomial_multi_indices,
+                     monomial_values)
 
 VERTEX_REJECT_TOL = 1e-9
 MASS_RESIDUAL_TOL = 1e-10
@@ -92,28 +93,15 @@ def _masses_of(x, k: int | None = None) -> np.ndarray:
 # sign counting
 
 
-def sign_survivors(values, tol_rel: float = fs.DEFAULT_TOL_REL) -> np.ndarray:
-    """Strict signs of the entries that survive dropping |v| <= tol * max."""
+def cyclic_sign_changes(values, closed: bool,
+                        tol_rel: float = fs.DEFAULT_TOL_REL) -> int:
+    """Adjacent opposite-sign pairs after dropping entries with
+    |v| <= tol_rel * max|v|, wrapping once on a closed line.  All entries
+    dropped counts as 0; an empty list raises ValueError."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("empty value list")
-    vmax = float(np.max(np.abs(v)))
-    if vmax == 0.0:
-        return np.empty(0)
-    return np.sign(v[np.abs(v) > tol_rel * vmax])
-
-
-def cyclic_sign_changes(values, closed: bool,
-                        tol_rel: float = fs.DEFAULT_TOL_REL) -> int:
-    """Adjacent opposite-sign pairs after dropping near-zero entries,
-    wrapping once on a closed line.  All entries dropped counts as 0."""
-    s = sign_survivors(values, tol_rel)
-    if s.size <= 1:
-        return 0
-    flips = int(np.sum(s[:-1] != s[1:]))
-    if closed and s[0] != s[-1]:
-        flips += 1
-    return flips
+    return fs.count_grid_sign_changes(v, closed, tol_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +223,7 @@ def _midpoint_secant_witness(P: PolyLine, mids: np.ndarray):
 
 def vandermonde_moment_matrix(P: PolyLine, n: int) -> np.ndarray:
     """C(n+d, d) x k matrix of monomial values at the vertices."""
-    V = P.vertices
-    rows = [np.prod(V ** np.asarray(a, dtype=float)[None, :], axis=1)
-            for a in monomial_multi_indices(n, P.d)]
-    return np.stack(rows, axis=0)
+    return monomial_values(P.vertices, monomial_multi_indices(n, P.d)).T
 
 
 def construct_masses(P: PolyLine, n: int, rng_seed: int = 0) -> MassVector:

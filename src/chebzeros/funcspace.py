@@ -1,4 +1,6 @@
-"""Domains, scalar functions, quadrature, and sign-change counting.
+"""Domains, scalar functions, basis evaluation, quadrature, and
+sign-change counting.  basis_matrix is the one way to evaluate a basis
+at a set of nodes; every collocation, moment and combination uses it.
 
 Every zero count in the package flows through this module, so the
 counting convention is fixed here once: sample on a uniform grid, mark
@@ -6,6 +8,7 @@ samples whose magnitude is within a relative tolerance of the overall
 maximum, collapse maximal runs of marked samples, and count transitions
 between opposite strict signs.  Counts on a circle are cyclic, which
 makes them even for any function that is not numerically zero.
+count_grid_sign_changes applies the rule to precomputed grid values.
 
 A count costs one grid evaluation of f.  Transition locations are
 sharpened by bisection between the bracketing grid samples, but only
@@ -183,6 +186,16 @@ def abs_of(f: Func1D) -> Func1D:
     return Func1D(lambda t: np.abs(sample(f, t)), f"|{f.label}|")
 
 
+def basis_matrix(funcs: Sequence[Func1D], ts) -> np.ndarray:
+    """Values of each function at each node: a (len(ts), len(funcs))
+    matrix, one row per node and one column per function."""
+    ts = np.asarray(ts, dtype=float).ravel()
+    M = np.empty((ts.size, len(funcs)))
+    for j, f in enumerate(funcs):
+        M[:, j] = sample(f, ts)
+    return M
+
+
 def combination(funcs: Sequence[Func1D], coeffs, label: str = "") -> Func1D:
     """Linear combination sum_j coeffs[j] * funcs[j]."""
     coeffs = np.asarray(coeffs, dtype=float)
@@ -192,11 +205,7 @@ def combination(funcs: Sequence[Func1D], coeffs, label: str = "") -> Func1D:
 
     def ev(t, funcs=funcs, coeffs=coeffs):
         t = np.asarray(t, dtype=float)
-        acc = np.zeros(t.shape)
-        for c, fj in zip(coeffs, funcs):
-            if c != 0.0:
-                acc += c * sample(fj, t)
-        return acc
+        return (basis_matrix(funcs, t) @ coeffs).reshape(t.shape)
 
     return Func1D(ev, label or "combo")
 
@@ -392,6 +401,15 @@ def _sign_transitions(vals: np.ndarray, tol_rel: float, cyclic: bool):
     if cyclic and keep.size >= 2 and s[-1] != s[0]:
         pairs.append((int(keep[-1]), int(keep[0])))
     return pairs, False
+
+
+def count_grid_sign_changes(vals, cyclic: bool,
+                            tol_rel: float = DEFAULT_TOL_REL) -> int:
+    """Sign transitions of precomputed grid values under the counting
+    rule of count_sign_changes (cyclic on a circle); 0 when every value
+    is dropped as numerically zero."""
+    pairs, _ = _sign_transitions(np.asarray(vals, dtype=float), tol_rel, cyclic)
+    return len(pairs)
 
 
 def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,

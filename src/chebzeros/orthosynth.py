@@ -141,8 +141,7 @@ def moments_on_edges(basis, g: fs.Func1D, dom: fs.Domain, edges,
     cols = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         ts, ws = fs.segment_rule(dom, lo, hi, quad)
-        wg = ws * fs.sample(g, ts)
-        cols.append([float(wg @ fs.sample(f, ts)) for f in basis])
+        cols.append((ws * fs.sample(g, ts)) @ fs.basis_matrix(basis, ts))
     return np.array(cols, dtype=float).T
 
 

@@ -78,6 +78,32 @@ def test_localized_violation_found():
     assert v.witness_zero_count >= 3
 
 
+def test_verify_evaluates_basis_on_grid_once():
+    grid_n = 256
+    grid_calls = []
+
+    def counted(j):
+        def ev(t):
+            t = np.asarray(t, dtype=float)
+            if t.size == grid_n:
+                grid_calls.append(j)
+            return t ** j
+        return fs.Func1D(ev, f"x^{j}")
+
+    sys = cz.ChebSystem(tuple(counted(j) for j in range(4)), fs.interval(-1.0, 1.0))
+    v = cz.verify_chebyshev(sys, trials=20, grid_n=grid_n)
+    assert v.status == NO_VIOLATION and v.trials_run == 20
+    assert sorted(grid_calls) == [0, 1, 2, 3]
+
+
+def test_verify_checks_count_args_on_entry():
+    sys = cz.polynomial_system(2)
+    with pytest.raises(ValueError, match="grid_n must be at least 64"):
+        cz.verify_chebyshev(sys, trials=5, grid_n=10)
+    with pytest.raises(ValueError, match="tol_rel must lie in"):
+        cz.verify_chebyshev(sys, trials=5, tol_rel=0.5)
+
+
 def test_verdict_deterministic():
     sys = cz.polynomial_system(2)
     a = cz.verify_chebyshev(sys, trials=50, rng_seed=7)

@@ -188,6 +188,21 @@ def test_payload_csv(capsys):
     assert any(ln.startswith("dimension,") for ln in lines)
 
 
+def test_verify_all_passes_trials_on(capsys, monkeypatch):
+    seen = []
+
+    def stub(args):
+        seen.append(cli._trials(args))
+        return [("stub", True, "-", "-")]
+
+    monkeypatch.setattr(cli, "_RUNNERS", {"stub": stub})
+    code, _, _ = run(capsys, "verify", "all", "--trials", "7", "--no-timing")
+    assert code == 0
+    code, _, _ = run(capsys, "verify", "all", "--no-timing")
+    assert code == 0
+    assert seen == [7, 3]
+
+
 # ---------------------------------------------------------------------------
 # error paths
 

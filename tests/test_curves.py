@@ -113,6 +113,26 @@ def test_circle_diameter_simple_crossings():
                        [np.pi / 2, 3 * np.pi / 2], atol=1e-6)
 
 
+def test_hyperplane_intersections_evaluates_curve_once():
+    calls = []
+    base = cz.trig_curve(1)
+
+    def ev(ts):
+        calls.append(np.size(ts))
+        return base.eval(ts)
+
+    circ = cz.CurveRd(ev, 2, base.dom, "counted")
+    hp = cz.Hyperplane(np.array([1.0, 0.0]), 0.0)
+    ic = cz.hyperplane_intersections(circ, hp, grid_n=512)
+    assert calls == [512]
+    assert ic.count_with_multiplicity == 2
+    # roots are refined only when read
+    roots = ic.simple_roots
+    assert len(calls) > 1
+    assert ic.simple_roots is roots
+    assert np.allclose(roots, [np.pi / 2, 3 * np.pi / 2], atol=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # convexity and the equivalence check
 

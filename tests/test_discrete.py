@@ -6,8 +6,7 @@ import pytest
 import chebzeros as cz
 from chebzeros import funcspace as fs
 from chebzeros.chebsys import COUNTEREXAMPLE, NO_VIOLATION
-from chebzeros.discrete import cyclic_sign_changes, hyperplane_crossings, \
-    sign_survivors
+from chebzeros.discrete import cyclic_sign_changes, hyperplane_crossings
 
 
 # ---------------------------------------------------------------------------
@@ -32,11 +31,14 @@ def test_cyclic_counts_always_even_when_closed():
             assert cyclic_sign_changes(pattern, closed=True) % 2 == 0
 
 
-def test_sign_survivors_edges():
-    assert sign_survivors([0.0, 1e-30, 2.0]).tolist() == [1.0]
-    assert sign_survivors([0.0, 0.0]).size == 0
+def test_cyclic_sign_changes_edges():
+    # a sub-tolerance entry of opposite sign is dropped, not counted
+    assert cyclic_sign_changes([1.0, -1e-30, 1.0], closed=False) == 0
+    assert cyclic_sign_changes([1.0, -1e-30, 1.0], closed=True) == 0
+    assert cyclic_sign_changes([0.0, 0.0], closed=False) == 0
+    assert cyclic_sign_changes([0.0, 0.0], closed=True) == 0
     with pytest.raises(ValueError):
-        sign_survivors([])
+        cyclic_sign_changes([], closed=True)
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,39 @@ def test_integrate_with_breaks_circle():
     assert abs(got - 4.0) <= 1e-12
 
 
+def test_basis_matrix_matches_column_stack():
+    ts = np.linspace(-0.9, 0.8, 37)
+    funcs = [fs.constant(2.0), fs.Func1D(np.sin),
+             fs.Func1D(lambda t: float(t) ** 3)]  # scalar-only fallback
+    M = fs.basis_matrix(funcs, ts)
+    assert M.shape == (37, 3)
+    assert np.array_equal(M, np.column_stack([fs.sample(f, ts) for f in funcs]))
+    assert fs.basis_matrix([], ts).shape == (37, 0)
+
+
+def test_combination_keeps_the_shape_of_t():
+    funcs = [fs.constant(1.0), fs.Func1D(np.cos)]
+    combo = fs.combination(funcs, [0.5, -2.0])
+    t0 = np.float64(0.3)
+    got0 = combo(t0)
+    assert np.shape(got0) == ()
+    assert got0 == pytest.approx(0.5 - 2.0 * np.cos(0.3), abs=1e-15)
+    t2 = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    got2 = combo(t2)
+    assert got2.shape == (3, 4)
+    assert np.allclose(got2, 0.5 - 2.0 * np.cos(t2), atol=1e-15)
+
+
+def test_count_grid_sign_changes_matches_count_sign_changes():
+    for dom, f in [(fs.interval(-1.0, 1.0),
+                    fs.Func1D(lambda t: (t - 0.3) * (t + 0.5) * t)),
+                   (fs.circle(), fs.Func1D(lambda t: np.sin(3.0 * t) + 0.2))]:
+        vals = fs.sample(f, dom.grid(fs.DEFAULT_GRID_N))
+        got = fs.count_grid_sign_changes(vals, dom.is_circle)
+        assert got == fs.count_sign_changes(f, dom).count
+    assert fs.count_grid_sign_changes(np.zeros(8), cyclic=True) == 0
+
+
 def test_inner_product_weighted():
     dom = fs.interval(0.0, 1.0)
     f = fs.Func1D(lambda t: np.asarray(t, float))
