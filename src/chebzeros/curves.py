@@ -534,8 +534,9 @@ def theorem5_verify(curve: CurveRd, n: int, f, quad: fs.QuadSpec | None = None,
         f = fs.Func1D(f, "f")
     dom = curve.dom
     rep = fs.count_sign_changes(f, dom, grid_n, tol_rel)
-    residuals = [fs.integrate_with_breaks(fs.product(f, fj), dom, rep.locations, quad)
-                 for fj in restrict_polynomials(curve, n)]
+    ts, ws = fs.rule_with_breaks(dom, rep.locations, quad)
+    residuals = (ws * fs.sample(f, ts)) @ fs.basis_matrix(
+        restrict_polynomials(curve, n), ts)
     max_res = float(np.max(np.abs(residuals)))
     bound = n * curve.d + (2 if dom.is_circle else 1)
     if rep.degenerate or max_res > tol:
@@ -632,18 +633,20 @@ def support_product_polynomial(curve: CurveRd, zero_points,
         raise ValueError("zero points must be strictly increasing")
     if not dom.all_inside(pts):
         raise ValueError("zero points must lie inside the domain")
-    q = pts.size
-    nfull, l = divmod(q, d)
+    nfull, l = divmod(pts.size, d)
     full_factors = [hyperplane_through(curve_points(curve, pts[i * d:(i + 1) * d]))
                     for i in range(nfull)]
 
     if l == 0:
         F = _factor_product_func(curve, full_factors)
-        rep = fs.count_sign_changes(F, dom, grid_n, tol_rel)
-        _require_pattern(rep, pts)
+        if not _realizes(fs.count_sign_changes(F, dom, grid_n, tol_rel), pts):
+            raise NotChebyshevError("secant product does not change sign "
+                                    "exactly at the prescribed points")
         return SupportProduct(tuple(full_factors),
                               _linear_form_product(full_factors, d), 0.0, pts)
 
+    fs._check_count_args(grid_n, tol_rel)
+    ts = dom.grid(grid_n)
     short = pts[nfull * d:]
     anchor = float(short[0]) if dom.is_circle else dom.a
     delta = 1e-2 * dom.span
@@ -659,13 +662,12 @@ def support_product_polynomial(curve: CurveRd, zero_points,
             continue
         factors = full_factors + [last]
         F = _factor_product_func(curve, factors)
-        vals = fs.sample(F, dom.grid(grid_n))
+        vals = fs.sample(F, ts)
         vmax = float(np.max(np.abs(vals)))
         pattern = np.sign(np.where(np.abs(vals) > tol_rel * vmax, vals, 0.0)
                           ).tobytes() if vmax > 0 else b""
-        rep = fs.count_sign_changes(F, dom, grid_n, tol_rel)
-        ok = (not rep.degenerate and rep.count == q
-              and float(np.max(np.abs(rep.locations - pts))) <= LOC_TOL)
+        rep = fs.grid_sign_report(F, dom, ts, vals, tol_rel)
+        ok = _realizes(rep, pts)
         if ok and pattern == prev_pattern:
             return SupportProduct(tuple(factors),
                                   _linear_form_product(factors, d), delta, pts)
@@ -675,11 +677,10 @@ def support_product_polynomial(curve: CurveRd, zero_points,
         "auxiliary cluster never stabilized on the prescribed sign pattern")
 
 
-def _require_pattern(rep: fs.SignChangeReport, pts: np.ndarray):
-    if rep.degenerate or rep.count != pts.size or \
-            float(np.max(np.abs(rep.locations - pts))) > LOC_TOL:
-        raise NotChebyshevError(
-            "secant product does not change sign exactly at the prescribed points")
+def _realizes(rep: fs.SignChangeReport, pts: np.ndarray) -> bool:
+    """True when the report changes sign exactly at pts, within LOC_TOL."""
+    return (not rep.degenerate and rep.count == pts.size
+            and float(np.max(np.abs(rep.locations - pts))) <= LOC_TOL)
 
 
 # ---------------------------------------------------------------------------

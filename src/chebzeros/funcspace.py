@@ -8,7 +8,8 @@ samples whose magnitude is within a relative tolerance of the overall
 maximum, collapse maximal runs of marked samples, and count transitions
 between opposite strict signs.  Counts on a circle are cyclic, which
 makes them even for any function that is not numerically zero.
-count_grid_sign_changes applies the rule to precomputed grid values.
+count_grid_sign_changes and grid_sign_report apply the rule to
+precomputed grid values.
 
 A count costs one grid evaluation of f.  Transition locations are
 sharpened by bisection between the bracketing grid samples, but only
@@ -320,26 +321,30 @@ def segment_rule(dom: Domain, lo: float, hi: float, quad: QuadSpec | None = None
     return dom.wrap(ts), ws
 
 
-def integrate_with_breaks(f: Func1D, dom: Domain, breaks,
-                          quad: QuadSpec | None = None) -> float:
-    """Integrate f over the domain with Gauss panels split at the given
-    interior break parameters.  Use when f has kinks or a step factor."""
+def rule_with_breaks(dom: Domain, breaks, quad: QuadSpec | None = None):
+    """Nodes and weights over the whole domain, with Gauss panels split at
+    the given interior break parameters (the plain domain rule when there
+    are none).  Use when the integrand has kinks or a step factor."""
     breaks = np.sort(np.asarray(breaks, dtype=float))
     if breaks.size == 0:
-        return integrate(f, dom, quad)
+        return quad_nodes(dom, quad)
     if not dom.all_inside(breaks):
         raise ValueError("breaks must lie strictly inside the domain")
     if dom.is_circle:
         edges = np.concatenate([breaks, [breaks[0] + TWO_PI]])
     else:
         edges = np.concatenate([[dom.a], breaks, [dom.b]])
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo <= 1e-15 * dom.span:
-            continue
-        ts, ws = segment_rule(dom, lo, hi, quad)
-        total += float(ws @ sample(f, ts))
-    return total
+    ts, ws = zip(*[segment_rule(dom, lo, hi, quad)
+                   for lo, hi in zip(edges[:-1], edges[1:])
+                   if hi - lo > 1e-15 * dom.span])
+    return np.concatenate(ts), np.concatenate(ws)
+
+
+def integrate_with_breaks(f: Func1D, dom: Domain, breaks,
+                          quad: QuadSpec | None = None) -> float:
+    """Integrate f over the domain by rule_with_breaks."""
+    ts, ws = rule_with_breaks(dom, breaks, quad)
+    return float(ws @ sample(f, ts))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +472,14 @@ def count_sign_changes(f: Func1D, dom: Domain,
     """
     _check_count_args(grid_n, tol_rel)
     ts = dom.grid(grid_n)
-    vals = sample(f, ts)
+    return grid_sign_report(f, dom, ts, sample(f, ts), tol_rel)
+
+
+def grid_sign_report(f: Func1D, dom: Domain, ts: np.ndarray, vals: np.ndarray,
+                     tol_rel: float = DEFAULT_TOL_REL) -> SignChangeReport:
+    """count_sign_changes from f's values vals on the grid ts =
+    dom.grid(n), for a caller that has sampled them already; locations
+    are refined from f when first read."""
     pairs, degenerate = _sign_transitions(vals, tol_rel, dom.is_circle)
     if degenerate:
         return SignChangeReport(0, _no_roots, True)

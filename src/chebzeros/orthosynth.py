@@ -314,19 +314,14 @@ def theorem1_check(sys: ChebSystem, f: fs.Func1D,
             extra = extra[(extra > dom.a) & (extra < dom.b)]
         cuts = np.union1d(cuts, extra)
 
-    def weighted(fj):
-        h = fs.product(f, fj)
-        return fs.product(h, rho) if rho is not None else h
+    def frho(ts):
+        vals = fs.sample(f, ts)
+        return vals if rho is None else vals * fs.sample(rho, ts)
 
-    residuals = [fs.integrate_with_breaks(weighted(fj), dom, cuts, quad)
-                 for fj in sys.basis]
+    ts, ws = fs.rule_with_breaks(dom, cuts, quad)
+    residuals = (ws * frho(ts)) @ fs.basis_matrix(sys.basis, ts)
     max_res = float(np.max(np.abs(residuals)))
-    ts = dom.grid(grid_n)
-    frho = fs.sample(f, ts)
-    if rho is not None:
-        frho = frho * fs.sample(rho, ts)
-    if max_res > tol or float(np.max(np.abs(frho))) == 0.0:
-        return Theorem1Report(False, False, -1, m, max_res)
-    if rep.degenerate:
+    vanishes = float(np.max(np.abs(frho(dom.grid(grid_n))))) == 0.0
+    if max_res > tol or rep.degenerate or vanishes:
         return Theorem1Report(False, False, -1, m, max_res)
     return Theorem1Report(True, rep.count >= m, rep.count, m, max_res)

@@ -1,10 +1,15 @@
+import csv
+import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chebzeros import cli
 from chebzeros import funcspace as fs
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -63,10 +68,11 @@ def test_verify_json_schema(capsys):
     rep = json.loads(out)
     assert set(rep) == {"schema", "command", "seed", "trials_run",
                         "pass_count", "fail_count", "failures",
-                        "wall_time_ms"}
-    assert rep["schema"] == 1
+                        "error_count", "errors", "wall_time_ms"}
+    assert rep["schema"] == 2
     assert rep["command"] == "verify assertion1"
     assert rep["fail_count"] == 0
+    assert rep["error_count"] == 0 and rep["errors"] == []
     assert rep["pass_count"] == rep["trials_run"] > 0
     assert rep["wall_time_ms"] == 0
 
@@ -106,6 +112,18 @@ def test_verify_all_smoke(capsys):
     rep = json.loads(out)
     assert rep["fail_count"] == 0
     assert rep["trials_run"] > 20
+    # the instance list, verdicts and expectations are pinned to a
+    # reference run (observed values may move in their last digits)
+    code, out, _ = run(capsys, "verify", "all", "--trials", "1", "--seed", "0",
+                       "--format", "csv")
+    assert code == 0
+    ref_text = (DATA / "verify_all_t1_s0.csv").read_text(encoding="utf-8")
+    got, ref = (list(csv.DictReader(io.StringIO(text)))
+                for text in (out, ref_text))
+    columns = ("instance", "ok", "expected")
+    assert len(got) == len(ref) == 77
+    assert [[r[c] for c in columns] for r in got] == \
+        [[r[c] for c in columns] for r in ref]
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +210,10 @@ def test_verify_all_passes_trials_on(capsys, monkeypatch):
     seen = []
 
     def stub(args):
-        seen.append(cli._trials(args))
-        return [("stub", True, "-", "-")]
+        seen.append(cli._trials(args, 5))
+        yield "stub", "-", lambda: (True, "-")
 
-    monkeypatch.setattr(cli, "_RUNNERS", {"stub": stub})
+    monkeypatch.setattr(cli, "FAMILIES", {"stub": stub})
     code, _, _ = run(capsys, "verify", "all", "--trials", "7", "--no-timing")
     assert code == 0
     code, _, _ = run(capsys, "verify", "all", "--no-timing")
@@ -203,8 +221,60 @@ def test_verify_all_passes_trials_on(capsys, monkeypatch):
     assert seen == [7, 3]
 
 
+def test_verify_grid_reaches_theorem4_check(capsys, monkeypatch):
+    grids = []
+    real = cli.theorem4_check
+
+    def spy(curve, **kw):
+        grids.append(kw.get("grid_n"))
+        return real(curve, **kw)
+
+    monkeypatch.setattr(cli, "theorem4_check", spy)
+    code, out, _ = run(capsys, "verify", "example5", "--grid", "1024",
+                       "--no-timing")
+    assert code == 0 and json.loads(out)["pass_count"] == 3
+    assert grids == [1024]
+
+
 # ---------------------------------------------------------------------------
 # error paths
+
+
+def test_check_error_is_reported_apart_from_failures(capsys, monkeypatch):
+    # a check that raises is an error record, not a violated bound
+    def broken(oval):
+        raise ValueError("quadrature broke")
+
+    monkeypatch.setattr(cli, "verify_R_orthogonality", broken)
+    code, out, _ = run(capsys, "verify", "fourvertex", "--trials", "2",
+                       "--no-timing")
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["fail_count"] == 0 and rep["failures"] == []
+    assert rep["error_count"] == 2
+    assert rep["errors"][0] == {"instance": "oval t=0",
+                                "expected": ">= 4, res <= 1e-10",
+                                "message": "quadrature broke"}
+    assert rep["pass_count"] == 2
+    assert rep["pass_count"] + rep["fail_count"] + rep["error_count"] == \
+        rep["trials_run"]
+    code, out, _ = run(capsys, "verify", "fourvertex", "--trials", "1",
+                       "--format", "csv")
+    assert code == 1
+    assert "oval t=0,0,\">= 4, res <= 1e-10\",error: quadrature broke" in out
+
+
+def test_exit_2_on_small_grid(capsys):
+    code, out, err = run(capsys, "verify", "fourvertex", "--trials", "1",
+                         "--grid", "10")
+    assert code == 2 and out == "" and "--grid" in err
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_exit_2_on_bad_tol(capsys, tol):
+    code, out, err = run(capsys, "verify", "theorem1", "--trials", "1",
+                         f"--tol={tol}")
+    assert code == 2 and out == "" and "--tol" in err
 
 
 def test_exit_2_on_bad_inputs(capsys):

@@ -195,6 +195,23 @@ def test_construct_minimal_counts():
         assert t5.applicable and t5.passed
 
 
+def test_theorem5_samples_f_once_on_quadrature_nodes():
+    # besides the count grid and bisection steps, f is evaluated in one
+    # call on all quadrature nodes, not once per restricted polynomial
+    par = cz.moment_curve(2)
+    res = cz.construct_orthogonal_on_curve(par, 2)
+    sizes = []
+
+    def ev(t):
+        sizes.append(np.size(t))
+        return res.F(t)
+
+    rep = cz.theorem5_verify(par, 2, fs.Func1D(ev, "logged"))
+    assert rep.applicable and rep.passed
+    quad = [n for n in sizes if n not in (fs.DEFAULT_GRID_N, rep.sign_changes)]
+    assert len(quad) == 1 and quad[0] >= 16
+
+
 def test_construct_rejects_too_few_pieces():
     with pytest.raises(ValueError):
         cz.construct_orthogonal_on_curve(cz.moment_curve(2), 1, pieces=3)
@@ -251,6 +268,22 @@ def test_support_product_closed_short_group():
     assert rep.count == 2
     assert np.max(np.abs(np.sort(rep.locations) - [1.0, 2.0])) < 1e-6
     assert 0 < sp.delta < 1e-2
+
+
+def test_support_product_samples_grid_once_per_halving():
+    par = cz.moment_curve(2)
+    sizes = []
+
+    def ev(t):
+        sizes.append(np.size(t))
+        return par.eval(t)
+
+    logged = cz.CurveRd(ev, par.d, par.dom, "logged")
+    sp = cz.support_product_polynomial(logged, [0.0])
+    # delta starts at 1e-2 of the span and halves after each pass
+    passes = round(np.log2(1e-2 * par.dom.span / sp.delta)) + 1
+    assert passes >= 2
+    assert sizes.count(fs.DEFAULT_GRID_N) == passes
 
 
 def test_support_product_odd_count_closed_refused():

@@ -185,6 +185,39 @@ def test_theorem1_weighted_case():
     assert rep.sign_changes == 4 and rep.bound == 4
 
 
+def _size_log(f):
+    """f wrapped to log the size of every array it is evaluated on."""
+    sizes = []
+
+    def ev(t):
+        sizes.append(np.size(t))
+        return f(t)
+
+    return fs.Func1D(ev, "logged"), sizes
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_theorem1_samples_f_once_on_quadrature_nodes(weighted):
+    # besides the count grid and bisection steps, f and rho are evaluated
+    # in one call on all quadrature nodes, not once per basis function
+    if weighted:
+        sys = cz.trig_system(1)
+        f = cz.trig_annihilator([0.7, 1.9, 3.3, 4.8])
+        res = cz.synth_weight(sys, f)
+        rho, rho_sizes = _size_log(res.rho)
+    else:
+        sys = cz.polynomial_system(2)
+        res = cz.synth_orthogonal(sys, [-0.5, 0.0, 0.5])
+        f, rho, rho_sizes = res.F, None, []
+    f, sizes = _size_log(f)
+    rep = cz.theorem1_check(sys, f, rho=rho, breaks=res.step.breakpoints)
+    assert rep.applicable and rep.passed
+    quad = [n for n in sizes if n not in (fs.DEFAULT_GRID_N, rep.sign_changes)]
+    assert len(quad) == 1 and quad[0] >= 16
+    if weighted:
+        assert rho_sizes == [quad[0], fs.DEFAULT_GRID_N]
+
+
 def test_theorem1_not_applicable():
     # f not orthogonal: report must say so instead of claiming the bound
     sys = cz.polynomial_system(2)
