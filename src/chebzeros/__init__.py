@@ -18,13 +18,11 @@ from .funcspace import (
     Domain,
     Func1D,
     INTERVAL,
-    QuadSpec,
     SignChangeReport,
     TWO_PI,
     circle,
     count_extrema,
     count_sign_changes,
-    default_quad,
     derived_rng,
     inner_product,
     integrate,

@@ -134,9 +134,9 @@ def _fix_probe_sign(combo: fs.Func1D, dom: fs.Domain, coeffs: np.ndarray) -> np.
 
 
 def _verify_candidate(sys: ChebSystem, rp: RootPrescription, coeffs,
-                      grid_n: int, tol_rel: float):
+                      grid_n: int):
     combo = fs.combination(sys.basis, coeffs, "annihilator")
-    rep = fs.count_sign_changes(combo, sys.dom, grid_n, tol_rel)
+    rep = fs.count_sign_changes(combo, sys.dom, grid_n)
     if rep.degenerate or rep.count != rp.q:
         return False
     want = np.sort(np.asarray(rp.simple_roots, dtype=float))
@@ -159,9 +159,7 @@ def _verify_candidate(sys: ChebSystem, rp: RootPrescription, coeffs,
 
 
 def general_annihilator(sys: ChebSystem, rp: RootPrescription,
-                        deriv_step: float | None = None,
-                        grid_n: int = fs.DEFAULT_GRID_N,
-                        tol_rel: float = fs.DEFAULT_TOL_REL) -> np.ndarray:
+                        grid_n: int = fs.DEFAULT_GRID_N) -> np.ndarray:
     """Unit coefficient vector whose combination vanishes exactly at the
     prescription: simple roots with a sign change, double roots without.
 
@@ -169,8 +167,10 @@ def general_annihilator(sys: ChebSystem, rp: RootPrescription,
     ----------
     sys : the Chebyshev system supplying the basis.
     rp : the root prescription; needs 2p + q < order.
-    deriv_step : central-difference step for the double-root derivative
-        conditions (default 1e-5 of the domain length).
+    grid_n : sign-counting grid size (>= 64) of the post-verification.
+
+    A double root is a value condition plus a central-difference
+    derivative condition of step 1e-5 of the domain length.
 
     The conditions define a kernel of dimension >= order - (2p + q).
     Candidates from that kernel are tried in a deterministic order
@@ -187,7 +187,7 @@ def general_annihilator(sys: ChebSystem, rp: RootPrescription,
     dom = sys.dom
     allr = np.asarray(rp.simple_roots + rp.double_roots, dtype=float)
     _check_roots(allr, dom)
-    h = deriv_step if deriv_step is not None else 1e-5 * dom.span
+    h = 1e-5 * dom.span
     if rp.p and not dom.is_circle:
         margin = min(np.min(np.asarray(rp.double_roots) - dom.a),
                      np.min(dom.b - np.asarray(rp.double_roots)))
@@ -218,7 +218,7 @@ def general_annihilator(sys: ChebSystem, rp: RootPrescription,
 
     for cand in candidates:
         cand = cand / np.linalg.norm(cand)
-        if _verify_candidate(sys, rp, cand, grid_n, tol_rel):
+        if _verify_candidate(sys, rp, cand, grid_n):
             combo = fs.combination(sys.basis, cand)
             return _fix_probe_sign(combo, dom, cand)
     raise NotChebyshevError(

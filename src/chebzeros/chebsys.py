@@ -174,7 +174,7 @@ def _det_sign(M: np.ndarray):
     return float(sign), sign != 0.0
 
 
-def _flip_witness(basis, G, cyclic, pts_ref, sign_ref, pts_bad, tol_rel):
+def _flip_witness(basis, G, cyclic, pts_ref, sign_ref, pts_bad):
     """Walk the segment between two point tuples whose collocation
     determinants disagree in sign, land on a near-singular tuple, and
     return (coeffs, count) for its null combination if that combination
@@ -191,15 +191,14 @@ def _flip_witness(basis, G, cyclic, pts_ref, sign_ref, pts_bad, tol_rel):
         else:
             hi = mid
     coeffs = smallest_direction(fs.basis_matrix(basis, mid))
-    count = fs.count_grid_sign_changes(G @ coeffs, cyclic, tol_rel)
+    count = fs.count_grid_sign_changes(G @ coeffs, cyclic)
     if count >= len(basis):
         return coeffs, count
     return None
 
 
 def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
-                     grid_n: int = fs.DEFAULT_GRID_N,
-                     tol_rel: float = fs.DEFAULT_TOL_REL) -> ChebVerdict:
+                     grid_n: int = fs.DEFAULT_GRID_N) -> ChebVerdict:
     """Randomized falsification of the Chebyshev property.
 
     Three seeded probes per trial: collocation determinants over (i)
@@ -221,7 +220,7 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     n = len(basis)
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    fs._check_count_args(grid_n, tol_rel)
+    fs._check_count_args(grid_n)
     G = fs.basis_matrix(basis, dom.grid(grid_n))
     ref_sign = 0.0
     ref_pts = None
@@ -237,7 +236,7 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
                 ref_sign, ref_pts = sign, pts
             elif sign != ref_sign:
                 witness = _flip_witness(basis, G, dom.is_circle, ref_pts,
-                                        ref_sign, pts, tol_rel)
+                                        ref_sign, pts)
                 if witness is not None:
                     return ChebVerdict(COUNTEREXAMPLE, trial + 1,
                                        witness[0], witness[1])
@@ -250,7 +249,7 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
         if norm == 0.0:
             continue
         coeffs = coeffs / norm
-        count = fs.count_grid_sign_changes(G @ coeffs, dom.is_circle, tol_rel)
+        count = fs.count_grid_sign_changes(G @ coeffs, dom.is_circle)
         if count >= n:
             return ChebVerdict(COUNTEREXAMPLE, trial + 1, coeffs, count)
     return ChebVerdict(NO_VIOLATION, trials, None, None)
@@ -269,18 +268,13 @@ def spread_points(dom: fs.Domain, n: int) -> np.ndarray:
     return dom.a + dom.span * fr
 
 
-def dimension_estimate(funcs: Sequence[fs.Func1D], dom: fs.Domain,
-                       sample_n: int | None = None,
-                       rank_tol: float = 1e-8) -> int:
-    """Numerical rank of the span of funcs, from SVD of their values on
-    spread sample points."""
+def dimension_estimate(funcs: Sequence[fs.Func1D], dom: fs.Domain) -> int:
+    """Numerical rank of the span of funcs: singular values above 1e-8 of
+    the largest, of their values on max(4 * len(funcs), 64) spread
+    points."""
     funcs = tuple(funcs)
-    if sample_n is None:
-        sample_n = max(4 * len(funcs), 64)
-    if sample_n < 4 * len(funcs):
-        raise ValueError("sample_n must be at least 4x the function count")
-    pts = spread_points(dom, sample_n)
+    pts = spread_points(dom, max(4 * len(funcs), 64))
     s = np.linalg.svd(fs.basis_matrix(funcs, pts), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > 1e-8 * s[0]))

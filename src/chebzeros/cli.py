@@ -225,7 +225,7 @@ def hurwitz_cases(args) -> Iterator[Case]:
     # orthogonal to harmonics through order k => at least 2k+2 sign
     # changes on the circle, and 2k+2 is attainable
     trials = _trials(args, 10)
-    for k in [args.harmonics] if args.harmonics else [1, 2, 3]:
+    for k in [args.harmonics] if args.harmonics is not None else [1, 2, 3]:
         sys = trig_system(k)
         m = m_of(sys.dom, sys.order_n)
         for t in range(trials):
@@ -349,8 +349,8 @@ def theorem6_cases(args) -> Iterator[Case]:
     # vertex masses annihilating all moments of degree <= n on a convex
     # polygon change sign at least dn+2 times around it
     trials = _trials(args, 5)
-    for n in [args.n] if args.n else [1, 2]:
-        for k in [args.k] if args.k else [8, 12, 16]:
+    for n in [args.n] if args.n is not None else [1, 2]:
+        for k in [args.k] if args.k is not None else [8, 12, 16]:
             if k <= (n + 1) * (n + 2) // 2:
                 raise ValueError(f"k={k} too small for n={n}")
             for t in range(trials):
@@ -662,7 +662,7 @@ def cmd_synth(args) -> dict:
         rp = RootPrescription(
             simple_roots=tuple(_floats(args.simple)) if args.simple else (),
             double_roots=tuple(_floats(args.double)) if args.double else ())
-        co = general_annihilator(sys, rp)
+        co = general_annihilator(sys, rp, grid_n=args.grid)
         return {"system": args.system, "simple": list(rp.simple_roots),
                 "double": list(rp.double_roots), "coeffs": _jsonable(co)}
     raise ValueError(f"unknown synth subcommand {args.what!r}")
@@ -805,6 +805,10 @@ def _check_common(args) -> None:
         raise ValueError("--grid must be at least 64")
     if not (np.isfinite(args.tol) and args.tol > 0.0):
         raise ValueError("--tol must be finite and positive")
+    for flag in ("harmonics", "n"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{flag} must be nonnegative")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

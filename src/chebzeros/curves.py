@@ -28,6 +28,7 @@ from .exceptions import NotChebyshevError
 from .orthosynth import LOC_TOL, RESIDUAL_TOL, StepWeight, _step_edges, moments_on_edges
 
 _MULT_SCALES = (1.0, 0.1, 0.01)
+_CENTER_GAP_TOL = 1e-8  # center-of-mass mismatch per unit diameter
 _DELTA_HALVINGS = 30
 
 
@@ -204,16 +205,12 @@ def smoothed_polygon(m: int, r_frac: float = 0.1) -> CurveRd:
 # restricted polynomial systems
 
 
-def monomial_multi_indices(n: int, d: int, homogeneous_only: bool = False):
-    """Exponent tuples with |alpha| <= n (or == n), ordered by degree then
-    by descending leading exponents; C(n+d, d) of them in the full case."""
+def monomial_multi_indices(n: int, d: int):
+    """The C(n+d, d) exponent tuples with |alpha| <= n, ordered by degree
+    then by descending leading exponents."""
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
-    degrees = [n] if homogeneous_only else range(n + 1)
-    out = []
-    for deg in degrees:
-        out.extend(_compositions(deg, d))
-    return out
+    return [alpha for deg in range(n + 1) for alpha in _compositions(deg, d)]
 
 
 def _compositions(total: int, slots: int):
@@ -232,14 +229,12 @@ def monomial_values(X, alphas) -> np.ndarray:
     return np.prod(X[:, None, :] ** A[None, :, :], axis=2)
 
 
-def restrict_polynomials(curve: CurveRd, n: int,
-                         homogeneous_only: bool = False):
-    """Func1D restrictions t -> x(t)^alpha of all monomials of degree <= n
-    (== n when homogeneous_only)."""
+def restrict_polynomials(curve: CurveRd, n: int):
+    """Func1D restrictions t -> x(t)^alpha of all monomials of degree <= n."""
     return [fs.Func1D(lambda ts, _a=alpha: monomial_values(curve_points(curve, ts),
                                                            [_a])[:, 0],
                       "x^" + "".join(map(str, alpha)))
-            for alpha in monomial_multi_indices(n, curve.d, homogeneous_only)]
+            for alpha in monomial_multi_indices(n, curve.d)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,36 +304,33 @@ class IntersectionCount:
 
 
 def hyperplane_intersections(curve: CurveRd, hp: Hyperplane,
-                             grid_n: int = fs.DEFAULT_GRID_N,
-                             eps: float = 1e-3,
-                             tol_rel: float = fs.DEFAULT_TOL_REL) -> IntersectionCount:
+                             grid_n: int = fs.DEFAULT_GRID_N) -> IntersectionCount:
     """Count curve/hyperplane crossings with perturbation multiplicity.
 
-    eps is the largest shift as a fraction of the range of the slice
-    functional; shifts eps, eps/10, eps/100 of the range are tried on
-    both sides and the maximal count is reported.
+    Shifts of 1e-3, 1e-4 and 1e-5 of the range of the slice functional
+    are tried on both sides and the maximal count is reported.  The
+    curve is evaluated on the grid once; simple_roots are refined from
+    those grid values.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    fs._check_count_args(grid_n, tol_rel)
+    fs._check_count_args(grid_n)
     dom = curve.dom
     F = hp.func_on(curve)
-    vals = fs.sample(F, dom.grid(grid_n))
+    ts = dom.grid(grid_n)
+    vals = fs.sample(F, ts)
     if not np.any(vals):
         return IntersectionCount(grid_n, fs._no_roots, 0.0, True)
     spread = float(np.ptp(vals))
-    best, used = fs.count_grid_sign_changes(vals, dom.is_circle, tol_rel), 0.0
+    best, used = fs.count_grid_sign_changes(vals, dom.is_circle), 0.0
     for scale in _MULT_SCALES:
-        delta = eps * scale * spread
+        delta = 1e-3 * scale * spread
         if delta == 0.0:
             continue
         for sgn in (1.0, -1.0):
-            c = fs.count_grid_sign_changes(vals - sgn * delta, dom.is_circle, tol_rel)
+            c = fs.count_grid_sign_changes(vals - sgn * delta, dom.is_circle)
             if c > best:
                 best, used = c, delta
     return IntersectionCount(
-        best, lambda: fs.count_sign_changes(F, dom, grid_n, tol_rel).locations,
-        used, False)
+        best, lambda: fs.grid_sign_report(F, dom, ts, vals).locations, used, False)
 
 
 @dataclass(frozen=True)
@@ -354,8 +346,7 @@ class ConvexityReport:
 
 
 def convexity_check(curve: CurveRd, trials: int = 500, rng_seed: int = 0,
-                    grid_n: int = fs.DEFAULT_GRID_N,
-                    tol_rel: float = fs.DEFAULT_TOL_REL) -> ConvexityReport:
+                    grid_n: int = fs.DEFAULT_GRID_N) -> ConvexityReport:
     """Monte-Carlo falsification of convexity.
 
     Each trial slices with a random hyperplane (uniform normal, offset
@@ -380,7 +371,7 @@ def convexity_check(curve: CurveRd, trials: int = 500, rng_seed: int = 0,
         if hi > lo:
             off = lo + (hi - lo) * rng.uniform(0.02, 0.98)
             hit = _confirmed_violation(curve, Hyperplane(w, off), proj - off,
-                                       cyc, tol_rel, grid_n)
+                                       cyc, grid_n)
             if hit is not None:
                 return ConvexityReport(COUNTEREXAMPLE, trial + 1, *hit)
         idx = rng.choice(grid_n, size=d, replace=False)
@@ -389,22 +380,22 @@ def convexity_check(curve: CurveRd, trials: int = 500, rng_seed: int = 0,
         except ValueError:
             continue
         hit = _confirmed_violation(curve, hp, P @ hp.normal - hp.offset,
-                                   cyc, tol_rel, grid_n)
+                                   cyc, grid_n)
         if hit is not None:
             return ConvexityReport(COUNTEREXAMPLE, trial + 1, *hit)
     return ConvexityReport(NO_VIOLATION, trials)
 
 
-def _confirmed_violation(curve, hp, svals, cyclic, tol_rel, grid_n):
+def _confirmed_violation(curve, hp, svals, cyclic, grid_n):
     # cheap screen on precomputed grid values (plus small shifts for
     # tangential doubling), then a full recount before reporting
     d = curve.d
     spread = float(np.ptp(svals))
     shifts = (0.0,) if spread == 0.0 else (0.0, 1e-4 * spread, -1e-4 * spread)
-    if all(fs.count_grid_sign_changes(svals - s, cyclic, tol_rel) <= d
+    if all(fs.count_grid_sign_changes(svals - s, cyclic) <= d
            for s in shifts):
         return None
-    full = hyperplane_intersections(curve, hp, grid_n, tol_rel=tol_rel)
+    full = hyperplane_intersections(curve, hp, grid_n)
     if full.degenerate or full.count_with_multiplicity > d:
         return hp, full
     return None
@@ -419,8 +410,7 @@ class Theorem4Report:
 
 
 def theorem4_check(curve: CurveRd, trials: int = 500, rng_seed: int = 0,
-                   grid_n: int = fs.DEFAULT_GRID_N,
-                   tol_rel: float = fs.DEFAULT_TOL_REL) -> Theorem4Report:
+                   grid_n: int = fs.DEFAULT_GRID_N) -> Theorem4Report:
     """Convexity of the curve and the Chebyshev property of its restricted
     affine functions stand or fall together; both probes run with a
     shared seed and the report says whether the verdicts agree."""
@@ -430,8 +420,8 @@ def theorem4_check(curve: CurveRd, trials: int = 500, rng_seed: int = 0,
         raise ValueError(
             f"affine restrictions span dimension {dim}, not {curve.d + 1}: "
             "the curve lies inside a hyperplane")
-    conv = convexity_check(curve, trials, rng_seed, grid_n, tol_rel)
-    cheb = verify_chebyshev((funcs, curve.dom), trials, rng_seed, grid_n, tol_rel)
+    conv = convexity_check(curve, trials, rng_seed, grid_n)
+    cheb = verify_chebyshev((funcs, curve.dom), trials, rng_seed, grid_n)
     agree = conv.convex == (cheb.status == NO_VIOLATION)
     return Theorem4Report(conv, cheb, agree, dim)
 
@@ -452,9 +442,7 @@ class CurveSynthResult:
 
 def construct_orthogonal_on_curve(curve: CurveRd, n: int,
                                   pieces: int | None = None,
-                                  quad: fs.QuadSpec | None = None,
-                                  grid_n: int = fs.DEFAULT_GRID_N,
-                                  tol_rel: float = fs.DEFAULT_TOL_REL) -> CurveSynthResult:
+                                  grid_n: int = fs.DEFAULT_GRID_N) -> CurveSynthResult:
     """Build F on the parameter domain orthogonal (weight 1) to every
     restricted monomial of degree <= n.
 
@@ -474,34 +462,33 @@ def construct_orthogonal_on_curve(curve: CurveRd, n: int,
         raise ValueError(f"need more than {dim} pieces, got {pieces}")
     edges = np.linspace(0.0, fs.TWO_PI, pieces + 1) if dom.is_circle \
         else np.linspace(dom.a, dom.b, pieces + 1)
-    M = moments_on_edges(funcs, fs.constant(1.0), dom, edges, quad)
+    M = moments_on_edges(funcs, fs.constant(1.0), dom, edges)
     svals = np.linalg.svd(M, compute_uv=False)
     rank = int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0
     if rank != dim:
         raise NotChebyshevError(
             f"piece moment matrix rank {rank} disagrees with span dimension {dim}")
     h = fix_leading_sign(smallest_direction(M))
-    pts = _flip_points(h, edges, dom, tol_rel)
+    pts = _flip_points(h, edges, dom)
     if pts.size == 0:
         raise NotChebyshevError("kernel step has no sign flips to realize")
     g = default_annihilator(pts, dom)
-    A = moments_on_edges(funcs, g, dom, _step_edges(dom, pts), quad)
+    A = moments_on_edges(funcs, g, dom, _step_edges(dom, pts))
     h2 = fix_leading_sign(smallest_direction(A))
     residuals = A @ h2
     if float(np.max(np.abs(residuals))) > RESIDUAL_TOL:
         raise NotChebyshevError("refined orthogonality residual above tolerance")
     step = StepWeight(pts, h2, dom)
     F = fs.product(g, step.as_func(), label="F")
-    rep = fs.count_sign_changes(F, dom, grid_n, tol_rel)
+    rep = fs.count_sign_changes(F, dom, grid_n)
     return CurveSynthResult(F, step, pts, dim, residuals, rep)
 
 
-def _flip_points(h: np.ndarray, edges: np.ndarray, dom: fs.Domain,
-                 tol_rel: float) -> np.ndarray:
+def _flip_points(h: np.ndarray, edges: np.ndarray, dom: fs.Domain) -> np.ndarray:
     """Sign-flip boundaries of a step with heights h on the pieces cut by
     edges; a flip across a run of zeroed pieces lands on the run's
     midpoint."""
-    pairs, degen = fs._sign_transitions(h, tol_rel, dom.is_circle)
+    pairs, degen = fs._sign_transitions(h, dom.is_circle)
     if degen:
         return np.empty(0)
     pts = []
@@ -522,10 +509,8 @@ class Theorem5Report:
     max_residual: float
 
 
-def theorem5_verify(curve: CurveRd, n: int, f, quad: fs.QuadSpec | None = None,
-                    tol: float = RESIDUAL_TOL,
-                    grid_n: int = fs.DEFAULT_GRID_N,
-                    tol_rel: float = fs.DEFAULT_TOL_REL) -> Theorem5Report:
+def theorem5_verify(curve: CurveRd, n: int, f, tol: float = RESIDUAL_TOL,
+                    grid_n: int = fs.DEFAULT_GRID_N) -> Theorem5Report:
     """Zero bound for functions orthogonal to all degree <= n restricted
     polynomials on a convex curve: at least n*d + 1 sign changes, n*d + 2
     when the curve is closed.  Not applicable when the residuals exceed
@@ -533,8 +518,8 @@ def theorem5_verify(curve: CurveRd, n: int, f, quad: fs.QuadSpec | None = None,
     if not isinstance(f, fs.Func1D):
         f = fs.Func1D(f, "f")
     dom = curve.dom
-    rep = fs.count_sign_changes(f, dom, grid_n, tol_rel)
-    ts, ws = fs.rule_with_breaks(dom, rep.locations, quad)
+    rep = fs.count_sign_changes(f, dom, grid_n)
+    ts, ws = fs.rule_with_breaks(dom, rep.locations)
     residuals = (ws * fs.sample(f, ts)) @ fs.basis_matrix(
         restrict_polynomials(curve, n), ts)
     max_res = float(np.max(np.abs(residuals)))
@@ -601,9 +586,7 @@ def _factor_product_func(curve: CurveRd, factors) -> fs.Func1D:
 
 
 def support_product_polynomial(curve: CurveRd, zero_points,
-                               group_size_d: int | None = None,
-                               grid_n: int = fs.DEFAULT_GRID_N,
-                               tol_rel: float = fs.DEFAULT_TOL_REL) -> SupportProduct:
+                               grid_n: int = fs.DEFAULT_GRID_N) -> SupportProduct:
     """Product of secant hyperplanes whose restriction to the curve
     changes sign exactly at the prescribed parameters.
 
@@ -622,10 +605,6 @@ def support_product_polynomial(curve: CurveRd, zero_points,
     """
     dom = curve.dom
     d = curve.d
-    if group_size_d is None:
-        group_size_d = d
-    if group_size_d != d:
-        raise ValueError("groups must have exactly d points to fix a hyperplane")
     pts = np.asarray(zero_points, dtype=float)
     if pts.ndim != 1 or pts.size == 0:
         raise ValueError("need at least one zero point")
@@ -639,13 +618,13 @@ def support_product_polynomial(curve: CurveRd, zero_points,
 
     if l == 0:
         F = _factor_product_func(curve, full_factors)
-        if not _realizes(fs.count_sign_changes(F, dom, grid_n, tol_rel), pts):
+        if not _realizes(fs.count_sign_changes(F, dom, grid_n), pts):
             raise NotChebyshevError("secant product does not change sign "
                                     "exactly at the prescribed points")
         return SupportProduct(tuple(full_factors),
                               _linear_form_product(full_factors, d), 0.0, pts)
 
-    fs._check_count_args(grid_n, tol_rel)
+    fs._check_count_args(grid_n)
     ts = dom.grid(grid_n)
     short = pts[nfull * d:]
     anchor = float(short[0]) if dom.is_circle else dom.a
@@ -664,9 +643,9 @@ def support_product_polynomial(curve: CurveRd, zero_points,
         F = _factor_product_func(curve, factors)
         vals = fs.sample(F, ts)
         vmax = float(np.max(np.abs(vals)))
-        pattern = np.sign(np.where(np.abs(vals) > tol_rel * vmax, vals, 0.0)
-                          ).tobytes() if vmax > 0 else b""
-        rep = fs.grid_sign_report(F, dom, ts, vals, tol_rel)
+        zero = np.abs(vals) <= fs.DEFAULT_TOL_REL * vmax
+        pattern = np.sign(np.where(zero, 0.0, vals)).tobytes() if vmax > 0 else b""
+        rep = fs.grid_sign_report(F, dom, ts, vals)
         ok = _realizes(rep, pts)
         if ok and pattern == prev_pattern:
             return SupportProduct(tuple(factors),
@@ -687,11 +666,11 @@ def _realizes(rep: fs.SignChangeReport, pts: np.ndarray) -> bool:
 # centers of mass
 
 
-def arc_speed(curve: CurveRd, ts, h: float | None = None) -> np.ndarray:
-    """|x'(t)| by central differences (one-sided at interval endpoints)."""
+def arc_speed(curve: CurveRd, ts) -> np.ndarray:
+    """|x'(t)| by central differences of step 1e-6 of the domain length
+    (one-sided at interval endpoints)."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if h is None:
-        h = 1e-6 * curve.dom.span
+    h = 1e-6 * curve.dom.span
     tp, tm = ts + h, ts - h
     if not curve.dom.is_circle:
         tp = np.minimum(tp, curve.dom.b)
@@ -700,12 +679,11 @@ def arc_speed(curve: CurveRd, ts, h: float | None = None) -> np.ndarray:
     return np.linalg.norm(diff, axis=1) / (tp - tm)
 
 
-def center_of_mass(curve: CurveRd, rho: fs.Func1D | None = None,
-                   quad: fs.QuadSpec | None = None):
+def center_of_mass(curve: CurveRd, rho: fs.Func1D | None = None):
     """Mass-weighted mean point with respect to arc length; rho = None
     means the uniform density.  Returns (point, mass); the mass must be
     positive."""
-    ts, ws = fs.quad_nodes(curve.dom, quad)
+    ts, ws = fs.quad_nodes(curve.dom)
     dens = ws * arc_speed(curve, ts)
     if rho is not None:
         dens = dens * fs.sample(rho, ts)
@@ -731,9 +709,7 @@ def _diameter(P: np.ndarray) -> float:
 
 
 def proposition1_check(curve: CurveRd, f: fs.Func1D,
-                       quad: fs.QuadSpec | None = None, tol: float = 1e-8,
-                       grid_n: int = fs.DEFAULT_GRID_N,
-                       tol_rel: float = fs.DEFAULT_TOL_REL) -> Prop1Report:
+                       grid_n: int = fs.DEFAULT_GRID_N) -> Prop1Report:
     """A positive density whose center of mass sits at the uniform center
     must oscillate: at least d + 2 extrema (endpoints included on an
     open curve).  Center mismatch makes the check not applicable; a
@@ -741,14 +717,14 @@ def proposition1_check(curve: CurveRd, f: fs.Func1D,
     dom = curve.dom
     if float(np.min(fs.sample(f, dom.grid(grid_n)))) <= 0.0:
         raise ValueError("density must be strictly positive")
-    c_u, _ = center_of_mass(curve, None, quad)
-    c_f, _ = center_of_mass(curve, f, quad)
+    c_u, _ = center_of_mass(curve, None)
+    c_f, _ = center_of_mass(curve, f)
     diam = _diameter(curve_points(curve, dom.grid(grid_n)))
     gap = float(np.linalg.norm(c_f - c_u)) / max(diam, 1e-300)
     bound = curve.d + 2
-    if gap > tol:
+    if gap > _CENTER_GAP_TOL:
         return Prop1Report(False, False, -1, bound, gap)
-    rep = fs.count_extrema(f, dom, grid_n, tol_rel)
+    rep = fs.count_extrema(f, dom, grid_n)
     if rep.degenerate:
         return Prop1Report(True, True, 0, bound, gap, True)
     return Prop1Report(True, rep.count >= bound, rep.count, bound, gap)
@@ -767,9 +743,7 @@ class Prop1RelativeReport:
 
 
 def proposition1_relative(curve: CurveRd, f: fs.Func1D, g: fs.Func1D,
-                          quad: fs.QuadSpec | None = None, tol: float = 1e-8,
-                          grid_n: int = fs.DEFAULT_GRID_N,
-                          tol_rel: float = fs.DEFAULT_TOL_REL) -> Prop1RelativeReport:
+                          grid_n: int = fs.DEFAULT_GRID_N) -> Prop1RelativeReport:
     """Two positive densities with a common center of mass: after matching
     total masses their difference changes sign at least d + 1 times
     (d + 2 on a closed curve) and their ratio has at least d + 2 extrema.
@@ -779,13 +753,13 @@ def proposition1_relative(curve: CurveRd, f: fs.Func1D, g: fs.Func1D,
     fv, gv = fs.sample(f, ts), fs.sample(g, ts)
     if float(np.min(fv)) <= 0.0 or float(np.min(gv)) <= 0.0:
         raise ValueError("densities must be strictly positive")
-    c_f, mf = center_of_mass(curve, f, quad)
-    c_g, mg = center_of_mass(curve, g, quad)
+    c_f, mf = center_of_mass(curve, f)
+    c_g, mg = center_of_mass(curve, g)
     diam = _diameter(curve_points(curve, ts))
     gap = float(np.linalg.norm(c_f - c_g)) / max(diam, 1e-300)
     diff_bound = curve.d + (2 if dom.is_circle else 1)
     ratio_bound = curve.d + 2
-    if gap > tol:
+    if gap > _CENTER_GAP_TOL:
         return Prop1RelativeReport(False, False, -1, diff_bound, -1,
                                    ratio_bound, gap)
     scale = mf / mg
@@ -795,8 +769,8 @@ def proposition1_relative(curve: CurveRd, f: fs.Func1D, g: fs.Func1D,
                                    gap, True)
     diff = fs.Func1D(lambda t: fs.sample(f, t) - scale * fs.sample(g, t), "f-g")
     ratio = fs.Func1D(lambda t: fs.sample(f, t) / fs.sample(g, t), "f/g")
-    drep = fs.count_sign_changes(diff, dom, grid_n, tol_rel)
-    rrep = fs.count_extrema(ratio, dom, grid_n, tol_rel)
+    drep = fs.count_sign_changes(diff, dom, grid_n)
+    rrep = fs.count_extrema(ratio, dom, grid_n)
     passed = (drep.count >= diff_bound) and \
         (rrep.degenerate or rrep.count >= ratio_bound)
     return Prop1RelativeReport(True, passed, drep.count, diff_bound,

@@ -26,6 +26,7 @@ from .curves import (Hyperplane, hyperplane_through, monomial_multi_indices,
 VERTEX_REJECT_TOL = 1e-9
 MASS_RESIDUAL_TOL = 1e-10
 _CONVEXITY_SEED = 1729  # fixed internal seed for hypothesis screening
+_CONVEXITY_TRIALS = 200  # probes of the convexity hypothesis in theorem6_check
 
 
 @dataclass(frozen=True)
@@ -93,15 +94,14 @@ def _masses_of(x, k: int | None = None) -> np.ndarray:
 # sign counting
 
 
-def cyclic_sign_changes(values, closed: bool,
-                        tol_rel: float = fs.DEFAULT_TOL_REL) -> int:
+def cyclic_sign_changes(values, closed: bool) -> int:
     """Adjacent opposite-sign pairs after dropping entries with
-    |v| <= tol_rel * max|v|, wrapping once on a closed line.  All entries
+    |v| <= DEFAULT_TOL_REL * max|v|, wrapping once on a closed line.  All entries
     dropped counts as 0; an empty list raises ValueError."""
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise ValueError("empty value list")
-    return fs.count_grid_sign_changes(v, closed, tol_rel)
+    return fs.count_grid_sign_changes(v, closed)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +255,13 @@ class Theorem6Report:
     message: str = ""
 
 
-def theorem6_check(P: PolyLine, n: int, f, tol: float = MASS_RESIDUAL_TOL,
-                   convexity_trials: int = 200) -> Theorem6Report:
+def theorem6_check(P: PolyLine, n: int, f,
+                   tol: float = MASS_RESIDUAL_TOL) -> Theorem6Report:
     """Masses annihilating all vertex moments of degree <= n on a convex
     polygonal line must change sign at least dn+1 times (dn+2 closed)."""
     masses = _masses_of(f, P.k)
     bound = P.d * n + (2 if P.closed else 1)
-    conv = polyline_convexity_check(P, convexity_trials, _CONVEXITY_SEED)
+    conv = polyline_convexity_check(P, _CONVEXITY_TRIALS, _CONVEXITY_SEED)
     if not conv.convex:
         return Theorem6Report(False, False, -1, bound, float("nan"),
                               "hypothesis violated: not convex")

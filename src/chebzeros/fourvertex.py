@@ -12,7 +12,7 @@ must change sign at least 4 times, giving at least 4 curvature extrema.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -80,15 +80,13 @@ def radius_of_curvature(oval: OvalSupport) -> fs.Func1D:
     return fs.Func1D(oval._R, label="R")
 
 
-def verify_R_orthogonality(oval: OvalSupport,
-                           quad: Optional[fs.QuadSpec] = None):
+def verify_R_orthogonality(oval: OvalSupport):
     """Residuals of R against the first harmonics; both are structurally
     zero whatever the coefficients, since h + h'' has no m=1 term."""
     dom = fs.circle()
-    quad = quad or fs.default_quad(dom)
     R = radius_of_curvature(oval)
-    rc = abs(fs.inner_product(R, fs.Func1D(np.cos, "cos"), None, dom, quad))
-    rs = abs(fs.inner_product(R, fs.Func1D(np.sin, "sin"), None, dom, quad))
+    rc = abs(fs.inner_product(R, fs.Func1D(np.cos, "cos"), None, dom))
+    rs = abs(fs.inner_product(R, fs.Func1D(np.sin, "sin"), None, dom))
     return rc, rs
 
 
@@ -100,12 +98,11 @@ class FourVertexReport:
     degenerate: bool = False
 
 
-def four_vertex_check(oval: OvalSupport, grid_n: int = fs.DEFAULT_GRID_N,
-                      tol_rel: float = fs.DEFAULT_TOL_REL) -> FourVertexReport:
+def four_vertex_check(oval: OvalSupport,
+                      grid_n: int = fs.DEFAULT_GRID_N) -> FourVertexReport:
     """The curvature radius of an oval attains at least 4 local extrema.
     A circle (constant R) is flagged degenerate and passes vacuously."""
-    rep = fs.count_extrema(radius_of_curvature(oval), fs.circle(),
-                           grid_n=grid_n, tol_rel=tol_rel)
+    rep = fs.count_extrema(radius_of_curvature(oval), fs.circle(), grid_n)
     if rep.degenerate:
         return FourVertexReport(True, 0, 4, degenerate=True)
     return FourVertexReport(rep.count >= 4, rep.count, 4)
@@ -121,8 +118,7 @@ class BlaschkeReport:
 
 
 def blaschke_ratio_check(o1: OvalSupport, o2: OvalSupport,
-                         grid_n: int = fs.DEFAULT_GRID_N,
-                         tol_rel: float = fs.DEFAULT_TOL_REL) -> BlaschkeReport:
+                         grid_n: int = fs.DEFAULT_GRID_N) -> BlaschkeReport:
     """The ratio of curvature radii of two ovals, matched by normal
     angle, attains at least 4 local extrema unless proportional.
 
@@ -134,8 +130,7 @@ def blaschke_ratio_check(o1: OvalSupport, o2: OvalSupport,
     def ratio(ts):
         return R1(ts) / R2(ts)
 
-    rep = fs.count_extrema(fs.Func1D(ratio, "R1/R2"), fs.circle(),
-                           grid_n=grid_n, tol_rel=tol_rel)
+    rep = fs.count_extrema(fs.Func1D(ratio, "R1/R2"), fs.circle(), grid_n)
     reduces = o2.is_circle
     if rep.degenerate:
         return BlaschkeReport(True, 0, 4, degenerate=True,

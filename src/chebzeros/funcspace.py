@@ -2,13 +2,14 @@
 sign-change counting.  basis_matrix is the one way to evaluate a basis
 at a set of nodes; every collocation, moment and combination uses it.
 
-Every zero count in the package flows through this module, so the
-counting convention is fixed here once: sample on a uniform grid, mark
-samples whose magnitude is within a relative tolerance of the overall
-maximum, collapse maximal runs of marked samples, and count transitions
-between opposite strict signs.  Counts on a circle are cyclic, which
-makes them even for any function that is not numerically zero.
-count_grid_sign_changes and grid_sign_report apply the rule to
+Every integral and zero count in the package flows through this module,
+so both conventions are fixed here once.  Integrals use one quadrature
+rule (see quad_nodes and segment_rule).  Counts sample on a uniform
+grid, mark samples whose magnitude is within DEFAULT_TOL_REL of the
+overall maximum, collapse maximal runs of marked samples, and count
+transitions between opposite strict signs.  Counts on a circle are
+cyclic, which makes them even for any function that is not numerically
+zero.  count_grid_sign_changes and grid_sign_report apply the rule to
 precomputed grid values.
 
 A count costs one grid evaluation of f.  Transition locations are
@@ -32,9 +33,6 @@ TWO_PI = 2.0 * math.pi
 
 INTERVAL = "interval"
 CIRCLE = "circle"
-
-GAUSS = "gauss"
-TRAPEZOID = "trapezoid"
 
 DEFAULT_GRID_N = 2048
 DEFAULT_TOL_REL = 1e-9
@@ -213,60 +211,28 @@ def combination(funcs: Sequence[Func1D], coeffs, label: str = "") -> Func1D:
 
 # ---------------------------------------------------------------------------
 # quadrature
+#
+# One fixed rule: a periodic trapezoid rule of CIRCLE_NODES nodes on the
+# circle, GAUSS_PANELS composite Gauss-Legendre panels of PANEL_NODES
+# nodes on an interval.  Segment rules are Gauss panels at the same node
+# density as the domain rule.
+
+CIRCLE_NODES = 1024
+GAUSS_PANELS = 32
+PANEL_NODES = 16
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Quadrature choice: composite Gauss-Legendre panels on an interval,
-    periodic trapezoid on the circle."""
-
-    scheme: str
-    panels: int
-    nodes_per_panel: int
-
-    def __post_init__(self):
-        if self.scheme not in (GAUSS, TRAPEZOID):
-            raise ValueError(f"unknown quadrature scheme {self.scheme!r}")
-        if self.panels < 1 or self.nodes_per_panel < 1:
-            raise ValueError("panels and nodes_per_panel must be positive")
-        if self.panels * self.nodes_per_panel < 16:
-            raise ValueError("need at least 16 quadrature nodes in total")
-
-    @property
-    def total_nodes(self) -> int:
-        return self.panels * self.nodes_per_panel
-
-    @staticmethod
-    def gauss(panels: int = 32, nodes_per_panel: int = 16) -> "QuadSpec":
-        return QuadSpec(GAUSS, panels, nodes_per_panel)
-
-    @staticmethod
-    def trapezoid(n: int = 1024) -> "QuadSpec":
-        return QuadSpec(TRAPEZOID, 1, n)
-
-    def validate_for(self, dom: Domain) -> None:
-        # periodic trapezoid is spectrally accurate only on the circle;
-        # Gauss panels assume a genuine interval
-        if dom.is_circle and self.scheme != TRAPEZOID:
-            raise ValueError("circle domains use the trapezoid scheme")
-        if not dom.is_circle and self.scheme != GAUSS:
-            raise ValueError("interval domains use the gauss scheme")
+@lru_cache(maxsize=1)
+def _gauss_panel():
+    # on first use, so that importing the package skips numpy.polynomial
+    return np.polynomial.legendre.leggauss(PANEL_NODES)
 
 
-def default_quad(dom: Domain) -> QuadSpec:
-    return QuadSpec.trapezoid() if dom.is_circle else QuadSpec.gauss()
-
-
-@lru_cache(maxsize=16)
-def _leggauss(k: int):
-    return np.polynomial.legendre.leggauss(k)
-
-
-def gauss_rule_on(lo: float, hi: float, panels: int, nodes_per_panel: int):
+def gauss_rule_on(lo: float, hi: float, panels: int):
     """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
     if hi <= lo:
         raise ValueError("empty integration range")
-    x, w = _leggauss(nodes_per_panel)
+    x, w = _gauss_panel()
     edges = np.linspace(lo, hi, panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -275,75 +241,64 @@ def gauss_rule_on(lo: float, hi: float, panels: int, nodes_per_panel: int):
     return ts, ws
 
 
-def quad_nodes(dom: Domain, quad: QuadSpec | None = None):
+def quad_nodes(dom: Domain):
     """Nodes and weights of the quadrature rule over the whole domain."""
-    if quad is None:
-        quad = default_quad(dom)
-    quad.validate_for(dom)
     if dom.is_circle:
-        n = quad.total_nodes
+        n = CIRCLE_NODES
         return np.arange(n) * (TWO_PI / n), np.full(n, TWO_PI / n)
-    return gauss_rule_on(dom.a, dom.b, quad.panels, quad.nodes_per_panel)
+    return gauss_rule_on(dom.a, dom.b, GAUSS_PANELS)
 
 
-def integrate(f: Func1D, dom: Domain, quad: QuadSpec | None = None) -> float:
-    ts, ws = quad_nodes(dom, quad)
+def integrate(f: Func1D, dom: Domain) -> float:
+    ts, ws = quad_nodes(dom)
     return float(ws @ sample(f, ts))
 
 
-def inner_product(f: Func1D, g: Func1D, rho: Func1D | None, dom: Domain,
-                  quad: QuadSpec | None = None) -> float:
+def inner_product(f: Func1D, g: Func1D, rho: Func1D | None, dom: Domain) -> float:
     """integral of f*g*rho over the domain (rho = None means weight 1)."""
-    ts, ws = quad_nodes(dom, quad)
+    ts, ws = quad_nodes(dom)
     vals = sample(f, ts) * sample(g, ts)
     if rho is not None:
         vals = vals * sample(rho, ts)
     return float(ws @ vals)
 
 
-def _pieces_per_segment(seg_len: float, span: float, quad: QuadSpec) -> int:
-    # keep node density comparable to the domain-level rule, at least 2 panels
-    frac = max(seg_len / span, 1e-12)
-    return max(2, int(math.ceil(quad.total_nodes * frac / 16.0)))
-
-
-def segment_rule(dom: Domain, lo: float, hi: float, quad: QuadSpec | None = None):
-    """Gauss nodes and weights on one segment of the domain.
+def segment_rule(dom: Domain, lo: float, hi: float):
+    """Gauss nodes and weights on one segment of the domain, at least 2
+    panels.
 
     On the circle the segment may extend past 2pi; nodes are wrapped so
     periodic functions can be evaluated directly.
     """
-    if quad is None:
-        quad = default_quad(dom)
-    panels = _pieces_per_segment(hi - lo, dom.span, quad)
-    k = quad.nodes_per_panel if quad.scheme == GAUSS else 16
-    ts, ws = gauss_rule_on(lo, hi, panels, max(k, 8))
+    domain_nodes = CIRCLE_NODES if dom.is_circle else GAUSS_PANELS * PANEL_NODES
+    frac = max((hi - lo) / dom.span, 1e-12)
+    panels = max(2, int(math.ceil(domain_nodes * frac / PANEL_NODES)))
+    ts, ws = gauss_rule_on(lo, hi, panels)
     return dom.wrap(ts), ws
 
 
-def rule_with_breaks(dom: Domain, breaks, quad: QuadSpec | None = None):
+def rule_with_breaks(dom: Domain, breaks):
     """Nodes and weights over the whole domain, with Gauss panels split at
     the given interior break parameters (the plain domain rule when there
     are none).  Use when the integrand has kinks or a step factor."""
     breaks = np.sort(np.asarray(breaks, dtype=float))
     if breaks.size == 0:
-        return quad_nodes(dom, quad)
+        return quad_nodes(dom)
     if not dom.all_inside(breaks):
         raise ValueError("breaks must lie strictly inside the domain")
     if dom.is_circle:
         edges = np.concatenate([breaks, [breaks[0] + TWO_PI]])
     else:
         edges = np.concatenate([[dom.a], breaks, [dom.b]])
-    ts, ws = zip(*[segment_rule(dom, lo, hi, quad)
+    ts, ws = zip(*[segment_rule(dom, lo, hi)
                    for lo, hi in zip(edges[:-1], edges[1:])
                    if hi - lo > 1e-15 * dom.span])
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def integrate_with_breaks(f: Func1D, dom: Domain, breaks,
-                          quad: QuadSpec | None = None) -> float:
+def integrate_with_breaks(f: Func1D, dom: Domain, breaks) -> float:
     """Integrate f over the domain by rule_with_breaks."""
-    ts, ws = rule_with_breaks(dom, breaks, quad)
+    ts, ws = rule_with_breaks(dom, breaks)
     return float(ws @ sample(f, ts))
 
 
@@ -381,23 +336,21 @@ def _no_roots() -> np.ndarray:
     return np.empty(0)
 
 
-def _check_count_args(grid_n: int, tol_rel: float) -> None:
+def _check_count_args(grid_n: int) -> None:
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
-    if not (0.0 < tol_rel <= 1e-2):
-        raise ValueError("tol_rel must lie in (0, 1e-2]")
 
 
-def _sign_transitions(vals: np.ndarray, tol_rel: float, cyclic: bool):
+def _sign_transitions(vals: np.ndarray, cyclic: bool):
     """Indices (i, j) of consecutive surviving samples with opposite sign.
 
-    Samples with |v| <= tol_rel * max|v| are dropped first, which
+    Samples with |v| <= DEFAULT_TOL_REL * max|v| are dropped first, which
     collapses each zero run to the single transition across it.
     """
     vmax = float(np.max(np.abs(vals))) if vals.size else 0.0
     if vmax == 0.0:
         return [], True
-    keep = np.nonzero(np.abs(vals) > tol_rel * vmax)[0]
+    keep = np.nonzero(np.abs(vals) > DEFAULT_TOL_REL * vmax)[0]
     if keep.size == 0:
         return [], True
     s = np.sign(vals[keep])
@@ -408,12 +361,11 @@ def _sign_transitions(vals: np.ndarray, tol_rel: float, cyclic: bool):
     return pairs, False
 
 
-def count_grid_sign_changes(vals, cyclic: bool,
-                            tol_rel: float = DEFAULT_TOL_REL) -> int:
+def count_grid_sign_changes(vals, cyclic: bool) -> int:
     """Sign transitions of precomputed grid values under the counting
     rule of count_sign_changes (cyclic on a circle); 0 when every value
     is dropped as numerically zero."""
-    pairs, _ = _sign_transitions(np.asarray(vals, dtype=float), tol_rel, cyclic)
+    pairs, _ = _sign_transitions(np.asarray(vals, dtype=float), cyclic)
     return len(pairs)
 
 
@@ -454,33 +406,32 @@ def _root_finder(fvals: Callable, dom: Domain, ts: np.ndarray,
 
 
 def count_sign_changes(f: Func1D, dom: Domain,
-                       grid_n: int = DEFAULT_GRID_N,
-                       tol_rel: float = DEFAULT_TOL_REL) -> SignChangeReport:
+                       grid_n: int = DEFAULT_GRID_N) -> SignChangeReport:
     """Count strict sign changes of f on the domain.
 
     Parameters
     ----------
     f, dom : the function and its domain.
     grid_n : uniform sample count (>= 64).
-    tol_rel : relative tolerance below which a sample counts as zero.
 
-    Zero runs collapse to one transition when the signs on both sides
+    A sample within DEFAULT_TOL_REL of the largest magnitude counts as
+    zero.  Zero runs collapse to one transition when the signs on both sides
     differ and to none when they agree, so tangential touches are not
     counted.  Circle counts are cyclic.  The count costs one evaluation
     of f on the grid; locations are refined by bisection when first
     read, and reported sorted.
     """
-    _check_count_args(grid_n, tol_rel)
+    _check_count_args(grid_n)
     ts = dom.grid(grid_n)
-    return grid_sign_report(f, dom, ts, sample(f, ts), tol_rel)
+    return grid_sign_report(f, dom, ts, sample(f, ts))
 
 
-def grid_sign_report(f: Func1D, dom: Domain, ts: np.ndarray, vals: np.ndarray,
-                     tol_rel: float = DEFAULT_TOL_REL) -> SignChangeReport:
+def grid_sign_report(f: Func1D, dom: Domain, ts: np.ndarray,
+                     vals: np.ndarray) -> SignChangeReport:
     """count_sign_changes from f's values vals on the grid ts =
     dom.grid(n), for a caller that has sampled them already; locations
     are refined from f when first read."""
-    pairs, degenerate = _sign_transitions(vals, tol_rel, dom.is_circle)
+    pairs, degenerate = _sign_transitions(vals, dom.is_circle)
     if degenerate:
         return SignChangeReport(0, _no_roots, True)
     roots = _root_finder(lambda m: sample(f, dom.wrap(m)), dom, ts, vals, pairs)
@@ -488,22 +439,21 @@ def grid_sign_report(f: Func1D, dom: Domain, ts: np.ndarray, vals: np.ndarray,
 
 
 def count_extrema(f: Func1D, dom: Domain,
-                  grid_n: int = DEFAULT_GRID_N,
-                  tol_rel: float = DEFAULT_TOL_REL) -> SignChangeReport:
+                  grid_n: int = DEFAULT_GRID_N) -> SignChangeReport:
     """Count local extrema of f as sign changes of a central-difference
     derivative.
 
     On an interval the two endpoints always count as extrema and appear
     in locations; on the circle the count is cyclic (hence even).  A
-    numerically constant f (range within tol_rel of its scale) comes
+    numerically constant f (range within DEFAULT_TOL_REL of its scale) comes
     back degenerate with count 0.  As for count_sign_changes, locations
     are refined only when first read.
     """
-    _check_count_args(grid_n, tol_rel)
+    _check_count_args(grid_n)
     ts = dom.grid(grid_n)
     vals = sample(f, ts)
     fscale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if fscale == 0.0 or float(np.ptp(vals)) <= tol_rel * fscale:
+    if fscale == 0.0 or float(np.ptp(vals)) <= DEFAULT_TOL_REL * fscale:
         return SignChangeReport(0, _no_roots, True)
 
     h = dom.span / grid_n
@@ -513,7 +463,7 @@ def count_extrema(f: Func1D, dom: Domain,
     else:
         dv = (vals[2:] - vals[:-2]) / (2.0 * h)
         dts = ts[1:-1]
-    pairs, degenerate = _sign_transitions(dv, tol_rel, dom.is_circle)
+    pairs, degenerate = _sign_transitions(dv, dom.is_circle)
     if degenerate and dom.is_circle:
         return SignChangeReport(0, _no_roots, True)
     # a degenerate derivative on an interval leaves pairs empty: f is

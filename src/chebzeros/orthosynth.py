@@ -135,23 +135,21 @@ def _step_edges(dom: fs.Domain, breakpoints) -> np.ndarray:
     return np.concatenate([[dom.a], bp, [dom.b]])
 
 
-def moments_on_edges(basis, g: fs.Func1D, dom: fs.Domain, edges,
-                     quad: fs.QuadSpec | None = None) -> np.ndarray:
+def moments_on_edges(basis, g: fs.Func1D, dom: fs.Domain, edges) -> np.ndarray:
     """Matrix of per-piece integrals of g * f_j between consecutive edges."""
     cols = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        ts, ws = fs.segment_rule(dom, lo, hi, quad)
+        ts, ws = fs.segment_rule(dom, lo, hi)
         cols.append((ws * fs.sample(g, ts)) @ fs.basis_matrix(basis, ts))
     return np.array(cols, dtype=float).T
 
 
-def moment_matrix(sys, g: fs.Func1D, breakpoints,
-                  quad: fs.QuadSpec | None = None) -> np.ndarray:
+def moment_matrix(sys, g: fs.Func1D, breakpoints) -> np.ndarray:
     """n x pieces matrix with entry (j, i) = integral of g * f_j over
     piece i of the domain as cut by the breakpoints."""
     basis, dom = _as_basis(sys)
     edges = _step_edges(dom, breakpoints)
-    return moments_on_edges(basis, g, dom, edges, quad)
+    return moments_on_edges(basis, g, dom, edges)
 
 
 def null_direction(A) -> np.ndarray:
@@ -191,9 +189,7 @@ def _require_one_sign(p: np.ndarray):
 
 
 def synth_orthogonal(sys: ChebSystem, points,
-                     quad: fs.QuadSpec | None = None,
-                     grid_n: int = fs.DEFAULT_GRID_N,
-                     tol_rel: float = fs.DEFAULT_TOL_REL) -> SynthResult:
+                     grid_n: int = fs.DEFAULT_GRID_N) -> SynthResult:
     """Build F changing sign exactly at the prescribed points and
     orthogonal to every basis function (weight 1).
 
@@ -209,7 +205,7 @@ def synth_orthogonal(sys: ChebSystem, points,
     if pts.size != m:
         raise ValueError(f"need exactly {m} points, got {pts.size}")
     g = default_annihilator(pts, dom)
-    A = moment_matrix(sys, g, pts, quad)
+    A = moment_matrix(sys, g, pts)
     p = null_direction(A)
     _require_one_sign(p)
     step = StepWeight(pts, p, dom)
@@ -217,7 +213,7 @@ def synth_orthogonal(sys: ChebSystem, points,
     residuals = A @ p
     if np.max(np.abs(residuals)) > RESIDUAL_TOL:
         raise NotChebyshevError("orthogonality residual above tolerance")
-    rep = fs.count_sign_changes(F, dom, grid_n, tol_rel)
+    rep = fs.count_sign_changes(F, dom, grid_n)
     if rep.degenerate or rep.count != m or \
             np.max(np.abs(np.sort(rep.locations) - np.sort(pts))) > LOC_TOL:
         raise NotChebyshevError(
@@ -228,9 +224,7 @@ def synth_orthogonal(sys: ChebSystem, points,
 
 
 def synth_weight(sys: ChebSystem, f: fs.Func1D,
-                 quad: fs.QuadSpec | None = None,
-                 grid_n: int = fs.DEFAULT_GRID_N,
-                 tol_rel: float = fs.DEFAULT_TOL_REL) -> SynthResult:
+                 grid_n: int = fs.DEFAULT_GRID_N) -> SynthResult:
     """Build a constant-sign weight rho making f orthogonal to the system.
 
     f needs at least m = m_of(dom, order) sign changes.  With more than
@@ -241,7 +235,7 @@ def synth_weight(sys: ChebSystem, f: fs.Func1D,
     """
     dom = sys.dom
     m = m_of(dom, sys.order_n)
-    rep = fs.count_sign_changes(f, dom, grid_n, tol_rel)
+    rep = fs.count_sign_changes(f, dom, grid_n)
     if rep.degenerate or rep.count < m:
         raise ValueError(
             f"f has {rep.count} sign changes but orthogonality to an order-"
@@ -258,12 +252,12 @@ def synth_weight(sys: ChebSystem, f: fs.Func1D,
             support = (dom.a, cut)
             inner = kept
         edges = np.concatenate([[support[0]], inner, [support[1]]])
-        A = moments_on_edges(sys.basis, g, dom, edges, quad)
+        A = moments_on_edges(sys.basis, g, dom, edges)
         p = null_direction(A)
         _require_one_sign(p)
         step = StepWeight(inner, p, dom, support=support)
     else:
-        A = moment_matrix(sys, g, pts, quad)
+        A = moment_matrix(sys, g, pts)
         p = null_direction(A)
         _require_one_sign(p)
         step = StepWeight(pts, p, dom)
@@ -288,10 +282,8 @@ class Theorem1Report:
 
 def theorem1_check(sys: ChebSystem, f: fs.Func1D,
                    rho: fs.Func1D | None = None,
-                   quad: fs.QuadSpec | None = None,
                    tol: float = RESIDUAL_TOL,
                    grid_n: int = fs.DEFAULT_GRID_N,
-                   tol_rel: float = fs.DEFAULT_TOL_REL,
                    breaks=None) -> Theorem1Report:
     """Verify the forced-zero bound: if f is rho-orthogonal to the whole
     system (all residuals <= tol) and f*rho is not numerically zero,
@@ -300,11 +292,15 @@ def theorem1_check(sys: ChebSystem, f: fs.Func1D,
     Residual integrals split the domain at f's sign-change locations
     plus any points passed in breaks, so step-weight discontinuities do
     not poison the quadrature; pass the step's breakpoints and support
-    edges in breaks when rho came from a synthesis.
+    edges in breaks when rho came from a synthesis.  f is sampled on the
+    count grid once, for the count and the vanishing test alike.
     """
     dom = sys.dom
     m = m_of(dom, sys.order_n)
-    rep = fs.count_sign_changes(f, dom, grid_n, tol_rel)
+    fs._check_count_args(grid_n)
+    grid = dom.grid(grid_n)
+    fgrid = fs.sample(f, grid)
+    rep = fs.grid_sign_report(f, dom, grid, fgrid)
     cuts = np.asarray(rep.locations, dtype=float)
     if breaks is not None:
         extra = np.asarray(breaks, dtype=float)
@@ -314,14 +310,13 @@ def theorem1_check(sys: ChebSystem, f: fs.Func1D,
             extra = extra[(extra > dom.a) & (extra < dom.b)]
         cuts = np.union1d(cuts, extra)
 
-    def frho(ts):
-        vals = fs.sample(f, ts)
+    def with_rho(vals, ts):
         return vals if rho is None else vals * fs.sample(rho, ts)
 
-    ts, ws = fs.rule_with_breaks(dom, cuts, quad)
-    residuals = (ws * frho(ts)) @ fs.basis_matrix(sys.basis, ts)
+    ts, ws = fs.rule_with_breaks(dom, cuts)
+    residuals = (ws * with_rho(fs.sample(f, ts), ts)) @ fs.basis_matrix(sys.basis, ts)
     max_res = float(np.max(np.abs(residuals)))
-    vanishes = float(np.max(np.abs(frho(dom.grid(grid_n))))) == 0.0
+    vanishes = float(np.max(np.abs(with_rho(fgrid, grid)))) == 0.0
     if max_res > tol or rep.degenerate or vanishes:
         return Theorem1Report(False, False, -1, m, max_res)
     return Theorem1Report(True, rep.count >= m, rep.count, m, max_res)

@@ -236,6 +236,37 @@ def test_verify_grid_reaches_theorem4_check(capsys, monkeypatch):
     assert grids == [1024]
 
 
+def test_synth_annihilator_grid_reaches_general_annihilator(capsys, monkeypatch):
+    grids = []
+    real = cli.general_annihilator
+
+    def spy(sys, rp, **kw):
+        grids.append(kw.get("grid_n"))
+        return real(sys, rp, **kw)
+
+    monkeypatch.setattr(cli, "general_annihilator", spy)
+    code, _, _ = run(capsys, "synth", "annihilator", "--system", "poly:3",
+                     "--simple=-0.3,0.4", "--grid", "1024")
+    assert code == 0
+    assert grids == [1024]
+
+
+def test_verify_zero_valued_flags_are_honoured(capsys):
+    # --harmonics 0: trig order 1 on the circle, so m = 2
+    code, out, _ = run(capsys, "verify", "hurwitz", "--harmonics", "0",
+                       "--trials", "1", "--no-timing", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["instance"] for r in rows] == ["k=0 t=0", "k=0 minimal"]
+    assert [r["expected"] for r in rows] == [">= 2", "== 2"]
+    # --n 0: moment degree 0, bound 2
+    code, out, _ = run(capsys, "verify", "theorem6", "--n", "0", "--k", "8",
+                       "--trials", "1", "--no-timing", "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(r["instance"], r["expected"]) for r in rows] == [("n=0 k=8 t=0", ">= 2")]
+
+
 # ---------------------------------------------------------------------------
 # error paths
 
@@ -288,3 +319,16 @@ def test_exit_2_on_bad_inputs(capsys):
     assert code3 == 2
     code4, _, err4 = run(capsys, "synth", "ortho", "--system", "poly:1")
     assert code4 == 2 and "needs" in err4
+
+
+def test_exit_2_on_zero_k(capsys):
+    code, out, err = run(capsys, "verify", "theorem6", "--k", "0",
+                         "--trials", "1")
+    assert code == 2 and out == "" and "too small" in err
+
+
+@pytest.mark.parametrize("flag", ["--harmonics", "--n"])
+def test_exit_2_on_negative_counts(capsys, flag):
+    family = "hurwitz" if flag == "--harmonics" else "theorem6"
+    code, out, err = run(capsys, "verify", family, f"{flag}=-1", "--trials", "1")
+    assert code == 2 and out == "" and flag in err

@@ -214,19 +214,31 @@ def test_count_args_validation():
     f = fs.Func1D(lambda t: np.asarray(t, float))
     with pytest.raises(ValueError):
         fs.count_sign_changes(f, dom, grid_n=8)
-    with pytest.raises(ValueError):
-        fs.count_sign_changes(f, dom, tol_rel=0.5)
 
 
-def test_quadspec_validation():
-    with pytest.raises(ValueError):
-        fs.QuadSpec.trapezoid(0)
-    q = fs.QuadSpec.trapezoid(64)
-    with pytest.raises(ValueError):
-        q.validate_for(fs.interval(0.0, 1.0))
-    g = fs.QuadSpec.gauss(4, 6)
-    with pytest.raises(ValueError):
-        g.validate_for(fs.circle())
+def test_quadrature_rule_is_fixed():
+    # circle: 1024-node trapezoid; interval: 32 Gauss panels of 16 nodes
+    ts, ws = fs.quad_nodes(fs.circle())
+    assert ts.size == 1024 and np.all(ws == fs.TWO_PI / 1024)
+    assert np.array_equal(ts, np.arange(1024) * (fs.TWO_PI / 1024))
+    dom = fs.interval(-1.0, 2.0)
+    ts, ws = fs.quad_nodes(dom)
+    x16, _ = np.polynomial.legendre.leggauss(16)
+    assert ts.size == 512
+    assert np.allclose(ts[:16], -1.0 + (3.0 / 64) * (1.0 + x16), rtol=0, atol=1e-15)
+    assert ws.sum() == pytest.approx(3.0, abs=1e-13)
+    # segments: max(2, ceil(N * len/span / 16)) panels of 16 nodes, with
+    # N = 1024 on the circle and 512 on an interval
+    for d, lo, hi, panels in [(fs.circle(), 1.0, 1.0 + fs.TWO_PI / 3, 22),
+                              (fs.circle(), 6.0, 6.5, 6),
+                              (fs.circle(), 0.1, 0.1 + 1e-9, 2),
+                              (dom, -1.0, 2.0, 32), (dom, 0.0, 0.5, 6),
+                              (dom, 0.0, 1e-6, 2)]:
+        ts, ws = fs.segment_rule(d, lo, hi)
+        assert ts.size == ws.size == 16 * panels
+        assert ws.sum() == pytest.approx(hi - lo, rel=1e-12)
+    ts, _ = fs.segment_rule(fs.circle(), 6.0, 6.5)
+    assert np.all((ts >= 0.0) & (ts < fs.TWO_PI))  # wrapped past 2pi
 
 
 @st.composite

@@ -214,6 +214,8 @@ def test_theorem1_samples_f_once_on_quadrature_nodes(weighted):
     assert rep.applicable and rep.passed
     quad = [n for n in sizes if n not in (fs.DEFAULT_GRID_N, rep.sign_changes)]
     assert len(quad) == 1 and quad[0] >= 16
+    # one sample on the count grid serves the count and the vanishing test
+    assert sizes.count(fs.DEFAULT_GRID_N) == 1
     if weighted:
         assert rho_sizes == [quad[0], fs.DEFAULT_GRID_N]
 
