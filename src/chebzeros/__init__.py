@@ -127,13 +127,9 @@ from .fourvertex import (
     FourVertexReport,
     OvalSupport,
     blaschke_ratio_check,
-    format_oval,
     four_vertex_check,
-    oval_to_curve,
-    parse_oval,
     radius_of_curvature,
     random_oval,
-    support_func,
     verify_R_orthogonality,
 )
 

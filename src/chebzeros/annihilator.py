@@ -86,7 +86,7 @@ def trig_annihilator(roots) -> fs.Func1D:
     """prod sin((x - x_i)/2) on the circle; root count must be even so the
     product actually changes sign at each root (cyclic parity)."""
     rts = np.asarray(roots, dtype=float)
-    dom = fs.Domain.circle()
+    dom = fs.circle()
     _check_roots(rts, dom)
     if rts.size % 2 != 0:
         raise ValueError("circle root count must be even")

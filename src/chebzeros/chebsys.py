@@ -82,7 +82,7 @@ def polynomial_system(n_deg: int, dom: fs.Domain | None = None) -> ChebSystem:
     if n_deg < 0:
         raise ValueError("degree must be nonnegative")
     if dom is None:
-        dom = fs.Domain.interval(-1.0, 1.0)
+        dom = fs.interval(-1.0, 1.0)
     if dom.is_circle:
         raise ValueError("polynomial systems live on an interval")
     return ChebSystem(tuple(_monomial(j) for j in range(n_deg + 1)), dom)
@@ -98,7 +98,7 @@ def trig_system(k_harm: int) -> ChebSystem:
                                f"cos{m}x"))
         basis.append(fs.Func1D(lambda t, m=m: np.sin(m * np.asarray(t, dtype=float)),
                                f"sin{m}x"))
-    return ChebSystem(tuple(basis), fs.Domain.circle())
+    return ChebSystem(tuple(basis), fs.circle())
 
 
 def power_system(alphas: Sequence[float], dom: fs.Domain) -> ChebSystem:

@@ -100,7 +100,7 @@ def moment_curve(d: int, a: float = -1.0, b: float = 1.0) -> CurveRd:
         raise ValueError("dimension must be at least 2")
     powers = np.arange(1, d + 1)
     return CurveRd(lambda ts: ts[:, None] ** powers[None, :], d,
-                   fs.Domain.interval(a, b), f"moment:{d}")
+                   fs.interval(a, b), f"moment:{d}")
 
 
 def trig_curve(k: int) -> CurveRd:
@@ -116,7 +116,7 @@ def trig_curve(k: int) -> CurveRd:
         P[:, 1::2] = np.sin(ang)
         return P
 
-    return CurveRd(ev, 2 * k, fs.Domain.circle(), f"trig:{k}")
+    return CurveRd(ev, 2 * k, fs.circle(), f"trig:{k}")
 
 
 def power_curve(alphas, a: float, b: float) -> CurveRd:
@@ -129,12 +129,12 @@ def power_curve(alphas, a: float, b: float) -> CurveRd:
     if not 0 < a < b:
         raise ValueError("power curves need 0 < a < b")
     return CurveRd(lambda ts: ts[:, None] ** al[None, :], al.size,
-                   fs.Domain.interval(a, b), "power")
+                   fs.interval(a, b), "power")
 
 
 def exp_graph(a: float = -1.0, b: float = 1.0) -> CurveRd:
     return CurveRd(lambda ts: np.stack([ts, np.exp(ts)], axis=1), 2,
-                   fs.Domain.interval(a, b), "expgraph")
+                   fs.interval(a, b), "expgraph")
 
 
 def sine_graph(c: float = 6.0, a: float = 0.2, b: float | None = None) -> CurveRd:
@@ -144,7 +144,7 @@ def sine_graph(c: float = 6.0, a: float = 0.2, b: float | None = None) -> CurveR
     if b is None:
         b = a + 1.4 * np.pi
     return CurveRd(lambda ts: np.stack([ts, np.sin(ts) + c], axis=1), 2,
-                   fs.Domain.interval(a, b), "sinegraph")
+                   fs.interval(a, b), "sinegraph")
 
 
 def smoothed_polygon(m: int, r_frac: float = 0.1) -> CurveRd:
@@ -198,7 +198,7 @@ def smoothed_polygon(m: int, r_frac: float = 0.1) -> CurveRd:
             out[~seg] = C[aj] + r * np.stack([np.cos(phi), np.sin(phi)], axis=1)
         return out
 
-    return CurveRd(ev, 2, fs.Domain.circle(), f"smoothedpolygon:{m}")
+    return CurveRd(ev, 2, fs.circle(), f"smoothedpolygon:{m}")
 
 
 # ---------------------------------------------------------------------------
@@ -488,16 +488,12 @@ def _flip_points(h: np.ndarray, edges: np.ndarray, dom: fs.Domain) -> np.ndarray
     """Sign-flip boundaries of a step with heights h on the pieces cut by
     edges; a flip across a run of zeroed pieces lands on the run's
     midpoint."""
-    pairs, degen = fs._sign_transitions(h, dom.is_circle)
-    if degen:
-        return np.empty(0)
-    pts = []
-    for i, j in pairs:
-        lo = edges[i + 1]
-        hi = edges[j] if edges[j] >= lo else edges[j] + fs.TWO_PI
-        pts.append(0.5 * (lo + hi))
-    pts = np.sort(np.mod(pts, fs.TWO_PI)) if dom.is_circle else np.sort(pts)
-    return np.asarray(pts)
+    ii, jj, _ = fs._sign_transitions(h, dom.is_circle)
+    lo = edges[ii + 1]
+    hi = edges[jj]
+    hi = np.where(hi >= lo, hi, hi + fs.TWO_PI)
+    pts = 0.5 * (lo + hi)
+    return np.sort(np.mod(pts, fs.TWO_PI)) if dom.is_circle else np.sort(pts)
 
 
 @dataclass(frozen=True)
@@ -542,10 +538,6 @@ class SupportProduct:
     poly: dict
     delta: float
     points: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return len(self.factors)
 
 
 def _linear_form_product(factors, d: int) -> dict:
@@ -715,16 +707,19 @@ def proposition1_check(curve: CurveRd, f: fs.Func1D,
     open curve).  Center mismatch makes the check not applicable; a
     numerically constant density is flagged degenerate, not failed."""
     dom = curve.dom
-    if float(np.min(fs.sample(f, dom.grid(grid_n)))) <= 0.0:
+    fs._check_count_args(grid_n)
+    ts = dom.grid(grid_n)
+    fv = fs.sample(f, ts)
+    if float(np.min(fv)) <= 0.0:
         raise ValueError("density must be strictly positive")
     c_u, _ = center_of_mass(curve, None)
     c_f, _ = center_of_mass(curve, f)
-    diam = _diameter(curve_points(curve, dom.grid(grid_n)))
+    diam = _diameter(curve_points(curve, ts))
     gap = float(np.linalg.norm(c_f - c_u)) / max(diam, 1e-300)
     bound = curve.d + 2
     if gap > _CENTER_GAP_TOL:
         return Prop1Report(False, False, -1, bound, gap)
-    rep = fs.count_extrema(f, dom, grid_n)
+    rep = fs.grid_extrema_report(f, dom, ts, fv)
     if rep.degenerate:
         return Prop1Report(True, True, 0, bound, gap, True)
     return Prop1Report(True, rep.count >= bound, rep.count, bound, gap)
@@ -749,6 +744,7 @@ def proposition1_relative(curve: CurveRd, f: fs.Func1D, g: fs.Func1D,
     (d + 2 on a closed curve) and their ratio has at least d + 2 extrema.
     Proportional densities are flagged degenerate."""
     dom = curve.dom
+    fs._check_count_args(grid_n)
     ts = dom.grid(grid_n)
     fv, gv = fs.sample(f, ts), fs.sample(g, ts)
     if float(np.min(fv)) <= 0.0 or float(np.min(gv)) <= 0.0:
@@ -769,8 +765,8 @@ def proposition1_relative(curve: CurveRd, f: fs.Func1D, g: fs.Func1D,
                                    gap, True)
     diff = fs.Func1D(lambda t: fs.sample(f, t) - scale * fs.sample(g, t), "f-g")
     ratio = fs.Func1D(lambda t: fs.sample(f, t) / fs.sample(g, t), "f/g")
-    drep = fs.count_sign_changes(diff, dom, grid_n)
-    rrep = fs.count_extrema(ratio, dom, grid_n)
+    drep = fs.grid_sign_report(diff, dom, ts, dvals)
+    rrep = fs.grid_extrema_report(ratio, dom, ts, fv / gv)
     passed = (drep.count >= diff_bound) and \
         (rrep.degenerate or rrep.count >= ratio_bound)
     return Prop1RelativeReport(True, passed, drep.count, diff_bound,

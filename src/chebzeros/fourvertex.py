@@ -17,7 +17,6 @@ from typing import Tuple
 import numpy as np
 
 from . import funcspace as fs
-from .curves import CurveRd
 
 _VALIDATE_GRID = 4096
 ORTHO_TOL = 1e-10
@@ -52,13 +51,6 @@ class OvalSupport:
             out += a * np.cos(m * ts) + b * np.sin(m * ts)
         return out
 
-    def _dh(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        out = np.zeros_like(ts)
-        for m, (a, b) in enumerate(self.coeffs, start=1):
-            out += m * (-a * np.sin(m * ts) + b * np.cos(m * ts))
-        return out
-
     def _R(self, ts):
         out = np.full_like(np.asarray(ts, dtype=float), self.h0)
         for m, (a, b) in enumerate(self.coeffs, start=1):
@@ -70,10 +62,6 @@ class OvalSupport:
         return all(a == 0.0 and b == 0.0 for a, b in self.coeffs)
 
 
-def support_func(oval: OvalSupport) -> fs.Func1D:
-    return fs.Func1D(oval._h, label="h")
-
-
 def radius_of_curvature(oval: OvalSupport) -> fs.Func1D:
     """R = h + h'' as a function of the normal angle; strictly positive
     by the construction invariant."""
@@ -83,10 +71,10 @@ def radius_of_curvature(oval: OvalSupport) -> fs.Func1D:
 def verify_R_orthogonality(oval: OvalSupport):
     """Residuals of R against the first harmonics; both are structurally
     zero whatever the coefficients, since h + h'' has no m=1 term."""
-    dom = fs.circle()
-    R = radius_of_curvature(oval)
-    rc = abs(fs.inner_product(R, fs.Func1D(np.cos, "cos"), None, dom))
-    rs = abs(fs.inner_product(R, fs.Func1D(np.sin, "sin"), None, dom))
+    ts, ws = fs.quad_nodes(fs.circle())
+    R = fs.sample(radius_of_curvature(oval), ts)
+    rc = abs(float(ws @ (R * np.cos(ts))))
+    rs = abs(float(ws @ (R * np.sin(ts))))
     return rc, rs
 
 
@@ -156,50 +144,3 @@ def random_oval(harmonics: int, amplitude: float,
     total = float(np.sum(m * m * np.linalg.norm(raw, axis=1)))
     raw *= amplitude / total
     return OvalSupport(1.0, tuple((row[0], row[1]) for row in raw))
-
-
-def oval_to_curve(oval: OvalSupport) -> CurveRd:
-    """Boundary parametrized by the outward normal angle:
-    x = h cos - h' sin, y = h sin + h' cos."""
-
-    def ev(ts):
-        ts = np.asarray(ts, dtype=float)
-        h, dh = oval._h(ts), oval._dh(ts)
-        c, s = np.cos(ts), np.sin(ts)
-        return np.stack([h * c - dh * s, h * s + dh * c], axis=-1)
-
-    return CurveRd(ev, 2, fs.circle(), label="oval")
-
-
-def parse_oval(text: str) -> OvalSupport:
-    """First data line h0, then `m a_m b_m` rows (missing m's are 0)."""
-    h0 = None
-    terms = {}
-    for line in text.splitlines():
-        t = line.strip()
-        if not t or t.startswith("#"):
-            continue
-        parts = t.split()
-        if h0 is None:
-            if len(parts) != 1:
-                raise ValueError("first data line must be h0 alone")
-            h0 = float(parts[0])
-            continue
-        if len(parts) != 3:
-            raise ValueError("harmonic lines must be `m a b`")
-        m = int(parts[0])
-        if m < 1:
-            raise ValueError("harmonic index must be >= 1")
-        terms[m] = (float(parts[1]), float(parts[2]))
-    if h0 is None:
-        raise ValueError("no h0 line")
-    top = max(terms) if terms else 0
-    coeffs = tuple(terms.get(m, (0.0, 0.0)) for m in range(1, top + 1))
-    return OvalSupport(h0, coeffs)
-
-
-def format_oval(oval: OvalSupport) -> str:
-    lines = [f"{oval.h0:.17g}"]
-    for m, (a, b) in enumerate(oval.coeffs, start=1):
-        lines.append(f"{m} {a:.17g} {b:.17g}")
-    return "\n".join(lines) + "\n"

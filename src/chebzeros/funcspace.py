@@ -9,8 +9,9 @@ grid, mark samples whose magnitude is within DEFAULT_TOL_REL of the
 overall maximum, collapse maximal runs of marked samples, and count
 transitions between opposite strict signs.  Counts on a circle are
 cyclic, which makes them even for any function that is not numerically
-zero.  count_grid_sign_changes and grid_sign_report apply the rule to
-precomputed grid values.
+zero.  Three entry points apply the rules to grid values a caller has
+already sampled: count_grid_sign_changes (a bare count),
+grid_sign_report and grid_extrema_report (full reports).
 
 A count costs one grid evaluation of f.  Transition locations are
 sharpened by bisection between the bracketing grid samples, but only
@@ -81,14 +82,6 @@ class Domain:
         else:
             raise ValueError(f"unknown domain kind {self.kind!r}")
 
-    @staticmethod
-    def interval(a: float, b: float) -> "Domain":
-        return Domain(INTERVAL, float(a), float(b))
-
-    @staticmethod
-    def circle() -> "Domain":
-        return Domain(CIRCLE)
-
     @property
     def is_circle(self) -> bool:
         return self.kind == CIRCLE
@@ -122,11 +115,11 @@ class Domain:
 
 
 def interval(a: float, b: float) -> Domain:
-    return Domain.interval(a, b)
+    return Domain(INTERVAL, float(a), float(b))
 
 
 def circle() -> Domain:
-    return Domain.circle()
+    return Domain(CIRCLE)
 
 
 # ---------------------------------------------------------------------------
@@ -342,31 +335,34 @@ def _check_count_args(grid_n: int) -> None:
 
 
 def _sign_transitions(vals: np.ndarray, cyclic: bool):
-    """Indices (i, j) of consecutive surviving samples with opposite sign.
+    """Index arrays (ii, jj) of consecutive surviving samples with
+    opposite sign, and whether the input is degenerate.
 
     Samples with |v| <= DEFAULT_TOL_REL * max|v| are dropped first, which
-    collapses each zero run to the single transition across it.
+    collapses each zero run to the single transition across it.  An
+    input with no surviving sample (empty, zero or NaN) is degenerate and
+    gives empty integer arrays.
     """
     vmax = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if vmax == 0.0:
-        return [], True
     keep = np.nonzero(np.abs(vals) > DEFAULT_TOL_REL * vmax)[0]
     if keep.size == 0:
-        return [], True
+        none = np.empty(0, dtype=int)
+        return none, none, True
     s = np.sign(vals[keep])
     flips = np.nonzero(s[:-1] != s[1:])[0]
-    pairs = [(int(keep[k]), int(keep[k + 1])) for k in flips]
+    ii, jj = keep[flips], keep[flips + 1]
     if cyclic and keep.size >= 2 and s[-1] != s[0]:
-        pairs.append((int(keep[-1]), int(keep[0])))
-    return pairs, False
+        ii = np.append(ii, keep[-1])
+        jj = np.append(jj, keep[0])
+    return ii, jj, False
 
 
 def count_grid_sign_changes(vals, cyclic: bool) -> int:
     """Sign transitions of precomputed grid values under the counting
     rule of count_sign_changes (cyclic on a circle); 0 when every value
     is dropped as numerically zero."""
-    pairs, _ = _sign_transitions(np.asarray(vals, dtype=float), cyclic)
-    return len(pairs)
+    ii, _, _ = _sign_transitions(np.asarray(vals, dtype=float), cyclic)
+    return ii.size
 
 
 def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,
@@ -393,11 +389,10 @@ def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,
 
 
 def _root_finder(fvals: Callable, dom: Domain, ts: np.ndarray,
-                 vals: np.ndarray, pairs) -> Callable[[], np.ndarray]:
-    """Deferred bisection of the transition pairs found on (ts, vals):
+                 vals: np.ndarray, ii: np.ndarray,
+                 jj: np.ndarray) -> Callable[[], np.ndarray]:
+    """Deferred bisection of the transitions (ii, jj) found on (ts, vals):
     the returned callable yields the sorted roots of fvals."""
-    ii = np.array([p[0] for p in pairs], dtype=int)
-    jj = np.array([p[1] for p in pairs], dtype=int)
     los = ts[ii]
     his = ts[jj]
     his = np.where(his <= los, his + TWO_PI, his)  # only the cyclic closing pair
@@ -431,11 +426,11 @@ def grid_sign_report(f: Func1D, dom: Domain, ts: np.ndarray,
     """count_sign_changes from f's values vals on the grid ts =
     dom.grid(n), for a caller that has sampled them already; locations
     are refined from f when first read."""
-    pairs, degenerate = _sign_transitions(vals, dom.is_circle)
+    ii, jj, degenerate = _sign_transitions(vals, dom.is_circle)
     if degenerate:
         return SignChangeReport(0, _no_roots, True)
-    roots = _root_finder(lambda m: sample(f, dom.wrap(m)), dom, ts, vals, pairs)
-    return SignChangeReport(len(pairs), roots, False)
+    roots = _root_finder(lambda m: sample(f, dom.wrap(m)), dom, ts, vals, ii, jj)
+    return SignChangeReport(ii.size, roots, False)
 
 
 def count_extrema(f: Func1D, dom: Domain,
@@ -451,30 +446,37 @@ def count_extrema(f: Func1D, dom: Domain,
     """
     _check_count_args(grid_n)
     ts = dom.grid(grid_n)
-    vals = sample(f, ts)
+    return grid_extrema_report(f, dom, ts, sample(f, ts))
+
+
+def grid_extrema_report(f: Func1D, dom: Domain, ts: np.ndarray,
+                        vals: np.ndarray) -> SignChangeReport:
+    """count_extrema from f's values vals on the grid ts = dom.grid(n),
+    for a caller that has sampled them already; locations are refined
+    from f when first read."""
     fscale = float(np.max(np.abs(vals))) if vals.size else 0.0
     if fscale == 0.0 or float(np.ptp(vals)) <= DEFAULT_TOL_REL * fscale:
         return SignChangeReport(0, _no_roots, True)
 
-    h = dom.span / grid_n
+    h = dom.span / ts.size
     if dom.is_circle:
         dv = (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
         dts = ts
     else:
         dv = (vals[2:] - vals[:-2]) / (2.0 * h)
         dts = ts[1:-1]
-    pairs, degenerate = _sign_transitions(dv, dom.is_circle)
+    ii, jj, degenerate = _sign_transitions(dv, dom.is_circle)
     if degenerate and dom.is_circle:
         return SignChangeReport(0, _no_roots, True)
-    # a degenerate derivative on an interval leaves pairs empty: f is
+    # a degenerate derivative on an interval leaves no transitions: f is
     # monotone and only the endpoint extrema remain
 
     def dfun(m):
         return (sample(f, dom.wrap(m + h)) - sample(f, dom.wrap(m - h))) / (2.0 * h)
 
-    roots = _root_finder(dfun, dom, dts, dv, pairs)
+    roots = _root_finder(dfun, dom, dts, dv, ii, jj)
     if dom.is_circle:
-        return SignChangeReport(len(pairs), roots, False)
+        return SignChangeReport(ii.size, roots, False)
     return SignChangeReport(
-        len(pairs) + 2,
+        ii.size + 2,
         lambda: np.concatenate([[dom.a], roots(), [dom.b]]), False)

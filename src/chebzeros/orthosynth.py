@@ -241,7 +241,12 @@ def synth_weight(sys: ChebSystem, f: fs.Func1D,
             f"f has {rep.count} sign changes but orthogonality to an order-"
             f"{sys.order_n} system forces at least m = {m}")
     pts = rep.locations
-    g = fs.product(f, fs.abs_of(f), label="f|f|")
+
+    def f_abs_f(t):
+        v = fs.sample(f, t)
+        return v * np.abs(v)
+
+    g = fs.Func1D(f_abs_f, "f|f|")
     if rep.count > m:
         kept = pts[:m]
         cut = float(pts[m])

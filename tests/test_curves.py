@@ -355,3 +355,46 @@ def test_proposition1_relative_proportional_degenerate():
     g = fs.Func1D(lambda t: 2.0 + 0.6 * np.cos(2 * t))
     rep = cz.proposition1_relative(circ, f, g)
     assert rep.applicable and rep.passed and rep.degenerate
+
+
+def _size_log(fn):
+    """fn wrapped as a Func1D that logs the size of every array it gets."""
+    sizes = []
+
+    def ev(t):
+        sizes.append(np.size(t))
+        return fn(t)
+
+    return fs.Func1D(ev, "logged"), sizes
+
+
+def test_proposition1_samples_density_once_on_grid():
+    # one grid sample serves positivity and the extrema count; the other
+    # evaluation is the center-of-mass quadrature
+    circ = cz.trig_curve(1)
+    f, sizes = _size_log(lambda t: 1.0 + 0.3 * np.cos(2 * t))
+    rep = cz.proposition1_check(circ, f)
+    assert rep.applicable and rep.passed
+    assert sizes == [fs.DEFAULT_GRID_N, fs.quad_nodes(circ.dom)[0].size]
+
+
+def test_proposition1_relative_samples_each_density_once_on_grid():
+    circ = cz.trig_curve(1)
+    f, fsizes = _size_log(lambda t: 1.0 + 0.3 * np.cos(2 * t))
+    g, gsizes = _size_log(lambda t: 1.0 - 0.2 * np.sin(2 * t))
+    rep = cz.proposition1_relative(circ, f, g)
+    assert rep.applicable and rep.passed
+    for sizes in (fsizes, gsizes):
+        assert sizes == [fs.DEFAULT_GRID_N, fs.quad_nodes(circ.dom)[0].size]
+
+
+def test_proposition1_checks_grid_on_entry():
+    # a small grid raises even when the density is off center, where no
+    # count would run
+    circ = cz.trig_curve(1)
+    f = fs.Func1D(lambda t: 1.0 + 0.5 * np.cos(t))
+    g = fs.Func1D(lambda t: 1.0 + 0.3 * np.cos(2 * t))
+    with pytest.raises(ValueError, match="grid_n"):
+        cz.proposition1_check(circ, f, grid_n=10)
+    with pytest.raises(ValueError, match="grid_n"):
+        cz.proposition1_relative(circ, f, g, grid_n=10)

@@ -42,6 +42,25 @@ def test_R_orthogonality_structural():
         assert rc <= 1e-10 and rs <= 1e-10
 
 
+def test_R_orthogonality_samples_R_once(monkeypatch):
+    # both harmonics come from one sample of R on the quadrature nodes,
+    # and give the floats of the inner-product reference
+    oval = cz.random_oval(harmonics=4, amplitude=0.8, rng_seed=3)
+    want = tuple(abs(fs.inner_product(cz.radius_of_curvature(oval),
+                                      fs.Func1D(trig), None, fs.circle()))
+                 for trig in (np.cos, np.sin))
+    calls = []
+    R = cz.OvalSupport._R
+
+    def logged(self, ts):
+        calls.append(np.size(ts))
+        return R(self, ts)
+
+    monkeypatch.setattr(cz.OvalSupport, "_R", logged)
+    assert cz.verify_R_orthogonality(oval) == want
+    assert calls == [fs.quad_nodes(fs.circle())[0].size]
+
+
 def test_four_vertex_over_seeds():
     for seed in range(10):
         oval = cz.random_oval(harmonics=3 + seed % 3, amplitude=0.7,
@@ -86,29 +105,4 @@ def test_random_oval_amplitude_contract():
     assert cz.random_oval(3, 0.0).is_circle
     oval = cz.random_oval(5, 0.99, rng_seed=11)
     ts = np.linspace(0, 2 * np.pi, 4096)
-    assert np.min(cz.support_func(oval)(ts)) > 0
     assert np.min(cz.radius_of_curvature(oval)(ts)) > 0
-
-
-def test_oval_to_curve_convex():
-    oval = cz.random_oval(3, 0.8, rng_seed=4)
-    curve = cz.oval_to_curve(oval)
-    assert curve.d == 2 and curve.dom.is_circle
-    rep = cz.convexity_check(curve, trials=150)
-    assert rep.convex
-    # support evaluation: x(a) . (cos a, sin a) = h(a)
-    ts = np.linspace(0, 2 * np.pi, 64)
-    P = cz.curve_points(curve, ts)
-    hvals = P[:, 0] * np.cos(ts) + P[:, 1] * np.sin(ts)
-    assert np.allclose(hvals, cz.support_func(oval)(ts), atol=1e-12)
-
-
-def test_oval_text_roundtrip():
-    oval = cz.OvalSupport(1.5, ((0.01, -0.02), (0.0, 0.0), (0.03, 0.0)))
-    back = cz.parse_oval(cz.format_oval(oval))
-    assert back.h0 == oval.h0
-    assert back.coeffs == oval.coeffs
-    with pytest.raises(ValueError):
-        cz.parse_oval("")
-    with pytest.raises(ValueError):
-        cz.parse_oval("1.0\n2 0.1\n")

@@ -469,3 +469,29 @@ def test_count_matches_trig_roots_on_unit_circle(a0, harmonics, amp, phase):
     rep = fs.count_sign_changes(fs.Func1D(f), dom)
     _assert_matches_exact(rep, roots, dom, f_prime,
                           float(np.sum(np.abs(a)) + np.sum(np.abs(b))))
+
+
+_EXTREMA_CASES = [
+    (fs.circle(), lambda t: np.sin(2.0 * t) + 0.3 * np.cos(5.0 * t)),
+    (fs.interval(-1.0, 1.0), lambda t: (t + 0.6) * (t - 0.1) * (t - 0.7)),
+    (fs.interval(0.0, 1.0), lambda t: np.full_like(t, 2.5)),  # degenerate
+    (fs.interval(0.0, 1.0), lambda t: np.exp(t)),  # monotone
+]
+
+
+@pytest.mark.parametrize("dom, fn", _EXTREMA_CASES)
+def test_grid_extrema_report_matches_count_extrema(dom, fn):
+    f = fs.Func1D(fn)
+    ts = dom.grid(fs.DEFAULT_GRID_N)
+    rep = fs.grid_extrema_report(f, dom, ts, fn(ts))
+    want = fs.count_extrema(f, dom)
+    assert (rep.count, rep.degenerate) == (want.count, want.degenerate)
+    assert rep.locations.tobytes() == want.locations.tobytes()
+
+
+def test_grid_extrema_report_monotone_interval():
+    dom = fs.interval(0.0, 1.0)
+    ts = dom.grid(fs.DEFAULT_GRID_N)
+    rep = fs.grid_extrema_report(fs.Func1D(np.exp), dom, ts, np.exp(ts))
+    assert rep.count == 2 and not rep.degenerate
+    assert rep.locations.tolist() == [0.0, 1.0]

@@ -227,3 +227,19 @@ def test_theorem1_not_applicable():
     rep = cz.theorem1_check(sys, f)
     assert not rep.applicable
     assert not rep.passed
+
+
+def test_synth_weight_samples_f_once_per_node():
+    # the moment integrand f|f| takes one sample of f per node array
+    sys = cz.polynomial_system(2)
+    f = cz.default_annihilator([-0.6, -0.2, 0.3, 0.7], sys.dom)
+    seen = []
+
+    def ev(t):
+        seen.append(np.array(t, dtype=float))
+        return f(t)
+
+    res = cz.synth_weight(sys, fs.Func1D(ev, "logged"))
+    assert res.step.support is not None  # narrowed: 4 sign changes, m = 2
+    keys = [(a.shape, a.tobytes()) for a in seen]
+    assert len(set(keys)) == len(keys)
