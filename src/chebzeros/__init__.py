@@ -55,7 +55,7 @@ from .annihilator import (
 from .orthosynth import (
     StepWeight,
     SynthResult,
-    Theorem1Report,
+    ZeroBoundReport,
     m_of,
     moment_matrix,
     moments_on_edges,
@@ -74,7 +74,6 @@ from .curves import (
     Prop1Report,
     SupportProduct,
     Theorem4Report,
-    Theorem5Report,
     affine_image,
     arc_speed,
     center_of_mass,
@@ -105,7 +104,6 @@ from .discrete import (
     PolyConvexityReport,
     PolyLine,
     Prop2Report,
-    Theorem6Report,
     aleksandrov_check,
     aleksandrov_pair,
     construct_masses,

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import numpy as np
 
+RANK_RTOL = 1e-10  # singular values at or below RANK_RTOL * s_max count as zero
 
-def svd_kernel(A, rtol: float = 1e-10):
+
+def svd_kernel(A):
     """Numerical kernel of A via SVD.
 
     Returns (basis, rank, singvals): basis has shape (m, m - rank) with
     orthonormal columns spanning the right null space, rank counts
-    singular values above rtol * s_max.
+    singular values above RANK_RTOL * s_max.
     """
     A = np.asarray(A, dtype=float)
     _, s, vh = np.linalg.svd(A)
     smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rtol * smax)) if smax > 0.0 else 0
+    rank = int(np.sum(s > RANK_RTOL * smax)) if smax > 0.0 else 0
     basis = vh[rank:].T
     return basis, rank, s
 
@@ -27,10 +29,10 @@ def smallest_direction(A):
     return vh[-1]
 
 
-def fix_leading_sign(v, tol: float = 0.0):
-    """Flip v so its first component of magnitude > tol is positive."""
+def fix_leading_sign(v):
+    """Flip v so its first nonzero component is positive."""
     v = np.asarray(v, dtype=float)
     for x in v:
-        if abs(x) > tol:
+        if abs(x) > 0.0:
             return v if x > 0 else -v
     return v

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import funcspace as fs
 from .chebsys import ChebSystem, spread_points
-from ._linalg import svd_kernel, smallest_direction
+from ._linalg import svd_kernel
 from .exceptions import NotChebyshevError
 
 LOC_TOL = 1e-6
@@ -201,12 +201,12 @@ def general_annihilator(sys: ChebSystem, rp: RootPrescription,
         kernel = np.eye(n)
         candidates = []
     else:
-        kernel, _, _ = svd_kernel(M, 1e-10)
+        kernel, _, _ = svd_kernel(M)
         if kernel.shape[1] == 0:
             raise NotChebyshevError(
                 "prescription conditions have no numerical kernel although "
                 "2p + q < order; system is degenerate on these points")
-        candidates = [smallest_direction(M)]
+        candidates = [kernel[:, -1]]
     candidates += [kernel[:, j] for j in range(kernel.shape[1])]
     rng = fs.derived_rng(7, n, rp.q, rp.p)
     for _ in range(24):

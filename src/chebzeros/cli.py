@@ -38,8 +38,8 @@ from .discrete import (aleksandrov_check, aleksandrov_pair, construct_masses,
                        proposition2_check, proposition2_pair,
                        random_convex_polygon, theorem6_check)
 from .exceptions import NotChebyshevError
-from .fourvertex import (OvalSupport, blaschke_ratio_check, four_vertex_check,
-                         radius_of_curvature, random_oval,
+from .fourvertex import (ORTHO_TOL, OvalSupport, blaschke_ratio_check,
+                         four_vertex_check, radius_of_curvature, random_oval,
                          verify_R_orthogonality)
 from .orthosynth import m_of, synth_orthogonal, synth_weight, theorem1_check
 
@@ -424,10 +424,10 @@ def fourvertex_cases(args) -> Iterator[Case]:
             o = random_oval(M, amp, args.seed * 101 + t)
             rep = four_vertex_check(o, grid_n=args.grid)
             rc, rs = verify_R_orthogonality(o)
-            return (rep.passed and rc <= 1e-10 and rs <= 1e-10,
+            return (rep.passed and rc <= ORTHO_TOL and rs <= ORTHO_TOL,
                     f"extrema={rep.extrema} res={max(rc, rs):.1e}")
 
-        yield f"oval t={t}", ">= 4, res <= 1e-10", check
+        yield f"oval t={t}", f">= 4, res <= {ORTHO_TOL:g}", check
 
     def exact():
         r = four_vertex_check(OvalSupport(1.0, ((0.0, 0.0), (0.1, 0.0))),

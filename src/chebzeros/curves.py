@@ -20,12 +20,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import funcspace as fs
-from ._linalg import fix_leading_sign, smallest_direction
-from .annihilator import default_annihilator
-from .chebsys import (COUNTEREXAMPLE, NO_VIOLATION, ChebVerdict,
+from ._linalg import fix_leading_sign, smallest_direction, svd_kernel
+from .annihilator import LOC_TOL, default_annihilator
+from .chebsys import (COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, ChebVerdict,
                       dimension_estimate, verify_chebyshev)
 from .exceptions import NotChebyshevError
-from .orthosynth import LOC_TOL, RESIDUAL_TOL, StepWeight, _step_edges, moments_on_edges
+from .orthosynth import (RESIDUAL_TOL, StepWeight, ZeroBoundReport, _step_edges,
+                         _zero_bound, moments_on_edges)
 
 _MULT_SCALES = (1.0, 0.1, 0.01)
 _CENTER_GAP_TOL = 1e-8  # center-of-mass mismatch per unit diameter
@@ -345,7 +346,7 @@ class ConvexityReport:
         return self.status == NO_VIOLATION
 
 
-def convexity_check(curve: CurveRd, trials: int = 500, rng_seed: int = 0,
+def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
                     grid_n: int = fs.DEFAULT_GRID_N) -> ConvexityReport:
     """Monte-Carlo falsification of convexity.
 
@@ -409,7 +410,7 @@ class Theorem4Report:
     dim: int
 
 
-def theorem4_check(curve: CurveRd, trials: int = 500, rng_seed: int = 0,
+def theorem4_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
                    grid_n: int = fs.DEFAULT_GRID_N) -> Theorem4Report:
     """Convexity of the curve and the Chebyshev property of its restricted
     affine functions stand or fall together; both probes run with a
@@ -463,12 +464,11 @@ def construct_orthogonal_on_curve(curve: CurveRd, n: int,
     edges = np.linspace(0.0, fs.TWO_PI, pieces + 1) if dom.is_circle \
         else np.linspace(dom.a, dom.b, pieces + 1)
     M = moments_on_edges(funcs, fs.constant(1.0), dom, edges)
-    svals = np.linalg.svd(M, compute_uv=False)
-    rank = int(np.sum(svals > 1e-10 * svals[0])) if svals[0] > 0 else 0
+    kernel, rank, _ = svd_kernel(M)
     if rank != dim:
         raise NotChebyshevError(
             f"piece moment matrix rank {rank} disagrees with span dimension {dim}")
-    h = fix_leading_sign(smallest_direction(M))
+    h = fix_leading_sign(kernel[:, -1])
     pts = _flip_points(h, edges, dom)
     if pts.size == 0:
         raise NotChebyshevError("kernel step has no sign flips to realize")
@@ -496,33 +496,17 @@ def _flip_points(h: np.ndarray, edges: np.ndarray, dom: fs.Domain) -> np.ndarray
     return np.sort(np.mod(pts, fs.TWO_PI)) if dom.is_circle else np.sort(pts)
 
 
-@dataclass(frozen=True)
-class Theorem5Report:
-    applicable: bool
-    passed: bool
-    sign_changes: int
-    bound: int
-    max_residual: float
-
-
 def theorem5_verify(curve: CurveRd, n: int, f, tol: float = RESIDUAL_TOL,
-                    grid_n: int = fs.DEFAULT_GRID_N) -> Theorem5Report:
+                    grid_n: int = fs.DEFAULT_GRID_N) -> ZeroBoundReport:
     """Zero bound for functions orthogonal to all degree <= n restricted
     polynomials on a convex curve: at least n*d + 1 sign changes, n*d + 2
     when the curve is closed.  Not applicable when the residuals exceed
     tol or f is numerically zero."""
     if not isinstance(f, fs.Func1D):
         f = fs.Func1D(f, "f")
-    dom = curve.dom
-    rep = fs.count_sign_changes(f, dom, grid_n)
-    ts, ws = fs.rule_with_breaks(dom, rep.locations)
-    residuals = (ws * fs.sample(f, ts)) @ fs.basis_matrix(
-        restrict_polynomials(curve, n), ts)
-    max_res = float(np.max(np.abs(residuals)))
-    bound = n * curve.d + (2 if dom.is_circle else 1)
-    if rep.degenerate or max_res > tol:
-        return Theorem5Report(False, False, rep.count, bound, max_res)
-    return Theorem5Report(True, rep.count >= bound, rep.count, bound, max_res)
+    bound = n * curve.d + (2 if curve.dom.is_circle else 1)
+    return _zero_bound(f, restrict_polynomials(curve, n), curve.dom, bound,
+                       None, tol, grid_n, None)
 
 
 # ---------------------------------------------------------------------------
@@ -675,15 +659,23 @@ def center_of_mass(curve: CurveRd, rho: fs.Func1D | None = None):
     """Mass-weighted mean point with respect to arc length; rho = None
     means the uniform density.  Returns (point, mass); the mass must be
     positive."""
+    return _centers_of_mass(curve, [rho])[0]
+
+
+def _centers_of_mass(curve: CurveRd, densities):
+    """center_of_mass for each density in turn, from one evaluation of
+    the arc speed and the curve points on the quadrature nodes."""
     ts, ws = fs.quad_nodes(curve.dom)
-    dens = ws * arc_speed(curve, ts)
-    if rho is not None:
-        dens = dens * fs.sample(rho, ts)
-    mass = float(np.sum(dens))
-    if mass <= 1e-12 * float(np.sum(np.abs(dens)) + 1e-300):
-        raise ValueError("total mass is not positive; centroid undefined")
-    point = curve_points(curve, ts).T @ dens / mass
-    return point, mass
+    speed = ws * arc_speed(curve, ts)
+    P = curve_points(curve, ts)
+    out = []
+    for rho in densities:
+        dens = speed if rho is None else speed * fs.sample(rho, ts)
+        mass = float(np.sum(dens))
+        if mass <= 1e-12 * float(np.sum(np.abs(dens)) + 1e-300):
+            raise ValueError("total mass is not positive; centroid undefined")
+        out.append((P.T @ dens / mass, mass))
+    return out
 
 
 @dataclass(frozen=True)
@@ -712,8 +704,7 @@ def proposition1_check(curve: CurveRd, f: fs.Func1D,
     fv = fs.sample(f, ts)
     if float(np.min(fv)) <= 0.0:
         raise ValueError("density must be strictly positive")
-    c_u, _ = center_of_mass(curve, None)
-    c_f, _ = center_of_mass(curve, f)
+    (c_u, _), (c_f, _) = _centers_of_mass(curve, [None, f])
     diam = _diameter(curve_points(curve, ts))
     gap = float(np.linalg.norm(c_f - c_u)) / max(diam, 1e-300)
     bound = curve.d + 2
@@ -749,8 +740,7 @@ def proposition1_relative(curve: CurveRd, f: fs.Func1D, g: fs.Func1D,
     fv, gv = fs.sample(f, ts), fs.sample(g, ts)
     if float(np.min(fv)) <= 0.0 or float(np.min(gv)) <= 0.0:
         raise ValueError("densities must be strictly positive")
-    c_f, mf = center_of_mass(curve, f)
-    c_g, mg = center_of_mass(curve, g)
+    (c_f, mf), (c_g, mg) = _centers_of_mass(curve, [f, g])
     diam = _diameter(curve_points(curve, ts))
     gap = float(np.linalg.norm(c_f - c_g)) / max(diam, 1e-300)
     diff_bound = curve.d + (2 if dom.is_circle else 1)

@@ -19,9 +19,10 @@ import numpy as np
 
 from . import funcspace as fs
 from ._linalg import fix_leading_sign, svd_kernel
-from .chebsys import COUNTEREXAMPLE, NO_VIOLATION
+from .chebsys import COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION
 from .curves import (Hyperplane, hyperplane_through, monomial_multi_indices,
                      monomial_values)
+from .orthosynth import ZeroBoundReport
 
 VERTEX_REJECT_TOL = 1e-9
 MASS_RESIDUAL_TOL = 1e-10
@@ -149,7 +150,7 @@ class PolyConvexityReport:
         return self.status == NO_VIOLATION
 
 
-def polyline_convexity_check(P: PolyLine, trials: int = 500,
+def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
                              rng_seed: int = 0) -> PolyConvexityReport:
     """A convex polygonal line is cut by every vertex-avoiding hyperplane
     at most d times.
@@ -230,7 +231,7 @@ def construct_masses(P: PolyLine, n: int, rng_seed: int = 0) -> MassVector:
     """Seeded random unit vector in the null space of the vertex moment
     matrix; exercises the whole kernel rather than one fixed direction."""
     M = vandermonde_moment_matrix(P, n)
-    basis, rank, _ = svd_kernel(M, rtol=1e-10)
+    basis, rank, _ = svd_kernel(M)
     if basis.shape[1] == 0:
         raise ValueError(
             f"moment matrix has trivial null space (rank {rank} = vertex count); "
@@ -245,32 +246,22 @@ def construct_masses(P: PolyLine, n: int, rng_seed: int = 0) -> MassVector:
     return MassVector(v)
 
 
-@dataclass(frozen=True)
-class Theorem6Report:
-    applicable: bool
-    passed: bool
-    sign_changes: int
-    bound: int
-    max_residual: float
-    message: str = ""
-
-
 def theorem6_check(P: PolyLine, n: int, f,
-                   tol: float = MASS_RESIDUAL_TOL) -> Theorem6Report:
+                   tol: float = MASS_RESIDUAL_TOL) -> ZeroBoundReport:
     """Masses annihilating all vertex moments of degree <= n on a convex
     polygonal line must change sign at least dn+1 times (dn+2 closed)."""
     masses = _masses_of(f, P.k)
     bound = P.d * n + (2 if P.closed else 1)
     conv = polyline_convexity_check(P, _CONVEXITY_TRIALS, _CONVEXITY_SEED)
     if not conv.convex:
-        return Theorem6Report(False, False, -1, bound, float("nan"),
-                              "hypothesis violated: not convex")
+        return ZeroBoundReport(False, False, -1, bound, float("nan"),
+                               "hypothesis violated: not convex")
     res = float(np.max(np.abs(vandermonde_moment_matrix(P, n) @ masses)))
     if res > tol:
-        return Theorem6Report(False, False, -1, bound, res,
-                              "masses do not annihilate the moments")
+        return ZeroBoundReport(False, False, -1, bound, res,
+                               "masses do not annihilate the moments")
     count = cyclic_sign_changes(masses, P.closed)
-    return Theorem6Report(True, count >= bound, count, bound, res)
+    return ZeroBoundReport(True, count >= bound, count, bound, res)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +423,7 @@ def proposition2_pair(P: PolyLine, rng_seed: int = 0):
     """Positive mass pair on P with matching totals and first moments:
     all-ones plus/minus a seeded kernel direction of the degree-1
     moment matrix."""
-    basis, _, _ = svd_kernel(vandermonde_moment_matrix(P, 1), rtol=1e-10)
+    basis, _, _ = svd_kernel(vandermonde_moment_matrix(P, 1))
     if basis.shape[1] == 0:
         raise ValueError("vertex count too small for a nontrivial pair")
     rng = fs.derived_rng(rng_seed, P.k, 5)

@@ -18,14 +18,12 @@ from typing import Optional
 import numpy as np
 
 from . import funcspace as fs
-from .annihilator import default_annihilator
+from .annihilator import LOC_TOL, default_annihilator
 from .chebsys import ChebSystem, _as_basis
-from ._linalg import fix_leading_sign
+from ._linalg import RANK_RTOL, fix_leading_sign
 from .exceptions import NotChebyshevError
 
 RESIDUAL_TOL = 1e-8
-LOC_TOL = 1e-6
-_RANK_RTOL = 1e-10
 _HEIGHT_FLOOR = 1e-12
 
 
@@ -163,7 +161,7 @@ def null_direction(A) -> np.ndarray:
     if n < 1:
         raise ValueError("order must be at least 1")
     _, s, vh = np.linalg.svd(A)
-    if s[0] == 0.0 or s[-1] <= _RANK_RTOL * s[0]:
+    if s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
         raise NotChebyshevError(
             "moment matrix rank below order: system not Chebyshev on these pieces")
     p = fix_leading_sign(vh[-1])
@@ -257,15 +255,12 @@ def synth_weight(sys: ChebSystem, f: fs.Func1D,
             support = (dom.a, cut)
             inner = kept
         edges = np.concatenate([[support[0]], inner, [support[1]]])
-        A = moments_on_edges(sys.basis, g, dom, edges)
-        p = null_direction(A)
-        _require_one_sign(p)
-        step = StepWeight(inner, p, dom, support=support)
     else:
-        A = moment_matrix(sys, g, pts)
-        p = null_direction(A)
-        _require_one_sign(p)
-        step = StepWeight(pts, p, dom)
+        inner, support, edges = pts, None, _step_edges(dom, pts)
+    A = moments_on_edges(sys.basis, g, dom, edges)
+    p = null_direction(A)
+    _require_one_sign(p)
+    step = StepWeight(inner, p, dom, support=support)
     absf = fs.abs_of(f)
     rho = fs.Func1D(lambda t: step(t) * fs.sample(absf, np.asarray(t, dtype=float)),
                     "rho")
@@ -277,19 +272,27 @@ def synth_weight(sys: ChebSystem, f: fs.Func1D,
 
 
 @dataclass(frozen=True)
-class Theorem1Report:
+class ZeroBoundReport:
+    """Outcome of a theorem-of-zeros check (Theorems 1, 5 and 6).
+
+    applicable says whether the hypotheses held.  A report that does not
+    apply has sign_changes = -1 and passed = False; Theorem 6 also says
+    in message which hypothesis failed.
+    """
+
     applicable: bool
     passed: bool
     sign_changes: int
     bound: int
     max_residual: float
+    message: str = ""
 
 
 def theorem1_check(sys: ChebSystem, f: fs.Func1D,
                    rho: fs.Func1D | None = None,
                    tol: float = RESIDUAL_TOL,
                    grid_n: int = fs.DEFAULT_GRID_N,
-                   breaks=None) -> Theorem1Report:
+                   breaks=None) -> ZeroBoundReport:
     """Verify the forced-zero bound: if f is rho-orthogonal to the whole
     system (all residuals <= tol) and f*rho is not numerically zero,
     then f must have at least m_of(dom, order) sign changes.
@@ -300,8 +303,15 @@ def theorem1_check(sys: ChebSystem, f: fs.Func1D,
     edges in breaks when rho came from a synthesis.  f is sampled on the
     count grid once, for the count and the vanishing test alike.
     """
-    dom = sys.dom
-    m = m_of(dom, sys.order_n)
+    bound = m_of(sys.dom, sys.order_n)
+    return _zero_bound(f, sys.basis, sys.dom, bound, rho, tol, grid_n, breaks)
+
+
+def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundReport:
+    """The theorem-of-zeros check of f against the functions in basis:
+    count f's sign changes on the grid, integrate f * rho * basis split
+    at the crossings and breaks, and hold the count to bound when the
+    residuals are within tol and f * rho does not vanish."""
     fs._check_count_args(grid_n)
     grid = dom.grid(grid_n)
     fgrid = fs.sample(f, grid)
@@ -319,9 +329,9 @@ def theorem1_check(sys: ChebSystem, f: fs.Func1D,
         return vals if rho is None else vals * fs.sample(rho, ts)
 
     ts, ws = fs.rule_with_breaks(dom, cuts)
-    residuals = (ws * with_rho(fs.sample(f, ts), ts)) @ fs.basis_matrix(sys.basis, ts)
+    residuals = (ws * with_rho(fs.sample(f, ts), ts)) @ fs.basis_matrix(basis, ts)
     max_res = float(np.max(np.abs(residuals)))
     vanishes = float(np.max(np.abs(with_rho(fgrid, grid)))) == 0.0
     if max_res > tol or rep.degenerate or vanishes:
-        return Theorem1Report(False, False, -1, m, max_res)
-    return Theorem1Report(True, rep.count >= m, rep.count, m, max_res)
+        return ZeroBoundReport(False, False, -1, bound, max_res)
+    return ZeroBoundReport(True, rep.count >= bound, rep.count, bound, max_res)

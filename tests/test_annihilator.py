@@ -91,3 +91,18 @@ def test_general_annihilator_trig():
     assert np.max(np.abs(g(np.array([1.0, 2.5, 4.0])))) < 1e-7
     rep = fs.count_sign_changes(g, sys.dom)
     assert rep.count == 2
+
+
+def test_general_annihilator_decomposes_conditions_once(monkeypatch):
+    # the first candidate is the kernel's last column, not a second SVD
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(A, *args, **kwargs):
+        seen.append(np.asarray(A, dtype=float).tobytes())
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rp = cz.RootPrescription(simple_roots=(-0.3,), double_roots=(0.4,))
+    cz.general_annihilator(cz.polynomial_system(4), rp)
+    assert len(seen) == 1

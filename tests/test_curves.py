@@ -211,6 +211,35 @@ def test_theorem5_samples_f_once_on_quadrature_nodes():
     assert len(quad) == 1 and quad[0] >= 16
 
 
+def test_theorem5_not_applicable_reports_no_count():
+    # a report that does not apply carries no count, as in Theorem 1
+    rep = cz.theorem5_verify(cz.moment_curve(2), 1, lambda t: t + 0.4)
+    assert not rep.applicable and not rep.passed
+    assert rep.sign_changes == -1
+
+
+def _svd_log(monkeypatch):
+    """Bytes of every matrix np.linalg.svd is asked to decompose."""
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(A, *args, **kwargs):
+        A = np.asarray(A, dtype=float)
+        seen.append((A.shape, A.tobytes()))
+        return svd(A, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return seen
+
+
+def test_construct_decomposes_each_matrix_once(monkeypatch):
+    # span dimension, piece moments and refined moments: three matrices,
+    # one SVD each
+    seen = _svd_log(monkeypatch)
+    cz.construct_orthogonal_on_curve(cz.moment_curve(2), 1)
+    assert len(seen) == 3 and len(set(seen)) == 3
+
+
 def test_construct_rejects_too_few_pieces():
     with pytest.raises(ValueError):
         cz.construct_orthogonal_on_curve(cz.moment_curve(2), 1, pieces=3)
@@ -386,6 +415,31 @@ def test_proposition1_relative_samples_each_density_once_on_grid():
     assert rep.applicable and rep.passed
     for sizes in (fsizes, gsizes):
         assert sizes == [fs.DEFAULT_GRID_N, fs.quad_nodes(circ.dom)[0].size]
+
+
+def _logged_curve(curve):
+    """curve wrapped to log the size of every parameter array it gets."""
+    sizes = []
+
+    def ev(ts):
+        sizes.append(np.size(ts))
+        return curve.eval(ts)
+
+    return cz.CurveRd(ev, curve.d, curve.dom, curve.label), sizes
+
+
+def test_proposition1_evaluates_curve_once_per_node_set():
+    # arc speed (two shifted node sets) and points on the quadrature
+    # nodes serve both centers of mass; the grid gives the diameter
+    circ, sizes = _logged_curve(cz.trig_curve(1))
+    f = fs.Func1D(lambda t: 1.0 + 0.3 * np.cos(2 * t))
+    g = fs.Func1D(lambda t: 1.0 - 0.2 * np.sin(2 * t))
+    nq = fs.quad_nodes(circ.dom)[0].size
+    assert cz.proposition1_check(circ, f).applicable
+    assert sizes == [nq, nq, nq, fs.DEFAULT_GRID_N]
+    sizes.clear()
+    assert cz.proposition1_relative(circ, f, g).applicable
+    assert sizes == [nq, nq, nq, fs.DEFAULT_GRID_N]
 
 
 def test_proposition1_checks_grid_on_entry():

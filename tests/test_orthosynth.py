@@ -229,6 +229,21 @@ def test_theorem1_not_applicable():
     assert not rep.passed
 
 
+def test_zero_bound_checks_share_one_report():
+    # Theorems 1, 5 and 6 report through one type
+    sys = cz.polynomial_system(2)
+    res = cz.synth_orthogonal(sys, [-0.5, 0.0, 0.5])
+    curve = cz.moment_curve(2)
+    F = cz.construct_orthogonal_on_curve(curve, 1).F
+    P = cz.random_convex_polygon(9, rng_seed=0)
+    reports = [cz.theorem1_check(sys, res.F, breaks=res.step.breakpoints),
+               cz.theorem5_verify(curve, 1, F),
+               cz.theorem6_check(P, 1, cz.construct_masses(P, 1))]
+    for rep in reports:
+        assert type(rep) is cz.ZeroBoundReport
+        assert rep.applicable and rep.passed
+
+
 def test_synth_weight_samples_f_once_per_node():
     # the moment integrand f|f| takes one sample of f per node array
     sys = cz.polynomial_system(2)
