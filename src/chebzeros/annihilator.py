@@ -114,9 +114,9 @@ def default_annihilator(points, dom: fs.Domain) -> fs.Func1D:
 def _condition_matrix(sys: ChebSystem, rp: RootPrescription, h: float) -> np.ndarray:
     pts = np.asarray(rp.simple_roots + rp.double_roots, dtype=float)
     dr = np.asarray(rp.double_roots, dtype=float)
-    deriv = (fs.basis_matrix(sys.basis, dr + h)
-             - fs.basis_matrix(sys.basis, dr - h)) / (2.0 * h)
-    return np.vstack([fs.basis_matrix(sys.basis, pts), deriv])
+    B = fs.basis_matrix(sys.basis, np.concatenate([pts, dr + h, dr - h]))
+    k, p = pts.size, dr.size
+    return np.vstack([B[:k], (B[k:k + p] - B[k + p:]) / (2.0 * h)])
 
 
 def _fix_probe_sign(combo: fs.Func1D, dom: fs.Domain, coeffs: np.ndarray) -> np.ndarray:
@@ -199,15 +199,14 @@ def general_annihilator(sys: ChebSystem, rp: RootPrescription,
     if M.shape[0] == 0:
         # empty prescription: the whole coefficient space is the kernel
         kernel = np.eye(n)
-        candidates = []
+        candidates = list(kernel.T)
     else:
         kernel, _, _ = svd_kernel(M)
         if kernel.shape[1] == 0:
             raise NotChebyshevError(
                 "prescription conditions have no numerical kernel although "
                 "2p + q < order; system is degenerate on these points")
-        candidates = [kernel[:, -1]]
-    candidates += [kernel[:, j] for j in range(kernel.shape[1])]
+        candidates = [kernel[:, -1]] + list(kernel[:, :-1].T)
     rng = fs.derived_rng(7, n, rp.q, rp.p)
     for _ in range(24):
         mix = rng.normal(size=kernel.shape[1])

@@ -43,11 +43,11 @@ class ChebSystem:
     (basis, domain) pair instead.
     """
 
-    basis: tuple
+    basis: fs.Basis
     dom: fs.Domain
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
+        object.__setattr__(self, "basis", fs.as_basis(self.basis))
         if len(self.basis) < 1:
             raise ValueError("a system needs at least one basis function")
         if self.dom.is_circle and len(self.basis) % 2 == 0:
@@ -60,10 +60,8 @@ class ChebSystem:
 
 def _as_basis(sys):
     """Accept a ChebSystem or a raw (funcs, dom) pair."""
-    if isinstance(sys, ChebSystem):
-        return sys.basis, sys.dom
-    funcs, dom = sys
-    return tuple(funcs), dom
+    funcs, dom = (sys.basis, sys.dom) if isinstance(sys, ChebSystem) else sys
+    return fs.as_basis(funcs), dom
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +270,7 @@ def dimension_estimate(funcs: Sequence[fs.Func1D], dom: fs.Domain) -> int:
     """Numerical rank of the span of funcs: singular values above 1e-8 of
     the largest, of their values on max(4 * len(funcs), 64) spread
     points."""
-    funcs = tuple(funcs)
+    funcs = fs.as_basis(funcs)
     pts = spread_points(dom, max(4 * len(funcs), 64))
     s = np.linalg.svd(fs.basis_matrix(funcs, pts), compute_uv=False)
     if s.size == 0 or s[0] == 0.0:

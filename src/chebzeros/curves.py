@@ -230,12 +230,15 @@ def monomial_values(X, alphas) -> np.ndarray:
     return np.prod(X[:, None, :] ** A[None, :, :], axis=2)
 
 
-def restrict_polynomials(curve: CurveRd, n: int):
-    """Func1D restrictions t -> x(t)^alpha of all monomials of degree <= n."""
-    return [fs.Func1D(lambda ts, _a=alpha: monomial_values(curve_points(curve, ts),
-                                                           [_a])[:, 0],
-                      "x^" + "".join(map(str, alpha)))
-            for alpha in monomial_multi_indices(n, curve.d)]
+def restrict_polynomials(curve: CurveRd, n: int) -> fs.Basis:
+    """Func1D restrictions t -> x(t)^alpha of all monomials of degree <= n,
+    as a Basis whose matrix evaluates the curve once per node array."""
+    alphas = monomial_multi_indices(n, curve.d)
+    members = [fs.Func1D(lambda ts, _a=a: monomial_values(curve_points(curve, ts),
+                                                          [_a])[:, 0],
+                         "x^" + "".join(map(str, a))) for a in alphas]
+    return fs.Basis(members,
+                    lambda ts: monomial_values(curve_points(curve, ts), alphas))
 
 
 # ---------------------------------------------------------------------------

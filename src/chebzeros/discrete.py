@@ -47,8 +47,7 @@ class PolyLine:
         k = V.shape[0]
         if k < (3 if self.closed else 2):
             raise ValueError("too few vertices")
-        e = (np.roll(V, -1, axis=0) if self.closed else V[1:]) - \
-            (V if self.closed else V[:-1])
+        e = self.edge_vectors()
         scale = float(np.max(np.abs(V))) or 1.0
         if np.any(np.linalg.norm(e, axis=1) <= 1e-12 * scale):
             raise ValueError("consecutive vertices must be distinct")

@@ -1,6 +1,7 @@
 """Domains, scalar functions, basis evaluation, quadrature, and
-sign-change counting.  basis_matrix is the one way to evaluate a basis
-at a set of nodes; every collocation, moment and combination uses it.
+sign-change counting.  A Basis (built by as_basis) holds Func1D members
+and one matrix(ts) callable, filled column by column for a plain list;
+basis_matrix, one checked call of it, is the one way to evaluate a basis.
 
 Every integral and zero count in the package flows through this module,
 so both conventions are fixed here once.  Integrals use one quadrature
@@ -174,17 +175,36 @@ def product(f: Func1D, g: Func1D, label: str = "") -> Func1D:
                   label or f"({f.label})*({g.label})")
 
 
-def abs_of(f: Func1D) -> Func1D:
-    return Func1D(lambda t: np.abs(sample(f, t)), f"|{f.label}|")
+class Basis(tuple):
+    """Func1D members with one matrix(ts) -> (len(ts), len(basis)) callable:
+    the producer's fill(ts) when it gave one, else one sample per column."""
+
+    def __new__(cls, funcs, fill: Callable | None = None):
+        self = super().__new__(cls, funcs)
+        self._fill = fill
+        return self
+
+    def matrix(self, ts) -> np.ndarray:
+        ts = np.asarray(ts, dtype=float).ravel()
+        if self._fill is not None:
+            return self._fill(ts)
+        M = np.empty((ts.size, len(self)))
+        for j, f in enumerate(self):
+            M[:, j] = sample(f, ts)
+        return M
+
+
+def as_basis(funcs: Sequence[Func1D]) -> Basis:
+    return funcs if isinstance(funcs, Basis) else Basis(funcs)
 
 
 def basis_matrix(funcs: Sequence[Func1D], ts) -> np.ndarray:
-    """Values of each function at each node: a (len(ts), len(funcs))
-    matrix, one row per node and one column per function."""
+    """as_basis(funcs).matrix(ts), checked: a (len(ts), len(funcs)) matrix,
+    one row per node and one column per function, all finite."""
     ts = np.asarray(ts, dtype=float).ravel()
-    M = np.empty((ts.size, len(funcs)))
-    for j, f in enumerate(funcs):
-        M[:, j] = sample(f, ts)
+    M = as_basis(funcs).matrix(ts)
+    if M.shape != (ts.size, len(funcs)) or not np.isfinite(M).all():
+        raise ValueError("basis matrix has the wrong shape or non-finite values")
     return M
 
 
@@ -193,13 +213,9 @@ def combination(funcs: Sequence[Func1D], coeffs, label: str = "") -> Func1D:
     coeffs = np.asarray(coeffs, dtype=float)
     if len(funcs) != coeffs.size:
         raise ValueError("combination needs one coefficient per function")
-    funcs = tuple(funcs)
-
-    def ev(t, funcs=funcs, coeffs=coeffs):
-        t = np.asarray(t, dtype=float)
-        return (basis_matrix(funcs, t) @ coeffs).reshape(t.shape)
-
-    return Func1D(ev, label or "combo")
+    funcs = as_basis(funcs)
+    return Func1D(lambda t: (basis_matrix(funcs, t) @ coeffs).reshape(np.shape(t)),
+                  label or "combo")
 
 
 # ---------------------------------------------------------------------------

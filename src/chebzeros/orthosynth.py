@@ -261,9 +261,7 @@ def synth_weight(sys: ChebSystem, f: fs.Func1D,
     p = null_direction(A)
     _require_one_sign(p)
     step = StepWeight(inner, p, dom, support=support)
-    absf = fs.abs_of(f)
-    rho = fs.Func1D(lambda t: step(t) * fs.sample(absf, np.asarray(t, dtype=float)),
-                    "rho")
+    rho = fs.Func1D(lambda t: step(t) * np.abs(fs.sample(f, t)), "rho")
     residuals = A @ p
     if np.max(np.abs(residuals)) > RESIDUAL_TOL:
         raise NotChebyshevError("weighted orthogonality residual above tolerance")
