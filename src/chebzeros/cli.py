@@ -651,10 +651,12 @@ def cmd_synth(args) -> dict:
             P = parse_polyline(fh.read())
         mv = construct_masses(P, args.n, args.seed)
         rep = theorem6_check(P, args.n, mv)
+        res = rep.max_residual
         return {"poly": args.poly, "n": args.n, "k": P.k, "closed": P.closed,
-                "masses": _jsonable(mv.masses),
-                "max_residual": rep.max_residual,
-                "sign_changes": rep.sign_changes, "bound": rep.bound}
+                "masses": _jsonable(mv.masses), "applicable": rep.applicable,
+                "passed": rep.passed, "message": rep.message, "bound": rep.bound,
+                "max_residual": res if np.isfinite(res) else None,
+                "sign_changes": rep.sign_changes if rep.applicable else None}
     if args.what == "annihilator":
         if not args.system:
             raise ValueError("synth annihilator needs --system")
@@ -822,7 +824,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _emit_verify(records, args, ms)
         payload = cmd_synth(args) if args.cmd == "synth" else cmd_curve(args)
         _emit_payload(payload, args)
-        return 0
+        return 0 if payload.get("passed", True) else 1
     except _EXC + (OSError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -12,6 +12,7 @@ normals (they sum to zero against every normal by the closure identity).
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -154,47 +155,83 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     """A convex polygonal line is cut by every vertex-avoiding hyperplane
     at most d times.
 
-    Closed planar polygons get an exact turn-sign certificate; everything
-    else is falsification by seeded random hyperplanes plus secants
-    through perturbed edge midpoints.  A certificate of non-convexity
-    without a sampled witness still reports a counterexample.
+    Closed planar polygons get an exact turn-sign certificate; otherwise
+    seeded random hyperplanes and secants through perturbed edge midpoints
+    are screened as arrays in chunks of 8, 32, 128, ... trials, and the
+    exact test confirms flagged trials in trial order.  A non-convexity
+    certificate without a sampled witness still reports a counterexample.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     V = P.vertices
-    d = P.d
-    cert = _convex_certificate(V) if (P.closed and d == 2) else None
+    cert = _convex_certificate(V) if (P.closed and P.d == 2) else None
     if cert is True:
         return PolyConvexityReport(NO_VIOLATION, 0, certified=True)
     mids = 0.5 * (V + np.roll(V, -1, axis=0)) if P.closed else 0.5 * (V[:-1] + V[1:])
     scale = float(np.max(np.abs(V))) or 1.0
-    for trial in range(trials):
-        rng = fs.derived_rng(rng_seed, trial, 2)
-        w = rng.standard_normal(d)
-        w /= np.linalg.norm(w)
-        proj = V @ w
-        lo, hi = float(np.min(proj)), float(np.max(proj))
-        if hi > lo:
-            hp = Hyperplane(w, lo + (hi - lo) * rng.uniform(0.02, 0.98))
-            c = hyperplane_crossings(P, hp)
-            if c is not None and c > d:
-                return PolyConvexityReport(COUNTEREXAMPLE, trial + 1, hp, c, cert)
-        if mids.shape[0] >= d:
-            sel = rng.choice(mids.shape[0], size=d, replace=False)
-            pts = mids[sel] + 1e-3 * scale * rng.standard_normal((d, d))
-            try:
-                hp = hyperplane_through(pts)
-            except ValueError:
-                continue
-            c = hyperplane_crossings(P, hp)
-            if c is not None and c > d:
-                return PolyConvexityReport(COUNTEREXAMPLE, trial + 1, hp, c, cert)
+    start, size = 0, 8
+    while start < trials:
+        draws = [_probe_draws(V, mids, scale, rng_seed, t)
+                 for t in range(start, min(trials, start + size))]
+        for i in np.flatnonzero(_screen(P, draws)).tolist():
+            hit = _probe_hit(P, *draws[i])
+            if hit is not None:
+                return PolyConvexityReport(COUNTEREXAMPLE, start + i + 1, *hit, cert)
+        start, size = start + len(draws), 4 * size
     if cert is False:
         hit = _midpoint_secant_witness(P, mids)
         if hit is not None:
             return PolyConvexityReport(COUNTEREXAMPLE, trials, hit[0], hit[1], False)
         return PolyConvexityReport(COUNTEREXAMPLE, trials, None, None, False)
     return PolyConvexityReport(NO_VIOLATION, trials, certified=cert)
+
+
+def _probe_draws(V, mids, scale, rng_seed, trial):
+    """One trial's draws: a unit normal w, an offset (None when V projects
+    to a point) and d perturbed edge midpoints (None when fewer than d)."""
+    d = V.shape[1]
+    rng = fs.derived_rng(rng_seed, trial, 2)
+    w = rng.standard_normal(d)
+    w /= np.linalg.norm(w)
+    proj = V @ w
+    lo, hi = float(np.min(proj)), float(np.max(proj))
+    off = lo + (hi - lo) * rng.uniform(0.02, 0.98) if hi > lo else None
+    if mids.shape[0] < d:
+        return w, off, None
+    sel = rng.choice(mids.shape[0], size=d, replace=False)
+    return w, off, mids[sel] + 1e-3 * scale * rng.standard_normal((d, d))
+
+
+def _probe_hit(P, w, off, pts):
+    """(witness, crossings) of a trial's first exact probe cutting P > d times."""
+    planes = [] if off is None else [Hyperplane(w, off)]
+    if pts is not None:
+        with contextlib.suppress(ValueError):  # affinely dependent points
+            planes.append(hyperplane_through(pts))
+    for hp in planes:
+        c = hyperplane_crossings(P, hp)
+        if c is not None and c > P.d:
+            return hp, c
+    return None
+
+
+def _screen(P, draws) -> np.ndarray:
+    """Per trial, False only when `_probe_hit` surely finds no hit.  Each
+    probe is a column (normal, -offset), NaN if undrawn or degenerate, and
+    every vertex must clear a band far wider than the last-bit errors."""
+    V, d = P.vertices, P.d
+    H = [np.append(w, np.nan if off is None else -off) for w, off, _ in draws]
+    if draws[0][2] is not None:
+        A = np.insert(np.array([pts for _, _, pts in draws]), d, 1.0, axis=2)
+        v = np.linalg.svd(A)[2][:, -1]
+        nrm = np.linalg.norm(v[:, :d], axis=1, keepdims=True)
+        H += list(v / np.where(nrm > 1e-6, nrm, np.nan))
+    vals = np.insert(V, d, 1.0, axis=1) @ np.array(H).T
+    s = np.sign(vals)
+    flips = np.sum(s != np.roll(s, -1, axis=0) if P.closed else s[:-1] != s[1:], axis=0)
+    band = VERTEX_REJECT_TOL + 1e-6 * max(1.0, float(np.max(np.abs(V))))
+    cut = ~(np.min(np.abs(vals), axis=0) > band) | (flips > d)
+    return cut.reshape(-1, len(draws)).any(axis=0)
 
 
 def _midpoint_secant_witness(P: PolyLine, mids: np.ndarray):

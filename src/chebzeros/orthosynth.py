@@ -135,11 +135,12 @@ def _step_edges(dom: fs.Domain, breakpoints) -> np.ndarray:
 
 def moments_on_edges(basis, g: fs.Func1D, dom: fs.Domain, edges) -> np.ndarray:
     """Matrix of per-piece integrals of g * f_j between consecutive edges."""
-    cols = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        ts, ws = fs.segment_rule(dom, lo, hi)
-        cols.append((ws * fs.sample(g, ts)) @ fs.basis_matrix(basis, ts))
-    return np.array(cols, dtype=float).T
+    rules = [fs.segment_rule(dom, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    ts = np.concatenate([t for t, _ in rules])
+    cuts = np.cumsum([t.size for t, _ in rules])[:-1]
+    parts = zip(rules, np.split(fs.sample(g, ts), cuts),
+                np.split(fs.basis_matrix(basis, ts), cuts))
+    return np.array([(ws * gp) @ Bp for (_, ws), gp, Bp in parts], dtype=float).T
 
 
 def moment_matrix(sys, g: fs.Func1D, breakpoints) -> np.ndarray:

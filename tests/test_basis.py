@@ -121,3 +121,41 @@ def test_non_finite_member_raises():
              fs.Func1D(lambda t: np.where(t > 0.5, np.inf, 1.0), "inf")]
     with pytest.raises(ValueError):
         fs.basis_matrix(funcs, np.array([0.25, 0.75]))
+
+
+def test_construct_evaluates_curve_once_per_moment_matrix():
+    c, log = _logged(cz.moment_curve(2))
+    cz.construct_orthogonal_on_curve(c, 2, pieces=8)
+    # dimension estimate, then one call per moment matrix (unit weight, step)
+    assert log == [64, 512, 512]
+
+
+def _moments_per_piece(basis, g, dom, edges):
+    """Reference: one rule, one g sample and one basis matrix per piece."""
+    cols = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        ts, ws = fs.segment_rule(dom, lo, hi)
+        cols.append((ws * fs.sample(g, ts)) @ fs.basis_matrix(basis, ts))
+    return np.array(cols, dtype=float).T
+
+
+_MOMENT_BASES = ([(s.basis, s.dom) for s in
+                  [cz.polynomial_system(n) for n in (1, 4, 8)]
+                  + [cz.trig_system(k) for k in (1, 3)]
+                  + [cz.power_system([0.5, 1.3, 2.0], fs.interval(0.1, 2.0))]]
+                 + [(cz.restrict_polynomials(c, n), c.dom)
+                    for c in _CURVES[:5] for n in (1, 2)])
+
+
+@pytest.mark.parametrize("i", range(len(_MOMENT_BASES)))
+def test_moments_on_edges_bit_identical_to_per_piece(i):
+    from chebzeros.orthosynth import _step_edges, moments_on_edges
+    basis, dom = _MOMENT_BASES[i]
+    g = fs.Func1D(lambda t: 1.0 + 0.5 * np.sin(3.0 * np.asarray(t)), "g")
+    rng = np.random.default_rng([11, i])
+    for extra in range(3):
+        fr = np.sort(rng.uniform(0.02, 0.98, len(basis) + extra))
+        edges = _step_edges(dom, dom.a + dom.span * fr)
+        for weight in (fs.constant(1.0), g):
+            assert np.array_equal(moments_on_edges(basis, weight, dom, edges),
+                                  _moments_per_piece(basis, weight, dom, edges))

@@ -166,6 +166,35 @@ def test_synth_masses_roundtrip(tmp_path, capsys):
     assert payload["max_residual"] <= 1e-10
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_synth_masses_nonconvex_is_reported(tmp_path, capsys):
+    poly_file = tmp_path / "zigzag.txt"
+    poly_file.write_text("0 0 0\n1 1 0\n2 0 0.1\n3 1 0\n4 0 0\n5 1 0.2\n6 0 0\n")
+    code, out, _ = run(capsys, "synth", "masses", "--poly", str(poly_file),
+                       "--n", "1")
+    payload = _strict_json(out)
+    assert code == 1
+    assert payload["applicable"] is False and payload["passed"] is False
+    assert payload["message"] == "hypothesis violated: not convex"
+    assert payload["max_residual"] is None and payload["sign_changes"] is None
+    assert payload["bound"] == 4 and len(payload["masses"]) == 7
+
+
+def test_synth_masses_moment_polyline_file(capsys):
+    path = DATA / "moment3_polyline.txt"
+    code, out, _ = run(capsys, "synth", "masses", "--poly", str(path), "--n", "1")
+    payload = _strict_json(out)
+    assert code == 0
+    assert payload["applicable"] and payload["passed"] and payload["message"] == ""
+    assert payload["k"] == 9 and not payload["closed"]
+    assert payload["sign_changes"] >= payload["bound"] == 4
+
+
 def test_synth_annihilator(capsys):
     code, out, _ = run(capsys, "synth", "annihilator", "--system", "poly:3",
                        "--simple", "-0.4", "--double", "0.3")

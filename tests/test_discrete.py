@@ -346,3 +346,149 @@ def test_parse_polyline_errors():
         cz.parse_polyline("1 2\n3\n")
     with pytest.raises(ValueError):
         cz.parse_polyline("1 two\n3 4\n")
+
+
+# ---------------------------------------------------------------------------
+# batched convexity probes against the trial-by-trial loop
+
+
+def _reference_convexity_check(P, trials, rng_seed):
+    """The trial-by-trial probe loop, kept as the reference."""
+    from chebzeros.curves import Hyperplane, hyperplane_through
+    from chebzeros.discrete import (PolyConvexityReport, _convex_certificate,
+                                    _midpoint_secant_witness)
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    V = P.vertices
+    d = P.d
+    cert = _convex_certificate(V) if (P.closed and d == 2) else None
+    if cert is True:
+        return PolyConvexityReport(NO_VIOLATION, 0, certified=True)
+    mids = 0.5 * (V + np.roll(V, -1, axis=0)) if P.closed else 0.5 * (V[:-1] + V[1:])
+    scale = float(np.max(np.abs(V))) or 1.0
+    for trial in range(trials):
+        rng = fs.derived_rng(rng_seed, trial, 2)
+        w = rng.standard_normal(d)
+        w /= np.linalg.norm(w)
+        proj = V @ w
+        lo, hi = float(np.min(proj)), float(np.max(proj))
+        if hi > lo:
+            hp = Hyperplane(w, lo + (hi - lo) * rng.uniform(0.02, 0.98))
+            c = hyperplane_crossings(P, hp)
+            if c is not None and c > d:
+                return PolyConvexityReport(COUNTEREXAMPLE, trial + 1, hp, c, cert)
+        if mids.shape[0] >= d:
+            sel = rng.choice(mids.shape[0], size=d, replace=False)
+            pts = mids[sel] + 1e-3 * scale * rng.standard_normal((d, d))
+            try:
+                hp = hyperplane_through(pts)
+            except ValueError:
+                continue
+            c = hyperplane_crossings(P, hp)
+            if c is not None and c > d:
+                return PolyConvexityReport(COUNTEREXAMPLE, trial + 1, hp, c, cert)
+    if cert is False:
+        hit = _midpoint_secant_witness(P, mids)
+        if hit is not None:
+            return PolyConvexityReport(COUNTEREXAMPLE, trials, hit[0], hit[1], False)
+        return PolyConvexityReport(COUNTEREXAMPLE, trials, None, None, False)
+    return PolyConvexityReport(NO_VIOLATION, trials, certified=cert)
+
+
+def _assert_same_report(got, want):
+    fields = ("status", "trials_run", "crossings", "certified")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert [type(getattr(got, f)) for f in fields] == \
+        [type(getattr(want, f)) for f in fields]
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        assert got.witness.normal.tobytes() == want.witness.normal.tobytes()
+        assert np.float64(got.witness.offset).tobytes() == \
+            np.float64(want.witness.offset).tobytes()
+
+
+def _probe_polylines():
+    """Seeded open and closed polylines in R^2..R^4: samples of convex
+    curves, Gaussian vertex clouds at several scales, and lines with
+    fewer edge midpoints than dimensions."""
+    out = []
+    for s in range(120):
+        rng = fs.derived_rng(2024, s)
+        d, closed = 2 + s % 3, bool((s // 3) % 2)
+        k = int(rng.integers(d + 2, 12))
+        if s % 4 == 0:
+            ang = np.sort(rng.uniform(0.0, fs.TWO_PI, k))
+            V = np.stack([np.cos(ang), np.sin(ang), np.cos(2 * ang),
+                          np.sin(2 * ang)], axis=1)[:, :d]
+        elif s % 4 == 1:
+            ts = np.sort(rng.uniform(-1.0, 1.0, k))
+            V = np.stack([ts ** j for j in range(1, d + 1)], axis=1)
+        else:
+            V = rng.standard_normal((k, d)) * 10.0 ** rng.uniform(-2, 2)
+        out.append(cz.PolyLine(V, closed))
+    out += [cz.PolyLine(np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 0.5]])),
+            cz.PolyLine(np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 2.0, 0.0],
+                                  [0.0, 1.0, 1.0, 3.0]]))]
+    return out
+
+
+@pytest.mark.parametrize("trials", [1, 7, 200])
+def test_batched_convexity_matches_reference_loop(trials):
+    for i, P in enumerate(_probe_polylines()):
+        _assert_same_report(cz.polyline_convexity_check(P, trials, i),
+                            _reference_convexity_check(P, trials, i))
+
+
+@pytest.mark.parametrize("rel", [1.0 - 1e-3, 1.0 + 1e-3])
+def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
+    from chebzeros import discrete
+    from chebzeros.curves import Hyperplane
+    seed = 3
+    ts = np.linspace(-1.0, 1.0, 6)
+    V0 = np.stack([ts, ts ** 2, ts ** 3], axis=1)
+    w, off, _ = discrete._probe_draws(V0, 0.5 * (V0[:-1] + V0[1:]), 1.0, seed, 0)
+    # a new vertex at distance rel * VERTEX_REJECT_TOL from trial 0's plane,
+    # projecting inside the old range so that plane does not move
+    p = 0.5 * (V0[2] + V0[3])
+    x = p + (off + rel * discrete.VERTEX_REJECT_TOL - p @ w) * w / (w @ w)
+    P = cz.PolyLine(np.insert(V0, 3, x, axis=0))
+    V = P.vertices
+    w1, off1, _ = discrete._probe_draws(V, 0.5 * (V[:-1] + V[1:]),
+                                        float(np.max(np.abs(V))), seed, 0)
+    dist = abs(float(Hyperplane(w1, off1).value(x)))
+    assert dist == pytest.approx(rel * discrete.VERTEX_REJECT_TOL, rel=1e-4)
+    confirmed = []
+    hit = discrete._probe_hit
+
+    def spy(P, w, off, pts):
+        confirmed.append(w)
+        return hit(P, w, off, pts)
+
+    monkeypatch.setattr(discrete, "_probe_hit", spy)
+    for trials in (1, 200):
+        _assert_same_report(cz.polyline_convexity_check(P, trials, seed),
+                            _reference_convexity_check(P, trials, seed))
+    assert confirmed and np.array_equal(confirmed[0], w1)
+
+
+def test_convex_polyline_screens_without_exact_probes(monkeypatch):
+    from chebzeros import discrete
+    calls = {"crossings": 0, "svd": 0}
+    crossings, svd = discrete.hyperplane_crossings, np.linalg.svd
+
+    def count_crossings(*a):
+        calls["crossings"] += 1
+        return crossings(*a)
+
+    def count_svd(*a, **k):
+        calls["svd"] += 1
+        return svd(*a, **k)
+
+    monkeypatch.setattr(discrete, "hyperplane_crossings", count_crossings)
+    monkeypatch.setattr(np.linalg, "svd", count_svd)
+    ts = np.linspace(-1.0, 1.0, 9)
+    V = np.stack([ts, ts ** 2, ts ** 3], axis=1)
+    rep = cz.polyline_convexity_check(cz.PolyLine(V), trials=300, rng_seed=5)
+    assert rep.status == NO_VIOLATION and rep.trials_run == 300
+    # chunks of 8, 32, 128 and the last 132 trials: one stacked SVD each
+    assert calls == {"crossings": 0, "svd": 4}
