@@ -15,11 +15,12 @@ already sampled: count_grid_sign_changes (a bare count),
 grid_sign_report and grid_extrema_report (full reports).
 
 A count costs one grid evaluation of f.  Transition locations are
-sharpened by bisection between the bracketing grid samples, but only
-when a report's `locations` is first read; callers that need only the
-count (every lower bound in the package) never evaluate f between grid
-points.  Bisection stops once every bracket has shrunk to float
-resolution, where further halvings could not move it.
+sharpened between the bracketing grid samples, but only when a report's
+`locations` is first read; callers that need only the count (every lower
+bound in the package) never evaluate f between grid points.  Refinement
+is multisection, the same floats as bisection, one f evaluation per k
+halvings (k = _MULTISECT_DEPTH); it stops once every bracket has shrunk
+to float resolution, where further halvings could not move it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ DEFAULT_TOL_REL = 1e-9
 # cap on halvings of a grid cell; a double-precision bracket reaches float
 # resolution after about 52, where bisection stops early
 _BISECT_ITERS = 60
+# halvings per f evaluation in _bisect_roots.  5 was the fastest of 3, 4,
+# 5, 6 and 8 on the synth benchmark: shallower trees take more rounds, and
+# deeper ones evaluate f at more points (2**k - 1 per bracket) than the
+# rounds they save are worth
+_MULTISECT_DEPTH = 5
 
 
 def derived_rng(seed, *keys):
@@ -237,17 +243,23 @@ def _gauss_panel():
     return np.polynomial.legendre.leggauss(PANEL_NODES)
 
 
-def gauss_rule_on(lo: float, hi: float, panels: int):
-    """Composite Gauss-Legendre nodes and weights on [lo, hi]."""
-    if hi <= lo:
-        raise ValueError("empty integration range")
+def _gauss_pieces(los, his, panels):
+    """Composite Gauss-Legendre nodes and weights on every [lo, hi] with
+    its own panel count, in one array pass, piece after piece.  Panel
+    edges are np.linspace(lo, hi, panels + 1)'s floats, i * ((hi - lo) /
+    panels) + lo with the last edge set to hi."""
     x, w = _gauss_panel()
-    edges = np.linspace(lo, hi, panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    ts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
-    return ts, ws
+    cum = np.cumsum(panels)
+    piece = np.repeat(np.arange(panels.size), panels)
+    i = np.arange(cum[-1]) - np.repeat(cum - panels, panels)
+    step = ((his - los) / panels)[piece]
+    lo = los[piece]
+    left = i * step + lo
+    right = (i + 1) * step + lo
+    right[cum - 1] = his
+    mid = 0.5 * (left + right)
+    half = 0.5 * (right - left)
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
 def quad_nodes(dom: Domain):
@@ -255,7 +267,8 @@ def quad_nodes(dom: Domain):
     if dom.is_circle:
         n = CIRCLE_NODES
         return np.arange(n) * (TWO_PI / n), np.full(n, TWO_PI / n)
-    return gauss_rule_on(dom.a, dom.b, GAUSS_PANELS)
+    return _gauss_pieces(np.array([dom.a]), np.array([dom.b]),
+                         np.array([GAUSS_PANELS]))
 
 
 def integrate(f: Func1D, dom: Domain) -> float:
@@ -272,18 +285,29 @@ def inner_product(f: Func1D, g: Func1D, rho: Func1D | None, dom: Domain) -> floa
     return float(ws @ vals)
 
 
-def segment_rule(dom: Domain, lo: float, hi: float):
-    """Gauss nodes and weights on one segment of the domain, at least 2
-    panels.
+def segment_rules(dom: Domain, los, his):
+    """Gauss nodes and weights on every segment [los[i], his[i]],
+    concatenated in segment order, with each segment's node count.
 
-    On the circle the segment may extend past 2pi; nodes are wrapped so
-    periodic functions can be evaluated directly.
+    A segment gets at least 2 panels of PANEL_NODES nodes, at the node
+    density of the domain rule.  On the circle a segment may extend past
+    2pi; nodes are wrapped so periodic functions can be evaluated directly.
     """
+    los = np.asarray(los, dtype=float)
+    his = np.asarray(his, dtype=float)
+    if np.any(his <= los):
+        raise ValueError("empty integration range")
     domain_nodes = CIRCLE_NODES if dom.is_circle else GAUSS_PANELS * PANEL_NODES
-    frac = max((hi - lo) / dom.span, 1e-12)
-    panels = max(2, int(math.ceil(domain_nodes * frac / PANEL_NODES)))
-    ts, ws = gauss_rule_on(lo, hi, panels)
-    return dom.wrap(ts), ws
+    frac = np.maximum((his - los) / dom.span, 1e-12)
+    panels = np.maximum(2, np.ceil(domain_nodes * frac / PANEL_NODES).astype(int))
+    ts, ws = _gauss_pieces(los, his, panels)
+    return dom.wrap(ts), ws, panels * PANEL_NODES
+
+
+def segment_rule(dom: Domain, lo: float, hi: float):
+    """Gauss nodes and weights on one segment: segment_rules on [lo, hi]."""
+    ts, ws, _ = segment_rules(dom, [lo], [hi])
+    return ts, ws
 
 
 def rule_with_breaks(dom: Domain, breaks):
@@ -299,10 +323,9 @@ def rule_with_breaks(dom: Domain, breaks):
         edges = np.concatenate([breaks, [breaks[0] + TWO_PI]])
     else:
         edges = np.concatenate([[dom.a], breaks, [dom.b]])
-    ts, ws = zip(*[segment_rule(dom, lo, hi)
-                   for lo, hi in zip(edges[:-1], edges[1:])
-                   if hi - lo > 1e-15 * dom.span])
-    return np.concatenate(ts), np.concatenate(ws)
+    wide = np.diff(edges) > 1e-15 * dom.span
+    ts, ws, _ = segment_rules(dom, edges[:-1][wide], edges[1:][wide])
+    return ts, ws
 
 
 def integrate_with_breaks(f: Func1D, dom: Domain, breaks) -> float:
@@ -320,11 +343,12 @@ class SignChangeReport:
     """Count of strict sign transitions with their refined locations.
 
     count and degenerate come from one pass over the sample grid.
-    locations is computed by bisection on its first read and cached, so
-    the same array comes back on every later read; refinement stops once
-    every bracket has reached float resolution.  A caller that reads only
-    count never evaluates f between grid points, so a non-finite value
-    of f there raises ValueError only when locations is read.
+    locations is computed on its first read and cached, so the same array
+    comes back on every later read.  It is refined by multisection, the
+    same floats as bisection, one f evaluation per k halvings, and stops
+    once every bracket has reached float resolution.  A caller that reads
+    only count never evaluates f between grid points, so a non-finite
+    value of f there raises ValueError only when locations is read.
 
     locations is sorted increasing (representatives in [0, 2pi) on the
     circle) and has length == count.  degenerate flags inputs that were
@@ -383,31 +407,64 @@ def count_grid_sign_changes(vals, cyclic: bool) -> int:
 
 def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,
                   slos: np.ndarray) -> np.ndarray:
-    """Vectorized bisection: each (lo, hi) brackets one sign transition,
-    slos holds the sign at lo.  fvals maps an array of parameters to
-    values.
+    """Vectorized root refinement: each (lo, hi) brackets one sign
+    transition, slos holds the sign at lo.  fvals maps an array of
+    parameters to values.
 
-    Stops early once every midpoint rounds onto an end of its bracket:
-    the sign at each end is already known, so later halvings would leave
-    every bracket, and the result, bit for bit as it is.
+    Multisection, the same floats as bisection, one f evaluation per k
+    halvings (k = _MULTISECT_DEPTH).  A round builds the (2**k + 1, r)
+    array of bracket ends that any k halvings of the r brackets could
+    reach, level by level as the midpoints 0.5 * (lo + hi) that bisection
+    computes, evaluates f once on all interior ends, and keeps the
+    bracket bisection would end in.  Rounds stop after _BISECT_ITERS
+    halvings in all, or at the start of a round once every midpoint
+    rounds onto an end of its bracket: the sign at each end is known, so
+    later halvings would leave every bracket, and the result, bit for bit
+    as it is.
+
+    f is evaluated on arrays of (2**j - 1) * r points instead of r, so
+    an f whose rounding at a point depends on the array around it (a
+    BLAS matrix-vector product, as in combination) can see other signs
+    where its rounding noise decides them, next to the root, and place
+    the root there differently from one-halving-per-call bisection.
     """
-    los = los.copy()
-    his = his.copy()
-    for _ in range(_BISECT_ITERS):
+    r = los.size
+    cols = np.arange(r)
+    done = 0
+    while done < _BISECT_ITERS:
         mids = 0.5 * (los + his)
         if np.all((mids == los) | (mids == his)):
             break
-        vm = fvals(mids)
-        same = np.sign(vm) == slos
-        los = np.where(same, mids, los)
-        his = np.where(same, his, mids)
+        k = min(_MULTISECT_DEPTH, _BISECT_ITERS - done)
+        n = 2 ** k
+        ends = np.empty((n + 1, r))
+        ends[0], ends[n // 2], ends[n] = los, mids, his
+        step = n // 2
+        while step > 1:
+            ends[step // 2::step] = 0.5 * (ends[:-1:step] + ends[step::step])
+            step //= 2
+        same = np.sign(fvals(ends[1:n].ravel())).reshape(n - 1, -1) == slos
+        # the bracket bisection ends in is (ends[idx], ends[idx + 1]); where
+        # each column's tests read True down to one transition, idx counts
+        # the Trues, else bisection's walk finds it (same[i - 1] tests ends[i])
+        idx = np.count_nonzero(same, axis=0)
+        if np.any(same[1:] > same[:-1]):
+            idx = np.zeros(r, dtype=int)
+            step = n // 2
+            while step:
+                idx = np.where(same[idx + step - 1, cols], idx + step, idx)
+                step //= 2
+        at = idx * r + cols
+        los = ends.ravel()[at]
+        his = ends.ravel()[at + r]
+        done += k
     return 0.5 * (los + his)
 
 
 def _root_finder(fvals: Callable, dom: Domain, ts: np.ndarray,
                  vals: np.ndarray, ii: np.ndarray,
                  jj: np.ndarray) -> Callable[[], np.ndarray]:
-    """Deferred bisection of the transitions (ii, jj) found on (ts, vals):
+    """Deferred refinement of the transitions (ii, jj) found on (ts, vals):
     the returned callable yields the sorted roots of fvals."""
     los = ts[ii]
     his = ts[jj]

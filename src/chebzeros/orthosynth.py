@@ -135,12 +135,11 @@ def _step_edges(dom: fs.Domain, breakpoints) -> np.ndarray:
 
 def moments_on_edges(basis, g: fs.Func1D, dom: fs.Domain, edges) -> np.ndarray:
     """Matrix of per-piece integrals of g * f_j between consecutive edges."""
-    rules = [fs.segment_rule(dom, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
-    ts = np.concatenate([t for t, _ in rules])
-    cuts = np.cumsum([t.size for t, _ in rules])[:-1]
-    parts = zip(rules, np.split(fs.sample(g, ts), cuts),
+    ts, ws, sizes = fs.segment_rules(dom, edges[:-1], edges[1:])
+    cuts = np.cumsum(sizes)[:-1]
+    parts = zip(np.split(ws * fs.sample(g, ts), cuts),
                 np.split(fs.basis_matrix(basis, ts), cuts))
-    return np.array([(ws * gp) @ Bp for (_, ws), gp, Bp in parts], dtype=float).T
+    return np.array([wg @ Bp for wg, Bp in parts], dtype=float).T
 
 
 def moment_matrix(sys, g: fs.Func1D, breakpoints) -> np.ndarray:

@@ -142,6 +142,15 @@ def test_synth_ortho_oracle(capsys):
     assert payload["max_residual"] <= 1e-8
 
 
+def test_synth_ortho_readme_locations(capsys):
+    # README's example; its refined locations print as these exact floats
+    code, out, _ = run(capsys, "synth", "ortho", "--system", "poly:3",
+                       "--points=-0.6,-0.1,0.4,0.8")
+    assert code == 0
+    assert json.loads(out)["locations"] == [-0.6000000000000001, -0.1, 0.4, 0.8]
+    assert '"locations": [\n    -0.6000000000000001,\n    -0.1,\n    0.4,\n    0.8\n  ]' in out
+
+
 def test_synth_weight_support(capsys):
     code, out, _ = run(capsys, "synth", "weight", "--system", "poly:1",
                        "--func", "roots:-0.6,-0.2,0.2,0.6")

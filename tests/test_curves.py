@@ -195,8 +195,8 @@ def test_construct_minimal_counts():
 
 
 def test_theorem5_samples_f_once_on_quadrature_nodes():
-    # besides the count grid and bisection steps, f is evaluated in one
-    # call on all quadrature nodes, not once per restricted polynomial
+    # besides the count grid and multisection rounds, f is evaluated in
+    # one call on all quadrature nodes, not once per restricted polynomial
     par = cz.moment_curve(2)
     res = cz.construct_orthogonal_on_curve(par, 2)
     sizes = []
@@ -207,7 +207,9 @@ def test_theorem5_samples_f_once_on_quadrature_nodes():
 
     rep = cz.theorem5_verify(par, 2, fs.Func1D(ev, "logged"))
     assert rep.applicable and rep.passed
-    quad = [n for n in sizes if n not in (fs.DEFAULT_GRID_N, rep.sign_changes)]
+    refine = [(2 ** j - 1) * rep.sign_changes
+              for j in range(1, fs._MULTISECT_DEPTH + 1)]
+    quad = [n for n in sizes if n not in (fs.DEFAULT_GRID_N, *refine)]
     assert len(quad) == 1 and quad[0] >= 16
 
 

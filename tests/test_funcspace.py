@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import chebzeros as cz
 from chebzeros import funcspace as fs
 
 
@@ -241,6 +244,52 @@ def test_quadrature_rule_is_fixed():
     assert np.all((ts >= 0.0) & (ts < fs.TWO_PI))  # wrapped past 2pi
 
 
+def _gauss_rule_reference(dom, lo, hi, panels=None):
+    # the per-piece rule: np.linspace panel edges, one segment at a time
+    x, w = np.polynomial.legendre.leggauss(fs.PANEL_NODES)
+    if panels is None:
+        domain_nodes = fs.CIRCLE_NODES if dom.is_circle else fs.GAUSS_PANELS * fs.PANEL_NODES
+        frac = max((hi - lo) / dom.span, 1e-12)
+        panels = max(2, int(math.ceil(domain_nodes * frac / fs.PANEL_NODES)))
+    edges = np.linspace(lo, hi, panels + 1)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * np.diff(edges)
+    ts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    return dom.wrap(ts), (half[:, None] * w[None, :]).ravel()
+
+
+def _segment_edges(rng, dom):
+    q = int(rng.integers(1, 12))
+    if dom.is_circle:
+        # arcs taken cyclically: the last one wraps past 2pi
+        bp = np.sort(rng.uniform(0.0, fs.TWO_PI, q))
+        return np.append(bp, bp[0] + fs.TWO_PI)
+    bp = np.sort(rng.uniform(dom.a, dom.b, q))
+    if q > 1:
+        bp[1] = bp[0] + abs(bp[0]) * 1e-14  # a sliver segment
+    return np.concatenate([[dom.a], bp, [dom.b]])
+
+
+@pytest.mark.parametrize("dom", [fs.circle(), fs.interval(-1.0, 2.0),
+                                 fs.interval(0.1, 2.0)], ids=str)
+def test_segment_rules_match_the_per_piece_rule(dom):
+    ts, ws = fs.quad_nodes(dom)
+    if not dom.is_circle:
+        want = _gauss_rule_reference(dom, dom.a, dom.b, fs.GAUSS_PANELS)
+        assert np.array_equal(ts, want[0]) and np.array_equal(ws, want[1])
+    for seed in range(40):
+        edges = _segment_edges(fs.derived_rng(seed, 7), dom)
+        pieces = [_gauss_rule_reference(dom, lo, hi)
+                  for lo, hi in zip(edges[:-1], edges[1:])]
+        ts, ws, sizes = fs.segment_rules(dom, edges[:-1], edges[1:])
+        assert sizes.tolist() == [t.size for t, _ in pieces]
+        assert np.array_equal(ts, np.concatenate([t for t, _ in pieces]))
+        assert np.array_equal(ws, np.concatenate([w for _, w in pieces]))
+        one = fs.segment_rule(dom, edges[-2], edges[-1])
+        assert np.array_equal(one[0], pieces[-1][0])
+        assert np.array_equal(one[1], pieces[-1][1])
+
+
 @st.composite
 def _root_lists(draw):
     n = draw(st.integers(min_value=1, max_value=5))
@@ -308,18 +357,29 @@ def _reference_bisect(fvals, los, his, slos):
     return 0.5 * (los + his)
 
 
-def _reference_roots(fvals, dom, ts, vals):
-    # brackets are consecutive samples of opposite sign; the inputs below
-    # have no sample near zero, so no tolerance collapse is involved
+def _brackets(dom, ts, vals):
+    # consecutive samples of opposite sign, with the sign at lo; the inputs
+    # below have no sample near zero, so no tolerance collapse is involved
     s = np.sign(vals)
     ii = np.nonzero(s[:-1] != s[1:])[0]
     los, his = ts[ii], ts[ii + 1]
     if dom.is_circle and s[-1] != s[0]:
         ii = np.append(ii, ts.size - 1)
         los, his = np.append(los, ts[-1]), np.append(his, ts[0] + fs.TWO_PI)
-    return np.sort(dom.wrap(_reference_bisect(fvals, los, his, s[ii])))
+    return los, his, s[ii]
 
 
+def _grid_brackets(fn, dom, n):
+    ts = dom.grid(n)
+    return _brackets(dom, ts, fn(ts))
+
+
+def _reference_roots(fvals, dom, ts, vals):
+    return np.sort(dom.wrap(_reference_bisect(fvals, *_brackets(dom, ts, vals))))
+
+
+# multisection rounds in 60 halvings
+_ROUNDS = math.ceil(60 / fs._MULTISECT_DEPTH)
 _H_CIRCLE = fs.TWO_PI / fs.DEFAULT_GRID_N
 _LAZY_CASES = [
     (fs.interval(-1.0, 1.0),
@@ -338,7 +398,8 @@ def test_count_sign_changes_refines_on_first_read(dom, fn):
 
     locs = rep.locations
     refine_calls = f.calls - 1
-    assert 0 < refine_calls < 60  # stopped at float resolution, before the cap
+    # one call per multisection round, stopped at float resolution
+    assert 0 < refine_calls <= _ROUNDS
     assert rep.locations is locs
     assert f.calls == 1 + refine_calls
 
@@ -356,7 +417,7 @@ def test_count_extrema_refines_on_first_read(dom, fn):
 
     locs = rep.locations
     refine_calls = f.calls - 1
-    assert 0 < refine_calls < 2 * 60  # two evaluations per central difference
+    assert 0 < refine_calls <= 2 * _ROUNDS  # two evaluations per central difference
     assert rep.locations is locs
     assert f.calls == 1 + refine_calls
 
@@ -375,6 +436,80 @@ def test_count_extrema_refines_on_first_read(dom, fn):
         want = np.concatenate([[dom.a], want, [dom.b]])
     assert locs.size == rep.count
     assert locs.tobytes() == want.tobytes()
+
+
+def _multisection_cases():
+    """(name, f, los, his, slos): bracket sets of one sign change each."""
+    one = np.array([1.0])
+    h = 2.0 / 64
+    cases = [
+        # the grid cell centered on an exact root at 0 never reaches float
+        # resolution: 60 halvings
+        ("root at 0", lambda t: t, np.array([-h / 2]), np.array([h / 2]), -one),
+        # the first midpoint is the root itself, where f is exactly 0
+        ("dyadic zero", lambda t: t - 0.25, np.array([0.0]), np.array([0.5]), -one),
+        # three roots in one cell: the signs of a round are not monotone
+        ("three roots", lambda t: (t - 0.1) * (t - 0.11) * (t - 0.13),
+         np.array([0.09]), np.array([0.14]), -one),
+        # a cubic expanded in powers rounds to noise of either sign near 0.3
+        ("noisy root", lambda t: ((t - 0.9) * t + 0.27) * t - 0.027,
+         np.array([0.2]), np.array([0.4]), -one),
+        ("converged", lambda t: t - 0.5, np.array([0.5]),
+         np.array([np.nextafter(0.5, 1.0)]), one),
+        ("converged and not", lambda t: t - 0.5, np.array([0.5, 0.25]),
+         np.array([np.nextafter(0.5, 1.0), 0.75]), np.array([1.0, -1.0])),
+    ]
+    # closing pair of a circle: a root in the last grid cell, bracket past 2pi
+    circ = fs.circle()
+    wrap = lambda t: np.sin(2.0 * np.mod(t, fs.TWO_PI) + _H_CIRCLE)
+    cases.append(("cyclic closing pair", wrap, *_grid_brackets(wrap, circ, 2048)))
+    for seed in range(60):
+        rng = fs.derived_rng(seed, 5)
+        roots = np.sort(rng.uniform(-0.95, 0.95, int(rng.integers(1, 7))))
+        c = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
+        poly = lambda t, roots=roots, c=c: c * np.prod(
+            [t - r for r in roots], axis=0)
+        cases.append((f"poly {seed}", poly,
+                      *_grid_brackets(poly, fs.interval(-1.0, 1.0), 64)))
+        pts = rng.uniform(0.0, fs.TWO_PI, 2 * int(rng.integers(1, 4)))
+        trig = lambda t, pts=pts: np.prod(
+            [np.sin((np.mod(t, fs.TWO_PI) - x) / 2.0) for x in pts], axis=0)
+        cases.append((f"trig {seed}", trig, *_grid_brackets(trig, circ, 128)))
+    return cases
+
+
+_MULTISECTION_CASES = _multisection_cases()
+
+
+@pytest.mark.parametrize("name, fn, los, his, slos", _MULTISECTION_CASES,
+                         ids=[c[0] for c in _MULTISECTION_CASES])
+def test_multisection_matches_bisection(name, fn, los, his, slos):
+    f = _Counted(fn)
+    got = fs._bisect_roots(f, los, his, slos)
+    want = _reference_bisect(fn, los, his, slos)
+    assert got.tobytes() == want.tobytes()
+    assert f.calls <= _ROUNDS
+    if name == "root at 0":
+        assert f.calls == _ROUNDS  # the 60-halving cap
+    if name == "converged":
+        assert f.calls == 0
+
+
+@pytest.mark.parametrize("simple, double", [(1.5547091758634948, 0.7682624233497739),
+                                            (1.3472121826813697, 0.7202641770831537)])
+def test_multisection_on_a_blas_combination(simple, double):
+    # an annihilator's combination is a matrix-vector product whose
+    # rounding can depend on the batch size; these two prescriptions have
+    # moved a root off the one-halving-per-call result by a few 1e-15
+    sys = cz.power_system([0.5, 1.5, 2.5], fs.interval(0.5, 2.0))
+    rp = cz.RootPrescription(simple_roots=(simple,), double_roots=(double,))
+    f = fs.combination(sys.basis, cz.general_annihilator(sys, rp))
+    dom = sys.dom
+    rep = fs.count_sign_changes(f, dom)
+    los, his, slos = _grid_brackets(f, dom, fs.DEFAULT_GRID_N)
+    want = np.sort(_reference_bisect(f, los, his, slos))
+    assert rep.count == want.size == 1
+    assert np.max(np.abs(rep.locations - want)) <= 1e-13
 
 
 def test_count_only_never_evaluates_off_grid():

@@ -198,8 +198,9 @@ def _size_log(f):
 
 @pytest.mark.parametrize("weighted", [False, True])
 def test_theorem1_samples_f_once_on_quadrature_nodes(weighted):
-    # besides the count grid and bisection steps, f and rho are evaluated
-    # in one call on all quadrature nodes, not once per basis function
+    # besides the count grid and multisection rounds, f and rho are
+    # evaluated in one call on all quadrature nodes, not once per basis
+    # function
     if weighted:
         sys = cz.trig_system(1)
         f = cz.trig_annihilator([0.7, 1.9, 3.3, 4.8])
@@ -212,7 +213,9 @@ def test_theorem1_samples_f_once_on_quadrature_nodes(weighted):
     f, sizes = _size_log(f)
     rep = cz.theorem1_check(sys, f, rho=rho, breaks=res.step.breakpoints)
     assert rep.applicable and rep.passed
-    quad = [n for n in sizes if n not in (fs.DEFAULT_GRID_N, rep.sign_changes)]
+    refine = [(2 ** j - 1) * rep.sign_changes
+              for j in range(1, fs._MULTISECT_DEPTH + 1)]
+    quad = [n for n in sizes if n not in (fs.DEFAULT_GRID_N, *refine)]
     assert len(quad) == 1 and quad[0] >= 16
     # one sample on the count grid serves the count and the vanishing test
     assert sizes.count(fs.DEFAULT_GRID_N) == 1
