@@ -7,7 +7,8 @@ with too many sign changes, both directly (random coefficients) and
 through sign flips of collocation determinants.  The honest verdict for
 a clean run is therefore "NoViolationFound", never "proved".  The basis
 is evaluated on the counting grid once per call, and each combination
-is counted as that grid matrix times its coefficients.
+is counted as that grid matrix times its coefficients; curves.theorem4_check
+hands the probe loop [1, P] from the one curve sample P it also slices.
 """
 
 from __future__ import annotations
@@ -215,11 +216,17 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     ChebSystem constructor rejects outright) can still be examined.
     """
     basis, dom = _as_basis(sys)
-    n = len(basis)
     if trials < 1:
         raise ValueError("trials must be at least 1")
     fs._check_count_args(grid_n)
-    G = fs.basis_matrix(basis, dom.grid(grid_n))
+    return _chebyshev_probes(basis, dom, fs.basis_matrix(basis, dom.grid(grid_n)),
+                             trials, rng_seed)
+
+
+def _chebyshev_probes(basis, dom, G, trials, rng_seed) -> ChebVerdict:
+    """verify_chebyshev's probe loop, counting on G, the basis's matrix on
+    the counting grid."""
+    n = len(basis)
     ref_sign = 0.0
     ref_pts = None
     for trial in range(trials):

@@ -23,7 +23,7 @@ from . import funcspace as fs
 from ._linalg import fix_leading_sign, smallest_direction, svd_kernel
 from .annihilator import LOC_TOL, default_annihilator
 from .chebsys import (COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, ChebVerdict,
-                      dimension_estimate, verify_chebyshev)
+                      _chebyshev_probes, dimension_estimate)
 from .exceptions import NotChebyshevError
 from .orthosynth import (RESIDUAL_TOL, StepWeight, ZeroBoundReport, _step_edges,
                          _zero_bound, moments_on_edges)
@@ -77,13 +77,15 @@ def affine_image(curve: CurveRd, A, b=None) -> CurveRd:
     nonsingular, so convexity and the spanned function space survive."""
     A = np.asarray(A, dtype=float)
     d = curve.d
+    off = np.zeros(d) if b is None else np.asarray(b, dtype=float)
     if A.shape != (d, d):
         raise ValueError(f"A must be {d}x{d}")
-    if abs(np.linalg.det(A)) <= 1e-12:
-        raise ValueError("A must be nonsingular")
-    off = np.zeros(d) if b is None else np.asarray(b, dtype=float)
     if off.shape != (d,):
         raise ValueError(f"b must have length {d}")
+    if not (np.isfinite(A).all() and np.isfinite(off).all()):
+        raise ValueError("A and b must be finite")
+    if abs(np.linalg.det(A)) <= 1e-12:
+        raise ValueError("A must be nonsingular")
 
     def ev(ts, curve=curve, A=A, off=off):
         return curve_points(curve, ts) @ A.T + off
@@ -259,6 +261,8 @@ class Hyperplane:
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0 or not np.isfinite(nrm):
             raise ValueError("normal must be nonzero and finite")
+        if not np.isfinite(self.offset):
+            raise ValueError("offset must be finite")
         v = fix_leading_sign(np.concatenate([w, [float(self.offset)]]) / nrm)
         object.__setattr__(self, "normal", v[:-1])
         object.__setattr__(self, "offset", float(v[-1]))
@@ -362,10 +366,15 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    dom = curve.dom
+    fs._check_count_args(grid_n)
+    return _convexity_probes(curve, curve_points(curve, curve.dom.grid(grid_n)),
+                             trials, rng_seed, grid_n)
+
+
+def _convexity_probes(curve, P, trials, rng_seed, grid_n) -> ConvexityReport:
+    """convexity_check's probe loop, slicing P, the curve on its grid."""
     d = curve.d
-    P = curve_points(curve, dom.grid(grid_n))
-    cyc = dom.is_circle
+    cyc = curve.dom.is_circle
     for trial in range(trials):
         rng = fs.derived_rng(rng_seed, trial, 1)
         w = rng.standard_normal(d)
@@ -417,15 +426,22 @@ def theorem4_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int =
                    grid_n: int = fs.DEFAULT_GRID_N) -> Theorem4Report:
     """Convexity of the curve and the Chebyshev property of its restricted
     affine functions stand or fall together; both probes run with a
-    shared seed and the report says whether the verdicts agree."""
+    shared seed, both read one grid sample of the curve, and the report
+    says whether the verdicts agree."""
     funcs = restrict_polynomials(curve, 1)
     dim = dimension_estimate(funcs, curve.dom)
     if dim != curve.d + 1:
         raise ValueError(
             f"affine restrictions span dimension {dim}, not {curve.d + 1}: "
             "the curve lies inside a hyperplane")
-    conv = convexity_check(curve, trials, rng_seed, grid_n)
-    cheb = verify_chebyshev((funcs, curve.dom), trials, rng_seed, grid_n)
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    fs._check_count_args(grid_n)
+    P = curve_points(curve, curve.dom.grid(grid_n))
+    conv = _convexity_probes(curve, P, trials, rng_seed, grid_n)
+    # [1, P] is funcs' grid matrix bit for bit: x**0.0 and x**1.0 are exact
+    cheb = _chebyshev_probes(funcs, curve.dom, np.insert(P, 0, 1.0, axis=1),
+                             trials, rng_seed)
     agree = conv.convex == (cheb.status == NO_VIOLATION)
     return Theorem4Report(conv, cheb, agree, dim)
 

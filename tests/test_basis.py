@@ -39,8 +39,25 @@ def test_theorem4_check_call_log():
     c, log = _logged(cz.moment_curve(3))
     r = cz.theorem4_check(c, trials=1)
     assert r.agree and r.convexity.convex
-    # dimension estimate, convexity grid, Chebyshev grid, two tuples
-    assert log == [64, 2048, 2048, 4, 4]
+    # dimension estimate, one grid sample read by both probe loops, two
+    # collocation tuples
+    assert log == [64, 2048, 4, 4]
+
+
+@pytest.mark.parametrize("curve", [
+    cz.moment_curve(2), cz.moment_curve(4), cz.trig_curve(2),
+    cz.power_curve([2.0 ** 0.5, 3.0 ** 0.5], 1.0, float(np.e)), cz.exp_graph(),
+    cz.smoothed_polygon(6), cz.sine_graph(),
+    cz.affine_image(cz.moment_curve(3), [[1.0, 0.2, 0.0], [0.0, 0.9, 0.1],
+                                         [0.3, 0.0, 1.1]], [0.1, -0.2, 0.3]),
+], ids=lambda c: c.label)
+def test_one_and_curve_sample_is_the_affine_basis_matrix(curve):
+    # theorem4_check counts on [1, P]: x**0.0 and x**1.0 are exact, so it
+    # is the restricted affine functions' grid matrix bit for bit
+    ts = curve.dom.grid(fs.DEFAULT_GRID_N)
+    P = cz.curve_points(curve, ts)
+    G = fs.basis_matrix(cz.restrict_polynomials(curve, 1), ts)
+    assert np.array_equal(np.insert(P, 0, 1.0, axis=1), G)
 
 
 def test_general_annihilator_checks_each_candidate_once(monkeypatch):

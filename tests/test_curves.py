@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,20 @@ def test_affine_image_validation():
         cz.affine_image(c, np.eye(3))
 
 
+@pytest.mark.parametrize("A, b", [
+    ([[1.0, np.nan], [0.0, 1.0]], None),
+    ([[np.inf, 0.0], [0.0, 1.0]], None),
+    (np.eye(2), [0.0, np.nan]),
+    (np.eye(2), [np.inf, 0.0]),
+], ids=["nan-A", "inf-A", "nan-b", "inf-b"])
+def test_affine_image_rejects_non_finite(A, b):
+    # refused at construction, before the determinant test sees a NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            cz.affine_image(cz.moment_curve(2), A, b)
+
+
 # ---------------------------------------------------------------------------
 # monomial bookkeeping
 
@@ -90,6 +106,14 @@ def test_hyperplane_through_oracle():
 def test_hyperplane_through_wrong_count():
     with pytest.raises(ValueError):
         cz.hyperplane_through([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
+
+
+@pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
+def test_hyperplane_rejects_non_finite_offset(offset):
+    # a NaN offset would make every slice value NaN, which the crossing
+    # counts then read as sign changes
+    with pytest.raises(ValueError, match="offset"):
+        cz.Hyperplane([0.0, 1.0], offset)
 
 
 def test_parabola_tangent_multiplicity():
@@ -148,6 +172,55 @@ def test_sine_graph_not_convex():
     assert rep.status == COUNTEREXAMPLE
     assert rep.witness is not None
     assert rep.witness_count.count_with_multiplicity > 2
+
+
+def test_convexity_check_checks_grid_on_entry():
+    # a convex curve flags no probe, so only an entry check can raise
+    with pytest.raises(ValueError, match="grid_n"):
+        cz.convexity_check(cz.moment_curve(2), trials=50, grid_n=10)
+    with pytest.raises(ValueError, match="grid_n"):
+        cz.convexity_check(cz.sine_graph(), trials=50, grid_n=10)
+
+
+def _theorem4_inputs(seed):
+    curves = [cz.moment_curve(2), cz.moment_curve(3), cz.moment_curve(4),
+              cz.trig_curve(1), cz.trig_curve(2),
+              cz.power_curve([2.0 ** 0.5, 3.0 ** 0.5], 1.0, float(np.e)),
+              cz.exp_graph(), cz.smoothed_polygon(6), cz.sine_graph()]
+    rng = np.random.default_rng(seed)
+    for d in (2, 3, 4):
+        A = np.eye(d) + 0.05 / (d + 1) * rng.uniform(-1.0, 1.0, (d, d))
+        curves.append(cz.affine_image(cz.moment_curve(d), A,
+                                      rng.uniform(-0.5, 0.5, d)))
+    return curves
+
+
+@pytest.mark.parametrize("trials, seed", [(1, 0), (1, 1), (1, 2), (8, 0), (8, 1),
+                                          (8, 2), (200, 0), (200, 1)])
+def test_theorem4_matches_separate_falsifiers(trials, seed):
+    # one curve sample read by both probe loops gives, bit for bit, what
+    # the two public falsifiers give when each samples the curve itself
+    for c in _theorem4_inputs(seed):
+        rep = cz.theorem4_check(c, trials=trials, rng_seed=seed)
+        conv = cz.convexity_check(c, trials=trials, rng_seed=seed)
+        cheb = cz.verify_chebyshev((cz.restrict_polynomials(c, 1), c.dom),
+                                   trials=trials, rng_seed=seed)
+        got, want = rep.convexity, conv
+        assert (got.status, got.trials_run) == (want.status, want.trials_run), c.label
+        assert (got.witness is None) == (want.witness is None), c.label
+        if want.witness is not None:
+            assert got.witness.normal.tobytes() == want.witness.normal.tobytes()
+            assert (np.float64(got.witness.offset).tobytes()
+                    == np.float64(want.witness.offset).tobytes())
+            assert (got.witness_count.count_with_multiplicity
+                    == want.witness_count.count_with_multiplicity)
+            assert got.witness_count.perturbation_used == want.witness_count.perturbation_used
+        got, want = rep.chebyshev, cheb
+        assert (got.status, got.trials_run) == (want.status, want.trials_run), c.label
+        assert got.witness_zero_count == want.witness_zero_count, c.label
+        assert (got.witness_coeffs is None) == (want.witness_coeffs is None), c.label
+        if want.witness_coeffs is not None:
+            assert got.witness_coeffs.tobytes() == want.witness_coeffs.tobytes()
 
 
 def test_theorem4_agreement_both_ways():
