@@ -321,10 +321,13 @@ def hyperplane_intersections(curve: CurveRd, hp: Hyperplane,
     those grid values.
     """
     fs._check_count_args(grid_n)
-    dom = curve.dom
-    F = hp.func_on(curve)
-    ts = dom.grid(grid_n)
-    vals = fs.sample(F, ts)
+    ts = curve.dom.grid(grid_n)
+    return _intersections(curve, hp, ts, fs.sample(hp.func_on(curve), ts))
+
+
+def _intersections(curve, hp, ts, vals) -> IntersectionCount:
+    """hyperplane_intersections from the slice values vals on the grid ts."""
+    grid_n, dom = ts.size, curve.dom
     if not np.any(vals):
         return IntersectionCount(grid_n, fs._no_roots, 0.0, True)
     spread = float(np.ptp(vals))
@@ -338,7 +341,8 @@ def hyperplane_intersections(curve: CurveRd, hp: Hyperplane,
             if c > best:
                 best, used = c, delta
     return IntersectionCount(
-        best, lambda: fs.grid_sign_report(F, dom, ts, vals).locations, used, False)
+        best, lambda: fs.grid_sign_report(hp.func_on(curve), dom, ts, vals).locations,
+        used, False)
 
 
 @dataclass(frozen=True)
@@ -374,7 +378,6 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
 def _convexity_probes(curve, P, trials, rng_seed, grid_n) -> ConvexityReport:
     """convexity_check's probe loop, slicing P, the curve on its grid."""
     d = curve.d
-    cyc = curve.dom.is_circle
     for trial in range(trials):
         rng = fs.derived_rng(rng_seed, trial, 1)
         w = rng.standard_normal(d)
@@ -383,8 +386,7 @@ def _convexity_probes(curve, P, trials, rng_seed, grid_n) -> ConvexityReport:
         lo, hi = float(np.min(proj)), float(np.max(proj))
         if hi > lo:
             off = lo + (hi - lo) * rng.uniform(0.02, 0.98)
-            hit = _confirmed_violation(curve, Hyperplane(w, off), proj - off,
-                                       cyc, grid_n)
+            hit = _confirmed_violation(curve, P, Hyperplane(w, off), proj - off)
             if hit is not None:
                 return ConvexityReport(COUNTEREXAMPLE, trial + 1, *hit)
         idx = rng.choice(grid_n, size=d, replace=False)
@@ -392,23 +394,24 @@ def _convexity_probes(curve, P, trials, rng_seed, grid_n) -> ConvexityReport:
             hp = hyperplane_through(P[idx])
         except ValueError:
             continue
-        hit = _confirmed_violation(curve, hp, P @ hp.normal - hp.offset,
-                                   cyc, grid_n)
+        hit = _confirmed_violation(curve, P, hp, P @ hp.normal - hp.offset)
         if hit is not None:
             return ConvexityReport(COUNTEREXAMPLE, trial + 1, *hit)
     return ConvexityReport(NO_VIOLATION, trials)
 
 
-def _confirmed_violation(curve, hp, svals, cyclic, grid_n):
+def _confirmed_violation(curve, P, hp, svals):
     # cheap screen on precomputed grid values (plus small shifts for
-    # tangential doubling), then a full recount before reporting
-    d = curve.d
+    # tangential doubling), then a full recount before reporting, from
+    # hp's values on P, the curve on its grid
+    d, cyclic = curve.d, curve.dom.is_circle
     spread = float(np.ptp(svals))
     shifts = (0.0,) if spread == 0.0 else (0.0, 1e-4 * spread, -1e-4 * spread)
     if all(fs.count_grid_sign_changes(svals - s, cyclic) <= d
            for s in shifts):
         return None
-    full = hyperplane_intersections(curve, hp, grid_n)
+    full = _intersections(curve, hp, curve.dom.grid(P.shape[0]),
+                          P @ hp.normal - hp.offset)
     if full.degenerate or full.count_with_multiplicity > d:
         return hp, full
     return None

@@ -169,15 +169,16 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
         return PolyConvexityReport(NO_VIOLATION, 0, certified=True)
     mids = 0.5 * (V + np.roll(V, -1, axis=0)) if P.closed else 0.5 * (V[:-1] + V[1:])
     scale = float(np.max(np.abs(V))) or 1.0
+    states = fs._trial_states(rng_seed, trials, 2)
+    g = np.random.Generator(np.random.PCG64(0))  # each trial sets its state
     start, size = 0, 8
     while start < trials:
-        draws = [_probe_draws(V, mids, scale, rng_seed, t)
-                 for t in range(start, min(trials, start + size))]
-        for i in np.flatnonzero(_screen(P, draws)).tolist():
-            hit = _probe_hit(P, *draws[i])
+        W, off, pts = _probe_draws(V, mids, scale, g, states[start:start + size])
+        for i in np.flatnonzero(_screen(P, W, off, pts)).tolist():
+            hit = _probe_hit(P, W[i], off[i], None if pts is None else pts[i])
             if hit is not None:
                 return PolyConvexityReport(COUNTEREXAMPLE, start + i + 1, *hit, cert)
-        start, size = start + len(draws), 4 * size
+        start, size = start + len(W), 4 * size
     if cert is False:
         hit = _midpoint_secant_witness(P, mids)
         if hit is not None:
@@ -186,25 +187,40 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     return PolyConvexityReport(NO_VIOLATION, trials, certified=cert)
 
 
-def _probe_draws(V, mids, scale, rng_seed, trial):
-    """One trial's draws: a unit normal w, an offset (None when V projects
-    to a point) and d perturbed edge midpoints (None when fewer than d)."""
-    d = V.shape[1]
-    rng = fs.derived_rng(rng_seed, trial, 2)
-    w = rng.standard_normal(d)
-    w /= np.linalg.norm(w)
-    proj = V @ w
-    lo, hi = float(np.min(proj)), float(np.max(proj))
-    off = lo + (hi - lo) * rng.uniform(0.02, 0.98) if hi > lo else None
-    if mids.shape[0] < d:
-        return w, off, None
-    sel = rng.choice(mids.shape[0], size=d, replace=False)
-    return w, off, mids[sel] + 1e-3 * scale * rng.standard_normal((d, d))
+def _probe_draws(V, mids, scale, g, states):
+    """A chunk of trials' draws, trial i from the Generator g set to
+    states[i]: unit normals W (n, d), offsets (NaN where V projects to a
+    point) and d perturbed edge midpoints per trial ((n, d, d), None when
+    there are fewer than d midpoints).  The norms and projections are the
+    dot and matrix-vector products a per-trial loop takes, bit for bit."""
+    n, d, m = len(states), V.shape[1], mids.shape[0]
+    Z, u = np.empty((n, d)), np.zeros(n)  # 0 where no uniform is drawn
+    sel, E = np.empty((n, d), dtype=np.intp), np.empty((n, d, d))
+
+    def draw(i, uniform):
+        g.bit_generator.state = states[i]
+        Z[i] = g.standard_normal(d)
+        if uniform:
+            u[i] = g.uniform(0.02, 0.98)
+        if m >= d:
+            sel[i] = g.choice(m, size=d, replace=False)
+            E[i] = g.standard_normal((d, d))
+
+    for i in range(n):
+        draw(i, True)
+    W = Z / np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None])[:, 0])
+    proj = np.matmul(V, W[:, :, None])[..., 0]
+    lo, hi = np.min(proj, axis=1), np.max(proj, axis=1)
+    flat = ~(hi > lo)
+    for i in np.flatnonzero(flat).tolist():
+        draw(i, False)  # no uniform: the later draws move up the stream
+    off = np.where(flat, np.nan, lo + (hi - lo) * u)
+    return W, off, (mids[sel] + 1e-3 * scale * E if m >= d else None)
 
 
 def _probe_hit(P, w, off, pts):
     """(witness, crossings) of a trial's first exact probe cutting P > d times."""
-    planes = [] if off is None else [Hyperplane(w, off)]
+    planes = [] if np.isnan(off) else [Hyperplane(w, float(off))]
     if pts is not None:
         with contextlib.suppress(ValueError):  # affinely dependent points
             planes.append(hyperplane_through(pts))
@@ -215,23 +231,22 @@ def _probe_hit(P, w, off, pts):
     return None
 
 
-def _screen(P, draws) -> np.ndarray:
+def _screen(P, W, off, pts) -> np.ndarray:
     """Per trial, False only when `_probe_hit` surely finds no hit.  Each
     probe is a column (normal, -offset), NaN if undrawn or degenerate, and
     every vertex must clear a band far wider than the last-bit errors."""
     V, d = P.vertices, P.d
-    H = [np.append(w, np.nan if off is None else -off) for w, off, _ in draws]
-    if draws[0][2] is not None:
-        A = np.insert(np.array([pts for _, _, pts in draws]), d, 1.0, axis=2)
-        v = np.linalg.svd(A)[2][:, -1]
+    H = np.column_stack([W, -off])
+    if pts is not None:
+        v = np.linalg.svd(np.insert(pts, d, 1.0, axis=2))[2][:, -1]
         nrm = np.linalg.norm(v[:, :d], axis=1, keepdims=True)
-        H += list(v / np.where(nrm > 1e-6, nrm, np.nan))
-    vals = np.insert(V, d, 1.0, axis=1) @ np.array(H).T
+        H = np.concatenate([H, v / np.where(nrm > 1e-6, nrm, np.nan)])
+    vals = np.insert(V, d, 1.0, axis=1) @ H.T
     s = np.sign(vals)
     flips = np.sum(s != np.roll(s, -1, axis=0) if P.closed else s[:-1] != s[1:], axis=0)
     band = VERTEX_REJECT_TOL + 1e-6 * max(1.0, float(np.max(np.abs(V))))
     cut = ~(np.min(np.abs(vals), axis=0) > band) | (flips > d)
-    return cut.reshape(-1, len(draws)).any(axis=0)
+    return cut.reshape(-1, len(W)).any(axis=0)
 
 
 def _midpoint_secant_witness(P: PolyLine, mids: np.ndarray):

@@ -55,10 +55,80 @@ def derived_rng(seed, *keys):
 
     Trials seeded as derived_rng(seed, trial_index) do not depend on
     execution order, so sequential and parallel sweeps see identical
-    streams.
+    streams.  _trial_states reproduces these streams for a whole range of
+    trial indices at once, bit for bit.
     """
     material = [int(seed) % (2 ** 63)] + [int(k) % (2 ** 63) for k in keys]
     return np.random.default_rng(material)
+
+
+# SeedSequence's hash constants (NumPy NEP 19) and PCG64's 128-bit LCG
+# multiplier (O'Neill 2014): both algorithms are fixed and stream-stable
+_M32, _M128 = 2 ** 32 - 1, 2 ** 128 - 1
+_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_words(n: int) -> list:
+    """SeedSequence's uint32 words of a nonnegative int, low word first."""
+    words = [n & _M32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _M32)
+    return words
+
+
+def _trial_states(seed, trials: int, *keys) -> list:
+    """The bit_generator states of derived_rng(seed, t, *keys) for t in
+    range(trials), hashed for all trials in one array pass.
+
+    Setting them in turn on one reused Generator gives each trial the
+    stream derived_rng would build for it, without a SeedSequence and a
+    PCG64 per trial.
+    """
+    if trials > 2 ** 32:
+        raise ValueError("trial keys past 2**32 take two seed words")
+    head = _seed_words(int(seed) % (2 ** 63))
+    tail = [w for k in keys for w in _seed_words(int(k) % (2 ** 63))]
+    entropy = ([np.full(trials, w, np.uint32) for w in head]
+               + [np.arange(trials, dtype=np.uint32)]
+               + [np.full(trials, w, np.uint32) for w in tail])
+    const = [_HASH_A[0]]
+
+    def hashmix(v, mult=_HASH_A[1]):
+        v = v ^ np.uint32(const[0])
+        const[0] = const[0] * mult & _M32
+        v = v * np.uint32(const[0])
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ (r >> np.uint32(16))
+
+    # SeedSequence.mix_entropy on a pool of 4 words
+    zero = np.zeros(trials, np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, np.uint64): 8 words, paired little-endian
+    const[0] = _HASH_B[0]
+    out = [hashmix(pool[i % 4], _HASH_B[1]).astype(np.uint64) for i in range(8)]
+    u = [(out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
+    states = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*u):
+        # PCG64's srandom: state 0, one LCG step, add the seed, one more
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+        states.append({"bit_generator": "PCG64",
+                       "state": {"state": state, "inc": inc},
+                       "has_uint32": 0, "uinteger": 0})
+    return states
 
 
 # ---------------------------------------------------------------------------

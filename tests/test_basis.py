@@ -44,6 +44,15 @@ def test_theorem4_check_call_log():
     assert log == [64, 2048, 4, 4]
 
 
+def test_theorem4_counterexample_call_log():
+    c, log = _logged(cz.sine_graph())
+    r = cz.theorem4_check(c, trials=8)
+    assert r.convexity.status == cz.COUNTEREXAMPLE
+    # the flagged slice is recounted from the probe loop's grid sample, not
+    # from a second one; then the Chebyshev probe's collocation tuples
+    assert log == [64, 2048] + [3] * 31
+
+
 @pytest.mark.parametrize("curve", [
     cz.moment_curve(2), cz.moment_curve(4), cz.trig_curve(2),
     cz.power_curve([2.0 ** 0.5, 3.0 ** 0.5], 1.0, float(np.e)), cz.exp_graph(),

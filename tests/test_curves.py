@@ -156,6 +156,40 @@ def test_hyperplane_intersections_evaluates_curve_once():
     assert np.allclose(roots, [np.pi / 2, 3 * np.pi / 2], atol=1e-6)
 
 
+def _line_curve():
+    return cz.CurveRd(lambda ts: np.stack([ts, 0.0 * ts], axis=1), 2,
+                      fs.interval(-1.0, 1.0), "line")
+
+
+@pytest.mark.parametrize("curve, normal, offset", [
+    (cz.moment_curve(2), [0.0, 1.0], 0.0),        # tangent: shifted count
+    (cz.trig_curve(1), [1.0, 0.0], 0.0),          # two simple crossings
+    (cz.sine_graph(), [0.8, 1.0], 6.0 + 0.8 * np.pi),  # three crossings
+    (cz.moment_curve(3), [0.3, -0.5, 1.0], 0.01),
+    (_line_curve(), [0.0, 1.0], 0.0),             # curve inside the plane
+], ids=["tangent", "diameter", "sine", "moment3", "degenerate"])
+def test_intersections_from_grid_values_match_public(curve, normal, offset):
+    from chebzeros.curves import _intersections
+    hp = cz.Hyperplane(np.array(normal), offset)
+    ts = curve.dom.grid(fs.DEFAULT_GRID_N)
+    P = cz.curve_points(curve, ts)
+    got = _intersections(curve, hp, ts, P @ hp.normal - hp.offset)
+    want = cz.hyperplane_intersections(curve, hp)
+    for f in ("count_with_multiplicity", "perturbation_used", "degenerate"):
+        assert getattr(got, f) == getattr(want, f)
+    assert got.simple_roots.tobytes() == want.simple_roots.tobytes()
+
+
+def test_theorem4_witness_count_matches_public_recount():
+    c = cz.sine_graph()
+    conv = cz.theorem4_check(c, trials=8).convexity
+    assert conv.status == COUNTEREXAMPLE
+    got, want = conv.witness_count, cz.hyperplane_intersections(c, conv.witness)
+    for f in ("count_with_multiplicity", "perturbation_used", "degenerate"):
+        assert getattr(got, f) == getattr(want, f)
+    assert got.simple_roots.tobytes() == want.simple_roots.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # convexity and the equivalence check
 

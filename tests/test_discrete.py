@@ -439,6 +439,51 @@ def test_batched_convexity_matches_reference_loop(trials):
                             _reference_convexity_check(P, trials, i))
 
 
+@pytest.mark.parametrize("base", [2 ** 32, 2 ** 63 - 1, -1],
+                         ids=["two-word", "max", "wrap"])
+def test_batched_convexity_matches_reference_at_wide_seeds(base):
+    # seeds of two 32-bit words, and -1 wrapping to 2**63 - 1
+    for i, P in enumerate(_probe_polylines()):
+        seed = base + i if base == 2 ** 32 else base
+        _assert_same_report(cz.polyline_convexity_check(P, 30, seed),
+                            _reference_convexity_check(P, 30, seed))
+
+
+def _reference_draws(V, mids, scale, seed, trial):
+    """One trial's draws from its own derived_rng stream."""
+    d = V.shape[1]
+    rng = fs.derived_rng(seed, trial, 2)
+    w = rng.standard_normal(d)
+    w /= np.linalg.norm(w)
+    proj = V @ w
+    lo, hi = float(np.min(proj)), float(np.max(proj))
+    off = lo + (hi - lo) * rng.uniform(0.02, 0.98) if hi > lo else np.nan
+    if mids.shape[0] < d:
+        return w, off, None
+    sel = rng.choice(mids.shape[0], size=d, replace=False)
+    return w, off, mids[sel] + 1e-3 * scale * rng.standard_normal((d, d))
+
+
+@pytest.mark.parametrize("seed", [0, -1])
+@pytest.mark.parametrize("V", [
+    np.full((5, 3), 0.25),                      # one point: no uniform drawn
+    np.full((2, 3), -1.5),                      # and fewer midpoints than d
+    np.array([[0.0, 1.0], [0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]),
+], ids=["point", "point-few-mids", "spread"])
+def test_probe_draws_match_derived_rng(V, seed):
+    from chebzeros import discrete
+    mids = 0.5 * (V[:-1] + V[1:])
+    W, off, pts = discrete._probe_draws(V, mids, 2.0, np.random.default_rng(),
+                                        fs._trial_states(seed, 40, 2))
+    for t in range(40):
+        w, o, p = _reference_draws(V, mids, 2.0, seed, t)
+        assert W[t].tobytes() == w.tobytes()
+        assert np.float64(off[t]).tobytes() == np.float64(o).tobytes()
+        assert (pts is None) == (p is None)
+        if p is not None:
+            assert pts[t].tobytes() == p.tobytes()
+
+
 @pytest.mark.parametrize("rel", [1.0 - 1e-3, 1.0 + 1e-3])
 def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
     from chebzeros import discrete
@@ -446,15 +491,15 @@ def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
     seed = 3
     ts = np.linspace(-1.0, 1.0, 6)
     V0 = np.stack([ts, ts ** 2, ts ** 3], axis=1)
-    w, off, _ = discrete._probe_draws(V0, 0.5 * (V0[:-1] + V0[1:]), 1.0, seed, 0)
+    w, off, _ = _reference_draws(V0, 0.5 * (V0[:-1] + V0[1:]), 1.0, seed, 0)
     # a new vertex at distance rel * VERTEX_REJECT_TOL from trial 0's plane,
     # projecting inside the old range so that plane does not move
     p = 0.5 * (V0[2] + V0[3])
     x = p + (off + rel * discrete.VERTEX_REJECT_TOL - p @ w) * w / (w @ w)
     P = cz.PolyLine(np.insert(V0, 3, x, axis=0))
     V = P.vertices
-    w1, off1, _ = discrete._probe_draws(V, 0.5 * (V[:-1] + V[1:]),
-                                        float(np.max(np.abs(V))), seed, 0)
+    w1, off1, _ = _reference_draws(V, 0.5 * (V[:-1] + V[1:]),
+                                   float(np.max(np.abs(V))), seed, 0)
     dist = abs(float(Hyperplane(w1, off1).value(x)))
     assert dist == pytest.approx(rel * discrete.VERTEX_REJECT_TOL, rel=1e-4)
     confirmed = []

@@ -47,6 +47,23 @@ def test_derived_rng_deterministic_and_distinct():
     assert not np.array_equal(a, c)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 1729, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1,
+                                  2 ** 63, -1])
+@pytest.mark.parametrize("keys", [(2,), (1,), (0,), (), (2 ** 32 + 5, 2)])
+def test_trial_states_reproduce_default_rng(seed, keys):
+    # one or two seed words, the wrap of 2**63 and -1 modulo 2**63, and
+    # entropy longer than the 4-word pool
+    states = fs._trial_states(seed, 301, *keys)
+    assert len(states) == 301
+    g = np.random.Generator(np.random.PCG64(0))
+    for t, state in enumerate(states):
+        want = np.random.default_rng([seed % 2 ** 63, t, *keys])
+        assert state == want.bit_generator.state
+        g.bit_generator.state = state
+        assert g.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+        assert g.integers(2 ** 62) == want.integers(2 ** 62)
+
+
 def test_sample_scalar_fallback():
     import math
     f = fs.Func1D(lambda t: math.sin(t))  # scalar-only callable
