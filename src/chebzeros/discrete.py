@@ -169,11 +169,16 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
         return PolyConvexityReport(NO_VIOLATION, 0, certified=True)
     mids = 0.5 * (V + np.roll(V, -1, axis=0)) if P.closed else 0.5 * (V[:-1] + V[1:])
     scale = float(np.max(np.abs(V))) or 1.0
-    states = fs._trial_states(rng_seed, trials, 2)
-    g = np.random.Generator(np.random.PCG64(0))  # each trial sets its state
+    # trial t draws derived_rng(rng_seed, t, 2)'s stream from one reused
+    # Generator.  The first chunk's seeds are hashed alone, so that a hit
+    # there does not pay for hashing the rest of the budget
+    g = np.random.Generator(np.random.PCG64(0))
+    seeds = fs._trial_seeds(rng_seed, min(trials, 8), 2)
     start, size = 0, 8
     while start < trials:
-        W, off, pts = _probe_draws(V, mids, scale, g, states[start:start + size])
+        if start == len(seeds):
+            seeds = fs._trial_seeds(rng_seed, trials, 2)
+        W, off, pts = _probe_draws(V, mids, scale, g, seeds[start:start + size])
         for i in np.flatnonzero(_screen(P, W, off, pts)).tolist():
             hit = _probe_hit(P, W[i], off[i], None if pts is None else pts[i])
             if hit is not None:
@@ -187,18 +192,20 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     return PolyConvexityReport(NO_VIOLATION, trials, certified=cert)
 
 
-def _probe_draws(V, mids, scale, g, states):
-    """A chunk of trials' draws, trial i from the Generator g set to
-    states[i]: unit normals W (n, d), offsets (NaN where V projects to a
-    point) and d perturbed edge midpoints per trial ((n, d, d), None when
-    there are fewer than d midpoints).  The norms and projections are the
-    dot and matrix-vector products a per-trial loop takes, bit for bit."""
-    n, d, m = len(states), V.shape[1], mids.shape[0]
+def _probe_draws(V, mids, scale, g, seeds):
+    """A chunk of trials' draws, trial i from the Generator g set to the
+    PCG64 state of its seed words seeds[i] (a row of fs._trial_seeds):
+    unit normals W (n, d), offsets (NaN where V projects to a point) and
+    d perturbed edge midpoints per trial ((n, d, d), None when there are
+    fewer than d midpoints).  The norms and projections are the dot and
+    matrix-vector products a per-trial loop takes, bit for bit."""
+    seeds = seeds.tolist()
+    n, d, m = len(seeds), V.shape[1], mids.shape[0]
     Z, u = np.empty((n, d)), np.zeros(n)  # 0 where no uniform is drawn
     sel, E = np.empty((n, d), dtype=np.intp), np.empty((n, d, d))
 
     def draw(i, uniform):
-        g.bit_generator.state = states[i]
+        g.bit_generator.state = fs._pcg64_state(seeds[i])
         Z[i] = g.standard_normal(d)
         if uniform:
             u[i] = g.uniform(0.02, 0.98)

@@ -55,8 +55,8 @@ def derived_rng(seed, *keys):
 
     Trials seeded as derived_rng(seed, trial_index) do not depend on
     execution order, so sequential and parallel sweeps see identical
-    streams.  _trial_states reproduces these streams for a whole range of
-    trial indices at once, bit for bit.
+    streams.  _trial_seeds and _pcg64_state reproduce these streams for a
+    whole range of trial indices at once, bit for bit.
     """
     material = [int(seed) % (2 ** 63)] + [int(k) % (2 ** 63) for k in keys]
     return np.random.default_rng(material)
@@ -65,9 +65,40 @@ def derived_rng(seed, *keys):
 # SeedSequence's hash constants (NumPy NEP 19) and PCG64's 128-bit LCG
 # multiplier (O'Neill 2014): both algorithms are fixed and stream-stable
 _M32, _M128 = 2 ** 32 - 1, 2 ** 128 - 1
-_HASH_A, _HASH_B = (0x43B0D7E5, 0x931E8875), (0x8B51F9DD, 0x58F38DED)
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_S16, _S32 = np.uint32(16), np.uint64(32)
+
+
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The constants of SeedSequence's successive hashmix calls, as a
+    column: call j xors with entry j and multiplies by entry j + 1."""
+    c = [init]
+    for _ in range(calls):
+        c.append(c[-1] * mult & _M32)
+    return np.array(c, np.uint32)[:, None]
+
+
+# mix_entropy makes 4 + 12 hashmix calls, generate_state(4, uint64) 8
+_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _mix_consts(src: int):
+    """The constants of mixing pass src's three hashmix calls (of pool word
+    src, one per other word), in the rows of the words they mix into."""
+    xor, mul = np.zeros((4, 1), np.uint32), np.zeros((4, 1), np.uint32)
+    rows, j = [i for i in range(4) if i != src], 4 + 3 * src
+    xor[rows], mul[rows] = _HASH_A[j:j + 3], _HASH_A[j + 1:j + 4]
+    return xor, mul
+
+
+_MIX_PASSES = [_mix_consts(src) for src in range(4)]
+
+
+def _hashmix(v, xor, mul):
+    v = (v ^ xor) * mul
+    return v ^ (v >> _S16)
 
 
 def _seed_words(n: int) -> list:
@@ -79,56 +110,49 @@ def _seed_words(n: int) -> list:
     return words
 
 
-def _trial_states(seed, trials: int, *keys) -> list:
-    """The bit_generator states of derived_rng(seed, t, *keys) for t in
-    range(trials), hashed for all trials in one array pass.
+def _trial_seeds(seed, trials: int, *keys) -> np.ndarray:
+    """SeedSequence([seed, t, *keys]).generate_state(4, np.uint64) for t
+    in range(trials), from derived_rng's seed material, hashed as arrays:
+    a (trials, 4) uint64 array, one row per trial.
 
-    Setting them in turn on one reused Generator gives each trial the
-    stream derived_rng would build for it, without a SeedSequence and a
-    PCG64 per trial.
+    _pcg64_state turns a row into the PCG64 state derived_rng(seed, t,
+    *keys) starts from, so one reused Generator set to it in turn draws
+    each trial's stream without a SeedSequence and a PCG64 per trial.
     """
     if trials > 2 ** 32:
         raise ValueError("trial keys past 2**32 take two seed words")
-    head = _seed_words(int(seed) % (2 ** 63))
-    tail = [w for k in keys for w in _seed_words(int(k) % (2 ** 63))]
-    entropy = ([np.full(trials, w, np.uint32) for w in head]
-               + [np.arange(trials, dtype=np.uint32)]
-               + [np.full(trials, w, np.uint32) for w in tail])
-    const = [_HASH_A[0]]
+    words = _seed_words(int(seed) % (2 ** 63))
+    at = len(words)
+    words += [0] + [w for k in keys for w in _seed_words(int(k) % (2 ** 63))]
+    if len(words) > 4:
+        raise ValueError("seed material past SeedSequence's 4-word pool")
+    pool = np.zeros((4, trials), np.uint32)
+    pool[:len(words)] = np.array(words, np.uint32)[:, None]
+    pool[at] = np.arange(trials, dtype=np.uint32)
+    # SeedSequence.mix_entropy: hash each word, then mix every hashed
+    # word into the other three; pass src leaves its own row as it is
+    pool = _hashmix(pool, _HASH_A[:4], _HASH_A[1:5])
+    for src, (xor, mul) in enumerate(_MIX_PASSES):
+        r = pool * _MIX_L - _hashmix(pool[src], xor, mul) * _MIX_R
+        keep = pool[src]
+        pool = r ^ (r >> _S16)
+        pool[src] = keep
+    # generate_state(4, np.uint64): 8 words from the pool in turn, paired
+    # little-endian
+    out = _hashmix(np.concatenate([pool, pool]), _HASH_B[:8], _HASH_B[1:])
+    out = out.astype(np.uint64)
+    return (out[0::2] | out[1::2] << _S32).T
 
-    def hashmix(v, mult=_HASH_A[1]):
-        v = v ^ np.uint32(const[0])
-        const[0] = const[0] * mult & _M32
-        v = v * np.uint32(const[0])
-        return v ^ (v >> np.uint32(16))
 
-    def mix(x, y):
-        r = x * _MIX_L - y * _MIX_R
-        return r ^ (r >> np.uint32(16))
-
-    # SeedSequence.mix_entropy on a pool of 4 words
-    zero = np.zeros(trials, np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, np.uint64): 8 words, paired little-endian
-    const[0] = _HASH_B[0]
-    out = [hashmix(pool[i % 4], _HASH_B[1]).astype(np.uint64) for i in range(8)]
-    u = [(out[2 * j] | out[2 * j + 1] << np.uint64(32)).tolist() for j in range(4)]
-    states = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*u):
-        # PCG64's srandom: state 0, one LCG step, add the seed, one more
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-        states.append({"bit_generator": "PCG64",
-                       "state": {"state": state, "inc": inc},
-                       "has_uint32": 0, "uinteger": 0})
-    return states
+def _pcg64_state(words) -> dict:
+    """The bit_generator state PCG64 seeds from a SeedSequence whose
+    generate_state(4, np.uint64) is words (Python ints): srandom's state
+    0, one LCG step, add the seed, one more step."""
+    s_hi, s_lo, i_hi, i_lo = words
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
 
 
 # ---------------------------------------------------------------------------

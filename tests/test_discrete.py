@@ -474,7 +474,7 @@ def test_probe_draws_match_derived_rng(V, seed):
     from chebzeros import discrete
     mids = 0.5 * (V[:-1] + V[1:])
     W, off, pts = discrete._probe_draws(V, mids, 2.0, np.random.default_rng(),
-                                        fs._trial_states(seed, 40, 2))
+                                        fs._trial_seeds(seed, 40, 2))
     for t in range(40):
         w, o, p = _reference_draws(V, mids, 2.0, seed, t)
         assert W[t].tobytes() == w.tobytes()
@@ -514,6 +514,27 @@ def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
         _assert_same_report(cz.polyline_convexity_check(P, trials, seed),
                             _reference_convexity_check(P, trials, seed))
     assert confirmed and np.array_equal(confirmed[0], w1)
+
+
+def test_seeds_hashed_for_first_chunk_then_budget(monkeypatch):
+    # a hit in the first chunk hashes 8 trials, not the whole budget
+    from chebzeros import discrete
+    hashed = []
+    seeds = fs._trial_seeds
+
+    def spy(seed, trials, *keys):
+        hashed.append(trials)
+        return seeds(seed, trials, *keys)
+
+    monkeypatch.setattr(fs, "_trial_seeds", spy)
+    zigzag = cz.PolyLine(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0],
+                                   [3.0, 1.0], [4.0, 0.0]]))
+    assert discrete.polyline_convexity_check(zigzag, 10 ** 6, 0).trials_run <= 8
+    ts = np.linspace(-1.0, 1.0, 9)
+    convex = cz.PolyLine(np.stack([ts, ts ** 2], axis=1))
+    assert discrete.polyline_convexity_check(convex, 300, 0).trials_run == 300
+    assert discrete.polyline_convexity_check(convex, 5, 0).trials_run == 5
+    assert hashed == [8, 8, 300, 5]
 
 
 def test_convex_polyline_screens_without_exact_probes(monkeypatch):

@@ -49,19 +49,27 @@ def test_derived_rng_deterministic_and_distinct():
 
 @pytest.mark.parametrize("seed", [0, 1, 1729, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1,
                                   2 ** 63, -1])
-@pytest.mark.parametrize("keys", [(2,), (1,), (0,), (), (2 ** 32 + 5, 2)])
-def test_trial_states_reproduce_default_rng(seed, keys):
-    # one or two seed words, the wrap of 2**63 and -1 modulo 2**63, and
-    # entropy longer than the 4-word pool
-    states = fs._trial_states(seed, 301, *keys)
-    assert len(states) == 301
+@pytest.mark.parametrize("keys", [(2,), (1,), (0,), ()])
+def test_trial_seeds_reproduce_default_rng(seed, keys):
+    # one or two seed words, and the wrap of 2**63 and -1 modulo 2**63
+    seeds = fs._trial_seeds(seed, 301, *keys)
+    assert seeds.shape == (301, 4)
     g = np.random.Generator(np.random.PCG64(0))
-    for t, state in enumerate(states):
+    for t, words in enumerate(seeds.tolist()):
         want = np.random.default_rng([seed % 2 ** 63, t, *keys])
+        state = fs._pcg64_state(words)
         assert state == want.bit_generator.state
         g.bit_generator.state = state
         assert g.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
         assert g.integers(2 ** 62) == want.integers(2 ** 62)
+
+
+def test_trial_seeds_reject_material_past_the_pool():
+    # a trial key of two words, or five words of seed material in all
+    with pytest.raises(ValueError):
+        fs._trial_seeds(0, 2 ** 32 + 1, 2)
+    with pytest.raises(ValueError):
+        fs._trial_seeds(2 ** 32, 3, 2 ** 32 + 5)
 
 
 def test_sample_scalar_fallback():
