@@ -9,10 +9,17 @@ a clean run is therefore "NoViolationFound", never "proved".  The basis
 is evaluated on the counting grid once per call, and each combination
 is counted as that grid matrix times its coefficients; curves.theorem4_check
 hands the probe loop [1, P] from the one curve sample P it also slices.
+
+Probe loops take trials in chunks of 2, 8, 32, 128, ...: drawn trial by
+trial, evaluated as arrays, counted in one batched call per chunk by
+_run_probes (with theorem4_check's convexity loop in lockstep), then read
+in trial order, so verdicts and witnesses are a trial-by-trial loop's.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -28,6 +35,15 @@ DEFAULT_TRIALS = 500
 
 # determinant signs from tuples this close to singular are not trusted
 _DET_COND_FLOOR = 1e-12
+_LOG_SURE_RATIO = math.log(100.0 * _DET_COND_FLOOR)
+# halvings of _flip_witness's walk, and halvings per basis evaluation: 4
+# was the fastest of 2-6 on the sine graph's affine functions and on
+# {cos, sin} (6 was slower on the smoothed hexagon's quadratics)
+_FLIP_HALVINGS = 80
+_FLIP_DEPTH = 4
+# trials per probe chunk are capped so that each probe row of a chunk holds
+# at most this many grid values
+_CHUNK_SAMPLES = 2 ** 18
 
 NO_VIOLATION = "NoViolationFound"
 COUNTEREXAMPLE = "Counterexample"
@@ -164,36 +180,112 @@ def _clustered_tuple(rng, dom: fs.Domain, n: int) -> np.ndarray:
     return lo + w * _stratified_fracs(rng, n)
 
 
-def _det_sign(M: np.ndarray):
-    """(sign, informative): sign of det M, untrusted near singularity."""
-    s = np.linalg.svd(M, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= _DET_COND_FLOOR * s[0]:
-        return 0.0, False
-    sign, _ = np.linalg.slogdet(M)
-    return float(sign), sign != 0.0
+def _det_signs(Ms: np.ndarray):
+    """(signs, informative) of a stack of square matrices: determinant
+    signs, trusted only where s_min > _DET_COND_FLOOR * s_max.  As
+    |det M| / |M|_F^n <= s_min / s_max, the SVD is skipped where that ratio
+    clears the floor a hundredfold."""
+    n = Ms.shape[-1]
+    sign, logdet = np.linalg.slogdet(Ms)
+    sq = np.maximum(np.einsum("kij,kij->k", Ms, Ms), np.finfo(float).tiny)
+    informative = logdet - 0.5 * n * np.log(sq) > _LOG_SURE_RATIO
+    rest = (~informative).nonzero()[0]
+    if rest.size:
+        s = np.linalg.svd(Ms[rest], compute_uv=False)
+        informative[rest] = ~((s[:, 0] == 0.0)
+                              | (s[:, -1] <= _DET_COND_FLOOR * s[:, 0]))
+    return sign, informative & (sign != 0.0)
 
 
 def _flip_witness(basis, G, cyclic, pts_ref, sign_ref, pts_bad):
-    """Walk the segment between two point tuples whose collocation
+    """Bisect the segment between two point tuples whose collocation
     determinants disagree in sign, land on a near-singular tuple, and
     return (coeffs, count) for its null combination if that combination
-    really has >= n sign changes on the grid where G holds the basis."""
-    lo, hi = pts_ref.copy(), pts_bad.copy()
-    mid = 0.5 * (lo + hi)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        sign, informative = _det_sign(fs.basis_matrix(basis, mid))
-        if not informative:
+    really has >= n sign changes on the grid where G holds the basis.
+
+    Multisection, bisection's tuples: a round builds the 2**k + 1 tuples
+    that k = _FLIP_DEPTH halvings can reach, signs the interior ones from
+    one basis evaluation, and walks bisection's path through them.
+    """
+    n = len(basis)
+    lo, hi = pts_ref, pts_bad
+    done = 0
+    while done < _FLIP_HALVINGS:
+        k = min(_FLIP_DEPTH, _FLIP_HALVINGS - done)
+        m = 2 ** k
+        ends = np.empty((m + 1, n))
+        ends[0], ends[m] = lo, hi
+        step = m
+        while step > 1:
+            ends[step // 2::step] = 0.5 * (ends[:-1:step] + ends[step::step])
+            step //= 2
+        Ms = fs.basis_matrix(basis, ends[1:m]).reshape(m - 1, n, n)
+        sign, informative = _det_signs(Ms)
+        at, step = 0, m // 2
+        while step:
+            j = at + step - 1  # Ms row of bisection's next midpoint, ends[at + step]
+            if not informative[j]:
+                break
+            if sign[j] == sign_ref:
+                at += step
+            step //= 2
+        if step:
             break
-        if sign == sign_ref:
-            lo = mid
-        else:
-            hi = mid
-    coeffs = smallest_direction(fs.basis_matrix(basis, mid))
+        lo, hi = ends[at], ends[at + 1]
+        done += k
+    coeffs = smallest_direction(Ms[j])
     count = fs.count_grid_sign_changes(G @ coeffs, cyclic)
-    if count >= len(basis):
+    if count >= n:
         return coeffs, count
     return None
+
+
+def _check_trials(trials) -> None:
+    if isinstance(trials, bool) or not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
+
+
+def _chunks(trials: int, grid_n: int):
+    """[start, stop) ranges of 2, 8, 32, 128, ... trials, cut at the budget
+    and at _CHUNK_SAMPLES // grid_n trials.  A short first chunk keeps an
+    early counterexample cheap: every trial of a chunk is paid for."""
+    cap = max(1, _CHUNK_SAMPLES // grid_n)
+    start, size = 0, 2
+    while start < trials:
+        stop = min(trials, start + size, start + cap)
+        yield start, stop
+        start, size = stop, 4 * size
+
+
+def _run_probes(cyclic: bool, *loops) -> list:
+    """Run probe loops in lockstep and return their verdicts.  A loop is
+    a generator that yields a chunk's (k, grid_n) grid values, is sent
+    their k sign-change counts, and returns its verdict; one batched count
+    serves every loop still running."""
+    verdicts = [None] * len(loops)
+    rows = {}
+
+    def advance(i, counts):
+        try:
+            rows[i] = loops[i].send(counts)
+        except StopIteration as stop:
+            rows.pop(i, None)
+            verdicts[i] = stop.value
+
+    for i in range(len(loops)):
+        advance(i, None)
+    while rows:
+        live = list(rows)
+        counts = fs._grid_counts(np.concatenate([rows[i] for i in live])
+                                 if len(live) > 1 else rows[live[0]], cyclic)
+        at = 0
+        for i in live:
+            k = len(rows[i])
+            advance(i, counts[at:at + k])
+            at += k
+    return verdicts
 
 
 def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
@@ -211,52 +303,69 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     >= n sign changes; a determinant flip that cannot be converted into
     such a witness raises a diagnostic instead.
 
+    Trials run in chunks of 2, 8, 32, 128, ..., trial t drawn from
+    derived_rng(rng_seed, t); a chunk's tuples are signed from one basis
+    evaluation and one stacked slogdet, its combinations counted in one
+    batched call, and its trials read in order: verdict, trials_run and
+    witness are those of a trial-by-trial loop.
+
     sys may be a ChebSystem or a raw (funcs, dom) pair; the raw form
     exists so candidate spaces of even order on the circle (which the
     ChebSystem constructor rejects outright) can still be examined.
     """
     basis, dom = _as_basis(sys)
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    _check_trials(trials)
     fs._check_count_args(grid_n)
-    return _chebyshev_probes(basis, dom, fs.basis_matrix(basis, dom.grid(grid_n)),
-                             trials, rng_seed)
+    G = fs.basis_matrix(basis, dom.grid(grid_n))
+    return _run_probes(dom.is_circle,
+                       _chebyshev_probes(basis, dom, G, trials, rng_seed))[0]
 
 
-def _chebyshev_probes(basis, dom, G, trials, rng_seed) -> ChebVerdict:
+def _chebyshev_draws(dom, n, rng_seed, start, stop):
+    """Trials start..stop-1's stratified and clustered tuples, interleaved
+    as rows of a (2m, n) array, and unit coefficient vectors (m, n; NaN,
+    which counts 0, for an all-zero draw)."""
+    stream = fs._trial_streams(rng_seed, start, stop)
+    m = stop - start
+    pts, C = np.empty((2 * m, n)), np.full((m, n), np.nan)
+    for i in range(m):
+        g = stream(start + i)
+        pts[2 * i] = _stratified_tuple(g, dom, n)
+        pts[2 * i + 1] = _clustered_tuple(g, dom, n)
+        coeffs = g.normal(size=n)
+        norm = np.linalg.norm(coeffs)
+        if norm != 0.0:
+            C[i] = coeffs / norm
+    return pts, C
+
+
+def _chebyshev_probes(basis, dom, G, trials, rng_seed):
     """verify_chebyshev's probe loop, counting on G, the basis's matrix on
-    the counting grid."""
+    the counting grid; a generator for _run_probes."""
     n = len(basis)
     ref_sign = 0.0
     ref_pts = None
-    for trial in range(trials):
-        rng = fs.derived_rng(rng_seed, trial)
-
-        for pts in (_stratified_tuple(rng, dom, n),
-                    _clustered_tuple(rng, dom, n)):
-            sign, informative = _det_sign(fs.basis_matrix(basis, pts))
-            if not informative:
-                continue
-            if ref_sign == 0.0:
-                ref_sign, ref_pts = sign, pts
-            elif sign != ref_sign:
-                witness = _flip_witness(basis, G, dom.is_circle, ref_pts,
-                                        ref_sign, pts)
-                if witness is not None:
-                    return ChebVerdict(COUNTEREXAMPLE, trial + 1,
-                                       witness[0], witness[1])
-                raise NotChebyshevError(
-                    "collocation determinant changed sign between sampled "
-                    "tuples but no sign-change witness could be extracted")
-
-        coeffs = rng.normal(size=n)
-        norm = np.linalg.norm(coeffs)
-        if norm == 0.0:
-            continue
-        coeffs = coeffs / norm
-        count = fs.count_grid_sign_changes(G @ coeffs, dom.is_circle)
-        if count >= n:
-            return ChebVerdict(COUNTEREXAMPLE, trial + 1, coeffs, count)
+    for start, stop in _chunks(trials, G.shape[0]):
+        pts, C = _chebyshev_draws(dom, n, rng_seed, start, stop)
+        sign, informative = _det_signs(fs.basis_matrix(basis, pts).reshape(-1, n, n))
+        counts = yield np.matmul(G, C[:, :, None])[..., 0]
+        for i in range(stop - start):
+            for j in (2 * i, 2 * i + 1):
+                if not informative[j]:
+                    continue
+                if ref_sign == 0.0:
+                    ref_sign, ref_pts = sign[j], pts[j]
+                elif sign[j] != ref_sign:
+                    witness = _flip_witness(basis, G, dom.is_circle, ref_pts,
+                                            ref_sign, pts[j])
+                    if witness is not None:
+                        return ChebVerdict(COUNTEREXAMPLE, start + i + 1,
+                                           witness[0], witness[1])
+                    raise NotChebyshevError(
+                        "collocation determinant changed sign between sampled "
+                        "tuples but no sign-change witness could be extracted")
+            if counts[i] >= n:
+                return ChebVerdict(COUNTEREXAMPLE, start + i + 1, C[i], int(counts[i]))
     return ChebVerdict(NO_VIOLATION, trials, None, None)
 
 

@@ -23,7 +23,8 @@ from . import funcspace as fs
 from ._linalg import fix_leading_sign, smallest_direction, svd_kernel
 from .annihilator import LOC_TOL, default_annihilator
 from .chebsys import (COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, ChebVerdict,
-                      _chebyshev_probes, dimension_estimate)
+                      _chebyshev_probes, _check_trials, _chunks, _run_probes,
+                      dimension_estimate)
 from .exceptions import NotChebyshevError
 from .orthosynth import (RESIDUAL_TOL, StepWeight, ZeroBoundReport, _step_edges,
                          _zero_bound, moments_on_edges)
@@ -234,13 +235,24 @@ def monomial_values(X, alphas) -> np.ndarray:
 
 def restrict_polynomials(curve: CurveRd, n: int) -> fs.Basis:
     """Func1D restrictions t -> x(t)^alpha of all monomials of degree <= n,
-    as a Basis whose matrix evaluates the curve once per node array."""
+    as a Basis whose matrix evaluates the curve once per node array.  For
+    n = 1 the matrix is [1, x(t)], the same floats without the powers:
+    x**0.0 and x**1.0 are exact."""
     alphas = monomial_multi_indices(n, curve.d)
     members = [fs.Func1D(lambda ts, _a=a: monomial_values(curve_points(curve, ts),
                                                           [_a])[:, 0],
                          "x^" + "".join(map(str, a))) for a in alphas]
+    if n == 1:
+        return fs.Basis(members, lambda ts: _with_ones(curve_points(curve, ts)))
     return fs.Basis(members,
                     lambda ts: monomial_values(curve_points(curve, ts), alphas))
+
+
+def _with_ones(X) -> np.ndarray:
+    """[1, X]: a column of ones before the columns of X."""
+    M = np.ones((X.shape[0], X.shape[1] + 1))
+    M[:, 1:] = X
+    return M
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +343,15 @@ def _intersections(curve, hp, ts, vals) -> IntersectionCount:
     if not np.any(vals):
         return IntersectionCount(grid_n, fs._no_roots, 0.0, True)
     spread = float(np.ptp(vals))
-    best, used = fs.count_grid_sign_changes(vals, dom.is_circle), 0.0
-    for scale in _MULT_SCALES:
-        delta = 1e-3 * scale * spread
-        if delta == 0.0:
-            continue
-        for sgn in (1.0, -1.0):
-            c = fs.count_grid_sign_changes(vals - sgn * delta, dom.is_circle)
-            if c > best:
-                best, used = c, delta
+    shifts = [0.0] + [sgn * 1e-3 * scale * spread
+                      for scale in _MULT_SCALES for sgn in (1.0, -1.0)]
+    counts = fs._grid_counts(vals - np.array(shifts)[:, None], dom.is_circle).tolist()
+    # the first maximum sets perturbation_used; a zero shift repeats the
+    # unshifted count, so it never wins
+    best, used = counts[0], 0.0
+    for c, shift in zip(counts[1:], shifts[1:]):
+        if c > best:
+            best, used = c, abs(shift)
     return IntersectionCount(
         best, lambda: fs.grid_sign_report(hp.func_on(curve), dom, ts, vals).locations,
         used, False)
@@ -367,54 +379,66 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
     counterexample.  Grid sign flips never exceed the true crossing
     count of a continuous slice functional, so a genuinely convex curve
     cannot be flagged; absence of a witness is still only evidence.
+
+    Trials run in chunks of 2, 8, 32, 128, ..., trial t drawn from
+    derived_rng(rng_seed, t, 1); a chunk's slices and their small shifts
+    (for tangential doubling) are counted in one batched call and flagged
+    slices recounted in trial order: verdict, trials_run and witness are
+    those of a trial-by-trial loop.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials)
     fs._check_count_args(grid_n)
-    return _convexity_probes(curve, curve_points(curve, curve.dom.grid(grid_n)),
-                             trials, rng_seed, grid_n)
+    P = curve_points(curve, curve.dom.grid(grid_n))
+    return _run_probes(curve.dom.is_circle,
+                       _convexity_probes(curve, P, trials, rng_seed))[0]
 
 
-def _convexity_probes(curve, P, trials, rng_seed, grid_n) -> ConvexityReport:
-    """convexity_check's probe loop, slicing P, the curve on its grid."""
-    d = curve.d
-    for trial in range(trials):
-        rng = fs.derived_rng(rng_seed, trial, 1)
-        w = rng.standard_normal(d)
+def _convexity_draws(P, rng_seed, start, stop):
+    """Trials start..stop-1's probes of P, the curve on its grid: random
+    (unit normal, offset) pairs (None where P projects to a point), secant
+    hyperplanes (None through affinely dependent points), and both slices'
+    values as a (m, 2, grid_n) array, NaN for a missing probe."""
+    stream = fs._trial_streams(rng_seed, start, stop, 1)
+    m, (n, d) = stop - start, P.shape
+    randoms, secants = [None] * m, [None] * m
+    slices = np.full((m, 2, n), np.nan)
+    for i in range(m):
+        g = stream(start + i)
+        w = g.standard_normal(d)
         w /= np.linalg.norm(w)
         proj = P @ w
-        lo, hi = float(np.min(proj)), float(np.max(proj))
+        lo, hi = float(proj.min()), float(proj.max())
         if hi > lo:
-            off = lo + (hi - lo) * rng.uniform(0.02, 0.98)
-            hit = _confirmed_violation(curve, P, Hyperplane(w, off), proj - off)
-            if hit is not None:
-                return ConvexityReport(COUNTEREXAMPLE, trial + 1, *hit)
-        idx = rng.choice(grid_n, size=d, replace=False)
+            off = lo + (hi - lo) * g.uniform(0.02, 0.98)
+            randoms[i] = w, off
+            slices[i, 0] = proj - off
+        idx = g.choice(n, size=d, replace=False)
         try:
-            hp = hyperplane_through(P[idx])
+            hp = secants[i] = hyperplane_through(P[idx])
         except ValueError:
             continue
-        hit = _confirmed_violation(curve, P, hp, P @ hp.normal - hp.offset)
-        if hit is not None:
-            return ConvexityReport(COUNTEREXAMPLE, trial + 1, *hit)
+        slices[i, 1] = P @ hp.normal - hp.offset
+    return randoms, secants, slices
+
+
+def _convexity_probes(curve, P, trials, rng_seed):
+    """convexity_check's probe loop over P, a generator for
+    chebsys._run_probes: a slice that, shifted by 0 or +-1e-4 of its
+    spread, crosses more than d times is recounted by _intersections."""
+    d, n = curve.d, P.shape[0]
+    for start, stop in _chunks(trials, n):
+        randoms, secants, S = _convexity_draws(P, rng_seed, start, stop)
+        shift = 1e-4 * np.ptp(S, axis=2)[..., None]
+        # S + shift is S minus the shift -1e-4 * spread, bit for bit
+        counts = yield np.stack([S, S - shift, S + shift], axis=2).reshape(-1, n)
+        # probe 2i is trial i's random slice, 2i + 1 its secant
+        for k in np.flatnonzero((counts.reshape(-1, 3) > d).any(axis=1)).tolist():
+            hp = secants[k // 2] if k % 2 else Hyperplane(*randoms[k // 2])
+            full = _intersections(curve, hp, curve.dom.grid(n),
+                                  P @ hp.normal - hp.offset)
+            if full.degenerate or full.count_with_multiplicity > d:
+                return ConvexityReport(COUNTEREXAMPLE, start + k // 2 + 1, hp, full)
     return ConvexityReport(NO_VIOLATION, trials)
-
-
-def _confirmed_violation(curve, P, hp, svals):
-    # cheap screen on precomputed grid values (plus small shifts for
-    # tangential doubling), then a full recount before reporting, from
-    # hp's values on P, the curve on its grid
-    d, cyclic = curve.d, curve.dom.is_circle
-    spread = float(np.ptp(svals))
-    shifts = (0.0,) if spread == 0.0 else (0.0, 1e-4 * spread, -1e-4 * spread)
-    if all(fs.count_grid_sign_changes(svals - s, cyclic) <= d
-           for s in shifts):
-        return None
-    full = _intersections(curve, hp, curve.dom.grid(P.shape[0]),
-                          P @ hp.normal - hp.offset)
-    if full.degenerate or full.count_with_multiplicity > d:
-        return hp, full
-    return None
 
 
 @dataclass(frozen=True)
@@ -437,14 +461,14 @@ def theorem4_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int =
         raise ValueError(
             f"affine restrictions span dimension {dim}, not {curve.d + 1}: "
             "the curve lies inside a hyperplane")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials)
     fs._check_count_args(grid_n)
     P = curve_points(curve, curve.dom.grid(grid_n))
-    conv = _convexity_probes(curve, P, trials, rng_seed, grid_n)
-    # [1, P] is funcs' grid matrix bit for bit: x**0.0 and x**1.0 are exact
-    cheb = _chebyshev_probes(funcs, curve.dom, np.insert(P, 0, 1.0, axis=1),
-                             trials, rng_seed)
+    # [1, P] is funcs' grid matrix; the two loops run in lockstep, with one
+    # batched count per chunk
+    conv, cheb = _run_probes(
+        curve.dom.is_circle, _convexity_probes(curve, P, trials, rng_seed),
+        _chebyshev_probes(funcs, curve.dom, _with_ones(P), trials, rng_seed))
     agree = conv.convex == (cheb.status == NO_VIOLATION)
     return Theorem4Report(conv, cheb, agree, dim)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import funcspace as fs
 from ._linalg import fix_leading_sign, svd_kernel
-from .chebsys import COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION
+from .chebsys import COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, _check_trials
 from .curves import (Hyperplane, hyperplane_through, monomial_multi_indices,
                      monomial_values)
 from .orthosynth import ZeroBoundReport
@@ -161,8 +161,7 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     exact test confirms flagged trials in trial order.  A non-convexity
     certificate without a sampled witness still reports a counterexample.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _check_trials(trials)
     V = P.vertices
     cert = _convex_certificate(V) if (P.closed and P.d == 2) else None
     if cert is True:

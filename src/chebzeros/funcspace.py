@@ -26,6 +26,7 @@ to float resolution, where further halvings could not move it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Sequence
@@ -110,10 +111,10 @@ def _seed_words(n: int) -> list:
     return words
 
 
-def _trial_seeds(seed, trials: int, *keys) -> np.ndarray:
+def _trial_seeds(seed, trials: int, *keys, start: int = 0) -> np.ndarray:
     """SeedSequence([seed, t, *keys]).generate_state(4, np.uint64) for t
-    in range(trials), from derived_rng's seed material, hashed as arrays:
-    a (trials, 4) uint64 array, one row per trial.
+    in range(start, trials), from derived_rng's seed material, hashed as
+    arrays: a (trials - start, 4) uint64 array, one row per trial.
 
     _pcg64_state turns a row into the PCG64 state derived_rng(seed, t,
     *keys) starts from, so one reused Generator set to it in turn draws
@@ -126,9 +127,9 @@ def _trial_seeds(seed, trials: int, *keys) -> np.ndarray:
     words += [0] + [w for k in keys for w in _seed_words(int(k) % (2 ** 63))]
     if len(words) > 4:
         raise ValueError("seed material past SeedSequence's 4-word pool")
-    pool = np.zeros((4, trials), np.uint32)
+    pool = np.zeros((4, trials - start), np.uint32)
     pool[:len(words)] = np.array(words, np.uint32)[:, None]
-    pool[at] = np.arange(trials, dtype=np.uint32)
+    pool[at] = np.arange(start, trials, dtype=np.uint32)
     # SeedSequence.mix_entropy: hash each word, then mix every hashed
     # word into the other three; pass src leaves its own row as it is
     pool = _hashmix(pool, _HASH_A[:4], _HASH_A[1:5])
@@ -153,6 +154,28 @@ def _pcg64_state(words) -> dict:
     state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
     return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
             "has_uint32": 0, "uinteger": 0}
+
+
+# below this many trials, one derived_rng per trial (about 22 us) costs less
+# than one _trial_seeds hash (about 75 us) plus a state set per trial
+_HASH_MIN_TRIALS = 5
+
+
+def _trial_streams(seed, start: int, stop: int, *keys) -> Callable:
+    """stream(t): a Generator at the start of derived_rng(seed, t, *keys)'s
+    stream, for t in range(start, stop).  From _HASH_MIN_TRIALS trials on,
+    one array hash serves the chunk and stream(t) resets one reused
+    Generator, valid until the next call."""
+    if stop - start < _HASH_MIN_TRIALS:
+        return lambda t: derived_rng(seed, t, *keys)
+    words = _trial_seeds(seed, stop, *keys, start=start).tolist()
+    g = np.random.Generator(np.random.PCG64(0))
+
+    def stream(t):
+        g.bit_generator.state = _pcg64_state(words[t - start])
+        return g
+
+    return stream
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +487,8 @@ def _no_roots() -> np.ndarray:
 
 
 def _check_count_args(grid_n: int) -> None:
+    if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral):
+        raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
 
@@ -497,6 +522,31 @@ def count_grid_sign_changes(vals, cyclic: bool) -> int:
     is dropped as numerically zero."""
     ii, _, _ = _sign_transitions(np.asarray(vals, dtype=float), cyclic)
     return ii.size
+
+
+def _grid_counts(vals: np.ndarray, cyclic: bool) -> np.ndarray:
+    """count_grid_sign_changes of every row of a (k, n) array.  A dropped
+    sample takes the sign of the kept one before it (after it, in a run
+    opening its row), so a dropped run counts as in _sign_transitions."""
+    k, n = vals.shape
+    a = np.abs(vals)
+    s = (vals > 0).ravel()
+    drop = (~(a > DEFAULT_TOL_REL * a.max(axis=1, keepdims=True))).ravel().nonzero()[0]
+    if drop.size:
+        start = drop % n == 0
+        start[0] = True
+        start[1:] |= drop[1:] - drop[:-1] != 1
+        end = np.ones_like(start)
+        end[:-1] = start[1:]
+        first = np.maximum.accumulate(np.where(start, drop, 0))
+        last = np.minimum.accumulate(np.where(end, drop, s.size)[::-1])[::-1]
+        src = np.where(first % n == 0, last + 1, first - 1)
+        s[drop] = s[np.minimum(src, s.size - 1)]
+    flips = (s[1:] != s[:-1]).nonzero()[0]
+    counts = np.bincount(flips[flips % n != n - 1] // n, minlength=k)
+    if cyclic:
+        counts += s[::n] != s[n - 1::n]
+    return counts
 
 
 def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,

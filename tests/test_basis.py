@@ -32,16 +32,17 @@ def test_verify_chebyshev_on_restricted_affines_call_log():
     v = cz.verify_chebyshev((cz.restrict_polynomials(c, 1), c.dom), trials=2,
                             rng_seed=0)
     assert v.status == cz.NO_VIOLATION
-    assert log == [2048, 4, 4, 4, 4]
+    # the grid, then both trials' two 4-point tuples in one evaluation
+    assert log == [2048, 16]
 
 
 def test_theorem4_check_call_log():
     c, log = _logged(cz.moment_curve(3))
     r = cz.theorem4_check(c, trials=1)
     assert r.agree and r.convexity.convex
-    # dimension estimate, one grid sample read by both probe loops, two
-    # collocation tuples
-    assert log == [64, 2048, 4, 4]
+    # dimension estimate, one grid sample read by both probe loops, the
+    # trial's two 4-point collocation tuples in one evaluation
+    assert log == [64, 2048, 8]
 
 
 def test_theorem4_counterexample_call_log():
@@ -49,8 +50,11 @@ def test_theorem4_counterexample_call_log():
     r = cz.theorem4_check(c, trials=8)
     assert r.convexity.status == cz.COUNTEREXAMPLE
     # the flagged slice is recounted from the probe loop's grid sample, not
-    # from a second one; then the Chebyshev probe's collocation tuples
-    assert log == [64, 2048] + [3] * 31
+    # from a second one.  The Chebyshev loop evaluates the first chunk's
+    # four 3-point tuples at once, then walks the determinant flip of
+    # trial 1 with one evaluation of 15 tuples per four halvings
+    assert r.chebyshev.trials_run == 1
+    assert log == [64, 2048, 12] + [45] * 7
 
 
 @pytest.mark.parametrize("curve", [

@@ -127,3 +127,204 @@ def test_dimension_estimate_full_and_deficient():
                fs.Func1D(lambda t: np.cos(t) ** 2),
                fs.Func1D(lambda t: np.sin(t) ** 2)]
     assert cz.dimension_estimate(trig_sq, fs.circle()) == 2
+
+
+def test_trials_and_grid_must_be_integers():
+    sys = cz.polynomial_system(2)
+    for trials in (True, 2.0, 2.5):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            cz.verify_chebyshev(sys, trials=trials)
+    for grid_n in (100.5, 2048.0, True):
+        with pytest.raises(ValueError, match="grid_n must be an integer"):
+            cz.verify_chebyshev(sys, trials=2, grid_n=grid_n)
+    v = cz.verify_chebyshev(sys, trials=np.int64(2), grid_n=np.int64(100))
+    assert v.status == NO_VIOLATION and v.trials_run == 2
+
+
+# ---------------------------------------------------------------------------
+# batched probes against the trial-by-trial loop
+
+
+def _reference_det_sign(M):
+    """The per-matrix determinant sign, kept as the reference."""
+    from chebzeros.chebsys import _DET_COND_FLOOR
+    s = np.linalg.svd(M, compute_uv=False)
+    if s[0] == 0.0 or s[-1] <= _DET_COND_FLOOR * s[0]:
+        return 0.0, False
+    sign, _ = np.linalg.slogdet(M)
+    return float(sign), sign != 0.0
+
+
+def _reference_flip_witness(basis, G, cyclic, pts_ref, sign_ref, pts_bad):
+    """The one-halving-per-evaluation walk, kept as the reference."""
+    from chebzeros._linalg import smallest_direction
+    lo, hi = pts_ref.copy(), pts_bad.copy()
+    mid = 0.5 * (lo + hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        sign, informative = _reference_det_sign(fs.basis_matrix(basis, mid))
+        if not informative:
+            break
+        if sign == sign_ref:
+            lo = mid
+        else:
+            hi = mid
+    coeffs = smallest_direction(fs.basis_matrix(basis, mid))
+    count = fs.count_grid_sign_changes(G @ coeffs, cyclic)
+    if count >= len(basis):
+        return coeffs, count
+    return None
+
+
+def _reference_chebyshev_probes(basis, dom, G, trials, rng_seed):
+    """The trial-by-trial probe loop, kept as the reference."""
+    from chebzeros.chebsys import ChebVerdict, _clustered_tuple, _stratified_tuple
+    n = len(basis)
+    ref_sign = 0.0
+    ref_pts = None
+    for trial in range(trials):
+        rng = fs.derived_rng(rng_seed, trial)
+        for pts in (_stratified_tuple(rng, dom, n), _clustered_tuple(rng, dom, n)):
+            sign, informative = _reference_det_sign(fs.basis_matrix(basis, pts))
+            if not informative:
+                continue
+            if ref_sign == 0.0:
+                ref_sign, ref_pts = sign, pts
+            elif sign != ref_sign:
+                witness = _reference_flip_witness(basis, G, dom.is_circle, ref_pts,
+                                                  ref_sign, pts)
+                if witness is not None:
+                    return ChebVerdict(COUNTEREXAMPLE, trial + 1, witness[0], witness[1])
+                raise NotChebyshevError("no witness")
+        coeffs = rng.normal(size=n)
+        norm = np.linalg.norm(coeffs)
+        if norm == 0.0:
+            continue
+        coeffs = coeffs / norm
+        count = fs.count_grid_sign_changes(G @ coeffs, dom.is_circle)
+        if count >= n:
+            return ChebVerdict(COUNTEREXAMPLE, trial + 1, coeffs, count)
+    return ChebVerdict(NO_VIOLATION, trials, None, None)
+
+
+BUDGETS = (1, 2, 3, 8, 9, 40, 200)
+
+
+def _assert_same_verdict(got, want):
+    assert (got.status, got.trials_run) == (want.status, want.trials_run)
+    assert got.witness_zero_count == want.witness_zero_count
+    assert type(got.witness_zero_count) is type(want.witness_zero_count)
+    assert (got.witness_coeffs is None) == (want.witness_coeffs is None)
+    if want.witness_coeffs is not None:
+        assert got.witness_coeffs.tobytes() == want.witness_coeffs.tobytes()
+
+
+def _oracle_systems(seed):
+    """Restricted affine functions of catalog curves, seeded affine images
+    and the sine graph, the even pair {cos, sin} on the circle, and the
+    smoothed hexagon's quadratic restrictions (example1)."""
+    curves = [cz.moment_curve(2), cz.moment_curve(3), cz.moment_curve(4),
+              cz.trig_curve(1), cz.trig_curve(2),
+              cz.power_curve([2.0 ** 0.5, 3.0 ** 0.5], 1.0, float(np.e)),
+              cz.exp_graph(), cz.smoothed_polygon(6), cz.sine_graph()]
+    rng = np.random.default_rng(seed)
+    for d in (2, 3, 4):
+        A = np.eye(d) + 0.05 / (d + 1) * rng.uniform(-1.0, 1.0, (d, d))
+        curves.append(cz.affine_image(cz.moment_curve(d), A, rng.uniform(-0.5, 0.5, d)))
+    out = [(cz.restrict_polynomials(c, 1), c.dom, 200) for c in curves]
+    out.append(((fs.Func1D(np.cos, "cos"), fs.Func1D(np.sin, "sin")), fs.circle(), 200))
+    hexagon = cz.smoothed_polygon(6)
+    out.append((cz.restrict_polynomials(hexagon, 2), hexagon.dom, 400))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_chebyshev_matches_reference_loop(seed):
+    from chebzeros.chebsys import _chebyshev_probes, _run_probes
+    for funcs, dom, top in _oracle_systems(seed):
+        basis = fs.as_basis(funcs)
+        G = fs.basis_matrix(basis, dom.grid(fs.DEFAULT_GRID_N))
+        ref = _reference_chebyshev_probes(basis, dom, G, top, seed)
+        for b in sorted({*BUDGETS, top}):
+            # a trial's outcome does not depend on the budget
+            want = ref if ref.status == COUNTEREXAMPLE and ref.trials_run <= b \
+                else cz.ChebVerdict(NO_VIOLATION, b, None, None)
+            got = _run_probes(dom.is_circle, _chebyshev_probes(basis, dom, G, b, seed))[0]
+            _assert_same_verdict(got, want)
+        _assert_same_verdict(cz.verify_chebyshev((funcs, dom), top, seed), ref)
+
+
+def _flip_pairs():
+    """(basis, dom, G, ref tuple, ref sign, flipped tuple) from the sine
+    graph's affine restrictions, the even pair and the smoothed hexagon's
+    quadratics: clustered tuples whose determinants disagree in sign."""
+    from chebzeros.chebsys import _clustered_tuple
+    hexagon, sine = cz.smoothed_polygon(6), cz.sine_graph()
+    cases = [(cz.restrict_polynomials(sine, 1), sine.dom),
+             (fs.as_basis([fs.Func1D(np.cos, "cos"), fs.Func1D(np.sin, "sin")]),
+              fs.circle()),
+             (cz.restrict_polynomials(hexagon, 2), hexagon.dom)]
+    out = []
+    for basis, dom in cases:
+        G = fs.basis_matrix(basis, dom.grid(fs.DEFAULT_GRID_N))
+        rng = np.random.default_rng(5)
+        tuples = [_clustered_tuple(rng, dom, len(basis)) for _ in range(200)]
+        signs = [_reference_det_sign(fs.basis_matrix(basis, t)) for t in tuples]
+        good = [(t, s) for t, (s, ok) in zip(tuples, signs) if ok]
+        ref_pts, ref_sign = good[0]
+        flips = [t for t, s in good if s != ref_sign]
+        assert flips
+        out += [(basis, dom, G, ref_pts, ref_sign, t) for t in flips[:4]]
+    return out
+
+
+def test_flip_witness_matches_one_halving_per_evaluation():
+    from chebzeros.chebsys import _flip_witness
+    for basis, dom, G, ref_pts, ref_sign, bad in _flip_pairs():
+        got = _flip_witness(basis, G, dom.is_circle, ref_pts, ref_sign, bad)
+        want = _reference_flip_witness(basis, G, dom.is_circle, ref_pts, ref_sign, bad)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1]
+
+
+def test_stacked_det_signs_match_per_matrix():
+    from chebzeros.chebsys import _det_signs
+    rng = np.random.default_rng(8)
+    for n in range(1, 10):
+        Ms = [rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+              for _ in range(40)]
+        # singular values spread across the trust floor and the skip bound
+        for ratio in (1e-8, 1e-10, 3e-11, 1e-11, 1e-12, 1e-13, 0.0):
+            U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            s = np.geomspace(1.0, max(ratio, 1e-300), n) if n > 1 else np.array([ratio])
+            Ms.append(U @ np.diag(s) @ V.T)
+        Ms.append(np.zeros((n, n)))
+        if n > 1:
+            Ms.append(np.ones((n, n)))
+        sign, informative = _det_signs(np.array(Ms))
+        for M, sg, ok in zip(Ms, sign, informative):
+            want_sign, want_ok = _reference_det_sign(M)
+            assert bool(ok) == bool(want_ok)
+            if want_ok:
+                assert sg == want_sign
+
+
+def test_one_trial_budget_never_hashes_seeds(monkeypatch):
+    calls = []
+    seeds = fs._trial_seeds
+
+    def spy(*a, **k):
+        calls.append(a)
+        return seeds(*a, **k)
+
+    monkeypatch.setattr(fs, "_trial_seeds", spy)
+    c = cz.moment_curve(3)
+    assert cz.theorem4_check(c, trials=1).agree
+    assert cz.convexity_check(c, trials=1).convex
+    assert cz.verify_chebyshev(cz.trig_system(2), trials=1).status == NO_VIOLATION
+    assert calls == []
+    # a chunk of 8 trials hashes its seed words once per loop
+    assert cz.theorem4_check(c, trials=8).agree
+    assert len(calls) == 2

@@ -284,6 +284,162 @@ def test_theorem4_planar_curve_rejected():
         cz.theorem4_check(line, trials=10)
 
 
+def test_trials_and_grid_must_be_integers():
+    c = cz.moment_curve(2)
+    for trials in (True, 2.0, 2.5):
+        for check in (cz.convexity_check, cz.theorem4_check):
+            with pytest.raises(ValueError, match="trials must be an integer"):
+                check(c, trials=trials)
+    for grid_n in (100.5, 2048.0, False):
+        with pytest.raises(ValueError, match="grid_n must be an integer"):
+            cz.convexity_check(c, trials=2, grid_n=grid_n)
+        with pytest.raises(ValueError, match="grid_n must be an integer"):
+            cz.hyperplane_intersections(c, cz.Hyperplane(np.array([0.0, 1.0]), 0.5),
+                                        grid_n=grid_n)
+    assert cz.convexity_check(c, trials=np.int64(2), grid_n=np.int64(100)).convex
+
+
+# ---------------------------------------------------------------------------
+# batched convexity probes against the trial-by-trial loop
+
+
+def _reference_intersections(curve, hp, ts, vals):
+    """The count of one shifted slice per call, kept as the reference."""
+    from chebzeros.curves import IntersectionCount, _MULT_SCALES
+    grid_n, dom = ts.size, curve.dom
+    if not np.any(vals):
+        return IntersectionCount(grid_n, fs._no_roots, 0.0, True)
+    spread = float(np.ptp(vals))
+    best, used = fs.count_grid_sign_changes(vals, dom.is_circle), 0.0
+    for scale in _MULT_SCALES:
+        delta = 1e-3 * scale * spread
+        if delta == 0.0:
+            continue
+        for sgn in (1.0, -1.0):
+            c = fs.count_grid_sign_changes(vals - sgn * delta, dom.is_circle)
+            if c > best:
+                best, used = c, delta
+    return IntersectionCount(
+        best, lambda: fs.grid_sign_report(hp.func_on(curve), dom, ts, vals).locations,
+        used, False)
+
+
+def _reference_convexity_probes(curve, P, trials, rng_seed, grid_n):
+    """The trial-by-trial probe loop, kept as the reference."""
+    from chebzeros.curves import ConvexityReport, Hyperplane, hyperplane_through
+
+    def confirmed(hp, svals):
+        d, cyclic = curve.d, curve.dom.is_circle
+        spread = float(np.ptp(svals))
+        shifts = (0.0,) if spread == 0.0 else (0.0, 1e-4 * spread, -1e-4 * spread)
+        if all(fs.count_grid_sign_changes(svals - s, cyclic) <= d for s in shifts):
+            return None
+        full = _reference_intersections(curve, hp, curve.dom.grid(P.shape[0]),
+                                        P @ hp.normal - hp.offset)
+        if full.degenerate or full.count_with_multiplicity > d:
+            return hp, full
+        return None
+
+    d = curve.d
+    for trial in range(trials):
+        rng = fs.derived_rng(rng_seed, trial, 1)
+        w = rng.standard_normal(d)
+        w /= np.linalg.norm(w)
+        proj = P @ w
+        lo, hi = float(np.min(proj)), float(np.max(proj))
+        if hi > lo:
+            off = lo + (hi - lo) * rng.uniform(0.02, 0.98)
+            hit = confirmed(Hyperplane(w, off), proj - off)
+            if hit is not None:
+                return ConvexityReport(COUNTEREXAMPLE, trial + 1, *hit)
+        idx = rng.choice(grid_n, size=d, replace=False)
+        try:
+            hp = hyperplane_through(P[idx])
+        except ValueError:
+            continue
+        hit = confirmed(hp, P @ hp.normal - hp.offset)
+        if hit is not None:
+            return ConvexityReport(COUNTEREXAMPLE, trial + 1, *hit)
+    return ConvexityReport(NO_VIOLATION, trials)
+
+
+def _assert_same_count(got, want):
+    for f in ("count_with_multiplicity", "perturbation_used", "degenerate"):
+        assert getattr(got, f) == getattr(want, f)
+        assert type(getattr(got, f)) is type(getattr(want, f))
+    assert got.simple_roots.tobytes() == want.simple_roots.tobytes()
+
+
+def _assert_same_convexity(got, want):
+    assert (got.status, got.trials_run) == (want.status, want.trials_run)
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        assert got.witness.normal.tobytes() == want.witness.normal.tobytes()
+        assert (np.float64(got.witness.offset).tobytes()
+                == np.float64(want.witness.offset).tobytes())
+        _assert_same_count(got.witness_count, want.witness_count)
+
+
+def _point_curve():
+    # every projection is flat and every secant degenerate
+    return cz.CurveRd(lambda ts: np.ones((ts.size, 2)), 2, fs.interval(0.0, 1.0), "point")
+
+
+BUDGETS = (1, 2, 3, 8, 9, 40, 200)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_convexity_matches_reference_loop(seed):
+    from chebzeros.chebsys import _run_probes
+    from chebzeros.curves import ConvexityReport, _convexity_probes
+    for c in _theorem4_inputs(seed) + [_line_curve(), _point_curve()]:
+        P = cz.curve_points(c, c.dom.grid(fs.DEFAULT_GRID_N))
+        ref = _reference_convexity_probes(c, P, max(BUDGETS), seed, P.shape[0])
+        for b in BUDGETS:
+            # a trial's outcome does not depend on the budget
+            want = ref if ref.status == COUNTEREXAMPLE and ref.trials_run <= b \
+                else ConvexityReport(NO_VIOLATION, b)
+            got = _run_probes(c.dom.is_circle, _convexity_probes(c, P, b, seed))[0]
+            _assert_same_convexity(got, want)
+        _assert_same_convexity(cz.convexity_check(c, max(BUDGETS), seed), ref)
+
+
+@pytest.mark.parametrize("curve", [cz.moment_curve(3), cz.trig_curve(2), _point_curve()],
+                         ids=lambda c: c.label)
+def test_screen_rows_are_the_shifted_slices(curve):
+    # each slice is screened unshifted and shifted by 1e-4 and -1e-4 of its
+    # spread, the values the trial-by-trial screen counted
+    from chebzeros.curves import _convexity_draws, _convexity_probes
+    P = cz.curve_points(curve, curve.dom.grid(fs.DEFAULT_GRID_N))
+    rows = next(_convexity_probes(curve, P, 2, 0)).reshape(2, 2, 3, -1)
+    _, _, S = _convexity_draws(P, 0, 0, 2)
+    for sv, screened in zip(S.reshape(4, -1), rows.reshape(4, 3, -1)):
+        spread = float(np.ptp(sv))
+        for shift, row in zip((0.0, 1e-4 * spread, -1e-4 * spread), screened):
+            assert (sv - shift).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("curve", _theorem4_inputs(4) + [_line_curve()],
+                         ids=lambda c: c.label)
+def test_intersections_match_one_count_per_shift(curve):
+    from chebzeros.curves import _intersections
+    ts = curve.dom.grid(fs.DEFAULT_GRID_N)
+    P = cz.curve_points(curve, ts)
+    rng = np.random.default_rng(3)
+    planes = [cz.hyperplane_through(P[rng.choice(ts.size, curve.d, replace=False)])
+              for _ in range(10)]
+    for _ in range(10):
+        w = rng.standard_normal(curve.d)
+        proj = P @ w
+        planes.append(cz.Hyperplane(w, float(rng.uniform(proj.min(), proj.max()))))
+        # tangent-like: through the extreme point of the projection
+        planes.append(cz.Hyperplane(w, float(proj.max())))
+    for hp in planes:
+        vals = P @ hp.normal - hp.offset
+        _assert_same_count(_intersections(curve, hp, ts, vals),
+                           _reference_intersections(curve, hp, ts, vals))
+
+
 # ---------------------------------------------------------------------------
 # orthogonal functions on curves
 

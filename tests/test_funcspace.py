@@ -72,6 +72,62 @@ def test_trial_seeds_reject_material_past_the_pool():
         fs._trial_seeds(2 ** 32, 3, 2 ** 32 + 5)
 
 
+@pytest.mark.parametrize("start, stop", [(0, 1), (3, 7), (0, 8), (8, 40), (40, 200)])
+def test_trial_streams_reproduce_derived_rng(start, stop):
+    # short chunks build one derived_rng per trial, longer ones hash the
+    # chunk's seed words; both draw derived_rng's streams, again on recall
+    assert np.array_equal(fs._trial_seeds(7, stop, 1, start=start),
+                          fs._trial_seeds(7, stop, 1)[start:])
+    for keys in [(), (1,)]:
+        stream = fs._trial_streams(7, start, stop, *keys)
+        for t in list(range(start, stop)) + [start]:
+            want = fs.derived_rng(7, t, *keys)
+            g = stream(t)
+            assert g.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
+            assert g.uniform() == want.uniform()
+
+
+def _reference_grid_counts(rows, cyclic):
+    return [fs.count_grid_sign_changes(r, cyclic) for r in rows]
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_grid_counts_edge_rows(cyclic):
+    rows = np.array([
+        [0.0, 0.0, 1.0, -1.0, 0.0, 2.0, 0.0, 0.0],      # dropped runs at both ends
+        [0.0] * 8,                                      # all dropped
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+        [1e-12, -1.0, 1e-12, 1e-12, 1.0, -1e-12, 1.0, -1.0],  # near-zero runs
+        [1.0, np.nan, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0],  # NaN row counts 0
+        [-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0],
+        [0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],      # one run, kept ends
+        [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -3.0],      # one kept sample
+        [np.inf, 1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+    ])
+    got = fs._grid_counts(rows, cyclic)
+    assert got.tolist() == _reference_grid_counts(rows, cyclic)
+    assert fs._grid_counts(rows[:, :1], cyclic).tolist() == \
+        _reference_grid_counts(rows[:, :1], cyclic)
+    assert fs._grid_counts(np.empty((0, 8)), cyclic).tolist() == []
+
+
+_COUNT_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1e-12, -1e-12, 1.0, -1.0]),
+                          st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30).flatmap(lambda n: st.lists(
+           st.one_of(st.lists(_COUNT_VALUES, min_size=n, max_size=n),
+                     st.just([0.0] * n), st.just([np.nan] * n),
+                     st.lists(st.sampled_from([0.0, 1.0, -1.0, np.nan]),
+                              min_size=n, max_size=n)),
+           min_size=1, max_size=6)),
+       st.booleans())
+def test_grid_counts_match_one_row_at_a_time(rows, cyclic):
+    rows = np.array(rows, dtype=float)
+    assert fs._grid_counts(rows, cyclic).tolist() == _reference_grid_counts(rows, cyclic)
+
+
 def test_sample_scalar_fallback():
     import math
     f = fs.Func1D(lambda t: math.sin(t))  # scalar-only callable
