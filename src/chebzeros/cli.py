@@ -333,7 +333,8 @@ def theorem5_cases(args) -> Iterator[Case]:
                 res = construct_orthogonal_on_curve(
                     c, n, pieces=dim + 1 + t % 4, grid_n=args.grid)
                 return _bound_report(theorem5_verify(
-                    c, n, res.F, tol=args.tol, grid_n=args.grid))
+                    c, n, res.F, tol=args.tol, grid_n=args.grid,
+                    breaks=res.points))
 
             yield f"{ck} n={n} t={t}", f">= {bound}", check
 
@@ -560,7 +561,8 @@ def example6_cases(args) -> Iterator[Case]:
 
     def build():
         res = construct_orthogonal_on_curve(cur, 2, pieces=7, grid_n=args.grid)
-        rep = theorem5_verify(cur, 2, res.F, tol=args.tol, grid_n=args.grid)
+        rep = theorem5_verify(cur, 2, res.F, tol=args.tol, grid_n=args.grid,
+                              breaks=res.points)
         return (res.sign_report.count >= 6 and rep.passed,
                 f"count={res.sign_report.count} res={rep.max_residual:.1e}")
 

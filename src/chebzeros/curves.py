@@ -543,16 +543,22 @@ def _flip_points(h: np.ndarray, edges: np.ndarray, dom: fs.Domain) -> np.ndarray
 
 
 def theorem5_verify(curve: CurveRd, n: int, f, tol: float = RESIDUAL_TOL,
-                    grid_n: int = fs.DEFAULT_GRID_N) -> ZeroBoundReport:
+                    grid_n: int = fs.DEFAULT_GRID_N,
+                    breaks=None) -> ZeroBoundReport:
     """Zero bound for functions orthogonal to all degree <= n restricted
     polynomials on a convex curve: at least n*d + 1 sign changes, n*d + 2
     when the curve is closed.  Not applicable when the residuals exceed
-    tol or f is numerically zero."""
+    tol or f is numerically zero.
+
+    As in theorem1_check, residual integrals split the domain at f's
+    sign-change locations plus any points passed in breaks.  Pass a
+    construction's points: where its step flips sign together with the
+    annihilator, F does not cross but keeps a kink."""
     if not isinstance(f, fs.Func1D):
         f = fs.Func1D(f, "f")
     bound = n * curve.d + (2 if curve.dom.is_circle else 1)
     return _zero_bound(f, restrict_polynomials(curve, n), curve.dom, bound,
-                       None, tol, grid_n, None)
+                       None, tol, grid_n, breaks)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,12 @@ A count costs one grid evaluation of f.  Transition locations are
 sharpened between the bracketing grid samples, but only when a report's
 `locations` is first read; callers that need only the count (every lower
 bound in the package) never evaluate f between grid points.  Refinement
-is multisection, the same floats as bisection, one f evaluation per k
-halvings (k = _MULTISECT_DEPTH); it stops once every bracket has shrunk
-to float resolution, where further halvings could not move it.
+gives bisection's floats.  One f evaluation tests, for every bracket,
+bisection's own midpoints walking toward a secant guess of its root, and
+the halvings are kept while f's signs agree with the walk; a bracket
+stops once it has shrunk to float resolution, where further halvings
+could not move it.  No refinement takes more than _MAX_ROUNDS
+evaluations.
 """
 
 from __future__ import annotations
@@ -44,11 +47,12 @@ DEFAULT_TOL_REL = 1e-9
 # cap on halvings of a grid cell; a double-precision bracket reaches float
 # resolution after about 52, where bisection stops early
 _BISECT_ITERS = 60
-# halvings per f evaluation in _bisect_roots.  5 was the fastest of 3, 4,
-# 5, 6 and 8 on the synth benchmark: shallower trees take more rounds, and
-# deeper ones evaluate f at more points (2**k - 1 per bracket) than the
-# rounds they save are worth
+# halvings per f evaluation that _bisect_roots guarantees on average, so
+# that no refinement takes more than _MAX_ROUNDS calls of f.  It sets only
+# the worst case: its multisection trees serve brackets whose guesses keep
+# missing, and no bracket of a seed-1 synth benchmark pass needs one
 _MULTISECT_DEPTH = 5
+_MAX_ROUNDS = -(-_BISECT_ITERS // _MULTISECT_DEPTH)
 
 
 def derived_rng(seed, *keys):
@@ -461,11 +465,12 @@ class SignChangeReport:
 
     count and degenerate come from one pass over the sample grid.
     locations is computed on its first read and cached, so the same array
-    comes back on every later read.  It is refined by multisection, the
-    same floats as bisection, one f evaluation per k halvings, and stops
-    once every bracket has reached float resolution.  A caller that reads
-    only count never evaluates f between grid points, so a non-finite
-    value of f there raises ValueError only when locations is read.
+    comes back on every later read.  It is refined to bisection's floats
+    by guess-guided rounds of one f evaluation each (_bisect_roots), and
+    stops once every bracket has reached float resolution.  A caller that
+    reads only count never evaluates f between grid points, so a
+    non-finite value of f there raises ValueError only when locations is
+    read.
 
     locations is sorted increasing (representatives in [0, 2pi) on the
     circle) and has length == count.  degenerate flags inputs that were
@@ -549,72 +554,164 @@ def _grid_counts(vals: np.ndarray, cyclic: bool) -> np.ndarray:
     return counts
 
 
+def _guess(lo: float, flo: float, lo2: float, flo2: float,
+           hi: float, fhi: float, hi2: float, fhi2: float) -> float:
+    """Where in [lo, hi] a bracket's next round looks for its root.
+
+    (lo2, flo2) and (hi2, fhi2) are the previous ends on either side, NaN
+    before an end has moved.  The guess is the secant through the two
+    latest points on one side, from the side whose error term
+    |(g - p1)(g - p2)| is smaller: a step factor that changes sign at the
+    root puts a kink there, and a secant across the kink (regula falsi)
+    converges only linearly.  Regula falsi through (lo, hi) stands in when
+    neither side's secant lands in the bracket, the midpoint when that
+    misses too.
+    """
+    g, best = 0.5 * (lo + hi), math.inf
+    for p1, v1, p2, v2 in ((lo, flo, lo2, flo2), (hi, fhi, hi2, fhi2)):
+        if v1 != v2:
+            s = p1 - v1 * (p1 - p2) / (v1 - v2)
+            e = abs((s - p1) * (s - p2))
+            if lo <= s <= hi and e < best:
+                g, best = s, e
+    if best == math.inf and fhi != flo:
+        s = lo - flo * (hi - lo) / (fhi - flo)
+        if lo <= s <= hi:
+            g = s
+    return g
+
+
 def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,
-                  slos: np.ndarray) -> np.ndarray:
+                  vlos: np.ndarray, vhis: np.ndarray) -> np.ndarray:
     """Vectorized root refinement: each (lo, hi) brackets one sign
-    transition, slos holds the sign at lo.  fvals maps an array of
-    parameters to values.
+    transition, and vlos and vhis hold the values of f at the ends, of
+    opposite strict signs.  fvals maps an array of parameters to values.
 
-    Multisection, the same floats as bisection, one f evaluation per k
-    halvings (k = _MULTISECT_DEPTH).  A round builds the (2**k + 1, r)
-    array of bracket ends that any k halvings of the r brackets could
-    reach, level by level as the midpoints 0.5 * (lo + hi) that bisection
-    computes, evaluates f once on all interior ends, and keeps the
-    bracket bisection would end in.  Rounds stop after _BISECT_ITERS
-    halvings in all, or at the start of a round once every midpoint
-    rounds onto an end of its bracket: the sign at each end is known, so
-    later halvings would leave every bracket, and the result, bit for bit
-    as it is.
+    The result is the same floats as bisection's _BISECT_ITERS halvings,
+    whose midpoints 0.5 * (lo + hi) are the only points tested; a guess
+    of where each root lies (_guess) only decides which of them one f
+    call tests at once.  Each round lists, for every bracket, bisection's
+    own midpoints walking toward its guess, for the halvings left or
+    until a midpoint rounds onto an end of its bracket, and evaluates f
+    once on all of them.  Halvings are then accepted in order while the
+    next listed point is the midpoint of the bracket the actual sign
+    chose, and the first that disagrees is accepted too.  A bracket
+    stops at the halving cap or once its midpoint rounds onto an end,
+    where later halvings would leave it, and the result, bit for bit as
+    it is.
 
-    f is evaluated on arrays of (2**j - 1) * r points instead of r, so
-    an f whose rounding at a point depends on the array around it (a
+    A round accepts at least one halving per bracket.  A bracket falls
+    behind when a round of one halving could leave it more halvings than
+    the rounds left after it take with trees _MULTISECT_DEPTH + 1 deep;
+    it then lists, as multisection does, every midpoint of its next
+    ceil(halvings left / rounds left) levels, and its walk continues
+    below the leaf that holds the guess.  So no refinement makes more
+    than _MAX_ROUNDS calls of f.
+
+    f is evaluated on arrays of many points instead of one per bracket,
+    so an f whose rounding at a point depends on the array around it (a
     BLAS matrix-vector product, as in combination) can see other signs
     where its rounding noise decides them, next to the root, and place
     the root there differently from one-halving-per-call bisection.
     """
-    r = los.size
-    cols = np.arange(r)
-    done = 0
-    while done < _BISECT_ITERS:
-        mids = 0.5 * (los + his)
-        if np.all((mids == los) | (mids == his)):
-            break
-        k = min(_MULTISECT_DEPTH, _BISECT_ITERS - done)
-        n = 2 ** k
-        ends = np.empty((n + 1, r))
-        ends[0], ends[n // 2], ends[n] = los, mids, his
-        step = n // 2
-        while step > 1:
-            ends[step // 2::step] = 0.5 * (ends[:-1:step] + ends[step::step])
-            step //= 2
-        same = np.sign(fvals(ends[1:n].ravel())).reshape(n - 1, -1) == slos
-        # the bracket bisection ends in is (ends[idx], ends[idx + 1]); where
-        # each column's tests read True down to one transition, idx counts
-        # the Trues, else bisection's walk finds it (same[i - 1] tests ends[i])
-        idx = np.count_nonzero(same, axis=0)
-        if np.any(same[1:] > same[:-1]):
-            idx = np.zeros(r, dtype=int)
-            step = n // 2
-            while step:
-                idx = np.where(same[idx + step - 1, cols], idx + step, idx)
-                step //= 2
-        at = idx * r + cols
-        los = ends.ravel()[at]
-        his = ends.ravel()[at + r]
-        done += k
-    return 0.5 * (los + his)
+    out = 0.5 * (los + his)
+    nan = math.nan
+    # a bracket in refinement: (index, sign at lo, halvings left, lo, f(lo),
+    # the lo before it, f there, and the same three at hi)
+    active = [(b, sb, _BISECT_ITERS, a, fa, nan, nan, c, fc, nan, nan)
+              for b, (a, c, sb, fa, fc) in enumerate(zip(
+                  los.tolist(), his.tolist(), np.sign(vlos).tolist(),
+                  vlos.tolist(), vhis.tolist()))
+              if a < 0.5 * (a + c) < c]
+    rounds_left = _MAX_ROUNDS
+    while active:
+        pts, plans = [], []
+        add = pts.append
+        for st in active:
+            n, a, fa, a2, fa2, c, fc, c2, fc2 = st[2:]
+            g = _guess(a, fa, a2, fa2, c, fc, c2, fc2)
+            depth = 0
+            if n - 1 > (_MULTISECT_DEPTH + 1) * (rounds_left - 1):
+                depth = -(-n // rounds_left)
+            ends, leaf, start = None, 0, len(pts)
+            if depth:
+                # every bracket depth halvings could reach: ends[i] is
+                # pts[start + i - 1], bisection's midpoint of its parents
+                m = 1 << depth
+                ends = [a] * m + [c]
+                step = m
+                while step > 1:
+                    h = step >> 1
+                    for i in range(h, m, h << 1):
+                        ends[i] = 0.5 * (ends[i - h] + ends[i + h])
+                    step = h
+                pts += ends[1:-1]
+                h = m >> 1
+                while h:
+                    if not g <= ends[leaf + h]:
+                        leaf += h
+                    h >>= 1
+                a, c = ends[leaf], ends[leaf + 1]
+            walk = len(pts)
+            for _ in range(n - depth):
+                mid = 0.5 * (a + c)
+                if mid == a or mid == c:
+                    break
+                add(mid)
+                if g <= mid:
+                    c = mid
+                else:
+                    a = mid
+            plans.append((st, g, start, depth, ends, leaf, walk, len(pts)))
+        fv = fvals(np.fromiter(pts, float, len(pts))).tolist()
+        nxt = []
+        for st, g, start, depth, ends, leaf, walk, stop in plans:
+            # sb is 1 or -1: the sign at point k is the sign at lo when
+            # fv[k] * sb > 0, as np.sign(fv[k]) == sb also for NaN and zeros
+            b, sb, n, a, fa, a2, fa2, c, fc, c2, fc2 = st
+            i, h = 0, (1 << depth) >> 1
+            while h:
+                k = start + i + h - 1
+                if fv[k] * sb > 0:
+                    i += h
+                    a2, fa2, a, fa = a, fa, ends[i], fv[k]
+                else:
+                    c2, fc2, c, fc = c, fc, ends[i + h], fv[k]
+                h >>= 1
+            n -= depth
+            if i == leaf:
+                for k in range(walk, stop):
+                    x, v = pts[k], fv[k]
+                    n -= 1
+                    # the walk went left at x exactly when g <= x
+                    if v * sb > 0:
+                        a2, fa2, a, fa = a, fa, x, v
+                        if g <= x:
+                            break
+                    else:
+                        c2, fc2, c, fc = c, fc, x, v
+                        if not g <= x:
+                            break
+            if n and a < 0.5 * (a + c) < c:
+                nxt.append((b, sb, n, a, fa, a2, fa2, c, fc, c2, fc2))
+            else:
+                out[b] = 0.5 * (a + c)
+        active = nxt
+        rounds_left -= 1
+    return out
 
 
 def _root_finder(fvals: Callable, dom: Domain, ts: np.ndarray,
                  vals: np.ndarray, ii: np.ndarray,
                  jj: np.ndarray) -> Callable[[], np.ndarray]:
     """Deferred refinement of the transitions (ii, jj) found on (ts, vals):
-    the returned callable yields the sorted roots of fvals."""
+    the returned callable yields the sorted roots of fvals.  It keeps only
+    the bracket arrays, not the grid a report outlives."""
     los = ts[ii]
     his = ts[jj]
     his = np.where(his <= los, his + TWO_PI, his)  # only the cyclic closing pair
-    slos = np.sign(vals[ii])
-    return lambda: np.sort(dom.wrap(_bisect_roots(fvals, los, his, slos)))
+    vlos, vhis = vals[ii], vals[jj]
+    return lambda: np.sort(dom.wrap(_bisect_roots(fvals, los, his, vlos, vhis)))
 
 
 def count_sign_changes(f: Func1D, dom: Domain,

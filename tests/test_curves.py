@@ -457,23 +457,33 @@ def test_construct_minimal_counts():
         assert t5.applicable and t5.passed
 
 
-def test_theorem5_samples_f_once_on_quadrature_nodes():
-    # besides the count grid and multisection rounds, f is evaluated in
-    # one call on all quadrature nodes, not once per restricted polynomial
+def test_theorem5_samples_f_once_on_quadrature_nodes(size_log):
+    # besides the count grid and root refinement, f is evaluated in one
+    # call on all quadrature nodes, not once per restricted polynomial
     par = cz.moment_curve(2)
     res = cz.construct_orthogonal_on_curve(par, 2)
-    sizes = []
-
-    def ev(t):
-        sizes.append(np.size(t))
-        return res.F(t)
-
-    rep = cz.theorem5_verify(par, 2, fs.Func1D(ev, "logged"))
+    f, sizes = size_log(res.F)
+    rep = cz.theorem5_verify(par, 2, f)
     assert rep.applicable and rep.passed
-    refine = [(2 ** j - 1) * rep.sign_changes
-              for j in range(1, fs._MULTISECT_DEPTH + 1)]
-    quad = [n for n in sizes if n not in (fs.DEFAULT_GRID_N, *refine)]
+    assert size_log.refine_calls > 0
+    quad = [n for n in sizes if n != fs.DEFAULT_GRID_N]
     assert len(quad) == 1 and quad[0] >= 16
+    assert sizes.count(fs.DEFAULT_GRID_N) == 1
+
+
+def test_theorem5_breaks_at_the_construction_points():
+    # the step flips sign with the annihilator at one prescribed point, so
+    # F does not cross there but keeps a kink, which a quadrature split
+    # only at F's crossings integrates to a residual past 1e-8
+    curve = cz.moment_curve(3, -1.631063481149745, 0.22492273760209058)
+    dim = cz.dimension_estimate(cz.restrict_polynomials(curve, 1), curve.dom)
+    res = cz.construct_orthogonal_on_curve(curve, 1, pieces=dim + 2)
+    assert res.sign_report.count == res.points.size - 1
+    plain = cz.theorem5_verify(curve, 1, res.F)
+    assert not plain.applicable and plain.max_residual > 1e-8
+    rep = cz.theorem5_verify(curve, 1, res.F, breaks=res.points)
+    assert rep.applicable and rep.passed
+    assert rep.sign_changes == 4 and rep.max_residual <= 1e-15
 
 
 def test_theorem5_not_applicable_reports_no_count():

@@ -439,15 +439,17 @@ def _reference_bisect(fvals, los, his, slos):
 
 
 def _brackets(dom, ts, vals):
-    # consecutive samples of opposite sign, with the sign at lo; the inputs
-    # below have no sample near zero, so no tolerance collapse is involved
+    # consecutive samples of opposite sign, with the sign at lo and the
+    # values at both ends; the inputs below have no sample near zero, so no
+    # tolerance collapse is involved
     s = np.sign(vals)
     ii = np.nonzero(s[:-1] != s[1:])[0]
-    los, his = ts[ii], ts[ii + 1]
+    jj = ii + 1
+    los, his = ts[ii], ts[jj]
     if dom.is_circle and s[-1] != s[0]:
-        ii = np.append(ii, ts.size - 1)
+        ii, jj = np.append(ii, ts.size - 1), np.append(jj, 0)
         los, his = np.append(los, ts[-1]), np.append(his, ts[0] + fs.TWO_PI)
-    return los, his, s[ii]
+    return los, his, s[ii], vals[ii], vals[jj]
 
 
 def _grid_brackets(fn, dom, n):
@@ -455,11 +457,29 @@ def _grid_brackets(fn, dom, n):
     return _brackets(dom, ts, fn(ts))
 
 
+def _extrema_brackets(fn, dom, n):
+    # the central-difference derivative and its brackets, as count_extrema
+    # builds them
+    ts = dom.grid(n)
+    vals = fn(ts)
+    h = dom.span / n
+    if dom.is_circle:
+        dts, dv = ts, (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
+    else:
+        dts, dv = ts[1:-1], (vals[2:] - vals[:-2]) / (2.0 * h)
+
+    def dfun(m):
+        return (fn(dom.wrap(m + h)) - fn(dom.wrap(m - h))) / (2.0 * h)
+
+    return dfun, dts, dv
+
+
 def _reference_roots(fvals, dom, ts, vals):
-    return np.sort(dom.wrap(_reference_bisect(fvals, *_brackets(dom, ts, vals))))
+    los, his, slos, _, _ = _brackets(dom, ts, vals)
+    return np.sort(dom.wrap(_reference_bisect(fvals, los, his, slos)))
 
 
-# multisection rounds in 60 halvings
+# the worst case of f calls in one refinement: 60 halvings, 5 per call
 _ROUNDS = math.ceil(60 / fs._MULTISECT_DEPTH)
 _H_CIRCLE = fs.TWO_PI / fs.DEFAULT_GRID_N
 _LAZY_CASES = [
@@ -479,7 +499,7 @@ def test_count_sign_changes_refines_on_first_read(dom, fn):
 
     locs = rep.locations
     refine_calls = f.calls - 1
-    # one call per multisection round, stopped at float resolution
+    # one call per round, stopped at float resolution
     assert 0 < refine_calls <= _ROUNDS
     assert rep.locations is locs
     assert f.calls == 1 + refine_calls
@@ -502,17 +522,8 @@ def test_count_extrema_refines_on_first_read(dom, fn):
     assert rep.locations is locs
     assert f.calls == 1 + refine_calls
 
-    n = fs.DEFAULT_GRID_N
-    ts = dom.grid(n)
-    vals = fn(ts)
-    h = dom.span / n
-    if dom.is_circle:
-        dts, dv = ts, (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
-    else:
-        dts, dv = ts[1:-1], (vals[2:] - vals[:-2]) / (2.0 * h)
-    want = _reference_roots(
-        lambda m: (fn(dom.wrap(m + h)) - fn(dom.wrap(m - h))) / (2.0 * h),
-        dom, dts, dv)
+    dfun, dts, dv = _extrema_brackets(fn, dom, fs.DEFAULT_GRID_N)
+    want = _reference_roots(dfun, dom, dts, dv)
     if not dom.is_circle:
         want = np.concatenate([[dom.a], want, [dom.b]])
     assert locs.size == rep.count
@@ -520,7 +531,8 @@ def test_count_extrema_refines_on_first_read(dom, fn):
 
 
 def _multisection_cases():
-    """(name, f, los, his, slos): bracket sets of one sign change each."""
+    """(name, f, los, his, slos, vlos, vhis): bracket sets of one sign
+    change each, with f's values at the bracket ends."""
     one = np.array([1.0])
     h = 2.0 / 64
     cases = [
@@ -540,40 +552,107 @@ def _multisection_cases():
         ("converged and not", lambda t: t - 0.5, np.array([0.5, 0.25]),
          np.array([np.nextafter(0.5, 1.0), 0.75]), np.array([1.0, -1.0])),
     ]
+    cases = [(name, fn, los, his, slos, fn(los), fn(his))
+             for name, fn, los, his, slos in cases]
     # closing pair of a circle: a root in the last grid cell, bracket past 2pi
     circ = fs.circle()
+    line = fs.interval(-1.0, 1.0)
     wrap = lambda t: np.sin(2.0 * np.mod(t, fs.TWO_PI) + _H_CIRCLE)
     cases.append(("cyclic closing pair", wrap, *_grid_brackets(wrap, circ, 2048)))
+    smooth = []
     for seed in range(60):
         rng = fs.derived_rng(seed, 5)
         roots = np.sort(rng.uniform(-0.95, 0.95, int(rng.integers(1, 7))))
         c = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
         poly = lambda t, roots=roots, c=c: c * np.prod(
             [t - r for r in roots], axis=0)
-        cases.append((f"poly {seed}", poly,
-                      *_grid_brackets(poly, fs.interval(-1.0, 1.0), 64)))
+        cases.append((f"poly {seed}", poly, *_grid_brackets(poly, line, 64)))
         pts = rng.uniform(0.0, fs.TWO_PI, 2 * int(rng.integers(1, 4)))
         trig = lambda t, pts=pts: np.prod(
             [np.sin((np.mod(t, fs.TWO_PI) - x) / 2.0) for x in pts], axis=0)
         cases.append((f"trig {seed}", trig, *_grid_brackets(trig, circ, 128)))
+        smooth.append((poly, trig))
+    # synthesis's F: an annihilator times a positive step that jumps at its
+    # roots, so F has a kink at every root; and central-difference
+    # derivatives, as count_extrema refines them
+    for seed in range(12):
+        rng = fs.derived_rng(seed, 6)
+        for dom, q in [(line, int(rng.integers(1, 7))),
+                       (circ, 2 * int(rng.integers(1, 4)))]:
+            pts = np.sort(rng.uniform(dom.a, dom.b, q))
+            heights = rng.uniform(0.2, 3.0, q if dom.is_circle else q + 1)
+            step = cz.StepWeight(pts, heights, dom).as_func()
+            kinked = fs.product(cz.default_annihilator(pts, dom), step)
+            cases.append((f"kinked {dom.kind} {seed}", kinked,
+                          *_grid_brackets(kinked, dom, fs.DEFAULT_GRID_N)))
+            dfun, dts, dv = _extrema_brackets(kinked, dom, fs.DEFAULT_GRID_N)
+            cases.append((f"kinked extrema {dom.kind} {seed}", dfun,
+                          *_brackets(dom, dts, dv)))
+    for seed, (poly, trig) in enumerate(smooth[:12]):
+        dfun, dts, dv = _extrema_brackets(poly, line, 64)
+        cases.append((f"poly extrema {seed}", dfun, *_brackets(line, dts, dv)))
+        dfun, dts, dv = _extrema_brackets(trig, circ, 128)
+        cases.append((f"trig extrema {seed}", dfun, *_brackets(circ, dts, dv)))
     return cases
 
 
 _MULTISECTION_CASES = _multisection_cases()
 
 
-@pytest.mark.parametrize("name, fn, los, his, slos", _MULTISECTION_CASES,
+@pytest.mark.parametrize("name, fn, los, his, slos, vlos, vhis", _MULTISECTION_CASES,
                          ids=[c[0] for c in _MULTISECTION_CASES])
-def test_multisection_matches_bisection(name, fn, los, his, slos):
+def test_multisection_matches_bisection(name, fn, los, his, slos, vlos, vhis):
     f = _Counted(fn)
-    got = fs._bisect_roots(f, los, his, slos)
+    got = fs._bisect_roots(f, los, his, vlos, vhis)
     want = _reference_bisect(fn, los, his, slos)
     assert got.tobytes() == want.tobytes()
     assert f.calls <= _ROUNDS
     if name == "root at 0":
-        assert f.calls == _ROUNDS  # the 60-halving cap
+        # regula falsi is exact on a line: all 60 halvings in one call
+        assert f.calls == 1
     if name == "converged":
         assert f.calls == 0
+
+
+@pytest.mark.parametrize("guess", ["lo", "hi", "nan"])
+def test_refinement_survives_any_guess(monkeypatch, guess):
+    # the guess decides only which bisection midpoints one call tests: a
+    # guess pinned to an end of the bracket or not a number at all still
+    # gives bisection's floats, within the worst case of calls
+    pick = {"lo": lambda lo, *rest: lo, "hi": lambda *args: args[4],
+            "nan": lambda *args: math.nan}[guess]
+    monkeypatch.setattr(fs, "_guess", pick)
+    calls = {}
+    for name, fn, los, his, slos, vlos, vhis in _MULTISECTION_CASES:
+        f = _Counted(fn)
+        got = fs._bisect_roots(f, los, his, vlos, vhis)
+        assert got.tobytes() == _reference_bisect(fn, los, his, slos).tobytes(), name
+        calls[name] = f.calls
+    assert 0 < max(calls.values()) <= _ROUNDS
+    if guess == "lo":
+        # walking away from the root at 0 leaves about one halving per call until
+        # multisection trees take over: the 60-halving cap in exactly 12
+        assert calls["root at 0"] == _ROUNDS
+
+
+def test_guesses_halve_the_corpus_calls():
+    # one 31-point multisection round per 5 halvings took 1282 calls on the
+    # cases up to the seeded poly and trig brackets, and 223 on the kinked
+    # sign changes; secant-guided walks take under half of each (a
+    # fallback to plain multisection would not, nor would regula falsi
+    # across the kinks, which took 229)
+    smooth = kinked = 0
+    for name, fn, los, his, _, vlos, vhis in _MULTISECTION_CASES:
+        if "extrema" in name:
+            continue
+        f = _Counted(fn)
+        fs._bisect_roots(f, los, his, vlos, vhis)
+        if name.startswith("kinked"):
+            kinked += f.calls
+        else:
+            smooth += f.calls
+    assert smooth <= 1282 // 2
+    assert kinked <= 223 // 2
 
 
 @pytest.mark.parametrize("simple, double", [(1.5547091758634948, 0.7682624233497739),
@@ -587,7 +666,7 @@ def test_multisection_on_a_blas_combination(simple, double):
     f = fs.combination(sys.basis, cz.general_annihilator(sys, rp))
     dom = sys.dom
     rep = fs.count_sign_changes(f, dom)
-    los, his, slos = _grid_brackets(f, dom, fs.DEFAULT_GRID_N)
+    los, his, slos, _, _ = _grid_brackets(f, dom, fs.DEFAULT_GRID_N)
     want = np.sort(_reference_bisect(f, los, his, slos))
     assert rep.count == want.size == 1
     assert np.max(np.abs(rep.locations - want)) <= 1e-13

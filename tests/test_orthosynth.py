@@ -185,37 +185,25 @@ def test_theorem1_weighted_case():
     assert rep.sign_changes == 4 and rep.bound == 4
 
 
-def _size_log(f):
-    """f wrapped to log the size of every array it is evaluated on."""
-    sizes = []
-
-    def ev(t):
-        sizes.append(np.size(t))
-        return f(t)
-
-    return fs.Func1D(ev, "logged"), sizes
-
-
 @pytest.mark.parametrize("weighted", [False, True])
-def test_theorem1_samples_f_once_on_quadrature_nodes(weighted):
-    # besides the count grid and multisection rounds, f and rho are
+def test_theorem1_samples_f_once_on_quadrature_nodes(weighted, size_log):
+    # besides the count grid and root refinement, f and rho are
     # evaluated in one call on all quadrature nodes, not once per basis
     # function
     if weighted:
         sys = cz.trig_system(1)
         f = cz.trig_annihilator([0.7, 1.9, 3.3, 4.8])
         res = cz.synth_weight(sys, f)
-        rho, rho_sizes = _size_log(res.rho)
+        rho, rho_sizes = size_log(res.rho)
     else:
         sys = cz.polynomial_system(2)
         res = cz.synth_orthogonal(sys, [-0.5, 0.0, 0.5])
         f, rho, rho_sizes = res.F, None, []
-    f, sizes = _size_log(f)
+    f, sizes = size_log(f)
     rep = cz.theorem1_check(sys, f, rho=rho, breaks=res.step.breakpoints)
     assert rep.applicable and rep.passed
-    refine = [(2 ** j - 1) * rep.sign_changes
-              for j in range(1, fs._MULTISECT_DEPTH + 1)]
-    quad = [n for n in sizes if n not in (fs.DEFAULT_GRID_N, *refine)]
+    assert size_log.refine_calls > 0
+    quad = [n for n in sizes if n != fs.DEFAULT_GRID_N]
     assert len(quad) == 1 and quad[0] >= 16
     # one sample on the count grid serves the count and the vanishing test
     assert sizes.count(fs.DEFAULT_GRID_N) == 1
