@@ -10,10 +10,12 @@ is evaluated on the counting grid once per call, and each combination
 is counted as that grid matrix times its coefficients; curves.theorem4_check
 hands the probe loop [1, P] from the one curve sample P it also slices.
 
-Probe loops take trials in chunks of 2, 8, 32, 128, ...: drawn trial by
-trial, evaluated as arrays, counted in one batched call per chunk by
-_run_probes (with theorem4_check's convexity loop in lockstep), then read
-in trial order, so verdicts and witnesses are a trial-by-trial loop's.
+Probe loops take trials in the chunks of fs._probe_chunks (2, 8, 32,
+128, ..., the schedule and the per-trial streams of every falsifier in
+the package): drawn trial by trial, evaluated as arrays, counted in one
+batched call per chunk by _run_probes (with theorem4_check's convexity
+loop in lockstep), then read in trial order, so verdicts and witnesses
+are a trial-by-trial loop's.
 """
 
 from __future__ import annotations
@@ -41,9 +43,6 @@ _LOG_SURE_RATIO = math.log(100.0 * _DET_COND_FLOOR)
 # {cos, sin} (6 was slower on the smoothed hexagon's quadratics)
 _FLIP_HALVINGS = 80
 _FLIP_DEPTH = 4
-# trials per probe chunk are capped so that each probe row of a chunk holds
-# at most this many grid values
-_CHUNK_SAMPLES = 2 ** 18
 
 NO_VIOLATION = "NoViolationFound"
 COUNTEREXAMPLE = "Counterexample"
@@ -247,18 +246,6 @@ def _check_trials(trials) -> None:
         raise ValueError("trials must be at least 1")
 
 
-def _chunks(trials: int, grid_n: int):
-    """[start, stop) ranges of 2, 8, 32, 128, ... trials, cut at the budget
-    and at _CHUNK_SAMPLES // grid_n trials.  A short first chunk keeps an
-    early counterexample cheap: every trial of a chunk is paid for."""
-    cap = max(1, _CHUNK_SAMPLES // grid_n)
-    start, size = 0, 2
-    while start < trials:
-        stop = min(trials, start + size, start + cap)
-        yield start, stop
-        start, size = stop, 4 * size
-
-
 def _run_probes(cyclic: bool, *loops) -> list:
     """Run probe loops in lockstep and return their verdicts.  A loop is
     a generator that yields a chunk's (k, grid_n) grid values, is sent
@@ -321,11 +308,10 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
                        _chebyshev_probes(basis, dom, G, trials, rng_seed))[0]
 
 
-def _chebyshev_draws(dom, n, rng_seed, start, stop):
-    """Trials start..stop-1's stratified and clustered tuples, interleaved
-    as rows of a (2m, n) array, and unit coefficient vectors (m, n; NaN,
-    which counts 0, for an all-zero draw)."""
-    stream = fs._trial_streams(rng_seed, start, stop)
+def _chebyshev_draws(dom, n, stream, start, stop):
+    """Trials start..stop-1's stratified and clustered tuples, drawn from
+    stream(t), interleaved as rows of a (2m, n) array, and unit coefficient
+    vectors (m, n; NaN, which counts 0, for an all-zero draw)."""
     m = stop - start
     pts, C = np.empty((2 * m, n)), np.full((m, n), np.nan)
     for i in range(m):
@@ -345,8 +331,8 @@ def _chebyshev_probes(basis, dom, G, trials, rng_seed):
     n = len(basis)
     ref_sign = 0.0
     ref_pts = None
-    for start, stop in _chunks(trials, G.shape[0]):
-        pts, C = _chebyshev_draws(dom, n, rng_seed, start, stop)
+    for start, stop, stream in fs._probe_chunks(rng_seed, trials, G.shape[0]):
+        pts, C = _chebyshev_draws(dom, n, stream, start, stop)
         sign, informative = _det_signs(fs.basis_matrix(basis, pts).reshape(-1, n, n))
         counts = yield np.matmul(G, C[:, :, None])[..., 0]
         for i in range(stop - start):

@@ -137,6 +137,8 @@ def parse_func(spec: str, dom: fs.Domain) -> fs.Func1D:
     kind, data = parts
     cs = _floats(data)
     if kind == "poly":
+        if not cs:
+            raise ValueError("poly function spec needs c0,c1,...")
         co = np.asarray(cs, dtype=float)
 
         def pe(t, co=co):

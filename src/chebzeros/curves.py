@@ -23,7 +23,7 @@ from . import funcspace as fs
 from ._linalg import fix_leading_sign, smallest_direction, svd_kernel
 from .annihilator import LOC_TOL, default_annihilator
 from .chebsys import (COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, ChebVerdict,
-                      _chebyshev_probes, _check_trials, _chunks, _run_probes,
+                      _chebyshev_probes, _check_trials, _run_probes,
                       dimension_estimate)
 from .exceptions import NotChebyshevError
 from .orthosynth import (RESIDUAL_TOL, StepWeight, ZeroBoundReport, _step_edges,
@@ -393,12 +393,12 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
                        _convexity_probes(curve, P, trials, rng_seed))[0]
 
 
-def _convexity_draws(P, rng_seed, start, stop):
-    """Trials start..stop-1's probes of P, the curve on its grid: random
-    (unit normal, offset) pairs (None where P projects to a point), secant
-    hyperplanes (None through affinely dependent points), and both slices'
-    values as a (m, 2, grid_n) array, NaN for a missing probe."""
-    stream = fs._trial_streams(rng_seed, start, stop, 1)
+def _convexity_draws(P, stream, start, stop):
+    """Trials start..stop-1's probes of P, the curve on its grid, drawn
+    from stream(t): random (unit normal, offset) pairs (None where P
+    projects to a point), secant hyperplanes (None through affinely
+    dependent points), and both slices' values as a (m, 2, grid_n) array,
+    NaN for a missing probe."""
     m, (n, d) = stop - start, P.shape
     randoms, secants = [None] * m, [None] * m
     slices = np.full((m, 2, n), np.nan)
@@ -426,8 +426,8 @@ def _convexity_probes(curve, P, trials, rng_seed):
     chebsys._run_probes: a slice that, shifted by 0 or +-1e-4 of its
     spread, crosses more than d times is recounted by _intersections."""
     d, n = curve.d, P.shape[0]
-    for start, stop in _chunks(trials, n):
-        randoms, secants, S = _convexity_draws(P, rng_seed, start, stop)
+    for start, stop, stream in fs._probe_chunks(rng_seed, trials, n, 1):
+        randoms, secants, S = _convexity_draws(P, stream, start, stop)
         shift = 1e-4 * np.ptp(S, axis=2)[..., None]
         # S + shift is S minus the shift -1e-4 * spread, bit for bit
         counts = yield np.stack([S, S - shift, S + shift], axis=2).reshape(-1, n)

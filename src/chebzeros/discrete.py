@@ -110,10 +110,11 @@ def cyclic_sign_changes(values, closed: bool) -> int:
 
 
 def hyperplane_crossings(P: PolyLine, hp: Hyperplane) -> Optional[int]:
-    """Edges whose endpoint values straddle the hyperplane strictly;
-    None when the hyperplane passes within 1e-9 of a vertex."""
+    """Edges whose endpoint values straddle the hyperplane strictly; None
+    when it passes within VERTEX_REJECT_TOL * max|V| (1 if 0) of a vertex."""
     vals = hp.value(P.vertices)
-    if float(np.min(np.abs(vals))) <= VERTEX_REJECT_TOL:
+    scale = float(np.max(np.abs(P.vertices))) or 1.0
+    if float(np.min(np.abs(vals))) <= VERTEX_REJECT_TOL * scale:
         return None
     s = np.sign(vals)
     if P.closed:
@@ -156,10 +157,11 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     at most d times.
 
     Closed planar polygons get an exact turn-sign certificate; otherwise
-    seeded random hyperplanes and secants through perturbed edge midpoints
-    are screened as arrays in chunks of 8, 32, 128, ... trials, and the
-    exact test confirms flagged trials in trial order.  A non-convexity
-    certificate without a sampled witness still reports a counterexample.
+    seeded random hyperplanes and secants through perturbed edge midpoints,
+    trial t drawn from derived_rng(rng_seed, t, 2), are screened as arrays
+    in the chunks of fs._probe_chunks, and the exact test confirms flagged
+    trials in trial order.  A non-convexity certificate without a sampled
+    witness still reports a counterexample.
     """
     _check_trials(trials)
     V = P.vertices
@@ -168,21 +170,12 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
         return PolyConvexityReport(NO_VIOLATION, 0, certified=True)
     mids = 0.5 * (V + np.roll(V, -1, axis=0)) if P.closed else 0.5 * (V[:-1] + V[1:])
     scale = float(np.max(np.abs(V))) or 1.0
-    # trial t draws derived_rng(rng_seed, t, 2)'s stream from one reused
-    # Generator.  The first chunk's seeds are hashed alone, so that a hit
-    # there does not pay for hashing the rest of the budget
-    g = np.random.Generator(np.random.PCG64(0))
-    seeds = fs._trial_seeds(rng_seed, min(trials, 8), 2)
-    start, size = 0, 8
-    while start < trials:
-        if start == len(seeds):
-            seeds = fs._trial_seeds(rng_seed, trials, 2)
-        W, off, pts = _probe_draws(V, mids, scale, g, seeds[start:start + size])
+    for start, stop, stream in fs._probe_chunks(rng_seed, trials, P.k, 2):
+        W, off, pts = _probe_draws(V, mids, scale, stream, start, stop)
         for i in np.flatnonzero(_screen(P, W, off, pts)).tolist():
             hit = _probe_hit(P, W[i], off[i], None if pts is None else pts[i])
             if hit is not None:
                 return PolyConvexityReport(COUNTEREXAMPLE, start + i + 1, *hit, cert)
-        start, size = start + len(W), 4 * size
     if cert is False:
         hit = _midpoint_secant_witness(P, mids)
         if hit is not None:
@@ -191,20 +184,18 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     return PolyConvexityReport(NO_VIOLATION, trials, certified=cert)
 
 
-def _probe_draws(V, mids, scale, g, seeds):
-    """A chunk of trials' draws, trial i from the Generator g set to the
-    PCG64 state of its seed words seeds[i] (a row of fs._trial_seeds):
-    unit normals W (n, d), offsets (NaN where V projects to a point) and
-    d perturbed edge midpoints per trial ((n, d, d), None when there are
-    fewer than d midpoints).  The norms and projections are the dot and
-    matrix-vector products a per-trial loop takes, bit for bit."""
-    seeds = seeds.tolist()
-    n, d, m = len(seeds), V.shape[1], mids.shape[0]
+def _probe_draws(V, mids, scale, stream, start, stop):
+    """Trials start..stop-1's draws, trial t from stream(t): unit normals
+    W (n, d), offsets (NaN where V projects to a point) and d perturbed
+    edge midpoints per trial ((n, d, d), None when there are fewer than d
+    midpoints).  The norms and projections are the dot and matrix-vector
+    products a per-trial loop takes, bit for bit."""
+    n, d, m = stop - start, V.shape[1], mids.shape[0]
     Z, u = np.empty((n, d)), np.zeros(n)  # 0 where no uniform is drawn
     sel, E = np.empty((n, d), dtype=np.intp), np.empty((n, d, d))
 
     def draw(i, uniform):
-        g.bit_generator.state = fs._pcg64_state(seeds[i])
+        g = stream(start + i)
         Z[i] = g.standard_normal(d)
         if uniform:
             u[i] = g.uniform(0.02, 0.98)
@@ -240,7 +231,8 @@ def _probe_hit(P, w, off, pts):
 def _screen(P, W, off, pts) -> np.ndarray:
     """Per trial, False only when `_probe_hit` surely finds no hit.  Each
     probe is a column (normal, -offset), NaN if undrawn or degenerate, and
-    every vertex must clear a band far wider than the last-bit errors."""
+    every vertex must clear a band far wider than the last-bit errors:
+    the vertex reject band plus 1e-6, both in units of max|V| (1 if 0)."""
     V, d = P.vertices, P.d
     H = np.column_stack([W, -off])
     if pts is not None:
@@ -250,7 +242,7 @@ def _screen(P, W, off, pts) -> np.ndarray:
     vals = np.insert(V, d, 1.0, axis=1) @ H.T
     s = np.sign(vals)
     flips = np.sum(s != np.roll(s, -1, axis=0) if P.closed else s[:-1] != s[1:], axis=0)
-    band = VERTEX_REJECT_TOL + 1e-6 * max(1.0, float(np.max(np.abs(V))))
+    band = (VERTEX_REJECT_TOL + 1e-6) * (float(np.max(np.abs(V))) or 1.0)
     cut = ~(np.min(np.abs(vals), axis=0) > band) | (flips > d)
     return cut.reshape(-1, len(W)).any(axis=0)
 

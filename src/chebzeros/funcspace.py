@@ -163,23 +163,40 @@ def _pcg64_state(words) -> dict:
 # below this many trials, one derived_rng per trial (about 22 us) costs less
 # than one _trial_seeds hash (about 75 us) plus a state set per trial
 _HASH_MIN_TRIALS = 5
+# trials per probe chunk are capped so that each probe row of a chunk holds
+# at most this many values
+_CHUNK_SAMPLES = 2 ** 18
 
 
-def _trial_streams(seed, start: int, stop: int, *keys) -> Callable:
-    """stream(t): a Generator at the start of derived_rng(seed, t, *keys)'s
-    stream, for t in range(start, stop).  From _HASH_MIN_TRIALS trials on,
-    one array hash serves the chunk and stream(t) resets one reused
-    Generator, valid until the next call."""
-    if stop - start < _HASH_MIN_TRIALS:
-        return lambda t: derived_rng(seed, t, *keys)
-    words = _trial_seeds(seed, stop, *keys, start=start).tolist()
-    g = np.random.Generator(np.random.PCG64(0))
-
-    def stream(t):
-        g.bit_generator.state = _pcg64_state(words[t - start])
-        return g
-
-    return stream
+def _probe_chunks(seed, trials: int, rows: int, *keys):
+    """The probe loops' one schedule: (start, stop, stream) for chunks of
+    2, 8, 32, 128, ... trials, cut at the budget and at _CHUNK_SAMPLES //
+    rows trials (rows: the values per probe row).  The short first chunk
+    keeps an early counterexample cheap; a later chunk takes in a shorter
+    remainder of the budget if that fits under the cap.  stream(t), for t
+    in range(start, stop), is a Generator at the start of derived_rng(seed,
+    t, *keys)'s stream until the next chunk: one derived_rng per trial in
+    a chunk of under _HASH_MIN_TRIALS trials, else one reused Generator set
+    to seed words hashed for the first such chunk alone, then for the rest
+    of the budget, so a loop hashes at most twice."""
+    cap = max(1, _CHUNK_SAMPLES // rows)
+    g, start, size, end = None, 0, 2, 0
+    while start < trials:
+        stop = min(trials, start + size, start + cap)
+        if start and trials - stop < min(4 * size, cap) and trials - start <= cap:
+            stop = trials
+        if stop > end and stop - start >= _HASH_MIN_TRIALS:
+            end = stop if g is None else trials
+            words, at = _trial_seeds(seed, end, *keys, start=start), start
+            g = g or np.random.Generator(np.random.PCG64(0))
+        if stop > end:
+            yield start, stop, lambda t: derived_rng(seed, t, *keys)
+        else:
+            def stream(t, words=words[start - at:stop - at].tolist(), start=start):
+                g.bit_generator.state = _pcg64_state(words[t - start])
+                return g
+            yield start, stop, stream
+        start, size = stop, 4 * size
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,13 @@ def test_exit_2_on_bad_inputs(capsys):
     assert code4 == 2 and "needs" in err4
 
 
+@pytest.mark.parametrize("func", ["poly:", "poly:,", "trig:"])
+def test_exit_2_on_empty_func_spec(capsys, func):
+    code, out, err = run(capsys, "synth", "weight", "--system", "poly:2",
+                         "--func", func)
+    assert code == 2 and out == "" and "needs" in err
+
+
 def test_exit_2_on_zero_k(capsys):
     code, out, err = run(capsys, "verify", "theorem6", "--k", "0",
                          "--trials", "1")

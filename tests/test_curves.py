@@ -412,7 +412,8 @@ def test_screen_rows_are_the_shifted_slices(curve):
     from chebzeros.curves import _convexity_draws, _convexity_probes
     P = cz.curve_points(curve, curve.dom.grid(fs.DEFAULT_GRID_N))
     rows = next(_convexity_probes(curve, P, 2, 0)).reshape(2, 2, 3, -1)
-    _, _, S = _convexity_draws(P, 0, 0, 2)
+    start, stop, stream = next(fs._probe_chunks(0, 2, P.shape[0], 1))
+    _, _, S = _convexity_draws(P, stream, start, stop)
     for sv, screened in zip(S.reshape(4, -1), rows.reshape(4, 3, -1)):
         spread = float(np.ptp(sv))
         for shift, row in zip((0.0, 1e-4 * spread, -1e-4 * spread), screened):

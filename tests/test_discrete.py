@@ -473,15 +473,15 @@ def _reference_draws(V, mids, scale, seed, trial):
 def test_probe_draws_match_derived_rng(V, seed):
     from chebzeros import discrete
     mids = 0.5 * (V[:-1] + V[1:])
-    W, off, pts = discrete._probe_draws(V, mids, 2.0, np.random.default_rng(),
-                                        fs._trial_seeds(seed, 40, 2))
-    for t in range(40):
-        w, o, p = _reference_draws(V, mids, 2.0, seed, t)
-        assert W[t].tobytes() == w.tobytes()
-        assert np.float64(off[t]).tobytes() == np.float64(o).tobytes()
-        assert (pts is None) == (p is None)
-        if p is not None:
-            assert pts[t].tobytes() == p.tobytes()
+    for start, stop, stream in fs._probe_chunks(seed, 40, len(V), 2):
+        W, off, pts = discrete._probe_draws(V, mids, 2.0, stream, start, stop)
+        for i, t in enumerate(range(start, stop)):
+            w, o, p = _reference_draws(V, mids, 2.0, seed, t)
+            assert W[i].tobytes() == w.tobytes()
+            assert np.float64(off[i]).tobytes() == np.float64(o).tobytes()
+            assert (pts is None) == (p is None)
+            if p is not None:
+                assert pts[i].tobytes() == p.tobytes()
 
 
 @pytest.mark.parametrize("rel", [1.0 - 1e-3, 1.0 + 1e-3])
@@ -517,24 +517,56 @@ def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
 
 
 def test_seeds_hashed_for_first_chunk_then_budget(monkeypatch):
-    # a hit in the first chunk hashes 8 trials, not the whole budget
+    # every probe loop hashes its first chunk of 5 or more trials alone and
+    # the rest of the budget in one more call; shorter budgets, and a hit
+    # in the first 2 trials, hash nothing
     from chebzeros import discrete
     hashed = []
     seeds = fs._trial_seeds
 
-    def spy(seed, trials, *keys):
-        hashed.append(trials)
-        return seeds(seed, trials, *keys)
+    def spy(seed, trials, *keys, start=0):
+        hashed.append((keys, start, trials))
+        return seeds(seed, trials, *keys, start=start)
 
     monkeypatch.setattr(fs, "_trial_seeds", spy)
     zigzag = cz.PolyLine(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0],
                                    [3.0, 1.0], [4.0, 0.0]]))
-    assert discrete.polyline_convexity_check(zigzag, 10 ** 6, 0).trials_run <= 8
+    assert discrete.polyline_convexity_check(zigzag, 10 ** 6, 0).trials_run <= 2
     ts = np.linspace(-1.0, 1.0, 9)
     convex = cz.PolyLine(np.stack([ts, ts ** 2], axis=1))
+    c = cz.moment_curve(3)
+    for trials in range(1, 7):
+        assert discrete.polyline_convexity_check(convex, trials, 0).trials_run == trials
+        assert cz.theorem4_check(c, trials).agree
+        assert cz.convexity_check(c, trials).convex
+        assert cz.verify_chebyshev(cz.trig_system(2), trials).status == NO_VIOLATION
+    assert hashed == []
     assert discrete.polyline_convexity_check(convex, 300, 0).trials_run == 300
-    assert discrete.polyline_convexity_check(convex, 5, 0).trials_run == 5
-    assert hashed == [8, 8, 300, 5]
+    assert hashed == [((2,), 2, 10), ((2,), 10, 300)]
+    hashed.clear()
+    assert cz.convexity_check(c, 200).convex
+    assert cz.verify_chebyshev(cz.trig_system(2), 200).status == NO_VIOLATION
+    assert hashed == [((1,), 2, 10), ((1,), 10, 200), ((), 2, 10), ((), 10, 200)]
+    hashed.clear()
+    assert cz.theorem4_check(c, 200).agree
+    assert sorted(hashed) == [((), 2, 10), ((), 10, 200), ((1,), 2, 10), ((1,), 10, 200)]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_convexity_verdict_does_not_depend_on_scale(scale):
+    # the vertex reject band and the screen's band scale with max|V|: a
+    # zigzag is refuted and a convex line kept at every scale
+    zigzag = cz.PolyLine(scale * np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0],
+                                           [3.0, 1.0], [4.0, 0.0]]))
+    rep = cz.polyline_convexity_check(zigzag, 200, 0)
+    assert rep.status == COUNTEREXAMPLE and rep.trials_run == 1
+    assert rep.crossings == 4
+    masses = np.array([1.0, -2.0, 2.0, -2.0, 1.0])
+    assert cz.theorem6_check(zigzag, 1, masses).message == \
+        "hypothesis violated: not convex"
+    ts = np.linspace(-1.0, 1.0, 9)
+    convex = cz.PolyLine(scale * np.stack([ts, ts ** 2], axis=1))
+    assert cz.polyline_convexity_check(convex, 200, 0).status == NO_VIOLATION
 
 
 def test_convex_polyline_screens_without_exact_probes(monkeypatch):
@@ -556,5 +588,5 @@ def test_convex_polyline_screens_without_exact_probes(monkeypatch):
     V = np.stack([ts, ts ** 2, ts ** 3], axis=1)
     rep = cz.polyline_convexity_check(cz.PolyLine(V), trials=300, rng_seed=5)
     assert rep.status == NO_VIOLATION and rep.trials_run == 300
-    # chunks of 8, 32, 128 and the last 132 trials: one stacked SVD each
+    # chunks of 2, 8 and 32 trials and the last 258: one stacked SVD each
     assert calls == {"crossings": 0, "svd": 4}

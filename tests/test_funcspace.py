@@ -74,17 +74,46 @@ def test_trial_seeds_reject_material_past_the_pool():
 
 @pytest.mark.parametrize("start, stop", [(0, 1), (3, 7), (0, 8), (8, 40), (40, 200)])
 def test_trial_streams_reproduce_derived_rng(start, stop):
-    # short chunks build one derived_rng per trial, longer ones hash the
-    # chunk's seed words; both draw derived_rng's streams, again on recall
+    # trials start..stop-1 of a stop-trial budget, in probe chunks that
+    # build one derived_rng per trial (all of them under a cap of 1 or 2
+    # trials), hash one chunk's seed words, or slice the rest of the
+    # budget's; all draw derived_rng's streams, again on recall
     assert np.array_equal(fs._trial_seeds(7, stop, 1, start=start),
                           fs._trial_seeds(7, stop, 1)[start:])
     for keys in [(), (1,)]:
-        stream = fs._trial_streams(7, start, stop, *keys)
-        for t in list(range(start, stop)) + [start]:
-            want = fs.derived_rng(7, t, *keys)
-            g = stream(t)
-            assert g.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
-            assert g.uniform() == want.uniform()
+        for rows in (9, 2048, 2 ** 17, 2 ** 18):
+            for a, b, stream in fs._probe_chunks(7, stop, rows, *keys):
+                ts = [t for t in range(a, b) if t >= start]
+                for t in ts + ts[:1]:
+                    want = fs.derived_rng(7, t, *keys)
+                    g = stream(t)
+                    assert g.standard_normal(3).tobytes() == \
+                        want.standard_normal(3).tobytes()
+                    assert g.uniform() == want.uniform()
+
+
+def _chunk_ranges(trials, rows):
+    return [(a, b) for a, b, _ in fs._probe_chunks(0, trials, rows)]
+
+
+def test_probe_chunk_schedule():
+    # 2, 8, 32, 128, ... trials; a remainder shorter than the next chunk
+    # joins the chunk before it under the cap (2**18 // rows), never the
+    # first chunk
+    assert _chunk_ranges(200, 9) == [(0, 2), (2, 10), (10, 42), (42, 200)]
+    assert _chunk_ranges(200, 2048) == [(0, 2), (2, 10), (10, 42), (42, 170),
+                                        (170, 200)]
+    assert _chunk_ranges(50, 2048) == [(0, 2), (2, 10), (10, 50)]
+    assert _chunk_ranges(1, 9) == [(0, 1)]
+    assert _chunk_ranges(3, 9) == [(0, 2), (2, 3)]
+    assert _chunk_ranges(3, 2 ** 18) == [(0, 1), (1, 2), (2, 3)]
+    for trials in (1, 2, 5, 11, 42, 43, 171, 1000):
+        for rows in (1, 9, 2048, 2 ** 16, 2 ** 19):
+            cap = max(1, 2 ** 18 // rows)
+            got = _chunk_ranges(trials, rows)
+            assert [a for a, _ in got] == [0] + [b for _, b in got[:-1]]
+            assert got[-1][1] == trials and got[0][1] <= 2
+            assert all(0 < b - a <= cap for a, b in got)
 
 
 def _reference_grid_counts(rows, cyclic):
