@@ -20,7 +20,6 @@ are a trial-by-trial loop's.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -28,16 +27,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import funcspace as fs
-from ._linalg import smallest_direction
+from ._linalg import _det_signs, smallest_direction
 from .exceptions import NotChebyshevError
 
 GOLDEN_FRAC = 0.6180339887498949
 
 DEFAULT_TRIALS = 500
 
-# determinant signs from tuples this close to singular are not trusted
-_DET_COND_FLOOR = 1e-12
-_LOG_SURE_RATIO = math.log(100.0 * _DET_COND_FLOOR)
 # halvings of _flip_witness's walk, and halvings per basis evaluation: 4
 # was the fastest of 2-6 on the sine graph's affine functions and on
 # {cos, sin} (6 was slower on the smoothed hexagon's quadratics)
@@ -177,23 +173,6 @@ def _clustered_tuple(rng, dom: fs.Domain, n: int) -> np.ndarray:
                                 + w * _stratified_fracs(rng, n)))
     lo = dom.a + (dom.span - w) * rng.uniform()
     return lo + w * _stratified_fracs(rng, n)
-
-
-def _det_signs(Ms: np.ndarray):
-    """(signs, informative) of a stack of square matrices: determinant
-    signs, trusted only where s_min > _DET_COND_FLOOR * s_max.  As
-    |det M| / |M|_F^n <= s_min / s_max, the SVD is skipped where that ratio
-    clears the floor a hundredfold."""
-    n = Ms.shape[-1]
-    sign, logdet = np.linalg.slogdet(Ms)
-    sq = np.maximum(np.einsum("kij,kij->k", Ms, Ms), np.finfo(float).tiny)
-    informative = logdet - 0.5 * n * np.log(sq) > _LOG_SURE_RATIO
-    rest = (~informative).nonzero()[0]
-    if rest.size:
-        s = np.linalg.svd(Ms[rest], compute_uv=False)
-        informative[rest] = ~((s[:, 0] == 0.0)
-                              | (s[:, -1] <= _DET_COND_FLOOR * s[:, 0]))
-    return sign, informative & (sign != 0.0)
 
 
 def _flip_witness(basis, G, cyclic, pts_ref, sign_ref, pts_bad):

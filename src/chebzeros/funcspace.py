@@ -166,6 +166,9 @@ _HASH_MIN_TRIALS = 5
 # trials per probe chunk are capped so that each probe row of a chunk holds
 # at most this many values
 _CHUNK_SAMPLES = 2 ** 18
+# after the first hashed chunk, seed words are hashed for this many trials
+# at a time (or one chunk, if longer): a hash holds about 145 bytes a trial
+_HASH_SLICE = 2 ** 16
 
 
 def _probe_chunks(seed, trials: int, rows: int, *keys):
@@ -178,7 +181,8 @@ def _probe_chunks(seed, trials: int, rows: int, *keys):
     t, *keys)'s stream until the next chunk: one derived_rng per trial in
     a chunk of under _HASH_MIN_TRIALS trials, else one reused Generator set
     to seed words hashed for the first such chunk alone, then for the rest
-    of the budget, so a loop hashes at most twice."""
+    of the budget in slices of _HASH_SLICE trials, so a loop of up to
+    _HASH_SLICE trials hashes at most twice."""
     cap = max(1, _CHUNK_SAMPLES // rows)
     g, start, size, end = None, 0, 2, 0
     while start < trials:
@@ -186,14 +190,14 @@ def _probe_chunks(seed, trials: int, rows: int, *keys):
         if start and trials - stop < min(4 * size, cap) and trials - start <= cap:
             stop = trials
         if stop > end and stop - start >= _HASH_MIN_TRIALS:
-            end = stop if g is None else trials
+            end = stop if g is None else min(trials, max(stop, start + _HASH_SLICE))
             words, at = _trial_seeds(seed, end, *keys, start=start), start
             g = g or np.random.Generator(np.random.PCG64(0))
         if stop > end:
             yield start, stop, lambda t: derived_rng(seed, t, *keys)
         else:
-            def stream(t, words=words[start - at:stop - at].tolist(), start=start):
-                g.bit_generator.state = _pcg64_state(words[t - start])
+            def stream(t, words=words, at=at):
+                g.bit_generator.state = _pcg64_state(words[t - at].tolist())
                 return g
             yield start, stop, stream
         start, size = stop, 4 * size

@@ -147,7 +147,7 @@ def test_trials_and_grid_must_be_integers():
 
 def _reference_det_sign(M):
     """The per-matrix determinant sign, kept as the reference."""
-    from chebzeros.chebsys import _DET_COND_FLOOR
+    from chebzeros._linalg import _DET_COND_FLOOR
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] == 0.0 or s[-1] <= _DET_COND_FLOOR * s[0]:
         return 0.0, False
@@ -289,7 +289,7 @@ def test_flip_witness_matches_one_halving_per_evaluation():
 
 
 def test_stacked_det_signs_match_per_matrix():
-    from chebzeros.chebsys import _det_signs
+    from chebzeros._linalg import _det_signs
     rng = np.random.default_rng(8)
     for n in range(1, 10):
         Ms = [rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)

@@ -590,3 +590,115 @@ def test_convex_polyline_screens_without_exact_probes(monkeypatch):
     assert rep.status == NO_VIOLATION and rep.trials_run == 300
     # chunks of 2, 8 and 32 trials and the last 258: one stacked SVD each
     assert calls == {"crossings": 0, "svd": 4}
+
+
+# ---------------------------------------------------------------------------
+# the sign-regular certificate of theorem6_check's hypothesis
+
+
+def test_increasing_tuples_match_combinations():
+    from itertools import combinations
+    from chebzeros._linalg import _increasing_tuples
+    for m in range(1, 15):
+        for k in sorted({1, 2, (m + 1) // 2, m}):
+            want = np.array(list(combinations(range(m), k)), dtype=np.intp)
+            assert np.array_equal(_increasing_tuples(m, k), want.reshape(-1, k))
+
+
+def _certificate_polylines():
+    """Seeded lines inscribed in convex curves (open moment curves in
+    R^2..R^4, the closed trig curve in R^4), their vertices perturbed by
+    1e-4..1e-1 of the spread so that some stop being convex, then mapped
+    by a random affine map at scales 1e-6..1e6."""
+    out = []
+    for s in range(60):
+        rng = fs.derived_rng(2026, s)
+        closed = s % 4 == 3
+        d = 4 if closed else 2 + s % 3
+        k = int(rng.integers(d + 2, 13))
+        if closed:
+            t = np.sort(rng.uniform(0.0, fs.TWO_PI, k))
+            V = np.stack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)], axis=1)
+        else:
+            t = np.sort(rng.uniform(-1.0, 1.0, k))
+            V = np.stack([t ** j for j in range(1, d + 1)], axis=1)
+        V = V + 10.0 ** rng.uniform(-4, -1) * rng.standard_normal(V.shape)
+        scale = 10.0 ** rng.uniform(-6, 6)
+        A = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
+        out.append(cz.PolyLine(scale * (V @ A + rng.standard_normal(d)), closed))
+    return out
+
+
+def test_certified_lines_get_no_probe_hit():
+    from chebzeros import discrete
+    certified = 0
+    for i, P in enumerate(_certificate_polylines()):
+        if discrete._sign_regular(P):
+            certified += 1
+            rep = cz.polyline_convexity_check(P, 2000, i)
+            assert rep.status == NO_VIOLATION, i
+    assert certified >= 15
+
+
+def test_theorem6_report_matches_probe_only_path(monkeypatch):
+    from chebzeros import discrete
+    lines = _certificate_polylines()
+    masses = [cz.construct_masses(P, 1, i) for i, P in enumerate(lines)]
+    got = [repr(cz.theorem6_check(P, 1, m)) for P, m in zip(lines, masses)]
+    monkeypatch.setattr(discrete, "_sign_regular", lambda P: None)
+    assert got == [repr(cz.theorem6_check(P, 1, m)) for P, m in zip(lines, masses)]
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_certificate_does_not_depend_on_scale(scale):
+    from chebzeros import discrete
+    ts = np.linspace(-1.0, 1.0, 9)
+    t = fs.TWO_PI * np.arange(12) / 12
+    zigzag = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0], [4.0, 0.0]])
+    cases = [(zigzag, False, False),
+             (np.stack([ts, ts ** 2], axis=1), False, True),
+             (np.stack([ts, ts ** 2, ts ** 3], axis=1), False, True),
+             (np.stack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)], axis=1),
+              True, True)]
+    for V, closed, want in cases:
+        b = np.linspace(-2.0, 3.0, V.shape[1])
+        for a in (scale, -scale):
+            assert discrete._sign_regular(cz.PolyLine(a * V + a * b, closed)) is want
+
+
+def test_probe_screen_runs_only_where_undecided(monkeypatch):
+    from chebzeros import discrete
+    runs = []
+    check = discrete.polyline_convexity_check
+
+    def spy(P, *a):
+        runs.append(P.k)
+        return check(P, *a)
+
+    monkeypatch.setattr(discrete, "polyline_convexity_check", spy)
+
+    def screened(P):
+        runs.clear()
+        cz.theorem6_check(P, 1, np.ones(P.k))
+        return runs == [P.k]
+
+    ts = np.linspace(-1.0, 1.0, 30)
+    t = fs.TWO_PI * np.arange(14) / 14
+    undecided = [
+        cz.PolyLine(np.stack([np.cos(t), np.sin(t), np.cos(2 * t)], axis=1), True),
+        _regular_polygon(9),
+        cz.PolyLine(np.stack([ts ** j for j in range(1, 5)], axis=1)),  # C(30, 5) minors
+        cz.PolyLine(np.stack([ts[:4] ** j for j in range(1, 4)], axis=1)),  # m = d + 1
+    ]
+    for P in undecided:
+        assert discrete._sign_regular(P) is None
+        assert screened(P)
+    certified = [
+        cz.PolyLine(np.stack([ts[:10], ts[:10] ** 2], axis=1)),
+        cz.PolyLine(np.stack([ts[::3] ** j for j in range(1, 4)], axis=1)),
+        cz.PolyLine(np.stack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)],
+                             axis=1), True),
+    ]
+    for P in certified:
+        assert discrete._sign_regular(P) is True
+        assert not screened(P)

@@ -116,6 +116,46 @@ def test_probe_chunk_schedule():
             assert all(0 < b - a <= cap for a, b in got)
 
 
+def test_long_budgets_hash_seeds_in_slices(monkeypatch):
+    # after the first hashed chunk, seed words come in slices of at most
+    # _HASH_SLICE trials, each starting at a chunk, and streams stay
+    # derived_rng's across slice ends; a budget of one slice hashes twice
+    hashed = []
+    seeds = fs._trial_seeds
+
+    def spy(seed, trials, *keys, start=0):
+        hashed.append((start, trials))
+        return seeds(seed, trials, *keys, start=start)
+
+    monkeypatch.setattr(fs, "_trial_seeds", spy)
+    assert len(list(fs._probe_chunks(7, fs._HASH_SLICE, 64, 1))) > 2
+    assert hashed == [(2, 10), (10, fs._HASH_SLICE)]
+    hashed.clear()
+    budget = 3 * fs._HASH_SLICE + 5
+    starts = []
+    for a, b, stream in fs._probe_chunks(7, budget, 64, 1):
+        starts.append(a)
+        for t in (a, b - 1):
+            assert stream(t).standard_normal(2).tobytes() == \
+                fs.derived_rng(7, t, 1).standard_normal(2).tobytes()
+    assert hashed[0] == (2, 10) and hashed[-1][1] == budget and len(hashed) == 5
+    assert all(a in starts and b - a <= fs._HASH_SLICE for a, b in hashed)
+    assert all(b0 < b1 and a1 <= b0 for (_, b0), (a1, b1) in zip(hashed, hashed[1:]))
+
+
+def test_seed_hash_memory_is_bounded():
+    # hashing a whole 10**6-trial budget at once peaked near 138 MiB
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        for _ in fs._probe_chunks(0, 10 ** 6, 10, 2):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
 def _reference_grid_counts(rows, cyclic):
     return [fs.count_grid_sign_changes(r, cyclic) for r in rows]
 
