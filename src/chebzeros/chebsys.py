@@ -84,18 +84,21 @@ def _monomial(j: int) -> fs.Func1D:
     if j == 0:
         return fs.constant(1.0, "1")
     label = "x" if j == 1 else f"x^{j}"
-    return fs.Func1D(lambda t, j=j: np.asarray(t, dtype=float) ** j, label)
+    return fs.Func1D(lambda t, j=j: fs._int_powers(t, j)[..., j], label)
 
 
 def polynomial_system(n_deg: int, dom: fs.Domain | None = None) -> ChebSystem:
-    """Monomials {1, x, ..., x^n_deg} on an interval (default (-1, 1))."""
+    """Monomials {1, x, ..., x^n_deg} on an interval (default (-1, 1)), as
+    left-to-right products (fs._int_powers; pow is slow on negative bases)."""
     if n_deg < 0:
         raise ValueError("degree must be nonnegative")
     if dom is None:
         dom = fs.interval(-1.0, 1.0)
     if dom.is_circle:
         raise ValueError("polynomial systems live on an interval")
-    return ChebSystem(tuple(_monomial(j) for j in range(n_deg + 1)), dom)
+    basis = fs.Basis([_monomial(j) for j in range(n_deg + 1)],
+                     lambda ts: fs._int_powers(ts, n_deg))
+    return ChebSystem(basis, dom)
 
 
 def trig_system(k_harm: int) -> ChebSystem:

@@ -99,11 +99,11 @@ def affine_image(curve: CurveRd, A, b=None) -> CurveRd:
 
 
 def moment_curve(d: int, a: float = -1.0, b: float = 1.0) -> CurveRd:
-    """(t, t^2, ..., t^d): the basic convex curve on an interval."""
+    """(t, t^2, ..., t^d): the basic convex curve on an interval, as
+    left-to-right products (fs._int_powers; pow is slow on negative bases)."""
     if d < 2:
         raise ValueError("dimension must be at least 2")
-    powers = np.arange(1, d + 1)
-    return CurveRd(lambda ts: ts[:, None] ** powers[None, :], d,
+    return CurveRd(lambda ts: fs._int_powers(ts, d)[:, 1:], d,
                    fs.interval(a, b), f"moment:{d}")
 
 
@@ -228,6 +228,7 @@ def _compositions(total: int, slots: int):
 def monomial_values(X, alphas) -> np.ndarray:
     """Values x^alpha at each row x of X for each exponent tuple alpha:
     an (len(X), len(alphas)) matrix."""
+    # pow, not fs._int_powers: construct_masses' SVD kernel basis jumps under ulp changes
     X = np.asarray(X, dtype=float)
     A = np.asarray(alphas, dtype=float).reshape(-1, X.shape[1])
     return np.prod(X[:, None, :] ** A[None, :, :], axis=2)

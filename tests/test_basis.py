@@ -2,6 +2,8 @@
 matrix(ts) callable, and restricted monomials evaluate the curve once per
 node array."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -189,3 +191,146 @@ def test_moments_on_edges_bit_identical_to_per_piece(i):
         for weight in (fs.constant(1.0), g):
             assert np.array_equal(moments_on_edges(basis, weight, dom, edges),
                                   _moments_per_piece(basis, weight, dom, edges))
+
+
+# ---------------------------------------------------------------------------
+# integer powers by left-to-right products
+
+
+def _products(ts, d):
+    """Reference: columns t, t*t, (t*t)*t, ... one multiplication at a time."""
+    cols = [ts]
+    for _ in range(d - 1):
+        cols.append(cols[-1] * ts)
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("d", range(2, 7))
+def test_moment_curve_is_the_product_table(d):
+    rng = np.random.default_rng([17, d])
+    for a, b in ((-1.0, 1.0), (-2.0, 1.0)):
+        c = cz.moment_curve(d, a, b)
+        for ts in (c.dom.grid(fs.DEFAULT_GRID_N), rng.uniform(a, b, 500)):
+            assert np.array_equal(cz.curve_points(c, ts), _products(ts, d))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_polynomial_members_are_their_fill_columns(n):
+    basis = cz.polynomial_system(n).basis
+    ts = np.concatenate([fs.interval(-1.0, 1.0).grid(fs.DEFAULT_GRID_N),
+                         np.random.default_rng([19, n]).uniform(-2.0, 2.0, 300)])
+    M = basis.matrix(ts)
+    assert M.shape == (ts.size, n + 1)
+    for j, f in enumerate(basis):
+        assert fs.sample(f, ts).tobytes() == M[:, j].tobytes()
+
+
+def test_int_powers_within_k_units_of_pow():
+    rng = np.random.default_rng(23)
+    mag = 10.0 ** rng.uniform(-3.0, 3.0, 20000)
+    ts = np.concatenate([fs.interval(-1.0, 1.0).grid(fs.DEFAULT_GRID_N),
+                         fs.interval(-2.0, 1.0).grid(fs.DEFAULT_GRID_N),
+                         rng.uniform(-2.0, 2.0, 20000),
+                         mag * rng.choice([-1.0, 1.0], mag.size)])
+    P = fs._int_powers(ts, 8)
+    assert np.array_equal(P[:, 0], np.ones(ts.size))
+    assert np.array_equal(P[:, 1], ts)
+    for k in range(2, 9):
+        want = np.array([math.pow(t, k) for t in ts])
+        err = np.abs(P[:, k] - want) / np.abs(want)
+        assert err.max() <= k * 2.0 ** -52
+
+
+def test_int_powers_special_values_as_pow():
+    ts = np.array([0.0, -0.0, 1.0, -1.0, 1e200, -1e200])
+    with np.errstate(over="ignore"):
+        P = fs._int_powers(ts, 8)
+        want = ts[:, None] ** np.arange(9)
+    assert np.array_equal(P, want)
+    assert np.array_equal(np.signbit(P), np.signbit(want))
+    assert np.isinf(P[4:, 2:]).all()
+
+
+def test_polynomial_members_take_0d_and_2d_inputs():
+    basis = cz.polynomial_system(5).basis
+    T = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    M = basis.matrix(T)
+    row = basis.matrix(np.array([-0.3]))[0]
+    for j, f in enumerate(basis):
+        assert np.shape(f(-0.3)) == () and float(f(-0.3)) == row[j]
+        assert f(T).shape == T.shape
+        assert np.array_equal(f(T), M[:, j].reshape(T.shape))
+
+
+def _pow_moment_curve(d):
+    """Reference: the moment curve evaluated by NumPy pow."""
+    powers = np.arange(1, d + 1)
+    return cz.CurveRd(lambda ts: ts[:, None] ** powers[None, :], d,
+                      fs.interval(-1.0, 1.0), f"moment:{d}")
+
+
+def _pow_polynomial_system(n):
+    """Reference: the monomials evaluated by NumPy pow, one sample each."""
+    basis = [fs.constant(1.0, "1")] + [
+        fs.Func1D(lambda t, j=j: np.asarray(t, dtype=float) ** j, f"x^{j}")
+        for j in range(1, n + 1)]
+    return cz.ChebSystem(tuple(basis), fs.interval(-1.0, 1.0))
+
+
+def _affine_pair(i):
+    d = 2 + i
+    rng = np.random.default_rng([29, i])
+    A = np.eye(d) + 0.05 / (d + 1) * rng.uniform(-1.0, 1.0, (d, d))
+    b = rng.uniform(-0.5, 0.5, d)
+    return (cz.affine_image(cz.moment_curve(d), A, b),
+            cz.affine_image(_pow_moment_curve(d), A, b))
+
+
+_CURVE_PAIRS = ([(cz.moment_curve(d), _pow_moment_curve(d)) for d in (2, 3, 4)]
+                + [_affine_pair(i) for i in range(3)])
+
+
+def _t4_summary(r):
+    conv, cheb = r.convexity, r.chebyshev
+    return (conv.status, conv.trials_run,
+            conv.witness_count and conv.witness_count.count_with_multiplicity,
+            cheb.status, cheb.trials_run, cheb.witness_zero_count, r.agree, r.dim)
+
+
+@pytest.mark.parametrize("trials", [1, 8, 200])
+@pytest.mark.parametrize("i", range(len(_CURVE_PAIRS)))
+def test_theorem4_verdicts_match_pow_evaluation(i, trials):
+    new, old = _CURVE_PAIRS[i]
+    for seed in range(3):
+        assert (_t4_summary(cz.theorem4_check(new, trials, seed))
+                == _t4_summary(cz.theorem4_check(old, trials, seed)))
+
+
+def _verdict(v):
+    return v.status, v.trials_run, v.witness_zero_count
+
+
+@pytest.mark.parametrize("trials", [1, 8, 200])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chebyshev_verdicts_match_pow_evaluation(n, trials):
+    new, old = cz.polynomial_system(n), _pow_polynomial_system(n)
+    for seed in range(3):
+        assert (_verdict(cz.verify_chebyshev(new, trials, seed))
+                == _verdict(cz.verify_chebyshev(old, trials, seed)))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_synthesis_matches_pow_evaluation(n):
+    rng = np.random.default_rng([31, n])
+    for _ in range(3):
+        m = n + 1
+        pts = -1.0 + 2.0 * (np.arange(m) + 0.1 + 0.8 * rng.uniform(size=m)) / m
+        got = []
+        for sys in (cz.polynomial_system(n), _pow_polynomial_system(n)):
+            r = cz.synth_orthogonal(sys, pts)
+            rep = cz.theorem1_check(sys, r.F)
+            got.append((r.sign_report.count, r.sign_report.locations,
+                        (rep.applicable, rep.passed, rep.sign_changes, rep.bound)))
+        (c1, loc1, rep1), (c2, loc2, rep2) = got
+        assert c1 == c2 and rep1 == rep2 and rep1[1]
+        assert np.abs(loc1 - loc2).max() <= 1e-12
