@@ -136,7 +136,10 @@ def _fix_probe_sign(combo: fs.Func1D, dom: fs.Domain, coeffs: np.ndarray) -> np.
 def _verify_candidate(sys: ChebSystem, rp: RootPrescription, coeffs,
                       grid_n: int):
     combo = fs.combination(sys.basis, coeffs, "annihilator")
-    rep = fs.count_sign_changes(combo, sys.dom, grid_n)
+    fs._check_count_args(grid_n)
+    grid = sys.dom.grid(grid_n)
+    rep = fs.grid_sign_report(combo, sys.dom, grid, fs.sample(combo, grid),
+                              guesses=rp.simple_roots)
     if rep.degenerate or rep.count != rp.q:
         return False
     want = np.sort(np.asarray(rp.simple_roots, dtype=float))

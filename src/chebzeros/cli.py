@@ -654,7 +654,7 @@ def cmd_synth(args) -> dict:
         with open(args.poly, "r", encoding="utf-8") as fh:
             P = parse_polyline(fh.read())
         mv = construct_masses(P, args.n, args.seed)
-        rep = theorem6_check(P, args.n, mv)
+        rep = theorem6_check(P, args.n, mv, tol=min(args.tol, 1e-10))
         res = rep.max_residual
         return {"poly": args.poly, "n": args.n, "k": P.k, "closed": P.closed,
                 "masses": _jsonable(mv.masses), "applicable": rep.applicable,

@@ -19,11 +19,14 @@ sharpened between the bracketing grid samples, but only when a report's
 `locations` is first read; callers that need only the count (every lower
 bound in the package) never evaluate f between grid points.  Refinement
 gives bisection's floats.  One f evaluation tests, for every bracket,
-bisection's own midpoints walking toward a secant guess of its root, and
-the halvings are kept while f's signs agree with the walk; a bracket
-stops once it has shrunk to float resolution, where further halvings
-could not move it.  No refinement takes more than _MAX_ROUNDS
-evaluations.
+bisection's own midpoints walking toward a guess of its root, and the
+halvings are kept while f's signs agree with the walk; a bracket stops
+once it has shrunk to float resolution, where further halvings could not
+move it.  The first guess is a crossing the caller already knows
+(grid_sign_report's guesses: prescribed points, breaks), else a
+one-sided secant through the bracket's end and the grid sample beyond
+it; a secant guess walks only as deep as its two sides agree.  No
+refinement takes more than _MAX_ROUNDS evaluations.
 """
 
 from __future__ import annotations
@@ -50,9 +53,14 @@ _BISECT_ITERS = 60
 # halvings per f evaluation that _bisect_roots guarantees on average, so
 # that no refinement takes more than _MAX_ROUNDS calls of f.  It sets only
 # the worst case: its multisection trees serve brackets whose guesses keep
-# missing, and no bracket of a seed-1 synth benchmark pass needs one
+# missing, and no bracket of a synth benchmark pass at seeds 1, 2, 3 or
+# 1009 needs one
 _MULTISECT_DEPTH = 5
 _MAX_ROUNDS = -(-_BISECT_ITERS // _MULTISECT_DEPTH)
+# levels a secant-guided walk lists beyond where its two one-sided secants
+# part: the walk agrees with bisection about down to the level whose
+# midpoints are as far apart as the guess is from the root
+_WALK_SLACK = 3
 
 
 def derived_rng(seed, *keys):
@@ -589,26 +597,31 @@ def _grid_counts(vals: np.ndarray, cyclic: bool) -> np.ndarray:
     return counts
 
 
+def _secant(p1: float, v1: float, p2: float, v2: float) -> float:
+    """Zero of the line through (p1, v1) and (p2, v2); NaN when v1 == v2
+    or an input is NaN."""
+    return p1 - v1 * (p1 - p2) / (v1 - v2) if v1 != v2 else math.nan
+
+
 def _guess(lo: float, flo: float, lo2: float, flo2: float,
            hi: float, fhi: float, hi2: float, fhi2: float) -> float:
     """Where in [lo, hi] a bracket's next round looks for its root.
 
-    (lo2, flo2) and (hi2, fhi2) are the previous ends on either side, NaN
-    before an end has moved.  The guess is the secant through the two
-    latest points on one side, from the side whose error term
-    |(g - p1)(g - p2)| is smaller: a step factor that changes sign at the
-    root puts a kink there, and a secant across the kink (regula falsi)
-    converges only linearly.  Regula falsi through (lo, hi) stands in when
-    neither side's secant lands in the bracket, the midpoint when that
-    misses too.
+    (lo2, flo2) and (hi2, fhi2) are the previous ends on either side: the
+    neighbouring grid samples in the first round, NaN where there is
+    none.  The guess is the secant through the two latest points on one
+    side, from the side whose error term |(g - p1)(g - p2)| is smaller:
+    a step factor that changes sign at the root puts a kink there, and a
+    secant across the kink (regula falsi) converges only linearly.
+    Regula falsi through (lo, hi) stands in when neither side's secant
+    lands in the bracket, the midpoint when that misses too.
     """
     g, best = 0.5 * (lo + hi), math.inf
     for p1, v1, p2, v2 in ((lo, flo, lo2, flo2), (hi, fhi, hi2, fhi2)):
-        if v1 != v2:
-            s = p1 - v1 * (p1 - p2) / (v1 - v2)
-            e = abs((s - p1) * (s - p2))
-            if lo <= s <= hi and e < best:
-                g, best = s, e
+        s = _secant(p1, v1, p2, v2)
+        e = abs((s - p1) * (s - p2))
+        if lo <= s <= hi and e < best:
+            g, best = s, e
     if best == math.inf and fhi != flo:
         s = lo - flo * (hi - lo) / (fhi - flo)
         if lo <= s <= hi:
@@ -617,23 +630,32 @@ def _guess(lo: float, flo: float, lo2: float, flo2: float,
 
 
 def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,
-                  vlos: np.ndarray, vhis: np.ndarray) -> np.ndarray:
+                  vlos: np.ndarray, vhis: np.ndarray, guesses=None,
+                  seeds=None) -> np.ndarray:
     """Vectorized root refinement: each (lo, hi) brackets one sign
     transition, and vlos and vhis hold the values of f at the ends, of
     opposite strict signs.  fvals maps an array of parameters to values.
+    guesses, when given, holds a first guess per bracket (NaN or a point
+    outside the bracket for none), and seeds = (lo2s, vlo2s, hi2s, vhi2s)
+    the points beyond each end and f's values there, from which the first
+    secants start.
 
     The result is the same floats as bisection's _BISECT_ITERS halvings,
     whose midpoints 0.5 * (lo + hi) are the only points tested; a guess
-    of where each root lies (_guess) only decides which of them one f
-    call tests at once.  Each round lists, for every bracket, bisection's
-    own midpoints walking toward its guess, for the halvings left or
-    until a midpoint rounds onto an end of its bracket, and evaluates f
-    once on all of them.  Halvings are then accepted in order while the
-    next listed point is the midpoint of the bracket the actual sign
-    chose, and the first that disagrees is accepted too.  A bracket
-    stops at the halving cap or once its midpoint rounds onto an end,
-    where later halvings would leave it, and the result, bit for bit as
-    it is.
+    of where each root lies only decides which of them one f call tests
+    at once.  A bracket's first guess is its given guess when that lies
+    in the bracket, and every other guess is _guess's secant.  Each round
+    lists, for every bracket, bisection's own midpoints walking toward its
+    guess, for the halvings left or until a midpoint rounds onto an end
+    of its bracket, and evaluates f once on all of them.  A secant
+    guess's walk stops sooner, _WALK_SLACK levels below where the
+    midpoints are as far apart as the two one-sided secants: past that,
+    the guess cannot tell which side the root is on.  Halvings are then
+    accepted in order while the next listed point is the midpoint of the
+    bracket the actual sign chose, and the first that disagrees is
+    accepted too.  A bracket stops at the halving cap or once its
+    midpoint rounds onto an end, where later halvings would leave it, and
+    the result, bit for bit as it is.
 
     A round accepts at least one halving per bracket.  A bracket falls
     behind when a round of one halving could leave it more halvings than
@@ -651,20 +673,31 @@ def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,
     """
     out = 0.5 * (los + his)
     nan = math.nan
+    none = [nan] * los.size
+    a2s, fa2s, c2s, fc2s = (none,) * 4 if seeds is None else (
+        np.asarray(x, dtype=float).tolist() for x in seeds)
+    given = {} if guesses is None else dict(enumerate(
+        np.asarray(guesses, dtype=float).tolist()))
     # a bracket in refinement: (index, sign at lo, halvings left, lo, f(lo),
     # the lo before it, f there, and the same three at hi)
-    active = [(b, sb, _BISECT_ITERS, a, fa, nan, nan, c, fc, nan, nan)
-              for b, (a, c, sb, fa, fc) in enumerate(zip(
+    active = [(b, sb, _BISECT_ITERS, a, fa, a2, fa2, c, fc, c2, fc2)
+              for b, (a, c, sb, fa, fc, a2, fa2, c2, fc2) in enumerate(zip(
                   los.tolist(), his.tolist(), np.sign(vlos).tolist(),
-                  vlos.tolist(), vhis.tolist()))
+                  vlos.tolist(), vhis.tolist(), a2s, fa2s, c2s, fc2s))
               if a < 0.5 * (a + c) < c]
     rounds_left = _MAX_ROUNDS
     while active:
         pts, plans = [], []
         add = pts.append
         for st in active:
-            n, a, fa, a2, fa2, c, fc, c2, fc2 = st[2:]
-            g = _guess(a, fa, a2, fa2, c, fc, c2, fc2)
+            b, _, n, a, fa, a2, fa2, c, fc, c2, fc2 = st
+            g, walk_n = given.pop(b, nan), n
+            if not a <= g <= c:
+                g = _guess(a, fa, a2, fa2, c, fc, c2, fc2)
+                spread = abs(_secant(a, fa, a2, fa2) - _secant(c, fc, c2, fc2))
+                if spread > 0.0:
+                    levels = math.frexp((c - a) / spread)[1] + _WALK_SLACK
+                    walk_n = min(n, max(1, levels))
             depth = 0
             if n - 1 > (_MULTISECT_DEPTH + 1) * (rounds_left - 1):
                 depth = -(-n // rounds_left)
@@ -688,7 +721,7 @@ def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,
                     h >>= 1
                 a, c = ends[leaf], ends[leaf + 1]
             walk = len(pts)
-            for _ in range(n - depth):
+            for _ in range(min(walk_n, n - depth)):
                 mid = 0.5 * (a + c)
                 if mid == a or mid == c:
                     break
@@ -737,16 +770,39 @@ def _bisect_roots(fvals: Callable, los: np.ndarray, his: np.ndarray,
 
 
 def _root_finder(fvals: Callable, dom: Domain, ts: np.ndarray,
-                 vals: np.ndarray, ii: np.ndarray,
-                 jj: np.ndarray) -> Callable[[], np.ndarray]:
+                 vals: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+                 guesses=None) -> Callable[[], np.ndarray]:
     """Deferred refinement of the transitions (ii, jj) found on (ts, vals):
-    the returned callable yields the sorted roots of fvals.  It keeps only
-    the bracket arrays, not the grid a report outlives."""
+    the returned callable yields the sorted roots of fvals.  Each side's
+    secant starts from the neighbouring grid sample, and a bracket that
+    holds one of guesses (points where f is known to cross) walks toward
+    it first.  It keeps only the bracket arrays, not the grid a report
+    outlives."""
     los = ts[ii]
     his = ts[jj]
     his = np.where(his <= los, his + TWO_PI, his)  # only the cyclic closing pair
     vlos, vhis = vals[ii], vals[jj]
-    return lambda: np.sort(dom.wrap(_bisect_roots(fvals, los, his, vlos, vhis)))
+    vlo2, vhi2 = vals[ii - 1], vals[(jj + 1) % ts.size]
+    h, last = ts[1] - ts[0], ts.size - 1
+
+    def roots():
+        lo2, hi2 = los - h, his + h
+        if not dom.is_circle:
+            lo2[ii == 0] = np.nan
+            hi2[jj == last] = np.nan
+        first = None
+        if guesses is not None:
+            # each lo's first guess at or above it; _bisect_roots passes
+            # over one beyond hi
+            x = dom.wrap(np.asarray(guesses, dtype=float).ravel())
+            if dom.is_circle:
+                x = np.concatenate([x, x + TWO_PI])
+            x = np.sort(np.append(x, math.inf))
+            first = x[np.searchsorted(x, los)]
+        return np.sort(dom.wrap(_bisect_roots(
+            fvals, los, his, vlos, vhis, first, (lo2, vlo2, hi2, vhi2))))
+
+    return roots
 
 
 def count_sign_changes(f: Func1D, dom: Domain,
@@ -771,14 +827,17 @@ def count_sign_changes(f: Func1D, dom: Domain,
 
 
 def grid_sign_report(f: Func1D, dom: Domain, ts: np.ndarray,
-                     vals: np.ndarray) -> SignChangeReport:
+                     vals: np.ndarray, *, guesses=None) -> SignChangeReport:
     """count_sign_changes from f's values vals on the grid ts =
     dom.grid(n), for a caller that has sampled them already; locations
-    are refined from f when first read."""
+    are refined from f when first read.  guesses are points where f is
+    known or expected to cross (prescribed zeros, breaks); they decide
+    only how many f calls refinement takes (see _bisect_roots)."""
     ii, jj, degenerate = _sign_transitions(vals, dom.is_circle)
     if degenerate:
         return SignChangeReport(0, _no_roots, True)
-    roots = _root_finder(lambda m: sample(f, dom.wrap(m)), dom, ts, vals, ii, jj)
+    roots = _root_finder(lambda m: sample(f, dom.wrap(m)), dom, ts, vals, ii, jj,
+                         guesses)
     return SignChangeReport(ii.size, roots, False)
 
 

@@ -211,7 +211,9 @@ def synth_orthogonal(sys: ChebSystem, points,
     residuals = A @ p
     if np.max(np.abs(residuals)) > RESIDUAL_TOL:
         raise NotChebyshevError("orthogonality residual above tolerance")
-    rep = fs.count_sign_changes(F, dom, grid_n)
+    fs._check_count_args(grid_n)
+    ts = dom.grid(grid_n)
+    rep = fs.grid_sign_report(F, dom, ts, fs.sample(F, ts), guesses=pts)
     if rep.degenerate or rep.count != m or \
             np.max(np.abs(np.sort(rep.locations) - np.sort(pts))) > LOC_TOL:
         raise NotChebyshevError(
@@ -313,7 +315,7 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
     fs._check_count_args(grid_n)
     grid = dom.grid(grid_n)
     fgrid = fs.sample(f, grid)
-    rep = fs.grid_sign_report(f, dom, grid, fgrid)
+    rep = fs.grid_sign_report(f, dom, grid, fgrid, guesses=breaks)
     cuts = np.asarray(rep.locations, dtype=float)
     if breaks is not None:
         extra = np.asarray(breaks, dtype=float)

@@ -204,6 +204,19 @@ def test_synth_masses_moment_polyline_file(capsys):
     assert payload["sign_changes"] >= payload["bound"] == 4
 
 
+def test_synth_masses_honours_tol(capsys):
+    # the moment residual of these masses is about 3e-16: under a
+    # tolerance of 1e-30 they do not annihilate the moments
+    path = DATA / "moment3_polyline.txt"
+    code, out, _ = run(capsys, "synth", "masses", "--poly", str(path), "--n", "1",
+                       "--tol", "1e-30")
+    payload = _strict_json(out)
+    assert code == 1
+    assert payload["applicable"] is False and payload["passed"] is False
+    assert payload["message"] == "masses do not annihilate the moments"
+    assert 1e-30 < payload["max_residual"] <= 1e-10
+
+
 def test_synth_annihilator(capsys):
     code, out, _ = run(capsys, "synth", "annihilator", "--system", "poly:3",
                        "--simple", "-0.4", "--double", "0.3")

@@ -485,26 +485,34 @@ def test_circle_counts_always_even(k, seed):
 
 
 class _Counted:
-    """Array function that counts its calls."""
+    """Array function that counts its calls and the points it is called on."""
 
     def __init__(self, fn):
         self.fn = fn
         self.calls = 0
+        self.points = 0
 
     def __call__(self, t):
         self.calls += 1
+        self.points += np.size(t)
         return self.fn(np.asarray(t, float))
 
 
 def _reference_bisect(fvals, los, his, slos):
     # the fixed 60-step bisection that refined locations must reproduce
+    los, his = _reference_brackets(fvals, los, his, slos)
+    return 0.5 * (los + his)
+
+
+def _reference_brackets(fvals, los, his, slos):
+    # the brackets that bisection's 60 steps leave
     los, his = los.copy(), his.copy()
     for _ in range(60):
         mids = 0.5 * (los + his)
         same = np.sign(fvals(mids)) == slos
         los = np.where(same, mids, los)
         his = np.where(same, his, mids)
-    return 0.5 * (los + his)
+    return los, his
 
 
 def _brackets(dom, ts, vals):
@@ -599,6 +607,67 @@ def test_count_extrema_refines_on_first_read(dom, fn):
     assert locs.tobytes() == want.tobytes()
 
 
+_H_LINE = 2.0 / fs.DEFAULT_GRID_N
+
+
+@pytest.mark.parametrize("dom, fn", _LAZY_CASES + [
+    # roots in the first and the last grid cell of an interval, whose
+    # outer sides have no neighbouring sample
+    (fs.interval(-1.0, 1.0), lambda t: (t + 1.0 - _H_LINE) * (t - 1.0 + _H_LINE))])
+def test_root_finder_seeds_from_grid_neighbours(monkeypatch, dom, fn):
+    # each side's previous end is the grid sample beyond the bracket,
+    # wrapped on the circle to lie beyond it in the bracket's coordinates
+    seen = []
+    bisect = fs._bisect_roots
+
+    def spy(fvals, *args):
+        seen.append(args)
+        return bisect(fvals, *args)
+
+    monkeypatch.setattr(fs, "_bisect_roots", spy)
+    ts = dom.grid(fs.DEFAULT_GRID_N)
+    vals = fn(ts)
+    rep = fs.grid_sign_report(fs.Func1D(fn), dom, ts, vals)
+    assert rep.locations.size == rep.count > 0
+    (los, his, _, _, guesses, (lo2, vlo2, hi2, vhi2)), = seen
+    assert guesses is None
+    h = dom.span / ts.size
+    for ends, want in [(lo2, los - h), (hi2, his + h)]:
+        # NaN past an end of an interval
+        missing = (want < dom.a) | (want > dom.b)
+        assert not (dom.is_circle and missing.any())
+        assert np.isnan(ends[missing]).all()
+        np.testing.assert_allclose(ends[~missing], want[~missing], rtol=0, atol=1e-12)
+    for ends, got in [(lo2, vlo2), (hi2, vhi2)]:
+        ends, got = ends[~np.isnan(ends)], got[~np.isnan(ends)]
+        k = np.rint((dom.wrap(ends) - ts[0]) / h).astype(int) % ts.size
+        assert got.tobytes() == vals[k].tobytes()
+
+
+@pytest.mark.parametrize("dom, pts", [
+    (fs.interval(-1.0, 1.0), [-0.6, -0.1, 0.4, 0.8]),
+    # the last point lies in the closing cell of the circle, and guesses
+    # are taken mod 2pi
+    (fs.circle(), [0.3 - fs.TWO_PI, 1.9, 3.0, fs.TWO_PI - 1e-3]),
+    # F is 0 on the grid sample at 0, so the closing bracket spans it and
+    # reaches past 2pi
+    (fs.circle(), [0.0, 1.9, 3.0, 4.4])])
+def test_guesses_start_the_brackets_that_hold_them(dom, pts):
+    # known crossings decide only where a bracket's first walk goes: a
+    # bracket holding one reaches bisection's floats in one call, and
+    # points in no bracket change nothing
+    step = cz.StepWeight(np.sort(dom.wrap(np.asarray(pts))), np.linspace(0.5, 2.0, 4 + (
+        not dom.is_circle)), dom).as_func()
+    F = fs.product(cz.default_annihilator(np.sort(dom.wrap(np.asarray(pts))), dom), step)
+    ts = dom.grid(fs.DEFAULT_GRID_N)
+    want = fs.grid_sign_report(F, dom, ts, F(ts)).locations
+    for guesses, most in [(pts, 1), ([], _ROUNDS), ([dom.a + 0.05, 2.9], _ROUNDS)]:
+        f = _Counted(F)
+        rep = fs.grid_sign_report(fs.Func1D(f), dom, ts, F(ts), guesses=guesses)
+        assert rep.locations.tobytes() == want.tobytes()
+        assert 1 <= f.calls <= most
+
+
 def _multisection_cases():
     """(name, f, los, his, slos, vlos, vhis): bracket sets of one sign
     change each, with f's values at the bracket ends."""
@@ -683,6 +752,43 @@ def test_multisection_matches_bisection(name, fn, los, his, slos, vlos, vhis):
         assert f.calls == 0
 
 
+def _given_and_seeds(fn, los, his, slos, vlos, vhis):
+    """(label, guesses, seeds) for _bisect_roots: first guesses at the
+    roots (the hi ends of bisection's last brackets, which the walk
+    toward them reaches in bisection's own steps), at a wrong point inside
+    each bracket, outside it and NaN, each with seeds at the grid
+    neighbours (one bracket width out, as on a uniform grid) and with
+    garbage seeds: a previous lo past hi with a value of the wrong sign,
+    and a previous hi with an infinite value."""
+    w = his - los
+    guesses = {"root": _reference_brackets(fn, los, his, slos)[1],
+               "inside": los + 0.3 * w, "outside": his + w,
+               "nan": np.full(los.size, np.nan)}
+    seeds = {"neighbours": (los - w, fn(los - w), his + w, fn(his + w)),
+             "garbage": (his + w, -1e3 * vlos, los - 7.0 * w,
+                         np.full(los.size, np.inf))}
+    for g, guess in guesses.items():
+        for s, seed in seeds.items():
+            yield f"{g} {s}", guess, seed
+
+
+@pytest.mark.parametrize("name, fn, los, his, slos, vlos, vhis", _MULTISECTION_CASES,
+                         ids=[c[0] for c in _MULTISECTION_CASES])
+def test_multisection_matches_bisection_from_any_start(name, fn, los, his, slos,
+                                                       vlos, vhis):
+    # first guesses and seeded secants decide only which of bisection's
+    # midpoints a call tests: every start gives bisection's floats within
+    # the worst case of calls, and a guess at the roots takes at most one
+    want = _reference_bisect(fn, los, his, slos)
+    for label, guess, seeds in _given_and_seeds(fn, los, his, slos, vlos, vhis):
+        f = _Counted(fn)
+        got = fs._bisect_roots(f, los, his, vlos, vhis, guess, seeds)
+        assert got.tobytes() == want.tobytes(), label
+        assert f.calls <= _ROUNDS, label
+        if label.startswith("root"):
+            assert f.calls <= 1, label
+
+
 @pytest.mark.parametrize("guess", ["lo", "hi", "nan"])
 def test_refinement_survives_any_guess(monkeypatch, guess):
     # the guess decides only which bisection midpoints one call tests: a
@@ -702,6 +808,32 @@ def test_refinement_survives_any_guess(monkeypatch, guess):
         # walking away from the root at 0 leaves about one halving per call until
         # multisection trees take over: the 60-halving cap in exactly 12
         assert calls["root at 0"] == _ROUNDS
+    # the same with first guesses and seeded secants, which the pinned
+    # guess takes over from in the rounds after the first
+    for name, fn, los, his, slos, vlos, vhis in _MULTISECTION_CASES:
+        want = _reference_bisect(fn, los, his, slos)
+        for label, given, seeds in _given_and_seeds(fn, los, his, slos, vlos, vhis):
+            f = _Counted(fn)
+            got = fs._bisect_roots(f, los, his, vlos, vhis, given, seeds)
+            assert got.tobytes() == want.tobytes(), (name, label)
+            assert f.calls <= _ROUNDS, (name, label)
+
+
+def test_secant_walks_stop_where_the_secants_part():
+    # with grid-neighbour seeds, walks sized by how far a bracket's two
+    # one-sided secants agree list under half the 99529 points that full
+    # walks list on these cases, for at most a tenth more than their 856
+    # calls
+    points = calls = 0
+    for name, fn, los, his, slos, vlos, vhis in _MULTISECTION_CASES:
+        w = his - los
+        f = _Counted(fn)
+        fs._bisect_roots(f, los, his, vlos, vhis, None,
+                         (los - w, fn(los - w), his + w, fn(his + w)))
+        points += f.points
+        calls += f.calls
+    assert points < 99529 // 2
+    assert calls <= 856 * 11 // 10
 
 
 def test_guesses_halve_the_corpus_calls():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,41 @@ def test_synth_orthogonal_circle():
     assert res.sign_report.count == 4
     assert np.max(np.abs(np.sort(res.sign_report.locations)
                          - np.sort(pts))) <= 1e-6
+
+
+def _synth_instances():
+    # the benchmark's systems at seeded stratified points, two per system,
+    # and the Gauss (poly) or equispaced (trig) nodes
+    systems = ([cz.polynomial_system(k) for k in range(1, 9)]
+               + [cz.trig_system(k) for k in range(1, 5)]
+               + [cz.power_system([2.0 ** 0.5, 3.0 ** 0.5], fs.interval(1.0, math.e)),
+                  cz.power_system([0.5, 1.5, 2.5], fs.interval(0.5, 2.0))])
+    for si, sys in enumerate(systems):
+        dom = sys.dom
+        m = cz.m_of(dom, sys.order_n)
+        for t in range(2):
+            rng = fs.derived_rng(0, 21, si, t)
+            fr = (np.arange(m) + 0.1 + 0.8 * rng.uniform(size=m)) / m
+            yield sys, fs.TWO_PI * fr if dom.is_circle else dom.a + dom.span * fr
+        if si < 8:
+            yield sys, np.sort(np.polynomial.legendre.leggauss(m)[0])
+        elif si < 12:
+            yield sys, fs.TWO_PI * (np.arange(m) + 0.5) / m
+
+
+def test_prescribed_points_refine_in_one_call(size_log):
+    # F crosses exactly at the prescribed points, so walks toward them
+    # take all of bisection's halvings in one f call; theorem1_check's
+    # breaks are the same points.  Secant guesses alone took 141 calls
+    # for the 40 syntheses and 141 for their theorem1 checks
+    for n, (sys, pts) in enumerate(_synth_instances(), 1):
+        before = size_log.refine_calls
+        res = cz.synth_orthogonal(sys, pts)
+        assert size_log.refine_calls == before + 1
+        rep = cz.theorem1_check(sys, res.F, breaks=res.step.breakpoints)
+        assert rep.applicable and rep.passed
+        assert size_log.refine_calls == before + 2
+    assert n == 40
 
 
 def test_synth_orthogonal_wrong_count():
