@@ -22,6 +22,16 @@ _VALIDATE_GRID = 4096
 ORTHO_TOL = 1e-10
 
 
+def _harmonic(ts, rows, m, a, b):
+    """a cos(m ts) + b sin(m ts), from fs._harmonics' rows when it served
+    ts; else computed here, one harmonic at a time, so that no cos or sin
+    array of a large grid outlives its term."""
+    if rows is None:
+        return a * np.cos(m * ts) + b * np.sin(m * ts)
+    c, s = rows[m - 1]
+    return a * c + b * s
+
+
 @dataclass(frozen=True)
 class OvalSupport:
     """Support function h0 + sum over m of a_m cos(ma) + b_m sin(ma).
@@ -46,15 +56,19 @@ class OvalSupport:
             raise ValueError("oval must be strictly convex: h + h'' > 0")
 
     def _h(self, ts):
-        out = np.full_like(np.asarray(ts, dtype=float), self.h0)
+        ts = np.asarray(ts, dtype=float)
+        rows = fs._harmonics(ts, len(self.coeffs))
+        out = np.full_like(ts, self.h0)
         for m, (a, b) in enumerate(self.coeffs, start=1):
-            out += a * np.cos(m * ts) + b * np.sin(m * ts)
+            out += _harmonic(ts, rows, m, a, b)
         return out
 
     def _R(self, ts):
-        out = np.full_like(np.asarray(ts, dtype=float), self.h0)
+        ts = np.asarray(ts, dtype=float)
+        rows = fs._harmonics(ts, len(self.coeffs))
+        out = np.full_like(ts, self.h0)
         for m, (a, b) in enumerate(self.coeffs, start=1):
-            out += (1.0 - m * m) * (a * np.cos(m * ts) + b * np.sin(m * ts))
+            out += (1.0 - m * m) * _harmonic(ts, rows, m, a, b)
         return out
 
     @property
@@ -73,8 +87,11 @@ def verify_R_orthogonality(oval: OvalSupport):
     zero whatever the coefficients, since h + h'' has no m=1 term."""
     ts, ws = fs.quad_nodes(fs.circle())
     R = fs.sample(radius_of_curvature(oval), ts)
-    rc = abs(float(ws @ (R * np.cos(ts))))
-    rs = abs(float(ws @ (R * np.sin(ts))))
+    # the quadrature nodes are the 1024-point circle grid, which the table
+    # keeps: its m = 1 row is np.cos(1 * ts), np.cos(ts)'s floats
+    (c, s), = fs._harmonics(ts, 1)
+    rc = abs(float(ws @ (R * c)))
+    rs = abs(float(ws @ (R * s)))
     return rc, rs
 
 

@@ -345,6 +345,35 @@ def _int_powers(t, k: int) -> np.ndarray:
     return P
 
 
+# circle grid size n -> (circle().grid(n), [(cos g, sin g), (cos 2g, sin 2g), ...])
+_HARMONIC_ROWS: dict = {}
+
+
+def _harmonics(ts, k: int):
+    """[(cos(m g), sin(m g)) for m = 1..k] when ts is the circle grid
+    g = circle().grid(n) of n <= DEFAULT_GRID_N points, else None.
+
+    Each row is np.cos(m * g) / np.sin(m * g), computed once, read-only,
+    and kept for the life of the process, so a caller gets the floats of
+    the inline expression.  Larger grids stay uncached: a row of the
+    16384-point grid is 128 KiB, and a caller computes those inline one
+    harmonic at a time to keep its peak memory down."""
+    ts = np.asarray(ts)
+    n = ts.shape[0] if ts.ndim == 1 else 0
+    # the first two points reject almost every other array before a full compare
+    if not 2 <= n <= DEFAULT_GRID_N or ts[0] != 0.0 or ts[1] != TWO_PI / n:
+        return None
+    g, rows = _HARMONIC_ROWS.get(n) or (circle().grid(n), [])
+    if not np.array_equal(ts, g):
+        return None
+    _HARMONIC_ROWS[n] = g, rows
+    for m in range(len(rows) + 1, k + 1):
+        c, s = np.cos(m * g), np.sin(m * g)
+        c.flags.writeable = s.flags.writeable = False
+        rows.append((c, s))
+    return rows[:k]
+
+
 class Basis(tuple):
     """Func1D members with one matrix(ts) -> (len(ts), len(basis)) callable:
     the producer's fill(ts) when it gave one, else one sample per column."""

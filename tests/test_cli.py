@@ -126,6 +126,21 @@ def test_verify_all_smoke(capsys):
         [[r[c] for c in columns] for r in ref]
 
 
+def test_oval_csv_rows_are_pinned(capsys):
+    # every column of verify fourvertex and verify blaschke at seed 0,
+    # observed residuals included, pinned to a reference run
+    rows = []
+    for family in ("fourvertex", "blaschke"):
+        code, out, _ = run(capsys, "verify", family, "--seed", "0",
+                           "--format", "csv")
+        assert code == 0
+        got = list(csv.reader(io.StringIO(out)))
+        rows += got if not rows else got[1:]
+    ref_text = (DATA / "verify_ovals_s0.csv").read_text(encoding="utf-8")
+    assert rows == list(csv.reader(io.StringIO(ref_text)))
+    assert len(rows) == 1 + 14 + 9
+
+
 # ---------------------------------------------------------------------------
 # synth payloads
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,64 @@ def test_random_oval_amplitude_contract():
     oval = cz.random_oval(5, 0.99, rng_seed=11)
     ts = np.linspace(0, 2 * np.pi, 4096)
     assert np.min(cz.radius_of_curvature(oval)(ts)) > 0
+
+
+def _reference_h(oval, ts):
+    out = np.full_like(np.asarray(ts, dtype=float), oval.h0)
+    for m, (a, b) in enumerate(oval.coeffs, start=1):
+        out += a * np.cos(m * ts) + b * np.sin(m * ts)
+    return out
+
+
+def _reference_R(oval, ts):
+    out = np.full_like(np.asarray(ts, dtype=float), oval.h0)
+    for m, (a, b) in enumerate(oval.coeffs, start=1):
+        out += (1.0 - m * m) * (a * np.cos(m * ts) + b * np.sin(m * ts))
+    return out
+
+
+@pytest.mark.parametrize("order", ["high_k_first", "low_k_first"])
+def test_harmonic_table_gives_the_reference_bytes(monkeypatch, order):
+    monkeypatch.setattr(fs, "_HARMONIC_ROWS", {})
+    grid = fs.circle().grid(fs.DEFAULT_GRID_N)
+    # non-grid arrays of the grid's length: shifted, and shifted past the
+    # first two points
+    inputs = [grid, fs.quad_nodes(fs.circle())[0], fs.circle().grid(4096),
+              fs.circle().grid(16384), grid + 1e-3,
+              np.concatenate([grid[:2], grid[2:] + 1e-3])]
+    hs = range(6, -1, -1) if order == "high_k_first" else range(7)
+    for H in hs:
+        oval = cz.random_oval(H, 0.7, rng_seed=H)
+        assert len(oval.coeffs) == H
+        for ts in inputs:
+            assert oval._h(ts).tobytes() == _reference_h(oval, ts).tobytes()
+            assert oval._R(ts).tobytes() == _reference_R(oval, ts).tobytes()
+    # only the two circle grids of at most DEFAULT_GRID_N points are kept
+    assert sorted(fs._HARMONIC_ROWS) == [fs.CIRCLE_NODES, fs.DEFAULT_GRID_N]
+    rows = fs._harmonics(grid, 6)
+    assert len(rows) == 6
+    for m, (c, s) in enumerate(rows, start=1):
+        assert not c.flags.writeable and not s.flags.writeable
+        assert c.tobytes() == np.cos(m * grid).tobytes()
+        assert s.tobytes() == np.sin(m * grid).tobytes()
+    for ts in inputs[2:]:
+        assert fs._harmonics(ts, 6) is None
+    assert fs._harmonics(grid[:-1], 1) is None
+    assert sorted(fs._HARMONIC_ROWS) == [fs.CIRCLE_NODES, fs.DEFAULT_GRID_N]
+
+
+def test_uncached_R_peaks_no_higher_than_the_reference():
+    # on a grid the table does not keep, _R computes one harmonic at a
+    # time; holding a (cos, sin) pair per harmonic doubled this peak
+    oval = cz.random_oval(5, 0.7, rng_seed=2)
+    ts = fs.circle().grid(16384)
+    peaks = []
+    for f in (_reference_R, cz.OvalSupport._R):
+        f(oval, ts)
+        tracemalloc.start()
+        try:
+            f(oval, ts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
