@@ -24,7 +24,6 @@ from .funcspace import (
     count_extrema,
     count_sign_changes,
     derived_rng,
-    inner_product,
     integrate,
     integrate_with_breaks,
     interval,
@@ -37,7 +36,6 @@ from .chebsys import (
     ChebSystem,
     ChebVerdict,
     NO_VIOLATION,
-    collocation_matrix,
     dimension_estimate,
     polynomial_system,
     power_system,
@@ -72,7 +70,6 @@ from .curves import (
     IntersectionCount,
     Prop1RelativeReport,
     Prop1Report,
-    SupportProduct,
     Theorem4Report,
     affine_image,
     arc_speed,
@@ -85,7 +82,6 @@ from .curves import (
     hyperplane_through,
     moment_curve,
     monomial_multi_indices,
-    polynomial_eval,
     polynomial_on_curve,
     power_curve,
     proposition1_check,
@@ -93,7 +89,6 @@ from .curves import (
     restrict_polynomials,
     sine_graph,
     smoothed_polygon,
-    support_product_polynomial,
     theorem4_check,
     theorem5_verify,
     trig_curve,

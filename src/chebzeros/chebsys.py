@@ -129,20 +129,7 @@ def power_system(alphas: Sequence[float], dom: fs.Domain) -> ChebSystem:
 
 
 # ---------------------------------------------------------------------------
-# collocation and verification
-
-
-def collocation_matrix(sys, points) -> np.ndarray:
-    """Matrix of basis values, one row per point, one column per function."""
-    basis, dom = _as_basis(sys)
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 1 or pts.size < 1:
-        raise ValueError("points must be a nonempty 1-d list")
-    if np.any(np.diff(pts) <= 0):
-        raise ValueError("points must be strictly increasing")
-    if not dom.all_inside(pts):
-        raise ValueError("points must lie inside the domain")
-    return fs.basis_matrix(basis, pts)
+# verification
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ counting tangential touches by their perturbation multiplicity.  On such
 a curve the restrictions of low-degree polynomials behave like a
 Chebyshev system, which turns every construction from the 1-D modules
 into a statement about slicing: orthogonal functions must cross many
-hyperplanes, and products of secant hyperplanes realize the minimal
-crossing patterns.
+hyperplanes, and orthogonal synthesis on moment and trig curves shows
+the nd + 1 bound sharp.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import funcspace as fs
-from ._linalg import fix_leading_sign, smallest_direction, svd_kernel
-from .annihilator import LOC_TOL, default_annihilator
+from ._linalg import RANK_RTOL, fix_leading_sign, smallest_direction, svd_kernel
+from .annihilator import default_annihilator
 from .chebsys import (COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, ChebVerdict,
                       _chebyshev_probes, _check_trials, _run_probes,
                       dimension_estimate)
@@ -31,7 +31,6 @@ from .orthosynth import (RESIDUAL_TOL, StepWeight, ZeroBoundReport, _step_edges,
 
 _MULT_SCALES = (1.0, 0.1, 0.01)
 _CENTER_GAP_TOL = 1e-8  # center-of-mass mismatch per unit diameter
-_DELTA_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -85,7 +84,8 @@ def affine_image(curve: CurveRd, A, b=None) -> CurveRd:
         raise ValueError(f"b must have length {d}")
     if not (np.isfinite(A).all() and np.isfinite(off).all()):
         raise ValueError("A and b must be finite")
-    if abs(np.linalg.det(A)) <= 1e-12:
+    s = np.linalg.svd(A, compute_uv=False)
+    if s[-1] <= RANK_RTOL * s[0]:
         raise ValueError("A must be nonsingular")
 
     def ev(ts, curve=curve, A=A, off=off):
@@ -247,6 +247,13 @@ def restrict_polynomials(curve: CurveRd, n: int) -> fs.Basis:
         return fs.Basis(members, lambda ts: _with_ones(curve_points(curve, ts)))
     return fs.Basis(members,
                     lambda ts: monomial_values(curve_points(curve, ts), alphas))
+
+
+def polynomial_on_curve(poly: dict, curve: CurveRd) -> fs.Func1D:
+    """The polynomial {exponent tuple: coefficient} restricted to the curve."""
+    alphas, coeffs = list(poly), np.array(list(poly.values()), dtype=float)
+    return fs.Func1D(lambda ts: monomial_values(curve_points(curve, ts), alphas) @ coeffs,
+                     "poly")
 
 
 def _with_ones(X) -> np.ndarray:
@@ -563,135 +570,6 @@ def theorem5_verify(curve: CurveRd, n: int, f, tol: float = RESIDUAL_TOL,
 
 
 # ---------------------------------------------------------------------------
-# products of secant hyperplanes
-
-
-@dataclass(frozen=True)
-class SupportProduct:
-    """Product of hyperplane factors crossing the curve at prescribed
-    parameters; poly maps exponent tuples to coefficients."""
-
-    factors: tuple
-    poly: dict
-    delta: float
-    points: np.ndarray
-
-
-def _linear_form_product(factors, d: int) -> dict:
-    poly = {(0,) * d: 1.0}
-    for hp in factors:
-        terms = [((0,) * d, -hp.offset)]
-        for j in range(d):
-            if hp.normal[j] != 0.0:
-                e = tuple(int(i == j) for i in range(d))
-                terms.append((e, float(hp.normal[j])))
-        acc = {}
-        for alpha, ca in poly.items():
-            for beta, cb in terms:
-                gamma = tuple(a + b for a, b in zip(alpha, beta))
-                acc[gamma] = acc.get(gamma, 0.0) + ca * cb
-        poly = acc
-    return poly
-
-
-def polynomial_eval(poly: dict, X) -> np.ndarray:
-    return monomial_values(X, list(poly)) @ np.array(list(poly.values()), dtype=float)
-
-
-def polynomial_on_curve(poly: dict, curve: CurveRd) -> fs.Func1D:
-    return fs.Func1D(lambda ts: polynomial_eval(poly, curve_points(curve, ts)),
-                     "poly")
-
-
-def _factor_product_func(curve: CurveRd, factors) -> fs.Func1D:
-    def ev(ts):
-        P = curve_points(curve, ts)
-        out = np.ones(P.shape[0])
-        for hp in factors:
-            out *= P @ hp.normal - hp.offset
-        return out
-
-    return fs.Func1D(ev, "secant-product")
-
-
-def support_product_polynomial(curve: CurveRd, zero_points,
-                               grid_n: int = fs.DEFAULT_GRID_N) -> SupportProduct:
-    """Product of secant hyperplanes whose restriction to the curve
-    changes sign exactly at the prescribed parameters.
-
-    The points are grouped d at a time along the curve; each full group
-    fixes one hyperplane factor.  A leftover group of l < d points is
-    completed with d - l auxiliary curve points at spacing delta from an
-    anchor: the left endpoint on an open curve (the extra crossings then
-    sit below the first grid sample and leave the domain as delta -> 0),
-    the group's own first point on a closed one (the anchor cluster then
-    holds an odd number of crossings, so one net flip survives there).
-    delta starts at 1e-2 of the span and halves until two consecutive
-    grid sign patterns agree and the realized crossings match the
-    prescription; on a closed curve with d - l >= 2 the hyperplane fit
-    through the collapsing cluster can lose too much precision first, in
-    which case this raises instead of returning a wrong pattern.
-    """
-    dom = curve.dom
-    d = curve.d
-    pts = np.asarray(zero_points, dtype=float)
-    if pts.ndim != 1 or pts.size == 0:
-        raise ValueError("need at least one zero point")
-    if pts.size > 1 and np.any(np.diff(pts) <= 0):
-        raise ValueError("zero points must be strictly increasing")
-    if not dom.all_inside(pts):
-        raise ValueError("zero points must lie inside the domain")
-    nfull, l = divmod(pts.size, d)
-    full_factors = [hyperplane_through(curve_points(curve, pts[i * d:(i + 1) * d]))
-                    for i in range(nfull)]
-
-    if l == 0:
-        F = _factor_product_func(curve, full_factors)
-        if not _realizes(fs.count_sign_changes(F, dom, grid_n), pts):
-            raise NotChebyshevError("secant product does not change sign "
-                                    "exactly at the prescribed points")
-        return SupportProduct(tuple(full_factors),
-                              _linear_form_product(full_factors, d), 0.0, pts)
-
-    fs._check_count_args(grid_n)
-    ts = dom.grid(grid_n)
-    short = pts[nfull * d:]
-    anchor = float(short[0]) if dom.is_circle else dom.a
-    delta = 1e-2 * dom.span
-    prev_pattern = None
-    for _ in range(_DELTA_HALVINGS + 1):
-        aux = dom.wrap(anchor + delta * np.arange(1, d - l + 1))
-        try:
-            last = hyperplane_through(
-                curve_points(curve, np.concatenate([short, aux])))
-        except ValueError:
-            delta *= 0.5
-            prev_pattern = None
-            continue
-        factors = full_factors + [last]
-        F = _factor_product_func(curve, factors)
-        vals = fs.sample(F, ts)
-        vmax = float(np.max(np.abs(vals)))
-        zero = np.abs(vals) <= fs.DEFAULT_TOL_REL * vmax
-        pattern = np.sign(np.where(zero, 0.0, vals)).tobytes() if vmax > 0 else b""
-        rep = fs.grid_sign_report(F, dom, ts, vals)
-        ok = _realizes(rep, pts)
-        if ok and pattern == prev_pattern:
-            return SupportProduct(tuple(factors),
-                                  _linear_form_product(factors, d), delta, pts)
-        prev_pattern = pattern if ok else None
-        delta *= 0.5
-    raise NotChebyshevError(
-        "auxiliary cluster never stabilized on the prescribed sign pattern")
-
-
-def _realizes(rep: fs.SignChangeReport, pts: np.ndarray) -> bool:
-    """True when the report changes sign exactly at pts, within LOC_TOL."""
-    return (not rep.degenerate and rep.count == pts.size
-            and float(np.max(np.abs(rep.locations - pts))) <= LOC_TOL)
-
-
-# ---------------------------------------------------------------------------
 # centers of mass
 
 
@@ -803,7 +681,7 @@ def proposition1_relative(curve: CurveRd, f: fs.Func1D, g: fs.Func1D,
                                    ratio_bound, gap)
     scale = mf / mg
     dvals = fv - scale * gv
-    if float(np.max(np.abs(dvals))) <= 1e-9 * float(np.max(np.abs(fv))):
+    if np.max(np.abs(dvals)) <= fs.DEFAULT_TOL_REL * np.max(np.abs(fv)):
         return Prop1RelativeReport(True, True, 0, diff_bound, 0, ratio_bound,
                                    gap, True)
     diff = fs.Func1D(lambda t: fs.sample(f, t) - scale * fs.sample(g, t), "f-g")

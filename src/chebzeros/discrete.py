@@ -398,7 +398,7 @@ def polygon_from_normals(normals, lengths) -> PolyLine:
     gaps = np.mod(np.roll(ang, -1) - ang, fs.TWO_PI)
     if np.any(gaps <= 0) or abs(float(np.sum(gaps)) - fs.TWO_PI) > 1e-6:
         raise ValueError("normals must be sorted counterclockwise, winding once")
-    if float(np.linalg.norm(L @ N)) > 1e-9:
+    if float(np.linalg.norm(L @ N)) > 1e-9 * float(L.sum()):
         raise ValueError("edge data does not close")
     edges = L[:, None] * np.stack([-N[:, 1], N[:, 0]], axis=1)
     V = np.vstack([np.zeros(2), np.cumsum(edges, axis=0)[:-1]])
@@ -431,7 +431,7 @@ def proposition2_check(P: PolyLine, f, g, tol: float = 1e-8) -> Prop2Report:
     if float(np.max(np.abs(P.vertices.T @ (fm - gm)))) > tol * tot * coord:
         return Prop2Report(False, False, -1, bound, message="centers differ")
     diffs = fm - gm
-    if float(np.max(np.abs(diffs))) <= 1e-9 * float(np.max(np.maximum(fm, gm))):
+    if np.max(np.abs(diffs)) <= fs.DEFAULT_TOL_REL * np.max(np.maximum(fm, gm)):
         return Prop2Report(True, True, 0, bound, degenerate=True)
     count = cyclic_sign_changes(diffs, P.closed)
     return Prop2Report(True, count >= bound, count, bound)
@@ -478,7 +478,7 @@ def aleksandrov_check(M1: PolyLine, M2: PolyLine,
     diffs = l1 - l2
     prop2 = proposition2_check(PolyLine(n1, closed=True), l1, l2,
                                tol=max(tol, 1e-7))
-    if float(np.max(np.abs(diffs))) <= 1e-9 * float(np.max(np.maximum(l1, l2))):
+    if np.max(np.abs(diffs)) <= fs.DEFAULT_TOL_REL * np.max(np.maximum(l1, l2)):
         return AleksandrovReport(True, True, 0, 4, diffs, degenerate=True,
                                  prop2=prop2)
     count = cyclic_sign_changes(diffs, closed=True)

@@ -469,15 +469,6 @@ def integrate(f: Func1D, dom: Domain) -> float:
     return float(ws @ sample(f, ts))
 
 
-def inner_product(f: Func1D, g: Func1D, rho: Func1D | None, dom: Domain) -> float:
-    """integral of f*g*rho over the domain (rho = None means weight 1)."""
-    ts, ws = quad_nodes(dom)
-    vals = sample(f, ts) * sample(g, ts)
-    if rho is not None:
-        vals = vals * sample(rho, ts)
-    return float(ws @ vals)
-
-
 def segment_rules(dom: Domain, los, his):
     """Gauss nodes and weights on every segment [los[i], his[i]],
     concatenated in segment order, with each segment's node count.

@@ -6,7 +6,6 @@ import pytest
 import chebzeros as cz
 from chebzeros import funcspace as fs
 from chebzeros.chebsys import COUNTEREXAMPLE, NO_VIOLATION
-from chebzeros.exceptions import NotChebyshevError
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +55,13 @@ def test_affine_image_validation():
         cz.affine_image(c, np.zeros((2, 2)))
     with pytest.raises(ValueError):
         cz.affine_image(c, np.eye(3))
+    # singular relative to its own scale: condition number 4e11
+    with pytest.raises(ValueError, match="nonsingular"):
+        cz.affine_image(c, [[1.0, 1.0], [1.0, 1.0 + 1e-11]])
+    # well conditioned at any scale, though det is 1e-16 and 1e-14
+    for curve, A in [(cz.moment_curve(4), 1e-4 * np.eye(4)), (c, 1e-7 * np.eye(2))]:
+        img = cz.affine_image(curve, A)
+        np.testing.assert_allclose(img(np.array([0.5])), curve(np.array([0.5])) @ A.T)
 
 
 @pytest.mark.parametrize("A, b", [
@@ -65,7 +71,7 @@ def test_affine_image_validation():
     (np.eye(2), [np.inf, 0.0]),
 ], ids=["nan-A", "inf-A", "nan-b", "inf-b"])
 def test_affine_image_rejects_non_finite(A, b):
-    # refused at construction, before the determinant test sees a NaN
+    # refused at construction, before the singular-value test sees a NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="finite"):
@@ -526,74 +532,6 @@ def test_theorem5_not_applicable():
     f = fs.Func1D(lambda t: np.asarray(t, float) + 0.4)
     rep = cz.theorem5_verify(par, 1, f)
     assert not rep.applicable
-
-
-# ---------------------------------------------------------------------------
-# secant hyperplane products
-
-
-def test_support_product_full_groups():
-    par = cz.moment_curve(2)
-    sp = cz.support_product_polynomial(par, [-0.6, -0.2, 0.2, 0.6])
-    assert len(sp.factors) == 2
-    assert sp.delta == 0.0
-    F = cz.polynomial_on_curve(sp.poly, par)
-    rep = fs.count_sign_changes(F, par.dom)
-    assert rep.count == 4
-    assert np.max(np.abs(np.sort(rep.locations)
-                         - [-0.6, -0.2, 0.2, 0.6])) < 1e-6
-
-
-def test_support_product_short_group_open():
-    par = cz.moment_curve(2)
-    sp = cz.support_product_polynomial(par, [0.0])
-    F = cz.polynomial_on_curve(sp.poly, par)
-    rep = fs.count_sign_changes(F, par.dom)
-    assert rep.count == 1
-    assert abs(rep.locations[0]) < 1e-6
-    assert sp.delta > 0
-
-
-def test_support_product_short_group_3d():
-    c = cz.moment_curve(3)
-    pts = [-0.7, -0.4, -0.1, 0.3, 0.6]
-    sp = cz.support_product_polynomial(c, pts)
-    F = cz.polynomial_on_curve(sp.poly, c)
-    rep = fs.count_sign_changes(F, c.dom)
-    assert rep.count == 5
-    assert np.max(np.abs(np.sort(rep.locations) - pts)) < 1e-6
-
-
-def test_support_product_closed_short_group():
-    circ = cz.trig_curve(2)  # d = 4; 2 points leave d - l = 2 aux
-    sp = cz.support_product_polynomial(circ, [1.0, 2.0])
-    F = cz.polynomial_on_curve(sp.poly, circ)
-    rep = fs.count_sign_changes(F, circ.dom)
-    assert rep.count == 2
-    assert np.max(np.abs(np.sort(rep.locations) - [1.0, 2.0])) < 1e-6
-    assert 0 < sp.delta < 1e-2
-
-
-def test_support_product_samples_grid_once_per_halving():
-    par = cz.moment_curve(2)
-    sizes = []
-
-    def ev(t):
-        sizes.append(np.size(t))
-        return par.eval(t)
-
-    logged = cz.CurveRd(ev, par.d, par.dom, "logged")
-    sp = cz.support_product_polynomial(logged, [0.0])
-    # delta starts at 1e-2 of the span and halves after each pass
-    passes = round(np.log2(1e-2 * par.dom.span / sp.delta)) + 1
-    assert passes >= 2
-    assert sizes.count(fs.DEFAULT_GRID_N) == passes
-
-
-def test_support_product_odd_count_closed_refused():
-    # a single crossing is impossible on a closed curve
-    with pytest.raises(NotChebyshevError):
-        cz.support_product_polynomial(cz.trig_curve(1), [1.0])
 
 
 # ---------------------------------------------------------------------------

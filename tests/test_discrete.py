@@ -239,6 +239,12 @@ def test_polygon_from_normals_roundtrip():
         N2, L2 = cz.edge_normals_and_lengths(Q)
         assert np.max(np.abs(N2 - N)) < 1e-9
         assert np.max(np.abs(L2 - L)) < 1e-9
+    # closure is tested relative to the perimeter: at 1e8 the rounding
+    # residual of sum(l_i n_i) is about 2e-8
+    N, L = cz.edge_normals_and_lengths(cz.random_convex_polygon(9, rng_seed=3))
+    N2, L2 = cz.edge_normals_and_lengths(cz.polygon_from_normals(N, 1e8 * L))
+    assert np.max(np.abs(N2 - N)) < 1e-9
+    assert np.max(np.abs(L2 - 1e8 * L)) < 1e-9 * 1e8
 
 
 def test_polygon_from_normals_rejects_open_fan():

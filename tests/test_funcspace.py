@@ -288,15 +288,6 @@ def test_count_grid_sign_changes_matches_count_sign_changes():
     assert fs.count_grid_sign_changes(np.zeros(8), cyclic=True) == 0
 
 
-def test_inner_product_weighted():
-    dom = fs.interval(0.0, 1.0)
-    f = fs.Func1D(lambda t: np.asarray(t, float))
-    g = fs.Func1D(lambda t: np.ones_like(np.asarray(t, float)))
-    rho = fs.Func1D(lambda t: 3.0 * np.asarray(t, float) ** 2)
-    assert fs.inner_product(f, g, rho, dom) == pytest.approx(0.75, abs=1e-13)
-    assert fs.inner_product(f, g, None, dom) == pytest.approx(0.5, abs=1e-13)
-
-
 def test_count_sign_changes_polynomial_oracle():
     dom = fs.interval(-1.0, 1.0)
     roots = np.array([-0.6, -0.1, 0.4, 0.8])
