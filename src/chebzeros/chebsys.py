@@ -13,9 +13,8 @@ hands the probe loop [1, P] from the one curve sample P it also slices.
 Probe loops take trials in the chunks of fs._probe_chunks (2, 8, 32,
 128, ..., the schedule and the per-trial streams of every falsifier in
 the package): drawn trial by trial, evaluated as arrays, counted in one
-batched call per chunk by _run_probes (with theorem4_check's convexity
-loop in lockstep), then read in trial order, so verdicts and witnesses
-are a trial-by-trial loop's.
+fs._grid_counts call per chunk, then read in trial order, so verdicts
+and witnesses are a trial-by-trial loop's.
 """
 
 from __future__ import annotations
@@ -215,35 +214,6 @@ def _check_trials(trials) -> None:
         raise ValueError("trials must be at least 1")
 
 
-def _run_probes(cyclic: bool, *loops) -> list:
-    """Run probe loops in lockstep and return their verdicts.  A loop is
-    a generator that yields a chunk's (k, grid_n) grid values, is sent
-    their k sign-change counts, and returns its verdict; one batched count
-    serves every loop still running."""
-    verdicts = [None] * len(loops)
-    rows = {}
-
-    def advance(i, counts):
-        try:
-            rows[i] = loops[i].send(counts)
-        except StopIteration as stop:
-            rows.pop(i, None)
-            verdicts[i] = stop.value
-
-    for i in range(len(loops)):
-        advance(i, None)
-    while rows:
-        live = list(rows)
-        counts = fs._grid_counts(np.concatenate([rows[i] for i in live])
-                                 if len(live) > 1 else rows[live[0]], cyclic)
-        at = 0
-        for i in live:
-            k = len(rows[i])
-            advance(i, counts[at:at + k])
-            at += k
-    return verdicts
-
-
 def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
                      grid_n: int = fs.DEFAULT_GRID_N) -> ChebVerdict:
     """Randomized falsification of the Chebyshev property.
@@ -262,8 +232,8 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     Trials run in chunks of 2, 8, 32, 128, ..., trial t drawn from
     derived_rng(rng_seed, t); a chunk's tuples are signed from one basis
     evaluation and one stacked slogdet, its combinations counted in one
-    batched call, and its trials read in order: verdict, trials_run and
-    witness are those of a trial-by-trial loop.
+    fs._grid_counts call, and its trials read in order: verdict,
+    trials_run and witness are those of a trial-by-trial loop.
 
     sys may be a ChebSystem or a raw (funcs, dom) pair; the raw form
     exists so candidate spaces of even order on the circle (which the
@@ -273,8 +243,7 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     _check_trials(trials)
     fs._check_count_args(grid_n)
     G = fs.basis_matrix(basis, dom.grid(grid_n))
-    return _run_probes(dom.is_circle,
-                       _chebyshev_probes(basis, dom, G, trials, rng_seed))[0]
+    return _chebyshev_probes(basis, dom, G, trials, rng_seed)
 
 
 def _chebyshev_draws(dom, n, stream, start, stop):
@@ -296,14 +265,14 @@ def _chebyshev_draws(dom, n, stream, start, stop):
 
 def _chebyshev_probes(basis, dom, G, trials, rng_seed):
     """verify_chebyshev's probe loop, counting on G, the basis's matrix on
-    the counting grid; a generator for _run_probes."""
+    the counting grid."""
     n = len(basis)
     ref_sign = 0.0
     ref_pts = None
     for start, stop, stream in fs._probe_chunks(rng_seed, trials, G.shape[0]):
         pts, C = _chebyshev_draws(dom, n, stream, start, stop)
         sign, informative = _det_signs(fs.basis_matrix(basis, pts).reshape(-1, n, n))
-        counts = yield np.matmul(G, C[:, :, None])[..., 0]
+        counts = fs._grid_counts(np.matmul(G, C[:, :, None])[..., 0], dom.is_circle)
         for i in range(stop - start):
             for j in (2 * i, 2 * i + 1):
                 if not informative[j]:

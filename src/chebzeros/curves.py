@@ -23,8 +23,7 @@ from . import funcspace as fs
 from ._linalg import RANK_RTOL, fix_leading_sign, smallest_direction, svd_kernel
 from .annihilator import default_annihilator
 from .chebsys import (COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, ChebVerdict,
-                      _chebyshev_probes, _check_trials, _run_probes,
-                      dimension_estimate)
+                      _chebyshev_probes, _check_trials, dimension_estimate)
 from .exceptions import NotChebyshevError
 from .orthosynth import (RESIDUAL_TOL, StepWeight, ZeroBoundReport, _step_edges,
                          _zero_bound, moments_on_edges)
@@ -390,15 +389,14 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
 
     Trials run in chunks of 2, 8, 32, 128, ..., trial t drawn from
     derived_rng(rng_seed, t, 1); a chunk's slices and their small shifts
-    (for tangential doubling) are counted in one batched call and flagged
-    slices recounted in trial order: verdict, trials_run and witness are
-    those of a trial-by-trial loop.
+    (for tangential doubling) are counted in one fs._grid_counts call and
+    flagged slices recounted in trial order: verdict, trials_run and
+    witness are those of a trial-by-trial loop.
     """
     _check_trials(trials)
     fs._check_count_args(grid_n)
     P = curve_points(curve, curve.dom.grid(grid_n))
-    return _run_probes(curve.dom.is_circle,
-                       _convexity_probes(curve, P, trials, rng_seed))[0]
+    return _convexity_probes(curve, P, trials, rng_seed)
 
 
 def _convexity_draws(P, stream, start, stop):
@@ -430,15 +428,16 @@ def _convexity_draws(P, stream, start, stop):
 
 
 def _convexity_probes(curve, P, trials, rng_seed):
-    """convexity_check's probe loop over P, a generator for
-    chebsys._run_probes: a slice that, shifted by 0 or +-1e-4 of its
-    spread, crosses more than d times is recounted by _intersections."""
+    """convexity_check's probe loop over P: a slice that, shifted by 0 or
+    +-1e-4 of its spread, crosses more than d times is recounted by
+    _intersections."""
     d, n = curve.d, P.shape[0]
     for start, stop, stream in fs._probe_chunks(rng_seed, trials, n, 1):
         randoms, secants, S = _convexity_draws(P, stream, start, stop)
         shift = 1e-4 * np.ptp(S, axis=2)[..., None]
         # S + shift is S minus the shift -1e-4 * spread, bit for bit
-        counts = yield np.stack([S, S - shift, S + shift], axis=2).reshape(-1, n)
+        rows = np.stack([S, S - shift, S + shift], axis=2).reshape(-1, n)
+        counts = fs._grid_counts(rows, curve.dom.is_circle)
         # probe 2i is trial i's random slice, 2i + 1 its secant
         for k in np.flatnonzero((counts.reshape(-1, 3) > d).any(axis=1)).tolist():
             hp = secants[k // 2] if k % 2 else Hyperplane(*randoms[k // 2])
@@ -460,23 +459,22 @@ class Theorem4Report:
 def theorem4_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
                    grid_n: int = fs.DEFAULT_GRID_N) -> Theorem4Report:
     """Convexity of the curve and the Chebyshev property of its restricted
-    affine functions stand or fall together; both probes run with a
-    shared seed, both read one grid sample of the curve, and the report
-    says whether the verdicts agree."""
+    affine functions stand or fall together.  The convexity loop, then the
+    Chebyshev loop, runs with the shared seed on one grid sample P of the
+    curve (the Chebyshev loop counts on [1, P]), and the report says
+    whether the verdicts agree."""
+    _check_trials(trials)
+    fs._check_count_args(grid_n)
     funcs = restrict_polynomials(curve, 1)
     dim = dimension_estimate(funcs, curve.dom)
     if dim != curve.d + 1:
         raise ValueError(
             f"affine restrictions span dimension {dim}, not {curve.d + 1}: "
             "the curve lies inside a hyperplane")
-    _check_trials(trials)
-    fs._check_count_args(grid_n)
     P = curve_points(curve, curve.dom.grid(grid_n))
-    # [1, P] is funcs' grid matrix; the two loops run in lockstep, with one
-    # batched count per chunk
-    conv, cheb = _run_probes(
-        curve.dom.is_circle, _convexity_probes(curve, P, trials, rng_seed),
-        _chebyshev_probes(funcs, curve.dom, _with_ones(P), trials, rng_seed))
+    conv = _convexity_probes(curve, P, trials, rng_seed)
+    # [1, P] is funcs' matrix on the counting grid
+    cheb = _chebyshev_probes(funcs, curve.dom, _with_ones(P), trials, rng_seed)
     agree = conv.convex == (cheb.status == NO_VIOLATION)
     return Theorem4Report(conv, cheb, agree, dim)
 

@@ -89,8 +89,7 @@ class MassVector:
 
 
 def _masses_of(x, k: int | None = None) -> np.ndarray:
-    m = x.masses if isinstance(x, MassVector) else np.asarray(x, dtype=float)
-    m = m.ravel()
+    m = (x if isinstance(x, MassVector) else MassVector(np.ravel(x))).masses
     if k is not None and m.size != k:
         raise ValueError(f"expected {k} masses, got {m.size}")
     return m

@@ -12,7 +12,9 @@ transitions between opposite strict signs.  Counts on a circle are
 cyclic, which makes them even for any function that is not numerically
 zero.  Three entry points apply the rules to grid values a caller has
 already sampled: count_grid_sign_changes (a bare count),
-grid_sign_report and grid_extrema_report (full reports).
+grid_sign_report and grid_extrema_report (full reports).  _grid_counts is
+the batched counter, each row of a (k, n) array counted on its own; every
+probe loop calls it once per chunk.
 
 A count costs one grid evaluation of f.  Transition locations are
 sharpened between the bracketing grid samples, but only when a report's

@@ -288,6 +288,11 @@ def test_theorem4_planar_curve_rejected():
                       fs.interval(-1.0, 1.0), "line")
     with pytest.raises(ValueError):
         cz.theorem4_check(line, trials=10)
+    # bad arguments are reported before any work on the curve
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        cz.theorem4_check(line, trials=0)
+    with pytest.raises(ValueError, match="grid_n must be at least 64"):
+        cz.theorem4_check(line, trials=10, grid_n=32)
 
 
 def test_trials_and_grid_must_be_integers():
@@ -396,7 +401,6 @@ BUDGETS = (1, 2, 3, 8, 9, 40, 200)
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_batched_convexity_matches_reference_loop(seed):
-    from chebzeros.chebsys import _run_probes
     from chebzeros.curves import ConvexityReport, _convexity_probes
     for c in _theorem4_inputs(seed) + [_line_curve(), _point_curve()]:
         P = cz.curve_points(c, c.dom.grid(fs.DEFAULT_GRID_N))
@@ -405,19 +409,28 @@ def test_batched_convexity_matches_reference_loop(seed):
             # a trial's outcome does not depend on the budget
             want = ref if ref.status == COUNTEREXAMPLE and ref.trials_run <= b \
                 else ConvexityReport(NO_VIOLATION, b)
-            got = _run_probes(c.dom.is_circle, _convexity_probes(c, P, b, seed))[0]
+            got = _convexity_probes(c, P, b, seed)
             _assert_same_convexity(got, want)
         _assert_same_convexity(cz.convexity_check(c, max(BUDGETS), seed), ref)
 
 
 @pytest.mark.parametrize("curve", [cz.moment_curve(3), cz.trig_curve(2), _point_curve()],
                          ids=lambda c: c.label)
-def test_screen_rows_are_the_shifted_slices(curve):
+def test_screen_rows_are_the_shifted_slices(curve, monkeypatch):
     # each slice is screened unshifted and shifted by 1e-4 and -1e-4 of its
     # spread, the values the trial-by-trial screen counted
     from chebzeros.curves import _convexity_draws, _convexity_probes
     P = cz.curve_points(curve, curve.dom.grid(fs.DEFAULT_GRID_N))
-    rows = next(_convexity_probes(curve, P, 2, 0)).reshape(2, 2, 3, -1)
+    screened_rows = []
+    grid_counts = fs._grid_counts
+
+    def capture(rows, cyclic):
+        screened_rows.append(rows.copy())
+        return grid_counts(rows, cyclic)
+
+    monkeypatch.setattr(fs, "_grid_counts", capture)
+    _convexity_probes(curve, P, 2, 0)
+    rows = screened_rows[0].reshape(2, 2, 3, -1)
     start, stop, stream = next(fs._probe_chunks(0, 2, P.shape[0], 1))
     _, _, S = _convexity_draws(P, stream, start, stop)
     for sv, screened in zip(S.reshape(4, -1), rows.reshape(4, 3, -1)):

@@ -196,6 +196,22 @@ def test_theorem6_bad_masses_refused():
     assert "annihilate" in rep.message
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nan_masses_raise_input_error(seed):
+    # a NaN mass is bad input, not a failed bound (nan > tol is False)
+    P = cz.random_convex_polygon(9, rng_seed=seed)
+    at = int(fs.derived_rng(seed, 7).integers(P.k))
+    m = cz.construct_masses(P, 1, rng_seed=seed).masses.copy()
+    m[at] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        cz.theorem6_check(P, 1, m)
+    f, g = cz.proposition2_pair(P, rng_seed=seed)
+    f = f.masses.copy()
+    f[at] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        cz.proposition2_check(P, f, g)
+
+
 # ---------------------------------------------------------------------------
 # normal fans
 
