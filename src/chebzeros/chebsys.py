@@ -79,38 +79,27 @@ def _as_basis(sys):
 # catalog
 
 
-def _monomial(j: int) -> fs.Func1D:
-    if j == 0:
-        return fs.constant(1.0, "1")
-    label = "x" if j == 1 else f"x^{j}"
-    return fs.Func1D(lambda t, j=j: fs._int_powers(t, j)[..., j], label)
-
-
 def polynomial_system(n_deg: int, dom: fs.Domain | None = None) -> ChebSystem:
-    """Monomials {1, x, ..., x^n_deg} on an interval (default (-1, 1)), as
-    left-to-right products (fs._int_powers; pow is slow on negative bases)."""
+    """Monomials {1, x, ..., x^n_deg} on an interval (default (-1, 1)), the
+    columns of fs._int_powers (pow is slow on negative bases)."""
     if n_deg < 0:
         raise ValueError("degree must be nonnegative")
     if dom is None:
         dom = fs.interval(-1.0, 1.0)
     if dom.is_circle:
         raise ValueError("polynomial systems live on an interval")
-    basis = fs.Basis([_monomial(j) for j in range(n_deg + 1)],
-                     lambda ts: fs._int_powers(ts, n_deg))
-    return ChebSystem(basis, dom)
+    labels = ["1", "x", *(f"x^{j}" for j in range(2, n_deg + 1))][:n_deg + 1]
+    return ChebSystem(fs.Basis.from_fill(labels, lambda ts: fs._int_powers(ts, n_deg)),
+                      dom)
 
 
 def trig_system(k_harm: int) -> ChebSystem:
-    """{1, cos x, sin x, ..., cos kx, sin kx} on the circle, order 2k+1."""
+    """The columns of fs._trig_terms: {1, cos x, ..., sin kx} on the circle."""
     if k_harm < 0:
         raise ValueError("harmonic count must be nonnegative")
-    basis = [fs.constant(1.0, "1")]
-    for m in range(1, k_harm + 1):
-        basis.append(fs.Func1D(lambda t, m=m: np.cos(m * np.asarray(t, dtype=float)),
-                               f"cos{m}x"))
-        basis.append(fs.Func1D(lambda t, m=m: np.sin(m * np.asarray(t, dtype=float)),
-                               f"sin{m}x"))
-    return ChebSystem(tuple(basis), fs.circle())
+    labels = ["1"] + [f"{f}{m}x" for m in range(1, k_harm + 1) for f in ("cos", "sin")]
+    return ChebSystem(fs.Basis.from_fill(labels, lambda ts: fs._trig_terms(ts, k_harm)),
+                      fs.circle())
 
 
 def power_system(alphas: Sequence[float], dom: fs.Domain) -> ChebSystem:
@@ -120,11 +109,9 @@ def power_system(alphas: Sequence[float], dom: fs.Domain) -> ChebSystem:
         raise ValueError("exponents must be positive and strictly increasing")
     if dom.is_circle or dom.a <= 0:
         raise ValueError("power systems need an interval with positive left endpoint")
-    basis = [fs.constant(1.0, "1")]
-    for a in al:
-        basis.append(fs.Func1D(lambda t, a=a: np.asarray(t, dtype=float) ** a,
-                               f"t^{a:g}"))
-    return ChebSystem(tuple(basis), dom)
+    labels = ["1"] + [f"t^{a:g}" for a in al]
+    return ChebSystem(fs.Basis.from_fill(
+        labels, lambda ts: np.column_stack([ts ** a for a in (0.0, *al)])), dom)
 
 
 # ---------------------------------------------------------------------------
@@ -306,13 +293,17 @@ def spread_points(dom: fs.Domain, n: int) -> np.ndarray:
     return dom.a + dom.span * fr
 
 
+def _span_rows(n_funcs: int) -> int:
+    return max(4 * n_funcs, 64)  # the fewest rows a span test of n_funcs takes
+
+
+def _span_rank(M: np.ndarray) -> int:
+    """Numerical rank of M's column span: singular values over 1e-8 of the max."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return int(np.sum(s > 1e-8 * s[0])) if s.size and s[0] != 0.0 else 0
+
+
 def dimension_estimate(funcs: Sequence[fs.Func1D], dom: fs.Domain) -> int:
-    """Numerical rank of the span of funcs: singular values above 1e-8 of
-    the largest, of their values on max(4 * len(funcs), 64) spread
-    points."""
-    funcs = fs.as_basis(funcs)
-    pts = spread_points(dom, max(4 * len(funcs), 64))
-    s = np.linalg.svd(fs.basis_matrix(funcs, pts), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > 1e-8 * s[0]))
+    """_span_rank of funcs' values on _span_rows(len(funcs)) spread points."""
+    pts = spread_points(dom, _span_rows(len(funcs)))
+    return _span_rank(fs.basis_matrix(funcs, pts))

@@ -23,7 +23,8 @@ from . import funcspace as fs
 from ._linalg import RANK_RTOL, fix_leading_sign, smallest_direction, svd_kernel
 from .annihilator import default_annihilator
 from .chebsys import (COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, ChebVerdict,
-                      _chebyshev_probes, _check_trials, dimension_estimate)
+                      _chebyshev_probes, _check_trials, _span_rank, _span_rows,
+                      dimension_estimate)
 from .exceptions import NotChebyshevError
 from .orthosynth import (RESIDUAL_TOL, StepWeight, ZeroBoundReport, _step_edges,
                          _zero_bound, moments_on_edges)
@@ -107,23 +108,17 @@ def moment_curve(d: int, a: float = -1.0, b: float = 1.0) -> CurveRd:
 
 
 def trig_curve(k: int) -> CurveRd:
-    """(cos t, sin t, ..., cos kt, sin kt): closed convex curve in R^{2k}."""
+    """(cos t, sin t, ..., cos kt, sin kt): closed convex curve in R^{2k}, the
+    trig system's matrix without its constant, copied C-contiguous (BLAS
+    can round a product with a strided sample differently)."""
     if k < 1:
         raise ValueError("need at least one harmonic")
-    ms = np.arange(1, k + 1)
-
-    def ev(ts):
-        ang = ts[:, None] * ms[None, :]
-        P = np.empty((ts.size, 2 * k))
-        P[:, 0::2] = np.cos(ang)
-        P[:, 1::2] = np.sin(ang)
-        return P
-
-    return CurveRd(ev, 2 * k, fs.circle(), f"trig:{k}")
+    return CurveRd(lambda ts: np.ascontiguousarray(fs._trig_terms(ts, k)[:, 1:]),
+                   2 * k, fs.circle(), f"trig:{k}")
 
 
 def power_curve(alphas, a: float, b: float) -> CurveRd:
-    """(t^a1, ..., t^ad) for increasing positive exponents, 0 < a < b."""
+    """(t^a1, ..., t^ad), 0 < a < b: the power system's matrix minus its constant."""
     al = np.asarray(alphas, dtype=float)
     if al.ndim != 1 or al.size < 2:
         raise ValueError("need at least two exponents")
@@ -131,7 +126,7 @@ def power_curve(alphas, a: float, b: float) -> CurveRd:
         raise ValueError("exponents must be positive and strictly increasing")
     if not 0 < a < b:
         raise ValueError("power curves need 0 < a < b")
-    return CurveRd(lambda ts: ts[:, None] ** al[None, :], al.size,
+    return CurveRd(lambda ts: np.column_stack([ts ** x for x in al]), al.size,
                    fs.interval(a, b), "power")
 
 
@@ -234,18 +229,14 @@ def monomial_values(X, alphas) -> np.ndarray:
 
 
 def restrict_polynomials(curve: CurveRd, n: int) -> fs.Basis:
-    """Func1D restrictions t -> x(t)^alpha of all monomials of degree <= n,
-    as a Basis whose matrix evaluates the curve once per node array.  For
-    n = 1 the matrix is [1, x(t)], the same floats without the powers:
+    """The restrictions t -> x(t)^alpha of all monomials of degree <= n, as
+    the columns of a fill that evaluates the curve once per node array.
+    For n = 1 the fill is [1, x(t)], the same floats without the powers:
     x**0.0 and x**1.0 are exact."""
     alphas = monomial_multi_indices(n, curve.d)
-    members = [fs.Func1D(lambda ts, _a=a: monomial_values(curve_points(curve, ts),
-                                                          [_a])[:, 0],
-                         "x^" + "".join(map(str, a))) for a in alphas]
-    if n == 1:
-        return fs.Basis(members, lambda ts: _with_ones(curve_points(curve, ts)))
-    return fs.Basis(members,
-                    lambda ts: monomial_values(curve_points(curve, ts), alphas))
+    labels = ["x^" + "".join(map(str, a)) for a in alphas]
+    powers = _with_ones if n == 1 else lambda X: monomial_values(X, alphas)
+    return fs.Basis.from_fill(labels, lambda ts: powers(curve_points(curve, ts)))
 
 
 def polynomial_on_curve(poly: dict, curve: CurveRd) -> fs.Func1D:
@@ -459,22 +450,23 @@ class Theorem4Report:
 def theorem4_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
                    grid_n: int = fs.DEFAULT_GRID_N) -> Theorem4Report:
     """Convexity of the curve and the Chebyshev property of its restricted
-    affine functions stand or fall together.  The convexity loop, then the
-    Chebyshev loop, runs with the shared seed on one grid sample P of the
-    curve (the Chebyshev loop counts on [1, P]), and the report says
-    whether the verdicts agree."""
+    affine functions stand or fall together.  One grid sample P of the
+    curve serves all: the affine span, of rank d + 1, is read from every
+    k-th row of [1, P]; the convexity loop, then the Chebyshev loop (on
+    [1, P]) run on P with the shared seed, and the report says whether
+    the verdicts agree."""
     _check_trials(trials)
     fs._check_count_args(grid_n)
-    funcs = restrict_polynomials(curve, 1)
-    dim = dimension_estimate(funcs, curve.dom)
+    P = curve_points(curve, curve.dom.grid(grid_n))
+    G = _with_ones(P)
+    dim = _span_rank(G[::max(1, grid_n // _span_rows(curve.d + 1))])
     if dim != curve.d + 1:
         raise ValueError(
             f"affine restrictions span dimension {dim}, not {curve.d + 1}: "
             "the curve lies inside a hyperplane")
-    P = curve_points(curve, curve.dom.grid(grid_n))
     conv = _convexity_probes(curve, P, trials, rng_seed)
-    # [1, P] is funcs' matrix on the counting grid
-    cheb = _chebyshev_probes(funcs, curve.dom, _with_ones(P), trials, rng_seed)
+    cheb = _chebyshev_probes(restrict_polynomials(curve, 1), curve.dom, G, trials,
+                             rng_seed)
     agree = conv.convex == (cheb.status == NO_VIOLATION)
     return Theorem4Report(conv, cheb, agree, dim)
 

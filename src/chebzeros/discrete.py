@@ -334,6 +334,7 @@ def theorem6_check(P: PolyLine, n: int, f,
     line more than d times, so the screen could only have read
     NoViolationFound there and skipping it leaves every report as it was.
     """
+    fs._check_tol(tol)
     masses = _masses_of(f, P.k)
     bound = P.d * n + (2 if P.closed else 1)
     if not (_sign_regular(P) or polyline_convexity_check(
@@ -418,6 +419,7 @@ def proposition2_check(P: PolyLine, f, g, tol: float = 1e-8) -> Prop2Report:
     """Two positive vertex mass systems with equal totals and equal first
     moments: their difference changes sign at least d+1 times (d+2 on a
     closed line)."""
+    fs._check_tol(tol)
     fm = _masses_of(f, P.k)
     gm = _masses_of(g, P.k)
     if np.min(fm) <= 0 or np.min(gm) <= 0:
@@ -458,6 +460,7 @@ def aleksandrov_check(M1: PolyLine, M2: PolyLine,
     closure identity makes totals and first moments match, so the
     positive-pair difference bound with d = 2 applies verbatim.
     """
+    fs._check_tol(tol)
     empty = np.empty(0)
     if M1.k != M2.k:
         return AleksandrovReport(False, False, -1, 4, empty,

@@ -1,7 +1,8 @@
 """Domains, scalar functions, basis evaluation, quadrature, and
-sign-change counting.  A Basis (built by as_basis) holds Func1D members
-and one matrix(ts) callable, filled column by column for a plain list;
-basis_matrix, one checked call of it, is the one way to evaluate a basis.
+sign-change counting.  A Basis holds Func1D members and one matrix(ts):
+a catalog family's fill, whose columns are its members (Basis.from_fill),
+or column-by-column samples of a list (as_basis).  basis_matrix, one
+checked call of it, is the one way to evaluate a basis.
 
 Every integral and zero count in the package flows through this module,
 so both conventions are fixed here once.  Integrals use one quadrature
@@ -376,12 +377,31 @@ def _harmonics(ts, k: int):
     return rows[:k]
 
 
+def _trig_terms(ts: np.ndarray, k: int) -> np.ndarray:
+    """[1, cos t, sin t, ..., cos kt, sin kt] at the 1-d ts, filled in place
+    from _harmonics' rows where it serves ts, else one m at a time."""
+    rows = _harmonics(ts, k)
+    M = np.ones((ts.size, 2 * k + 1))
+    for m in range(1, k + 1):
+        M[:, 2 * m - 1], M[:, 2 * m] = (
+            (np.cos(m * ts), np.sin(m * ts)) if rows is None else rows[m - 1])
+    return M
+
+
 class Basis(tuple):
     """Func1D members with one matrix(ts) -> (len(ts), len(basis)) callable:
-    the producer's fill(ts) when it gave one, else one sample per column."""
+    Basis(funcs) samples member j into column j."""
 
-    def __new__(cls, funcs, fill: Callable | None = None):
-        self = super().__new__(cls, funcs)
+    _fill = None
+
+    @classmethod
+    def from_fill(cls, labels: Sequence[str], fill: Callable) -> Basis:
+        """A family defined by its matrix fill(ts), ts 1-d: member j is
+        column j of fill on its raveled input, contiguous, in its shape."""
+        def column(t, j):
+            return np.ascontiguousarray(self.matrix(t)[:, j]).reshape(np.shape(t))
+
+        self = cls(Func1D(lambda t, j=j: column(t, j), s) for j, s in enumerate(labels))
         self._fill = fill
         return self
 
@@ -561,6 +581,11 @@ def _check_count_args(grid_n: int) -> None:
         raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
+
+
+def _check_tol(tol) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def _sign_transitions(vals: np.ndarray, cyclic: bool):

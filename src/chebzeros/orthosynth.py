@@ -312,6 +312,7 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
     count f's sign changes on the grid, integrate f * rho * basis split
     at the crossings and breaks, and hold the count to bound when the
     residuals are within tol and f * rho does not vanish."""
+    fs._check_tol(tol)
     fs._check_count_args(grid_n)
     grid = dom.grid(grid_n)
     fgrid = fs.sample(f, grid)

@@ -42,9 +42,9 @@ def test_theorem4_check_call_log():
     c, log = _logged(cz.moment_curve(3))
     r = cz.theorem4_check(c, trials=1)
     assert r.agree and r.convexity.convex
-    # dimension estimate, one grid sample read by both probe loops, the
+    # one grid sample read by the span test and both probe loops, the
     # trial's two 4-point collocation tuples in one evaluation
-    assert log == [64, 2048, 8]
+    assert log == [2048, 8]
 
 
 def test_theorem4_counterexample_call_log():
@@ -56,7 +56,7 @@ def test_theorem4_counterexample_call_log():
     # four 3-point tuples at once, then walks the determinant flip of
     # trial 1 with one evaluation of 15 tuples per four halvings
     assert r.chebyshev.trials_run == 1
-    assert log == [64, 2048, 12] + [45] * 7
+    assert log == [2048, 12] + [45] * 7
 
 
 @pytest.mark.parametrize("curve", [
@@ -214,15 +214,81 @@ def test_moment_curve_is_the_product_table(d):
             assert np.array_equal(cz.curve_points(c, ts), _products(ts, d))
 
 
+def _assert_members_are_columns(basis, ts):
+    M = basis.matrix(ts)
+    assert M.shape == (ts.size, len(basis))
+    for j, f in enumerate(basis):
+        col = fs.sample(f, ts)
+        assert col.flags.c_contiguous
+        assert col.tobytes() == M[:, j].tobytes()
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_polynomial_members_are_their_fill_columns(n):
-    basis = cz.polynomial_system(n).basis
     ts = np.concatenate([fs.interval(-1.0, 1.0).grid(fs.DEFAULT_GRID_N),
                          np.random.default_rng([19, n]).uniform(-2.0, 2.0, 300)])
-    M = basis.matrix(ts)
-    assert M.shape == (ts.size, n + 1)
-    for j, f in enumerate(basis):
-        assert fs.sample(f, ts).tobytes() == M[:, j].tobytes()
+    _assert_members_are_columns(cz.polynomial_system(n).basis, ts)
+
+
+_FILLED_BASES = {
+    **{f"trig:{k}": (cz.trig_system(k).basis, fs.circle()) for k in range(4)},
+    "power": (cz.power_system([0.5, 2.0 ** 0.5, 2.5], fs.interval(0.1, 2.0)).basis,
+              fs.interval(0.1, 2.0)),
+    **{f"{c.label}@{n}": (cz.restrict_polynomials(c, n), c.dom)
+       for c in _CURVES[:6] for n in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", list(_FILLED_BASES))
+def test_catalog_members_are_their_fill_columns(name):
+    # trig, power and restricted members are the columns of their family's
+    # matrix too, on the counting grid (the harmonic table's rows on the
+    # circle) and on random nodes
+    basis, dom = _FILLED_BASES[name]
+    rng = np.random.default_rng([37, len(basis)])
+    for ts in (dom.grid(fs.DEFAULT_GRID_N), dom.a + dom.span * rng.uniform(size=300)):
+        _assert_members_are_columns(basis, ts)
+
+
+@pytest.mark.parametrize("curve, sys", [
+    (cz.moment_curve(2), cz.polynomial_system(2)),
+    (cz.moment_curve(5), cz.polynomial_system(5)),
+    (cz.trig_curve(1), cz.trig_system(1)),
+    (cz.trig_curve(3), cz.trig_system(3)),
+    (cz.power_curve([2.0 ** 0.5, 3.0 ** 0.5], 1.0, float(np.e)),
+     cz.power_system([2.0 ** 0.5, 3.0 ** 0.5], fs.interval(1.0, float(np.e)))),
+    (cz.power_curve([0.5, 1.5], 0.5, 2.0),
+     cz.power_system([0.5, 1.5], fs.interval(0.5, 2.0))),
+], ids=["moment:2", "moment:5", "trig:1", "trig:3", "power:sqrt", "power:half"])
+def test_catalog_curve_is_its_system_matrix_without_constant(curve, sys):
+    # the moment, trig and power curves have their Chebyshev system, minus
+    # the constant, as coordinates: the same floats on every node set
+    dom = curve.dom
+    assert dom == sys.dom
+    rng = np.random.default_rng([41, curve.d])
+    for ts in (dom.grid(fs.DEFAULT_GRID_N), fs.quad_nodes(dom)[0],
+               np.sort(dom.a + dom.span * rng.uniform(size=777))):
+        P = cz.curve_points(curve, ts)
+        assert np.array_equal(P, fs.basis_matrix(sys.basis, ts)[:, 1:])
+        if dom.is_circle:
+            assert P.flags.c_contiguous
+
+
+def test_trig_matrix_reads_the_harmonic_table(monkeypatch):
+    calls = []
+    harmonics = fs._harmonics
+
+    def counted(ts, k):
+        rows = harmonics(ts, k)
+        calls.append(rows is not None)
+        return rows
+
+    monkeypatch.setattr(fs, "_harmonics", counted)
+    g = fs.circle().grid(fs.DEFAULT_GRID_N)
+    M = cz.trig_system(2).basis.matrix(g)
+    assert calls == [True]
+    rows = harmonics(g, 2)
+    assert np.array_equal(M[:, 1:], np.column_stack([x for cs in rows for x in cs]))
 
 
 def test_int_powers_within_k_units_of_pow():

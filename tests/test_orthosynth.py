@@ -275,6 +275,36 @@ def test_zero_bound_checks_share_one_report():
         assert rep.applicable and rep.passed
 
 
+def _square(side):
+    N = np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+    return cz.polygon_from_normals(N, np.full(4, float(side)))
+
+
+# each input is out of the check's hypothesis at tol=1e-8: not orthogonal,
+# masses that do not annihilate, unequal totals, unequal perimeters
+_TOL_CHECKS = {
+    "theorem1": lambda tol: cz.theorem1_check(
+        cz.polynomial_system(3), fs.Func1D(lambda t: t - 0.2), tol=tol),
+    "theorem5": lambda tol: cz.theorem5_verify(
+        cz.moment_curve(2), 1, fs.Func1D(lambda t: t - 0.2), tol=tol),
+    "theorem6": lambda tol: cz.theorem6_check(
+        cz.random_convex_polygon(5, rng_seed=0), 1, np.ones(5), tol=tol),
+    "prop2": lambda tol: cz.proposition2_check(
+        cz.random_convex_polygon(5, rng_seed=0), np.ones(5), 2 * np.ones(5), tol=tol),
+    "aleksandrov": lambda tol: cz.aleksandrov_check(_square(2), _square(3), tol=tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-8])
+@pytest.mark.parametrize("check", list(_TOL_CHECKS))
+def test_tol_must_be_finite_and_positive(check, tol):
+    # a NaN or infinite tolerance passed every residual test and let the
+    # bound be held to inputs outside its hypothesis
+    assert not _TOL_CHECKS[check](1e-8).applicable
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        _TOL_CHECKS[check](tol)
+
+
 def test_synth_weight_samples_f_once_per_node():
     # the moment integrand f|f| takes one sample of f per node array
     sys = cz.polynomial_system(2)
