@@ -58,10 +58,29 @@ class RootPrescription:
 
 
 def _check_roots(roots: np.ndarray, dom: fs.Domain):
+    if roots.ndim != 1:
+        raise ValueError("roots must be a 1-D sequence")
     if roots.size and np.any(np.diff(np.sort(roots)) <= 0):
         raise ValueError("roots must be pairwise distinct")
     if roots.size and not dom.all_inside(roots):
         raise ValueError("roots must lie strictly inside the domain")
+
+
+def _root_product(rts: np.ndarray, factor, label: str) -> fs.Func1D:
+    """prod factor(x - x_i) as a running product over the roots, in
+    np.prod's left-to-right order; the empty product is 1."""
+    if rts.size == 0:
+        return fs.constant(1.0, "1")
+
+    def ev(t):
+        t = np.asarray(t, dtype=float)
+        flat = t.reshape(-1)
+        vals = factor(flat - rts[0])
+        for r in rts[1:]:
+            vals *= factor(flat - r)
+        return vals.reshape(t.shape)
+
+    return fs.Func1D(ev, label)
 
 
 def poly_annihilator(roots, dom: fs.Domain) -> fs.Func1D:
@@ -70,36 +89,17 @@ def poly_annihilator(roots, dom: fs.Domain) -> fs.Func1D:
         raise ValueError("poly_annihilator is for interval domains")
     rts = np.asarray(roots, dtype=float)
     _check_roots(rts, dom)
-    if rts.size == 0:
-        return fs.constant(1.0, "1")
-
-    def ev(t, rts=rts):
-        t = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(t).astype(float)
-        vals = np.prod(flat[:, None] - rts[None, :], axis=1)
-        return vals.reshape(t.shape)
-
-    return fs.Func1D(ev, "prod(x-xi)")
+    return _root_product(rts, lambda d: d, "prod(x-xi)")
 
 
 def trig_annihilator(roots) -> fs.Func1D:
     """prod sin((x - x_i)/2) on the circle; root count must be even so the
     product actually changes sign at each root (cyclic parity)."""
     rts = np.asarray(roots, dtype=float)
-    dom = fs.circle()
-    _check_roots(rts, dom)
+    _check_roots(rts, fs.circle())
     if rts.size % 2 != 0:
         raise ValueError("circle root count must be even")
-    if rts.size == 0:
-        return fs.constant(1.0, "1")
-
-    def ev(t, rts=rts):
-        t = np.asarray(t, dtype=float)
-        flat = np.atleast_1d(t).astype(float)
-        vals = np.prod(np.sin(0.5 * (flat[:, None] - rts[None, :])), axis=1)
-        return vals.reshape(t.shape)
-
-    return fs.Func1D(ev, "prod sin((x-xi)/2)")
+    return _root_product(rts, lambda d: np.sin(0.5 * d), "prod sin((x-xi)/2)")
 
 
 def default_annihilator(points, dom: fs.Domain) -> fs.Func1D:
@@ -133,11 +133,21 @@ def _fix_probe_sign(combo: fs.Func1D, dom: fs.Domain, coeffs: np.ndarray) -> np.
     return coeffs
 
 
+def _scan_nodes(dom: fs.Domain, rp: RootPrescription) -> np.ndarray:
+    """The scan grid minus small neighborhoods of the prescribed roots."""
+    ts = dom.grid(_SCAN_GRID)
+    dist = np.full(ts.shape, np.inf)
+    for r in rp.simple_roots + rp.double_roots:
+        d = ts - r
+        if dom.is_circle:
+            d = (d + np.pi) % fs.TWO_PI - np.pi
+        np.minimum(dist, np.abs(d), out=dist)
+    return ts[dist > _SCAN_RADIUS]
+
+
 def _verify_candidate(sys: ChebSystem, rp: RootPrescription, coeffs,
-                      grid_n: int):
+                      grid: np.ndarray, scan: np.ndarray):
     combo = fs.combination(sys.basis, coeffs, "annihilator")
-    fs._check_count_args(grid_n)
-    grid = sys.dom.grid(grid_n)
     rep = fs.grid_sign_report(combo, sys.dom, grid, fs.sample(combo, grid),
                               guesses=rp.simple_roots)
     if rep.degenerate or rep.count != rp.q:
@@ -146,16 +156,7 @@ def _verify_candidate(sys: ChebSystem, rp: RootPrescription, coeffs,
     if rp.q and np.max(np.abs(np.sort(rep.locations) - want)) > LOC_TOL:
         return False
     # no zeros away from the prescription
-    ts = sys.dom.grid(_SCAN_GRID)
-    allr = np.asarray(rp.simple_roots + rp.double_roots, dtype=float)
-    if allr.size:
-        if sys.dom.is_circle:
-            dist = np.min(np.abs(((ts[:, None] - allr[None, :]) + np.pi)
-                                 % fs.TWO_PI - np.pi), axis=1)
-        else:
-            dist = np.min(np.abs(ts[:, None] - allr[None, :]), axis=1)
-        ts = ts[dist > _SCAN_RADIUS]
-    vals = np.abs(fs.sample(combo, ts))
+    vals = np.abs(fs.sample(combo, scan))
     if vals.size and np.min(vals) <= 1e-9 * float(np.max(vals)):
         return False
     return True
@@ -218,9 +219,10 @@ def general_annihilator(sys: ChebSystem, rp: RootPrescription,
         if nv > 0:
             candidates.append(v / nv)
 
+    grid, scan = dom.grid(grid_n), _scan_nodes(dom, rp)
     for cand in candidates:
         cand = cand / np.linalg.norm(cand)
-        if _verify_candidate(sys, rp, cand, grid_n):
+        if _verify_candidate(sys, rp, cand, grid, scan):
             combo = fs.combination(sys.basis, cand)
             return _fix_probe_sign(combo, dom, cand)
     raise NotChebyshevError(

@@ -222,10 +222,20 @@ def _compositions(total: int, slots: int):
 def monomial_values(X, alphas) -> np.ndarray:
     """Values x^alpha at each row x of X for each exponent tuple alpha:
     an (len(X), len(alphas)) matrix."""
-    # pow, not fs._int_powers: construct_masses' SVD kernel basis jumps under ulp changes
     X = np.asarray(X, dtype=float)
-    A = np.asarray(alphas, dtype=float).reshape(-1, X.shape[1])
-    return np.prod(X[:, None, :] ** A[None, :, :], axis=2)
+    A = np.asarray(alphas).reshape(-1, X.shape[1])
+    E = A.astype(np.intp)
+    if (E != A).any() or E.min(initial=0) < 0:
+        raise ValueError("exponents must be nonnegative integers")
+    # pow, not fs._int_powers: construct_masses' SVD kernel basis jumps under
+    # ulp changes.  Each coordinate's powers are taken once; np.take keeps the
+    # product C-contiguous (fancy indexing would not, and BLAS would round
+    # the downstream products differently)
+    Pw = X[:, :, None] ** np.arange(E.max(initial=0) + 1, dtype=float)
+    M = Pw[:, 0].take(E[:, 0], axis=1)
+    for j in range(1, X.shape[1]):
+        M *= Pw[:, j].take(E[:, j], axis=1)
+    return M
 
 
 def restrict_polynomials(curve: CurveRd, n: int) -> fs.Basis:

@@ -136,10 +136,10 @@ def _step_edges(dom: fs.Domain, breakpoints) -> np.ndarray:
 def moments_on_edges(basis, g: fs.Func1D, dom: fs.Domain, edges) -> np.ndarray:
     """Matrix of per-piece integrals of g * f_j between consecutive edges."""
     ts, ws, sizes = fs.segment_rules(dom, edges[:-1], edges[1:])
-    cuts = np.cumsum(sizes)[:-1]
-    parts = zip(np.split(ws * fs.sample(g, ts), cuts),
-                np.split(fs.basis_matrix(basis, ts), cuts))
-    return np.array([wg @ Bp for wg, Bp in parts], dtype=float).T
+    wg, B = ws * fs.sample(g, ts), fs.basis_matrix(basis, ts)
+    ends = np.cumsum(sizes)
+    return np.array([wg[a:b] @ B[a:b] for a, b in zip(ends - sizes, ends)],
+                    dtype=float).T
 
 
 def moment_matrix(sys, g: fs.Func1D, breakpoints) -> np.ndarray:

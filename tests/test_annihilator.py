@@ -106,3 +106,13 @@ def test_general_annihilator_decomposes_conditions_once(monkeypatch):
     rp = cz.RootPrescription(simple_roots=(-0.3,), double_roots=(0.4,))
     cz.general_annihilator(cz.polynomial_system(4), rp)
     assert len(seen) == 1
+
+
+def test_annihilator_roots_must_be_one_dimensional():
+    dom = fs.interval(-1.0, 1.0)
+    for bad in (0.3, [[0.3, 0.5]], [[0.3], [0.5]]):
+        with pytest.raises(ValueError, match="1-D"):
+            cz.poly_annihilator(bad, dom)
+    for bad in ([[1.0, 2.0]], [[1.0], [2.0]], 1.0):
+        with pytest.raises(ValueError, match="1-D"):
+            cz.trig_annihilator(bad)

@@ -79,9 +79,9 @@ def test_general_annihilator_checks_each_candidate_once(monkeypatch):
     seen = []
     verify = annihilator._verify_candidate
 
-    def spy(sys, rp, coeffs, grid_n):
+    def spy(sys, rp, coeffs, grid, scan):
         seen.append(np.array(coeffs))
-        return verify(sys, rp, coeffs, grid_n)
+        return verify(sys, rp, coeffs, grid, scan)
 
     monkeypatch.setattr(annihilator, "_verify_candidate", spy)
     rp = cz.RootPrescription(simple_roots=(0.6626953894475845,),
