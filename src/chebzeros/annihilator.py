@@ -188,6 +188,7 @@ def general_annihilator(sys: ChebSystem, rp: RootPrescription,
     if not rp.feasible_for(n):
         raise ValueError(
             f"infeasible prescription: 2p + q = {2 * rp.p + rp.q} >= order {n}")
+    fs._check_count_args(grid_n)
     dom = sys.dom
     allr = np.asarray(rp.simple_roots + rp.double_roots, dtype=float)
     _check_roots(allr, dom)

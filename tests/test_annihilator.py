@@ -83,6 +83,13 @@ def test_general_annihilator_infeasible():
         cz.general_annihilator(sys, rp)
 
 
+def test_general_annihilator_checks_grid_n():
+    rp = cz.RootPrescription(simple_roots=(-0.3,), double_roots=(0.4,))
+    for bad, msg in ((10, "at least 64"), (100.5, "integer"), (True, "integer")):
+        with pytest.raises(ValueError, match=msg):
+            cz.general_annihilator(cz.polynomial_system(4), rp, grid_n=bad)
+
+
 def test_general_annihilator_trig():
     sys = cz.trig_system(2)
     rp = cz.RootPrescription(simple_roots=(1.0, 2.5), double_roots=(4.0,))
