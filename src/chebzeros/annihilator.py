@@ -188,8 +188,8 @@ def general_annihilator(sys: ChebSystem, rp: RootPrescription,
     if not rp.feasible_for(n):
         raise ValueError(
             f"infeasible prescription: 2p + q = {2 * rp.p + rp.q} >= order {n}")
-    fs._check_count_args(grid_n)
     dom = sys.dom
+    grid = fs._count_grid(dom, grid_n)
     allr = np.asarray(rp.simple_roots + rp.double_roots, dtype=float)
     _check_roots(allr, dom)
     h = 1e-5 * dom.span
@@ -220,7 +220,7 @@ def general_annihilator(sys: ChebSystem, rp: RootPrescription,
         if nv > 0:
             candidates.append(v / nv)
 
-    grid, scan = dom.grid(grid_n), _scan_nodes(dom, rp)
+    scan = _scan_nodes(dom, rp)
     for cand in candidates:
         cand = cand / np.linalg.norm(cand)
         if _verify_candidate(sys, rp, cand, grid, scan):

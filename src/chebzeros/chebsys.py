@@ -228,8 +228,7 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     """
     basis, dom = _as_basis(sys)
     _check_trials(trials)
-    fs._check_count_args(grid_n)
-    G = fs.basis_matrix(basis, dom.grid(grid_n))
+    G = fs.basis_matrix(basis, fs._count_grid(dom, grid_n))
     return _chebyshev_probes(basis, dom, G, trials, rng_seed)
 
 

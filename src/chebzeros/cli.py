@@ -148,17 +148,8 @@ def parse_func(spec: str, dom: fs.Domain) -> fs.Func1D:
     if kind == "trig":
         if len(cs) % 2 != 1:
             raise ValueError("trig function spec needs a0,a1,b1,...")
-        a0, rest = cs[0], cs[1:]
-
-        def te(t, a0=a0, rest=rest):
-            t = np.asarray(t, dtype=float)
-            out = np.full_like(t, a0)
-            for i in range(0, len(rest), 2):
-                k = i // 2 + 1
-                out += rest[i] * np.cos(k * t) + rest[i + 1] * np.sin(k * t)
-            return out
-
-        return fs.Func1D(te, spec)
+        a0, pairs = cs[0], tuple(zip(cs[1::2], cs[2::2]))
+        return fs.Func1D(lambda t: fs._trig_series(t, a0, pairs), spec)
     if kind == "roots":
         return default_annihilator(sorted(cs), dom)
     raise ValueError(f"unknown function kind {kind!r}")

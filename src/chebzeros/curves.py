@@ -340,8 +340,7 @@ def hyperplane_intersections(curve: CurveRd, hp: Hyperplane,
     curve is evaluated on the grid once; simple_roots are refined from
     those grid values.
     """
-    fs._check_count_args(grid_n)
-    ts = curve.dom.grid(grid_n)
+    ts = fs._count_grid(curve.dom, grid_n)
     return _intersections(curve, hp, ts, fs.sample(hp.func_on(curve), ts))
 
 
@@ -395,8 +394,7 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
     witness are those of a trial-by-trial loop.
     """
     _check_trials(trials)
-    fs._check_count_args(grid_n)
-    P = curve_points(curve, curve.dom.grid(grid_n))
+    P = curve_points(curve, fs._count_grid(curve.dom, grid_n))
     return _convexity_probes(curve, P, trials, rng_seed)
 
 
@@ -442,7 +440,7 @@ def _convexity_probes(curve, P, trials, rng_seed):
         # probe 2i is trial i's random slice, 2i + 1 its secant
         for k in np.flatnonzero((counts.reshape(-1, 3) > d).any(axis=1)).tolist():
             hp = secants[k // 2] if k % 2 else Hyperplane(*randoms[k // 2])
-            full = _intersections(curve, hp, curve.dom.grid(n),
+            full = _intersections(curve, hp, fs._count_grid(curve.dom, n),
                                   P @ hp.normal - hp.offset)
             if full.degenerate or full.count_with_multiplicity > d:
                 return ConvexityReport(COUNTEREXAMPLE, start + k // 2 + 1, hp, full)
@@ -466,8 +464,7 @@ def theorem4_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int =
     [1, P]) run on P with the shared seed, and the report says whether
     the verdicts agree."""
     _check_trials(trials)
-    fs._check_count_args(grid_n)
-    P = curve_points(curve, curve.dom.grid(grid_n))
+    P = curve_points(curve, fs._count_grid(curve.dom, grid_n))
     G = _with_ones(P)
     dim = _span_rank(G[::max(1, grid_n // _span_rows(curve.d + 1))])
     if dim != curve.d + 1:
@@ -509,6 +506,7 @@ def construct_orthogonal_on_curve(curve: CurveRd, n: int,
     continuous with honest crossings at the active points.
     """
     dom = curve.dom
+    ts = fs._count_grid(dom, grid_n)
     funcs = restrict_polynomials(curve, n)
     dim = dimension_estimate(funcs, dom)
     if pieces is None:
@@ -534,7 +532,7 @@ def construct_orthogonal_on_curve(curve: CurveRd, n: int,
         raise NotChebyshevError("refined orthogonality residual above tolerance")
     step = StepWeight(pts, h2, dom)
     F = fs.product(g, step.as_func(), label="F")
-    rep = fs.count_sign_changes(F, dom, grid_n)
+    rep = fs.grid_sign_report(F, dom, ts, fs.sample(F, ts))
     return CurveSynthResult(F, step, pts, dim, residuals, rep)
 
 
@@ -630,8 +628,7 @@ def proposition1_check(curve: CurveRd, f: fs.Func1D,
     open curve).  Center mismatch makes the check not applicable; a
     numerically constant density is flagged degenerate, not failed."""
     dom = curve.dom
-    fs._check_count_args(grid_n)
-    ts = dom.grid(grid_n)
+    ts = fs._count_grid(dom, grid_n)
     fv = fs.sample(f, ts)
     if float(np.min(fv)) <= 0.0:
         raise ValueError("density must be strictly positive")
@@ -666,8 +663,7 @@ def proposition1_relative(curve: CurveRd, f: fs.Func1D, g: fs.Func1D,
     (d + 2 on a closed curve) and their ratio has at least d + 2 extrema.
     Proportional densities are flagged degenerate."""
     dom = curve.dom
-    fs._check_count_args(grid_n)
-    ts = dom.grid(grid_n)
+    ts = fs._count_grid(dom, grid_n)
     fv, gv = fs.sample(f, ts), fs.sample(g, ts)
     if float(np.min(fv)) <= 0.0 or float(np.min(gv)) <= 0.0:
         raise ValueError("densities must be strictly positive")

@@ -22,16 +22,6 @@ _VALIDATE_GRID = 4096
 ORTHO_TOL = 1e-10
 
 
-def _harmonic(ts, rows, m, a, b):
-    """a cos(m ts) + b sin(m ts), from fs._harmonics' rows when it served
-    ts; else computed here, one harmonic at a time, so that no cos or sin
-    array of a large grid outlives its term."""
-    if rows is None:
-        return a * np.cos(m * ts) + b * np.sin(m * ts)
-    c, s = rows[m - 1]
-    return a * c + b * s
-
-
 @dataclass(frozen=True)
 class OvalSupport:
     """Support function h0 + sum over m of a_m cos(ma) + b_m sin(ma).
@@ -49,6 +39,8 @@ class OvalSupport:
         object.__setattr__(self, "coeffs", cf)
         if not np.isfinite(self.h0) or self.h0 <= 0:
             raise ValueError("h0 must be positive")
+        if not np.isfinite(cf).all():
+            raise ValueError("coefficients must be finite")
         ts = fs.circle().grid(_VALIDATE_GRID)
         if np.min(self._h(ts)) <= 0:
             raise ValueError("support function must stay positive")
@@ -56,20 +48,10 @@ class OvalSupport:
             raise ValueError("oval must be strictly convex: h + h'' > 0")
 
     def _h(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        rows = fs._harmonics(ts, len(self.coeffs))
-        out = np.full_like(ts, self.h0)
-        for m, (a, b) in enumerate(self.coeffs, start=1):
-            out += _harmonic(ts, rows, m, a, b)
-        return out
+        return fs._trig_series(ts, self.h0, self.coeffs)
 
     def _R(self, ts):
-        ts = np.asarray(ts, dtype=float)
-        rows = fs._harmonics(ts, len(self.coeffs))
-        out = np.full_like(ts, self.h0)
-        for m, (a, b) in enumerate(self.coeffs, start=1):
-            out += (1.0 - m * m) * _harmonic(ts, rows, m, a, b)
-        return out
+        return fs._trig_series(ts, self.h0, self.coeffs, curvature=True)
 
     @property
     def is_circle(self) -> bool:

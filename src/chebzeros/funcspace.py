@@ -388,6 +388,29 @@ def _trig_terms(ts: np.ndarray, k: int) -> np.ndarray:
     return M
 
 
+def _trig_series(ts, c0: float, pairs, curvature: bool = False):
+    """c0 + sum of a_m cos(mt) + b_m sin(mt), (a_m, b_m) = pairs[m - 1], added
+    in order of m; with curvature, term m is scaled by 1 - m**2 (R = h + h''
+    of a support function h).  cos and sin come from _harmonics' rows where
+    it serves ts, else are computed inside their term, which is built in
+    place, so peak memory stays that of the plain expression."""
+    ts = np.asarray(ts, dtype=float)
+    rows = _harmonics(ts, len(pairs))
+    out = np.full_like(ts, c0)
+    for m, (a, b) in enumerate(pairs, start=1):
+        if rows is None:
+            term = a * np.cos(m * ts)
+            term += b * np.sin(m * ts)
+        else:
+            c, s = rows[m - 1]
+            term = a * c
+            term += b * s
+        if curvature:
+            term *= 1.0 - m * m
+        out += term
+    return out
+
+
 class Basis(tuple):
     """Func1D members with one matrix(ts) -> (len(ts), len(basis)) callable:
     Basis(funcs) samples member j into column j."""
@@ -576,11 +599,15 @@ def _no_roots() -> np.ndarray:
     return np.empty(0)
 
 
-def _check_count_args(grid_n: int) -> None:
+def _count_grid(dom: Domain, grid_n: int) -> np.ndarray:
+    """dom.grid(grid_n), the counting grid, for a grid_n that is an integer
+    of at least 64: every entry point that counts takes its grid here,
+    before it evaluates a basis or decomposes a matrix."""
     if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral):
         raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
+    return dom.grid(grid_n)
 
 
 def _check_tol(tol) -> None:
@@ -868,8 +895,7 @@ def count_sign_changes(f: Func1D, dom: Domain,
     of f on the grid; locations are refined by bisection when first
     read, and reported sorted.
     """
-    _check_count_args(grid_n)
-    ts = dom.grid(grid_n)
+    ts = _count_grid(dom, grid_n)
     return grid_sign_report(f, dom, ts, sample(f, ts))
 
 
@@ -899,8 +925,7 @@ def count_extrema(f: Func1D, dom: Domain,
     back degenerate with count 0.  As for count_sign_changes, locations
     are refined only when first read.
     """
-    _check_count_args(grid_n)
-    ts = dom.grid(grid_n)
+    ts = _count_grid(dom, grid_n)
     return grid_extrema_report(f, dom, ts, sample(f, ts))
 
 

@@ -198,6 +198,7 @@ def synth_orthogonal(sys: ChebSystem, points,
     locations (within 1e-6) are all verified before returning.
     """
     dom = sys.dom
+    ts = fs._count_grid(dom, grid_n)
     m = m_of(dom, sys.order_n)
     pts = np.asarray(points, dtype=float)
     if pts.size != m:
@@ -211,8 +212,6 @@ def synth_orthogonal(sys: ChebSystem, points,
     residuals = A @ p
     if np.max(np.abs(residuals)) > RESIDUAL_TOL:
         raise NotChebyshevError("orthogonality residual above tolerance")
-    fs._check_count_args(grid_n)
-    ts = dom.grid(grid_n)
     rep = fs.grid_sign_report(F, dom, ts, fs.sample(F, ts), guesses=pts)
     if rep.degenerate or rep.count != m or \
             np.max(np.abs(np.sort(rep.locations) - np.sort(pts))) > LOC_TOL:
@@ -313,8 +312,7 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
     at the crossings and breaks, and hold the count to bound when the
     residuals are within tol and f * rho does not vanish."""
     fs._check_tol(tol)
-    fs._check_count_args(grid_n)
-    grid = dom.grid(grid_n)
+    grid = fs._count_grid(dom, grid_n)
     fgrid = fs.sample(f, grid)
     rep = fs.grid_sign_report(f, dom, grid, fgrid, guesses=breaks)
     cuts = np.asarray(rep.locations, dtype=float)

@@ -57,6 +57,33 @@ def test_parse_func_kinds():
         cli.parse_func("spline:1", dom)
 
 
+def _reference_trig(cs, t):
+    # the trig: spec's own loop, one harmonic at a time
+    t = np.asarray(t, dtype=float)
+    out = np.full_like(t, cs[0])
+    for i in range(1, len(cs), 2):
+        k = i // 2 + 1
+        out += cs[i] * np.cos(k * t) + cs[i + 1] * np.sin(k * t)
+    return out
+
+
+@pytest.mark.parametrize("spec", ["trig:0,1,0,0,1", "trig:0.3,1,-0.5,0.25,2,0,0.125",
+                                  "trig:2"])
+def test_trig_spec_gives_the_reference_bytes(spec):
+    # the counting grid and the quadrature nodes read fs._harmonics' rows;
+    # the others compute cos and sin inline
+    f = cli.parse_func(spec, fs.circle())
+    cs = [float(x) for x in spec.split(":")[1].split(",")]
+    inputs = [fs.circle().grid(fs.DEFAULT_GRID_N), fs.quad_nodes(fs.circle())[0],
+              fs.circle().grid(16384),
+              np.random.default_rng(3).uniform(0.0, fs.TWO_PI, 37),
+              np.asarray(1.25), np.linspace(0.0, 7.0, 12).reshape(3, 4)]
+    for t in inputs:
+        got, want = f(t), _reference_trig(cs, t)
+        assert np.shape(got) == np.shape(t)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # verify reports
 

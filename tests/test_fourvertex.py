@@ -15,6 +15,11 @@ def test_oval_support_validation():
     # h stays positive but R = 1 - 7.2 cos(3a) does not
     with pytest.raises(ValueError):
         cz.OvalSupport(1.0, ((0.0, 0.0), (0.0, 0.0), (0.9, 0.0)))
+    # a NaN coefficient passed the positivity checks, an infinite one
+    # failed them as "support function must stay positive"
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            cz.OvalSupport(1.0, ((0.1, 0.0), (0.0, bad)))
     oval = cz.OvalSupport(1.0, ((0.0, 0.0), (0.1, 0.0)))
     assert not oval.is_circle
     assert cz.OvalSupport(2.0).is_circle

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -358,6 +359,67 @@ def test_count_args_validation():
     f = fs.Func1D(lambda t: np.asarray(t, float))
     with pytest.raises(ValueError):
         fs.count_sign_changes(f, dom, grid_n=8)
+
+
+def _grid_n_calls():
+    """One valid call per public function that takes grid_n, by name."""
+    dom, circ = fs.interval(-1.0, 1.0), fs.circle()
+    poly3 = cz.polynomial_system(3)
+    curve = cz.moment_curve(2)
+    f = fs.Func1D(lambda t: np.cos(np.asarray(t, float)), "cos")
+    pos = fs.Func1D(lambda t: 2.0 + np.cos(np.asarray(t, float)), "2+cos")
+    pos2 = fs.Func1D(lambda t: 3.0 + np.sin(np.asarray(t, float)), "3+sin")
+    oval = cz.random_oval(3, 0.5)
+    hp = cz.hyperplane_through([[0.0, 0.0], [1.0, 1.0]])
+    rp = cz.RootPrescription(simple_roots=(-0.3,), double_roots=(0.4,))
+    return {
+        "count_sign_changes": lambda **kw: cz.count_sign_changes(f, dom, **kw),
+        "count_extrema": lambda **kw: cz.count_extrema(f, circ, **kw),
+        "verify_chebyshev": lambda **kw: cz.verify_chebyshev(poly3, trials=2, **kw),
+        "general_annihilator": lambda **kw: cz.general_annihilator(
+            cz.polynomial_system(4), rp, **kw),
+        "synth_orthogonal": lambda **kw: cz.synth_orthogonal(
+            poly3, [-0.6, -0.1, 0.4, 0.8], **kw),
+        "synth_weight": lambda **kw: cz.synth_weight(
+            cz.polynomial_system(1), cz.poly_annihilator([-0.5, 0.5], dom), **kw),
+        "theorem1_check": lambda **kw: cz.theorem1_check(poly3, f, **kw),
+        "hyperplane_intersections": lambda **kw: cz.hyperplane_intersections(
+            curve, hp, **kw),
+        "convexity_check": lambda **kw: cz.convexity_check(curve, trials=2, **kw),
+        "theorem4_check": lambda **kw: cz.theorem4_check(curve, trials=2, **kw),
+        "construct_orthogonal_on_curve": lambda **kw: cz.construct_orthogonal_on_curve(
+            curve, 1, **kw),
+        "theorem5_verify": lambda **kw: cz.theorem5_verify(curve, 1, f, **kw),
+        "proposition1_check": lambda **kw: cz.proposition1_check(
+            cz.trig_curve(1), pos, **kw),
+        "proposition1_relative": lambda **kw: cz.proposition1_relative(
+            cz.trig_curve(1), pos, pos2, **kw),
+        "four_vertex_check": lambda **kw: cz.four_vertex_check(oval, **kw),
+        "blaschke_ratio_check": lambda **kw: cz.blaschke_ratio_check(oval, oval, **kw),
+    }
+
+
+_TAKES_GRID_N = sorted(
+    name for name in cz.__all__
+    if inspect.isfunction(getattr(cz, name))
+    and "grid_n" in inspect.signature(getattr(cz, name)).parameters)
+
+
+@pytest.mark.parametrize("name", _TAKES_GRID_N)
+def test_every_grid_n_is_checked_before_any_decomposition(monkeypatch, name):
+    # a function that takes grid_n and has no call above fails here too
+    calls = _grid_n_calls()
+    assert sorted(calls) == _TAKES_GRID_N
+    call = calls[name]
+    call()
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd ran before grid_n was checked")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    for bad, msg in ((10, "at least 64"), (100.5, "an integer"), (True, "an integer")):
+        with pytest.raises(ValueError, match=f"grid_n must be {msg}"):
+            call(grid_n=bad)
 
 
 def test_quadrature_rule_is_fixed():
