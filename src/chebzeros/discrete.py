@@ -13,6 +13,7 @@ normals (they sum to zero against every normal by the closure identity).
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -22,8 +23,8 @@ import numpy as np
 from . import funcspace as fs
 from ._linalg import _det_signs, _increasing_tuples, fix_leading_sign, svd_kernel
 from .chebsys import COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, _check_trials
-from .curves import (Hyperplane, hyperplane_through, monomial_multi_indices,
-                     monomial_values)
+from .curves import (Hyperplane, _with_ones, hyperplane_through,
+                     monomial_multi_indices, monomial_values)
 from .orthosynth import ZeroBoundReport
 
 VERTEX_REJECT_TOL = 1e-9
@@ -217,30 +218,96 @@ def _probe_draws(V, mids, scale, stream, start, stop):
     W (n, d), offsets (NaN where V projects to a point) and d perturbed
     edge midpoints per trial ((n, d, d), None when there are fewer than d
     midpoints).  The norms and projections are the dot and matrix-vector
-    products a per-trial loop takes, bit for bit."""
+    products a per-trial loop takes, bit for bit.
+
+    Each trial draws its normals with standard_normal and takes the words
+    that uniform(0.02, 0.98) and choice(m, d, replace=False) would use
+    with random_raw; _raw_word_draws turns the chunk's words into offsets
+    and midpoint selections.  Rows it flags, and rows where V projects to
+    a point (no uniform drawn: the later draws move up the stream), are
+    drawn again by the Generator calls themselves."""
     n, d, m = stop - start, V.shape[1], mids.shape[0]
-    Z, u = np.empty((n, d)), np.zeros(n)  # 0 where no uniform is drawn
-    sel, E = np.empty((n, d), dtype=np.intp), np.empty((n, d, d))
+    words = np.empty((n, 1 + _choice_draws(m, d)[2]), np.uint64)
+    Z, E = np.empty((n, d)), np.empty((n, d, d))
+    for i in range(n):
+        g = stream(start + i)
+        Z[i] = g.standard_normal(d)
+        words[i] = g.bit_generator.random_raw(words.shape[1])
+        if m >= d:
+            E[i] = g.standard_normal((d, d))
+    u, sel, redo = _raw_word_draws(words, m, d)
 
     def draw(i, uniform):
         g = stream(start + i)
-        Z[i] = g.standard_normal(d)
+        g.standard_normal(d)
         if uniform:
             u[i] = g.uniform(0.02, 0.98)
         if m >= d:
             sel[i] = g.choice(m, size=d, replace=False)
             E[i] = g.standard_normal((d, d))
 
-    for i in range(n):
-        draw(i, True)
     W = Z / np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None])[:, 0])
     proj = np.matmul(V, W[:, :, None])[..., 0]
     lo, hi = np.min(proj, axis=1), np.max(proj, axis=1)
     flat = ~(hi > lo)
-    for i in np.flatnonzero(flat).tolist():
-        draw(i, False)  # no uniform: the later draws move up the stream
+    for i in np.flatnonzero(flat | redo).tolist():
+        draw(i, not flat[i])
     off = np.where(flat, np.nan, lo + (hi - lo) * u)
     return W, off, (mids[sel] + 1e-3 * scale * E if m >= d else None)
+
+
+@functools.lru_cache(maxsize=128)
+def _choice_draws(m: int, d: int):
+    """choice(m, d, replace=False)'s bounded draws on [0, r] that take a
+    32-bit half of a PCG64 word, in draw order: Floyd's d (the first, on
+    [0, 0], takes none when m == d), then the shuffle's d - 1; none when
+    m < d, where no choice is drawn.  Returns the spans r + 1 as a column,
+    the leftovers 2**32 mod (r + 1) below which Lemire's method rejects,
+    and the words the draws take, two to a word."""
+    r = [] if m < d else [j for j in range(m - d, m) if j] + list(range(d - 1, 0, -1))
+    span = np.array(r, np.uint64)[:, None] + 1
+    return span, 2 ** 32 % span, -(-len(r) // 2)
+
+
+def _raw_word_draws(words, m: int, d: int):
+    """uniform(0.02, 0.98) and choice(m, d, replace=False) of each row of
+    words (n, 1 + _choice_draws(m, d)[2]) uint64, the random_raw words those
+    calls would read from the row's stream: offsets u (n,), selections
+    (n, d) intp (None when m < d) and a flag on each row whose selection
+    needs more words (a rejected bounded draw, about 1 in 1e8 draws, or
+    the tail shuffle choice takes for m > 10000 and d > m // 50).
+
+    choice runs Floyd's algorithm, then shuffles its d values; every
+    bounded draw on [0, r] is Lemire's: the high half of x * (r + 1), x
+    the next unused 32-bit half of a word, low half first (NumPy's
+    random_bounded_uint64 and PCG64's next_uint32)."""
+    n = words.shape[0]
+    u = 0.02 + (0.98 - 0.02) * ((words[:, 0] >> 11) * 2.0 ** -53)
+    if m < d:
+        return u, None, np.zeros(n, bool)
+    span, reject, _ = _choice_draws(m, d)
+    x = words[:, 1:].astype("<u8").view("<u4")[:, :len(span)].T * span
+    redo = ((x & 0xFFFFFFFF) < reject).any(axis=0) | (m > 10000 and d > m // 50)
+    v = (x >> 32).astype(np.intp)
+    if m == d:
+        v = np.concatenate([np.zeros((1, n), np.intp), v])
+    rows = np.arange(n)
+    # Floyd: draw k gives v[k], or m - d + k if v[k] is taken already
+    # (every value taken so far is below m - d + k)
+    S, taken, at = np.empty((d, n), np.intp), np.zeros(n * m, np.intp), rows * m
+    S[0] = v[0]
+    for k, vk in enumerate(v[1:d] + at, start=1):
+        taken[at + S[k - 1]] = 1
+        t = taken[vk]
+        t *= m - d + k
+        np.maximum(v[k], t, out=S[k])
+    # the shuffle: for i = d - 1 .. 1, swap entries i and v[2d - 1 - i]
+    flat = S.reshape(-1)
+    for i, j in zip(range(d - 1, 0, -1), v[d:] * n + rows):
+        top = S[i].copy()
+        S[i] = flat[j]
+        flat[j] = top
+    return u, S.T, redo
 
 
 def _probe_hit(P, w, off, pts):
@@ -300,7 +367,11 @@ def _midpoint_secant_witness(P: PolyLine, mids: np.ndarray):
 
 
 def vandermonde_moment_matrix(P: PolyLine, n: int) -> np.ndarray:
-    """C(n+d, d) x k matrix of monomial values at the vertices."""
+    """C(n+d, d) x k matrix of monomial values at the vertices.  For n = 1
+    it is [1, V].T, the same floats without the powers: x**0.0 and x**1.0
+    are exact."""
+    if n == 1:
+        return _with_ones(P.vertices).T
     return monomial_values(P.vertices, monomial_multi_indices(n, P.d)).T
 
 

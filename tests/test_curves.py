@@ -214,14 +214,6 @@ def test_sine_graph_not_convex():
     assert rep.witness_count.count_with_multiplicity > 2
 
 
-def test_convexity_check_checks_grid_on_entry():
-    # a convex curve flags no probe, so only an entry check can raise
-    with pytest.raises(ValueError, match="grid_n"):
-        cz.convexity_check(cz.moment_curve(2), trials=50, grid_n=10)
-    with pytest.raises(ValueError, match="grid_n"):
-        cz.convexity_check(cz.sine_graph(), trials=50, grid_n=10)
-
-
 def _theorem4_inputs(seed):
     curves = [cz.moment_curve(2), cz.moment_curve(3), cz.moment_curve(4),
               cz.trig_curve(1), cz.trig_curve(2),
@@ -291,8 +283,6 @@ def test_theorem4_planar_curve_rejected():
     # bad arguments are reported before any work on the curve
     with pytest.raises(ValueError, match="trials must be at least 1"):
         cz.theorem4_check(line, trials=0)
-    with pytest.raises(ValueError, match="grid_n must be at least 64"):
-        cz.theorem4_check(line, trials=10, grid_n=32)
 
 
 def test_trials_and_grid_must_be_integers():
@@ -301,13 +291,7 @@ def test_trials_and_grid_must_be_integers():
         for check in (cz.convexity_check, cz.theorem4_check):
             with pytest.raises(ValueError, match="trials must be an integer"):
                 check(c, trials=trials)
-    for grid_n in (100.5, 2048.0, False):
-        with pytest.raises(ValueError, match="grid_n must be an integer"):
-            cz.convexity_check(c, trials=2, grid_n=grid_n)
-        with pytest.raises(ValueError, match="grid_n must be an integer"):
-            cz.hyperplane_intersections(c, cz.Hyperplane(np.array([0.0, 1.0]), 0.5),
-                                        grid_n=grid_n)
-    assert cz.convexity_check(c, trials=np.int64(2), grid_n=np.int64(100)).convex
+    assert cz.convexity_check(c, trials=np.int64(2)).convex
 
 
 # ---------------------------------------------------------------------------
@@ -667,15 +651,3 @@ def test_proposition1_evaluates_curve_once_per_node_set():
     sizes.clear()
     assert cz.proposition1_relative(circ, f, g).applicable
     assert sizes == [nq, nq, nq, fs.DEFAULT_GRID_N]
-
-
-def test_proposition1_checks_grid_on_entry():
-    # a small grid raises even when the density is off center, where no
-    # count would run
-    circ = cz.trig_curve(1)
-    f = fs.Func1D(lambda t: 1.0 + 0.5 * np.cos(t))
-    g = fs.Func1D(lambda t: 1.0 + 0.3 * np.cos(2 * t))
-    with pytest.raises(ValueError, match="grid_n"):
-        cz.proposition1_check(circ, f, grid_n=10)
-    with pytest.raises(ValueError, match="grid_n"):
-        cz.proposition1_relative(circ, f, g, grid_n=10)

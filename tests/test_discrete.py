@@ -157,6 +157,21 @@ def test_hexagon_kernel_dimension():
     assert rank == 3
 
 
+def test_degree_one_moment_matrix_matches_monomial_values():
+    # [1, V].T for n = 1: the floats and strides of the monomial powers
+    from chebzeros.curves import monomial_multi_indices, monomial_values
+    for s in range(30):
+        rng = fs.derived_rng(77, s)
+        d = 2 + s % 3
+        V = rng.standard_normal((int(rng.integers(d + 2, 12)), d))
+        V[::3, s % d] = -0.0
+        P = cz.PolyLine(V, closed=bool(s % 2))
+        A = cz.vandermonde_moment_matrix(P, 1)
+        B = monomial_values(P.vertices, monomial_multi_indices(1, d)).T
+        assert A.tobytes() == B.tobytes() and A.strides == B.strides
+        assert np.signbit(A[1 + s % d, ::3]).all()
+
+
 def test_construct_masses_trivial_kernel():
     with pytest.raises(ValueError):
         cz.construct_masses(_regular_polygon(3), 1)
@@ -486,13 +501,18 @@ def _reference_draws(V, mids, scale, seed, trial):
     return w, off, mids[sel] + 1e-3 * scale * rng.standard_normal((d, d))
 
 
-@pytest.mark.parametrize("seed", [0, -1])
-@pytest.mark.parametrize("V", [
-    np.full((5, 3), 0.25),                      # one point: no uniform drawn
-    np.full((2, 3), -1.5),                      # and fewer midpoints than d
-    np.array([[0.0, 1.0], [0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]),
-], ids=["point", "point-few-mids", "spread"])
-def test_probe_draws_match_derived_rng(V, seed):
+_TS30 = np.linspace(-1.0, 1.0, 30)
+_DRAW_LINES = {
+    "point": np.full((5, 3), 0.25),             # one point: no uniform drawn
+    "point-few-mids": np.full((2, 3), -1.5),    # and fewer midpoints than d
+    "spread": np.array([[0.0, 1.0], [0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]),
+    "d-mids": np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.2], [1.5, 2.0, 0.1],
+                        [0.3, 1.0, 3.0]]),      # as many midpoints as d
+    "30-vertices": np.stack([_TS30, _TS30 ** 2, _TS30 ** 3], axis=1),
+}
+
+
+def _assert_draws_match_derived_rng(V, seed):
     from chebzeros import discrete
     mids = 0.5 * (V[:-1] + V[1:])
     for start, stop, stream in fs._probe_chunks(seed, 40, len(V), 2):
@@ -504,6 +524,79 @@ def test_probe_draws_match_derived_rng(V, seed):
             assert (pts is None) == (p is None)
             if p is not None:
                 assert pts[i].tobytes() == p.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, -1])
+@pytest.mark.parametrize("V", list(_DRAW_LINES.values()), ids=list(_DRAW_LINES))
+def test_probe_draws_match_derived_rng(V, seed):
+    _assert_draws_match_derived_rng(V, seed)
+
+
+def test_probe_draws_redrawn_rows_match_derived_rng(monkeypatch):
+    # every row flagged and its words' draws spoilt: each trial's offset
+    # and selection must come from the Generator calls themselves
+    from chebzeros import discrete
+    raw = discrete._raw_word_draws
+
+    def flag_all(words, m, d):
+        u, sel, redo = raw(words, m, d)
+        if sel is not None:
+            sel[:] = 0
+        return np.full_like(u, 0.5), sel, np.ones_like(redo)
+
+    monkeypatch.setattr(discrete, "_raw_word_draws", flag_all)
+    for V in _DRAW_LINES.values():
+        _assert_draws_match_derived_rng(V, 7)
+
+
+def test_raw_word_draws_match_choice_and_uniform():
+    # the words random_raw reads from a stream against uniform(0.02, 0.98)
+    # and choice(m, d, replace=False) on the same stream, byte for byte,
+    # and the next standard normal starts where choice leaves the stream;
+    # 150 (d, m) pairs of 70 streams each
+    from chebzeros import discrete
+    g = np.random.Generator(np.random.PCG64(0))
+    streams = 0
+    for d in range(2, 6):
+        for m in range(d, 41):
+            seeds = fs._trial_seeds(2025, 70, d, m)
+            c = discrete._choice_draws(m, d)[2]
+            words = np.empty((len(seeds), 1 + c), np.uint64)
+            u, sel = np.empty(len(seeds)), np.empty((len(seeds), d), np.int64)
+            for i, row in enumerate(seeds.tolist()):
+                state = fs._pcg64_state(row)
+                g.bit_generator.state = state
+                u[i] = g.uniform(0.02, 0.98)
+                sel[i] = g.choice(m, size=d, replace=False)
+                e = g.standard_normal()
+                g.bit_generator.state = state
+                words[i] = g.bit_generator.random_raw(1 + c)
+                assert g.standard_normal() == e
+            got_u, got_sel, redo = discrete._raw_word_draws(words, m, d)
+            assert not redo.any()
+            assert got_u.tobytes() == u.tobytes()
+            assert got_sel.astype(np.int64).tobytes() == sel.tobytes()
+            streams += len(seeds)
+    assert streams >= 10 ** 4
+
+
+def test_raw_word_draws_flag_rejected_draws():
+    # Lemire's draw on [0, r] rejects a half x when (x * (r + 1)) mod 2**32
+    # falls below 2**32 mod (r + 1).  m = 11, d = 3: the five halves go to
+    # Floyd draws on [0, 8], [0, 9], [0, 10] and shuffle draws on [0, 2],
+    # [0, 1]; the first rejects a leftover below 2**32 mod 9 = 4, the last
+    # (span 2, a power of 2) nothing
+    from chebzeros import discrete
+    inv9 = pow(9, -1, 2 ** 32)
+    halves = np.full((5, 6), 0x9E3779B9, np.uint64)
+    halves[1, 0] = 4 * inv9 % 2 ** 32  # leftover 4: kept
+    halves[2, 0] = 3 * inv9 % 2 ** 32  # leftover 3: rejected
+    halves[3, 0] = 0
+    halves[4, 4] = 0
+    words = np.column_stack([np.zeros(5, np.uint64),
+                             halves[:, 0::2] | halves[:, 1::2] << np.uint64(32)])
+    assert discrete._raw_word_draws(words, 11, 3)[2].tolist() == \
+        [False, False, True, True, False]
 
 
 @pytest.mark.parametrize("rel", [1.0 - 1e-3, 1.0 + 1e-3])
