@@ -1,5 +1,5 @@
-"""Small dense-matrix helpers shared by the synthesis modules, and the one
-determinant-sign kernel of the Chebyshev and polyline tests."""
+"""Small dense-matrix helpers of the synthesis modules, the determinant-sign
+kernel of the Chebyshev and polyline tests, and the polyline screen's planes."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ RANK_RTOL = 1e-10  # singular values at or below RANK_RTOL * s_max count as zero
 # determinant signs of matrices this close to singular are not trusted
 _DET_COND_FLOOR = 1e-12
 _LOG_SURE_RATIO = math.log(100.0 * _DET_COND_FLOOR)
+_MINOR_FLOOR = 1e-5  # share of Hadamard's bound a trusted plane's minors reach
 
 
 def svd_kernel(A):
@@ -59,6 +60,27 @@ def _det_signs(Ms: np.ndarray):
         informative[rest] = ~((s[:, 0] == 0.0)
                               | (s[:, -1] <= _DET_COND_FLOOR * s[:, 0]))
     return sign, informative & (sign != 0.0)
+
+
+def _planes_through(pts: np.ndarray):
+    """(H, trusted): row i of H is (w, -offset), |w| = 1, of the plane
+    w . x = offset through the d points pts[i] in R^d, NaN where untrusted:
+    the null vector c of A = [pts[i] | 1], c_j = (-1)^j det of A without
+    column j.  LU gets each minor within about d u R (u = 2**-53, R the
+    product of A's row norms, Hadamard's bound; at most 0.64 u R measured
+    for d = 2..5).  Where |c[:d]| >= _MINOR_FLOOR * R, the plane's values
+    at points of max-norm 1 err by at most about 3 (d + 1) d u /
+    _MINOR_FLOOR, 1e-9 at d = 5: a thousandth of the polyline screen's
+    1e-6 band.  Affinely dependent points are untrusted."""
+    n, d = pts.shape[:2]
+    At = np.concatenate([pts, np.ones((n, d, 1))], axis=2).transpose(0, 2, 1)
+    cols = np.arange(d)
+    c = np.linalg.det(At[:, cols + (cols >= np.arange(d + 1)[:, None])])
+    c[:, 1::2] *= -1.0
+    w2 = np.einsum("ni,ni->n", c[:, :d], c[:, :d])
+    R2 = np.prod(np.einsum("nij,nij->ni", pts, pts) + 1.0, axis=1)
+    trusted = w2 >= _MINOR_FLOOR ** 2 * R2
+    return c / np.sqrt(np.where(trusted, w2, np.nan))[:, None], trusted
 
 
 def _increasing_tuples(m: int, k: int) -> np.ndarray:

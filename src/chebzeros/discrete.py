@@ -21,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import funcspace as fs
-from ._linalg import _det_signs, _increasing_tuples, fix_leading_sign, svd_kernel
+from ._linalg import (_det_signs, _increasing_tuples, _planes_through,
+                      fix_leading_sign, svd_kernel)
 from .chebsys import COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, _check_trials
 from .curves import (Hyperplane, _with_ones, hyperplane_through,
                      monomial_multi_indices, monomial_values)
@@ -69,9 +70,7 @@ class PolyLine:
 
     def edge_vectors(self) -> np.ndarray:
         V = self.vertices
-        if self.closed:
-            return np.roll(V, -1, axis=0) - V
-        return V[1:] - V[:-1]
+        return _next(V) - V if self.closed else V[1:] - V[:-1]
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,11 @@ class MassVector:
             raise ValueError("masses must be a nonempty 1-d array")
         if not np.all(np.isfinite(m)):
             raise ValueError("masses must be finite")
+
+
+def _next(a: np.ndarray) -> np.ndarray:
+    """NumPy's roll of a by -1 along axis 0, bit for bit, without its cost."""
+    return np.concatenate((a[1:], a[:1]))
 
 
 def _masses_of(x, k: int | None = None) -> np.ndarray:
@@ -122,16 +126,14 @@ def hyperplane_crossings(P: PolyLine, hp: Hyperplane) -> Optional[int]:
     if float(np.min(np.abs(vals))) <= VERTEX_REJECT_TOL * scale:
         return None
     s = np.sign(vals)
-    if P.closed:
-        return int(np.sum(s != np.roll(s, -1)))
-    return int(np.sum(s[:-1] != s[1:]))
+    return int(np.sum(s != _next(s) if P.closed else s[:-1] != s[1:]))
 
 
 def _convex_certificate(V: np.ndarray) -> Optional[bool]:
     """Exact convexity for closed planar polygons: one turning direction
     and a single winding.  None when all turns are collinear."""
-    e = np.roll(V, -1, axis=0) - V
-    e2 = np.roll(e, -1, axis=0)
+    e = _next(V) - V
+    e2 = _next(e)
     cross = e[:, 0] * e2[:, 1] - e[:, 1] * e2[:, 0]
     cmax = float(np.max(np.abs(cross)))
     if cmax == 0.0:
@@ -197,7 +199,7 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     cert = _convex_certificate(V) if (P.closed and P.d == 2) else None
     if cert is True:
         return PolyConvexityReport(NO_VIOLATION, 0, certified=True)
-    mids = 0.5 * (V + np.roll(V, -1, axis=0)) if P.closed else 0.5 * (V[:-1] + V[1:])
+    mids = 0.5 * (V + _next(V)) if P.closed else 0.5 * (V[:-1] + V[1:])
     scale = float(np.max(np.abs(V))) or 1.0
     for start, stop, stream in fs._probe_chunks(rng_seed, trials, P.k, 2):
         W, off, pts = _probe_draws(V, mids, scale, stream, start, stop)
@@ -325,20 +327,19 @@ def _probe_hit(P, w, off, pts):
 
 def _screen(P, W, off, pts) -> np.ndarray:
     """Per trial, False only when `_probe_hit` surely finds no hit.  Each
-    probe is a column (normal, -offset), NaN if undrawn or degenerate, and
-    every vertex must clear a band far wider than the last-bit errors:
-    the vertex reject band plus 1e-6, both in units of max|V| (1 if 0)."""
+    probe is a row (normal, -offset) in units of max|V| (1 if 0), NaN if
+    undrawn or untrusted (secants: `_planes_through` of pts / max|V|), and
+    every vertex must clear the vertex reject band plus 1e-6, far wider
+    than the probes' errors."""
     V, d = P.vertices, P.d
-    H = np.column_stack([W, -off])
+    scale = float(np.max(np.abs(V))) or 1.0
+    H = np.column_stack([W, -off / scale])
     if pts is not None:
-        v = np.linalg.svd(np.insert(pts, d, 1.0, axis=2))[2][:, -1]
-        nrm = np.linalg.norm(v[:, :d], axis=1, keepdims=True)
-        H = np.concatenate([H, v / np.where(nrm > 1e-6, nrm, np.nan)])
-    vals = np.insert(V, d, 1.0, axis=1) @ H.T
+        H = np.concatenate([H, _planes_through(pts / scale)[0]])
+    vals = (V / scale) @ H[:, :d].T + H[:, d]
     s = np.sign(vals)
-    flips = np.sum(s != np.roll(s, -1, axis=0) if P.closed else s[:-1] != s[1:], axis=0)
-    band = (VERTEX_REJECT_TOL + 1e-6) * (float(np.max(np.abs(V))) or 1.0)
-    cut = ~(np.min(np.abs(vals), axis=0) > band) | (flips > d)
+    flips = np.sum(s != _next(s) if P.closed else s[:-1] != s[1:], axis=0)
+    cut = ~(np.min(np.abs(vals), axis=0) > VERTEX_REJECT_TOL + 1e-6) | (flips > d)
     return cut.reshape(-1, len(W)).any(axis=0)
 
 
@@ -443,7 +444,7 @@ def edge_normals_and_lengths(P: PolyLine):
     e = P.edge_vectors()
     L = np.linalg.norm(e, axis=1)
     x, y = P.vertices[:, 0], P.vertices[:, 1]
-    area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    area = 0.5 * float(np.sum(x * _next(y) - _next(x) * y))
     if area > 0:
         N = np.stack([e[:, 1], -e[:, 0]], axis=1)
     else:
@@ -466,7 +467,7 @@ def polygon_from_normals(normals, lengths) -> PolyLine:
         raise ValueError("normals must be unit vectors")
     N = N / nrms[:, None]
     ang = np.arctan2(N[:, 1], N[:, 0])
-    gaps = np.mod(np.roll(ang, -1) - ang, fs.TWO_PI)
+    gaps = np.mod(_next(ang) - ang, fs.TWO_PI)
     if np.any(gaps <= 0) or abs(float(np.sum(gaps)) - fs.TWO_PI) > 1e-6:
         raise ValueError("normals must be sorted counterclockwise, winding once")
     if float(np.linalg.norm(L @ N)) > 1e-9 * float(L.sum()):

@@ -939,12 +939,11 @@ def grid_extrema_report(f: Func1D, dom: Domain, ts: np.ndarray,
         return SignChangeReport(0, _no_roots, True)
 
     h = dom.span / ts.size
-    if dom.is_circle:
-        dv = (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
-        dts = ts
-    else:
-        dv = (vals[2:] - vals[:-2]) / (2.0 * h)
-        dts = ts[1:-1]
+    dv = np.empty_like(vals)
+    np.subtract(vals[2:], vals[:-2], out=dv[1:-1])
+    dv[0], dv[-1] = vals[1] - vals[-1], vals[0] - vals[-2]  # wrapping on the circle
+    dv, dts = (dv, ts) if dom.is_circle else (dv[1:-1], ts[1:-1])
+    dv /= 2.0 * h
     ii, jj, degenerate = _sign_transitions(dv, dom.is_circle)
     if degenerate and dom.is_circle:
         return SignChangeReport(0, _no_roots, True)

@@ -703,8 +703,120 @@ def test_convex_polyline_screens_without_exact_probes(monkeypatch):
     V = np.stack([ts, ts ** 2, ts ** 3], axis=1)
     rep = cz.polyline_convexity_check(cz.PolyLine(V), trials=300, rng_seed=5)
     assert rep.status == NO_VIOLATION and rep.trials_run == 300
-    # chunks of 2, 8 and 32 trials and the last 258: one stacked SVD each
-    assert calls == {"crossings": 0, "svd": 4}
+    # chunks of 2, 8 and 32 trials and the last 258, each screened by the
+    # signed minors of its secants: no SVD and no exact probe
+    assert calls == {"crossings": 0, "svd": 0}
+
+
+def test_next_matches_roll():
+    from chebzeros.discrete import _next
+    rng = fs.derived_rng(31)
+    for k in range(1, 18):
+        for a in (rng.standard_normal(k), rng.standard_normal((k, 3)),
+                  np.sign(rng.standard_normal((k, 5))) * 0.0):
+            want = np.roll(a, -1, axis=0)
+            assert np.array_equal(_next(a), want)
+            assert _next(a).tobytes() == want.tobytes() and _next(a).shape == want.shape
+
+
+# ---------------------------------------------------------------------------
+# the screen's secant planes from signed minors
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_planes_through_match_svd_null_vectors(d):
+    from chebzeros._linalg import _planes_through
+    pts = fs.derived_rng(26, d).uniform(-1.0, 1.0, (200, d, d))
+    H, trusted = _planes_through(pts)
+    assert trusted.all()
+    assert np.allclose(np.linalg.norm(H[:, :d], axis=1), 1.0, rtol=0.0, atol=1e-15)
+    v = np.linalg.svd(np.concatenate([pts, np.ones((200, d, 1))], axis=2))[2][:, -1]
+    v /= np.linalg.norm(v[:, :d], axis=1, keepdims=True)
+    v *= np.sign(np.sum(v * H, axis=1))[:, None]
+    assert np.max(np.abs(v - H)) <= 1e-12
+    assert np.max(np.abs(np.matmul(pts, H[:, :d, None])[..., 0] + H[:, d:])) <= 1e-14
+
+
+def _dependent_secant_points(d, rng):
+    """Point sets in R^d with two coincident points, d collinear ones (in
+    the plane: two 1e-12 apart), or one point off an affine combination of
+    the others by 1e-13."""
+    base = rng.uniform(-1.0, 1.0, (3, d, d))
+    base[0, 1] = base[0, 0]
+    t = np.array([0.0, 0.25, 0.5, 1.0, -0.5][:d] if d > 2 else [0.0, 1e-12])
+    base[1] = base[1, 0] + t[:, None] * (base[1, 1] - base[1, 0])
+    lam = rng.dirichlet(np.ones(d - 1))
+    base[2, -1] = lam @ base[2, :-1] + 1e-13 * rng.standard_normal(d)
+    return base
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_dependent_secant_points_are_untrusted_and_flagged(d):
+    from chebzeros import discrete
+    from chebzeros._linalg import _planes_through
+    rng = fs.derived_rng(27, d)
+    bad = _dependent_secant_points(d, rng)
+    H, trusted = _planes_through(bad)
+    assert not trusted.any() and np.isnan(H).all()
+    # a convex line, probes that clear it and one trusted secant: only
+    # the trials with dependent secant points are flagged
+    ts = np.linspace(-1.0, 1.0, 12)
+    P = cz.PolyLine(np.stack([ts ** j for j in range(1, d + 1)], axis=1))
+    W = np.tile(np.eye(d)[0], (4, 1))
+    off = np.full(4, 2.0)
+    s = np.array([-0.9, -0.55, 0.3, 0.62, 0.95][:d])  # no vertex there
+    good = np.stack([s ** j for j in range(1, d + 1)], axis=1)
+    assert _planes_through(good[None])[1].all()
+    pts = np.concatenate([bad, good[None]])
+    assert discrete._screen(P, W, off, pts).tolist() == [True, True, True, False]
+
+
+def _nonconvex_lines():
+    """Seeded non-convex open and closed lines in R^2..R^4: Gaussian
+    clouds, zigzags, and moment-curve samples with one vertex dented, half
+    of these squashed toward a hyperplane by 1e-7, where hits are rare."""
+    out = []
+    for s in range(24):
+        rng = fs.derived_rng(28, s)
+        d, closed = 2 + s % 3, bool((s // 3) % 2)
+        k = int(rng.integers(d + 3, 14))
+        if s % 4 == 0:
+            V = rng.standard_normal((k, d))
+        elif s % 4 == 1:
+            V = np.column_stack([np.arange(k), np.arange(k) % 2,
+                                 rng.standard_normal((k, d - 2))])
+        else:
+            ts = np.linspace(-1.0, 1.0, k)
+            V = np.stack([ts ** j for j in range(1, d + 1)], axis=1)
+            V[k // 2] += 0.05 * rng.standard_normal(d)
+            V[:, -1] *= 1e-7 if s % 4 == 3 else 1.0
+        out.append(cz.PolyLine(V * 10.0 ** rng.uniform(-2, 2), closed))
+    return out
+
+
+def test_screen_flags_every_trial_with_an_exact_hit():
+    from chebzeros import discrete
+    hits = unflagged = 0
+    for i, P in enumerate(_nonconvex_lines()):
+        V = P.vertices
+        mids = 0.5 * (V + np.roll(V, -1, axis=0)) if P.closed else 0.5 * (V[:-1] + V[1:])
+        scale = float(np.max(np.abs(V)))
+        rng = fs.derived_rng(29, i)
+        for start, stop, stream in fs._probe_chunks(i, 60, P.k, 2):
+            W, off, pts = discrete._probe_draws(V, mids, scale, stream, start, stop)
+            # every other trial's secant points moved to within 1e-12 of
+            # dependence: one point near an affine combination of the rest
+            near = pts[::2]
+            lam = rng.dirichlet(np.ones(P.d - 1), len(near))
+            near[:, -1] = np.einsum("nk,nkj->nj", lam, near[:, :-1]) \
+                + 1e-12 * scale * rng.standard_normal((len(near), P.d))
+            flags = discrete._screen(P, W, off, pts)
+            for t in range(stop - start):
+                hit = discrete._probe_hit(P, W[t], off[t], pts[t])
+                hits += hit is not None
+                assert hit is None or flags[t], (i, start + t)
+                unflagged += not flags[t]
+    assert hits > 100 and unflagged > 100
 
 
 # ---------------------------------------------------------------------------

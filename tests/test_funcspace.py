@@ -1039,3 +1039,31 @@ def test_grid_extrema_report_monotone_interval():
     rep = fs.grid_extrema_report(fs.Func1D(np.exp), dom, ts, np.exp(ts))
     assert rep.count == 2 and not rep.degenerate
     assert rep.locations.tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("n", [64, 2048, 999])
+def test_grid_extrema_derivative_matches_roll(monkeypatch, n):
+    # the central differences, bit for bit those of the np.roll expression
+    # around the circle and of the interior slices on an interval
+    seen = []
+    transitions = fs._sign_transitions
+
+    def spy(dv, cyclic):
+        seen.append(dv.copy())
+        return transitions(dv, cyclic)
+
+    monkeypatch.setattr(fs, "_sign_transitions", spy)
+    rng = fs.derived_rng(30, n)
+    for dom in (fs.circle(), fs.interval(-1.0, 2.0)):
+        ts = dom.grid(n)
+        vals = np.cos(3.0 * ts) + 0.1 * rng.standard_normal(n)
+        vals[::7] = -0.0
+        seen.clear()
+        fs.grid_extrema_report(fs.Func1D(np.cos), dom, ts, vals)
+        h = dom.span / ts.size
+        if dom.is_circle:
+            want = (np.roll(vals, -1) - np.roll(vals, 1)) / (2.0 * h)
+        else:
+            want = (vals[2:] - vals[:-2]) / (2.0 * h)
+        assert len(seen) == 1 and np.array_equal(seen[0], want)
+        assert seen[0].tobytes() == want.tobytes()
