@@ -1,5 +1,6 @@
 """Small dense-matrix helpers of the synthesis modules, the determinant-sign
-kernel of the Chebyshev and polyline tests, and the polyline screen's planes."""
+kernel of the Chebyshev and polyline tests, and the one kernel of planes
+through points."""
 
 from __future__ import annotations
 
@@ -63,24 +64,37 @@ def _det_signs(Ms: np.ndarray):
 
 
 def _planes_through(pts: np.ndarray):
-    """(H, trusted): row i of H is (w, -offset), |w| = 1, of the plane
-    w . x = offset through the d points pts[i] in R^d, NaN where untrusted:
-    the null vector c of A = [pts[i] | 1], c_j = (-1)^j det of A without
-    column j.  LU gets each minor within about d u R (u = 2**-53, R the
-    product of A's row norms, Hadamard's bound; at most 0.64 u R measured
-    for d = 2..5).  Where |c[:d]| >= _MINOR_FLOOR * R, the plane's values
-    at points of max-norm 1 err by at most about 3 (d + 1) d u /
-    _MINOR_FLOOR, 1e-9 at d = 5: a thousandth of the polyline screen's
-    1e-6 band.  Affinely dependent points are untrusted."""
+    """(H, share) for a stack pts (n, d, d) of d finite points in R^d: row i
+    of H is (w, -offset), |w| = 1, of the plane w . x = offset through
+    pts[i], NaN where |offset| >= 1e12 |w| (affinely dependent points;
+    coincident ones can instead give a plane of rounding-level share).
+    With A = [pts[i] / s | 1], s = max |pts[i]|, c_j = det [A; e_j] is a
+    null vector of A (A c is a determinant with a repeated row), and share
+    = |c[:d]| / R, R the product of A's row norms (Hadamard's bound).  LU
+    errs by about d u R (u = 2**-53) on each c_j, so where share >=
+    _MINOR_FLOOR the plane's values at points of max-norm s err by at most
+    about 3 (d + 1) d u s / _MINOR_FLOOR, 1e-9 s at d = 5.  One block is
+    finished in Python floats, so a row has the same bits alone and stacked."""
     n, d = pts.shape[:2]
-    At = np.concatenate([pts, np.ones((n, d, 1))], axis=2).transpose(0, 2, 1)
-    cols = np.arange(d)
-    c = np.linalg.det(At[:, cols + (cols >= np.arange(d + 1)[:, None])])
-    c[:, 1::2] *= -1.0
-    w2 = np.einsum("ni,ni->n", c[:, :d], c[:, :d])
-    R2 = np.prod(np.einsum("nij,nij->ni", pts, pts) + 1.0, axis=1)
-    trusted = w2 >= _MINOR_FLOOR ** 2 * R2
-    return c / np.sqrt(np.where(trusted, w2, np.nan))[:, None], trusted
+    s = np.abs(pts).reshape(n, d * d).max(axis=1, initial=np.finfo(float).tiny)
+    X = pts / s[:, None, None]
+    M = np.zeros((n, d + 1, d + 1, d + 1))
+    M[:, :, :d, :d], M[:, :, :d, d], M[:, :, d] = X[:, None], 1.0, np.eye(d + 1)
+    c = np.linalg.det(M)
+    cols = c[0].tolist() if n == 1 else list(c.T)
+    w2 = cols[0] * cols[0]
+    for x in cols[1:d]:
+        w2 += x * x
+    if n == 1:  # the array path's operations on Python floats, in order
+        s, nrm = float(s[0]), math.sqrt(w2)
+        h = [x / nrm if abs(cols[d]) * s < 1e12 * nrm else math.nan for x in cols]
+        h[d] *= s
+        R2 = math.prod(sum(v * v for v in x) + 1.0 for x in X[0].tolist())
+        return np.array([h]), np.array([math.sqrt(w2 / R2)])
+    nrm = np.sqrt(w2)
+    c /= np.where(np.abs(c[:, d]) * s < 1e12 * nrm, nrm, np.nan)[:, None]
+    c[:, d] *= s
+    return c, np.sqrt(w2 / np.prod(np.einsum("nij,nij->ni", X, X) + 1.0, axis=1))
 
 
 def _increasing_tuples(m: int, k: int) -> np.ndarray:

@@ -20,7 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import funcspace as fs
-from ._linalg import RANK_RTOL, fix_leading_sign, smallest_direction, svd_kernel
+from ._linalg import (RANK_RTOL, _planes_through, fix_leading_sign, smallest_direction,
+                      svd_kernel)
 from .annihilator import default_annihilator
 from .chebsys import (COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, ChebVerdict,
                       _chebyshev_probes, _check_trials, _span_rank, _span_rows,
@@ -296,16 +297,16 @@ class Hyperplane:
 
 
 def hyperplane_through(points) -> Hyperplane:
-    """The hyperplane through d affinely independent points in R^d."""
+    """The hyperplane through d finite, affinely independent points in R^d."""
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("need exactly d points in R^d")
-    d = P.shape[1]
-    v = smallest_direction(np.hstack([P, np.ones((d, 1))]))
-    w, c = v[:d], -float(v[d])
-    if np.linalg.norm(w) <= 1e-12:
+    if not np.isfinite(P).all():
+        raise ValueError("points must be finite")
+    h = _planes_through(P[None])[0][0]
+    if np.isnan(h[0]):
         raise ValueError("points are affinely dependent")
-    return Hyperplane(w, c)
+    return Hyperplane(h[:-1], -h[-1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,13 +400,12 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
 
 
 def _convexity_draws(P, stream, start, stop):
-    """Trials start..stop-1's probes of P, the curve on its grid, drawn
-    from stream(t): random (unit normal, offset) pairs (None where P
-    projects to a point), secant hyperplanes (None through affinely
-    dependent points), and both slices' values as a (m, 2, grid_n) array,
-    NaN for a missing probe."""
+    """Trials start..stop-1's probes of P, the curve on its grid, drawn from
+    stream(t), as rows (normal, -offset) (m, 2, d + 1), a random plane and
+    a secant through d points of P (NaN where P projects to a point, or
+    the points are affinely dependent), and their values on P (m, 2, n)."""
     m, (n, d) = stop - start, P.shape
-    randoms, secants = [None] * m, [None] * m
+    H, idx = np.full((m, 2, d + 1), np.nan), np.empty((m, d), np.intp)
     slices = np.full((m, 2, n), np.nan)
     for i in range(m):
         g = stream(start + i)
@@ -415,15 +415,12 @@ def _convexity_draws(P, stream, start, stop):
         lo, hi = float(proj.min()), float(proj.max())
         if hi > lo:
             off = lo + (hi - lo) * g.uniform(0.02, 0.98)
-            randoms[i] = w, off
+            H[i, 0] = *w, -off
             slices[i, 0] = proj - off
-        idx = g.choice(n, size=d, replace=False)
-        try:
-            hp = secants[i] = hyperplane_through(P[idx])
-        except ValueError:
-            continue
-        slices[i, 1] = P @ hp.normal - hp.offset
-    return randoms, secants, slices
+        idx[i] = g.choice(n, size=d, replace=False)
+    H[:, 1] = _planes_through(P[idx])[0]
+    slices[:, 1] = H[:, 1, :d] @ P.T + H[:, 1, d:]
+    return H, slices
 
 
 def _convexity_probes(curve, P, trials, rng_seed):
@@ -432,14 +429,15 @@ def _convexity_probes(curve, P, trials, rng_seed):
     _intersections."""
     d, n = curve.d, P.shape[0]
     for start, stop, stream in fs._probe_chunks(rng_seed, trials, n, 1):
-        randoms, secants, S = _convexity_draws(P, stream, start, stop)
+        H, S = _convexity_draws(P, stream, start, stop)
         shift = 1e-4 * np.ptp(S, axis=2)[..., None]
         # S + shift is S minus the shift -1e-4 * spread, bit for bit
         rows = np.stack([S, S - shift, S + shift], axis=2).reshape(-1, n)
         counts = fs._grid_counts(rows, curve.dom.is_circle)
         # probe 2i is trial i's random slice, 2i + 1 its secant
         for k in np.flatnonzero((counts.reshape(-1, 3) > d).any(axis=1)).tolist():
-            hp = secants[k // 2] if k % 2 else Hyperplane(*randoms[k // 2])
+            h = H.reshape(-1, d + 1)[k]
+            hp = Hyperplane(h[:d], -h[d])
             full = _intersections(curve, hp, fs._count_grid(curve.dom, n),
                                   P @ hp.normal - hp.offset)
             if full.degenerate or full.count_with_multiplicity > d:

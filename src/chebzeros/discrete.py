@@ -12,7 +12,6 @@ normals (they sum to zero against every normal by the closure identity).
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -21,11 +20,10 @@ from typing import Optional
 import numpy as np
 
 from . import funcspace as fs
-from ._linalg import (_det_signs, _increasing_tuples, _planes_through,
+from ._linalg import (_MINOR_FLOOR, _det_signs, _increasing_tuples, _planes_through,
                       fix_leading_sign, svd_kernel)
 from .chebsys import COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, _check_trials
-from .curves import (Hyperplane, _with_ones, hyperplane_through,
-                     monomial_multi_indices, monomial_values)
+from .curves import Hyperplane, _with_ones, monomial_multi_indices, monomial_values
 from .orthosynth import ZeroBoundReport
 
 VERTEX_REJECT_TOL = 1e-9
@@ -202,25 +200,24 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     mids = 0.5 * (V + _next(V)) if P.closed else 0.5 * (V[:-1] + V[1:])
     scale = float(np.max(np.abs(V))) or 1.0
     for start, stop, stream in fs._probe_chunks(rng_seed, trials, P.k, 2):
-        W, off, pts = _probe_draws(V, mids, scale, stream, start, stop)
-        for i in np.flatnonzero(_screen(P, W, off, pts)).tolist():
-            hit = _probe_hit(P, W[i], off[i], None if pts is None else pts[i])
+        H, share = _probe_draws(V, mids, scale, stream, start, stop)
+        for i in np.flatnonzero(_screen(P, H, share, scale)).tolist():
+            hit = _probe_hit(P, H[i])
             if hit is not None:
                 return PolyConvexityReport(COUNTEREXAMPLE, start + i + 1, *hit, cert)
     if cert is False:
-        hit = _midpoint_secant_witness(P, mids)
-        if hit is not None:
-            return PolyConvexityReport(COUNTEREXAMPLE, trials, hit[0], hit[1], False)
-        return PolyConvexityReport(COUNTEREXAMPLE, trials, None, None, False)
+        hit = _midpoint_secant_witness(P, mids, scale) or (None, None)
+        return PolyConvexityReport(COUNTEREXAMPLE, trials, *hit, False)
     return PolyConvexityReport(NO_VIOLATION, trials, certified=cert)
 
 
 def _probe_draws(V, mids, scale, stream, start, stop):
-    """Trials start..stop-1's draws, trial t from stream(t): unit normals
-    W (n, d), offsets (NaN where V projects to a point) and d perturbed
-    edge midpoints per trial ((n, d, d), None when there are fewer than d
-    midpoints).  The norms and projections are the dot and matrix-vector
-    products a per-trial loop takes, bit for bit.
+    """Trials start..stop-1's probes, trial t from stream(t), as rows
+    (normal, -offset) (n, 2, d + 1): a random plane (offset NaN where V
+    projects to a point), then the secant through d perturbed edge
+    midpoints if there are d, and each row's share (1 for random planes).
+    The norms and projections are the dot and matrix-vector products a
+    per-trial loop takes, bit for bit.
 
     Each trial draws its normals with standard_normal and takes the words
     that uniform(0.02, 0.98) and choice(m, d, replace=False) would use
@@ -254,8 +251,11 @@ def _probe_draws(V, mids, scale, stream, start, stop):
     flat = ~(hi > lo)
     for i in np.flatnonzero(flat | redo).tolist():
         draw(i, not flat[i])
-    off = np.where(flat, np.nan, lo + (hi - lo) * u)
-    return W, off, (mids[sel] + 1e-3 * scale * E if m >= d else None)
+    H = np.column_stack([W, -np.where(flat, np.nan, lo + (hi - lo) * u)])[:, None]
+    if m < d:
+        return H, np.ones((n, 1))
+    S, share = _planes_through(mids[sel] + 1e-3 * scale * E)
+    return np.concatenate([H, S[:, None]], axis=1), np.column_stack([np.ones(n), share])
 
 
 @functools.lru_cache(maxsize=128)
@@ -312,54 +312,41 @@ def _raw_word_draws(words, m: int, d: int):
     return u, S.T, redo
 
 
-def _probe_hit(P, w, off, pts):
-    """(witness, crossings) of a trial's first exact probe cutting P > d times."""
-    planes = [] if np.isnan(off) else [Hyperplane(w, float(off))]
-    if pts is not None:
-        with contextlib.suppress(ValueError):  # affinely dependent points
-            planes.append(hyperplane_through(pts))
-    for hp in planes:
+def _probe_hit(P, H):
+    """(witness, crossings) of the first row (normal, -offset) of H that
+    cuts P more than d times; NaN rows are skipped."""
+    for h in H[~np.isnan(H[:, -1])]:
+        hp = Hyperplane(h[:-1], -h[-1])
         c = hyperplane_crossings(P, hp)
         if c is not None and c > P.d:
             return hp, c
     return None
 
 
-def _screen(P, W, off, pts) -> np.ndarray:
-    """Per trial, False only when `_probe_hit` surely finds no hit.  Each
-    probe is a row (normal, -offset) in units of max|V| (1 if 0), NaN if
-    undrawn or untrusted (secants: `_planes_through` of pts / max|V|), and
-    every vertex must clear the vertex reject band plus 1e-6, far wider
-    than the probes' errors."""
+def _screen(P, H, share, scale) -> np.ndarray:
+    """Per trial, False only when `_probe_hit` surely finds no hit on its
+    rows H[i]: a row of share below _MINOR_FLOOR counts as NaN, and every
+    vertex must clear the vertex reject band plus 1e-6, in units of scale
+    (max|V|, 1 if 0), far wider than the trusted rows' errors."""
     V, d = P.vertices, P.d
-    scale = float(np.max(np.abs(V))) or 1.0
-    H = np.column_stack([W, -off / scale])
-    if pts is not None:
-        H = np.concatenate([H, _planes_through(pts / scale)[0]])
-    vals = (V / scale) @ H[:, :d].T + H[:, d]
+    rows = np.where(share[..., None] >= _MINOR_FLOOR, H, np.nan).reshape(-1, d + 1)
+    vals = V @ rows[:, :d].T + rows[:, d]
     s = np.sign(vals)
     flips = np.sum(s != _next(s) if P.closed else s[:-1] != s[1:], axis=0)
-    cut = ~(np.min(np.abs(vals), axis=0) > VERTEX_REJECT_TOL + 1e-6) | (flips > d)
-    return cut.reshape(-1, len(W)).any(axis=0)
+    cut = ~(np.min(np.abs(vals), axis=0) > (VERTEX_REJECT_TOL + 1e-6) * scale) | (flips > d)
+    return cut.reshape(share.shape).any(axis=1)
 
 
-def _midpoint_secant_witness(P: PolyLine, mids: np.ndarray):
-    # deterministic sweep: lines through pairs of edge midpoints, with
-    # tiny parallel shifts to clear any vertex hits
-    scale = float(np.max(np.abs(P.vertices))) or 1.0
-    for i in range(mids.shape[0]):
-        for j in range(i + 1, mids.shape[0]):
-            t = mids[j] - mids[i]
-            nrm = float(np.linalg.norm(t))
-            if nrm <= 1e-12 * scale:
-                continue
-            w = np.array([-t[1], t[0]]) / nrm
-            base = float(w @ mids[i])
-            for off in (base, base + 1e-7 * scale, base - 1e-7 * scale):
-                hp = Hyperplane(w, off)
-                c = hyperplane_crossings(P, hp)
-                if c is not None and c > P.d:
-                    return hp, c
+def _midpoint_secant_witness(P: PolyLine, mids: np.ndarray, scale: float):
+    # deterministic sweep: lines through pairs (i, j > i) of edge midpoints,
+    # each shifted by 0, +1e-7 and -1e-7 of scale (max|V|) to clear vertex
+    # hits; one kernel call per i, so memory stays linear in the midpoints
+    for i in range(mids.shape[0] - 1):
+        pairs = np.stack(np.broadcast_arrays(mids[i], mids[i + 1:]), axis=1)
+        H = np.repeat(_planes_through(pairs)[0], 3, axis=0)
+        H[:, -1] -= np.tile([0.0, 1e-7 * scale, -1e-7 * scale], len(pairs))
+        if (hit := _probe_hit(P, H)) is not None:
+            return hit
     return None
 
 

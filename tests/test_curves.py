@@ -114,6 +114,32 @@ def test_hyperplane_through_wrong_count():
         cz.hyperplane_through([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_hyperplane_through_rejects_non_finite_points(bad):
+    # NaN used to fail inside an SVD ("SVD did not converge"), and inf to
+    # read as affinely dependent points
+    with pytest.raises(ValueError, match="points must be finite"):
+        cz.hyperplane_through([(0.0, 0.0), (1.0, bad)])
+
+
+def test_curve_secants_take_no_svd(monkeypatch):
+    # each chunk's secants come from one stacked determinant call: the
+    # convexity loop makes no SVD, and a one-probe theorem4_check (the
+    # benchmark's convex records) makes one, its span rank
+    calls = []
+    svd = np.linalg.svd
+
+    def count_svd(*a, **k):
+        calls.append(1)
+        return svd(*a, **k)
+
+    monkeypatch.setattr(np.linalg, "svd", count_svd)
+    assert cz.convexity_check(cz.moment_curve(3), trials=200).convex
+    assert len(calls) == 0
+    assert cz.theorem4_check(cz.moment_curve(3), trials=1).agree
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("offset", [np.nan, np.inf, -np.inf])
 def test_hyperplane_rejects_non_finite_offset(offset):
     # a NaN offset would make every slice value NaN, which the crossing
@@ -416,7 +442,7 @@ def test_screen_rows_are_the_shifted_slices(curve, monkeypatch):
     _convexity_probes(curve, P, 2, 0)
     rows = screened_rows[0].reshape(2, 2, 3, -1)
     start, stop, stream = next(fs._probe_chunks(0, 2, P.shape[0], 1))
-    _, _, S = _convexity_draws(P, stream, start, stop)
+    _, S = _convexity_draws(P, stream, start, stop)
     for sv, screened in zip(S.reshape(4, -1), rows.reshape(4, 3, -1)):
         spread = float(np.ptp(sv))
         for shift, row in zip((0.0, 1e-4 * spread, -1e-4 * spread), screened):

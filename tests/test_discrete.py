@@ -425,7 +425,7 @@ def _reference_convexity_check(P, trials, rng_seed):
             if c is not None and c > d:
                 return PolyConvexityReport(COUNTEREXAMPLE, trial + 1, hp, c, cert)
     if cert is False:
-        hit = _midpoint_secant_witness(P, mids)
+        hit = _midpoint_secant_witness(P, mids, scale)
         if hit is not None:
             return PolyConvexityReport(COUNTEREXAMPLE, trials, hit[0], hit[1], False)
         return PolyConvexityReport(COUNTEREXAMPLE, trials, None, None, False)
@@ -514,16 +514,18 @@ _DRAW_LINES = {
 
 def _assert_draws_match_derived_rng(V, seed):
     from chebzeros import discrete
+    from chebzeros._linalg import _planes_through
     mids = 0.5 * (V[:-1] + V[1:])
     for start, stop, stream in fs._probe_chunks(seed, 40, len(V), 2):
-        W, off, pts = discrete._probe_draws(V, mids, 2.0, stream, start, stop)
+        H, share = discrete._probe_draws(V, mids, 2.0, stream, start, stop)
         for i, t in enumerate(range(start, stop)):
             w, o, p = _reference_draws(V, mids, 2.0, seed, t)
-            assert W[i].tobytes() == w.tobytes()
-            assert np.float64(off[i]).tobytes() == np.float64(o).tobytes()
-            assert (pts is None) == (p is None)
+            assert H[i, 0, :-1].tobytes() == w.tobytes()
+            assert np.float64(-H[i, 0, -1]).tobytes() == np.float64(o).tobytes()
+            assert H.shape[1] == (1 if p is None else 2) and share[i, 0] == 1.0
             if p is not None:
-                assert pts[i].tobytes() == p.tobytes()
+                # the secant row of the reference points, bit for bit
+                assert H[i, 1].tobytes() == _planes_through(p[None])[0][0].tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, -1])
@@ -620,9 +622,9 @@ def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
     confirmed = []
     hit = discrete._probe_hit
 
-    def spy(P, w, off, pts):
-        confirmed.append(w)
-        return hit(P, w, off, pts)
+    def spy(P, H):
+        confirmed.append(H[0, :-1])
+        return hit(P, H)
 
     monkeypatch.setattr(discrete, "_probe_hit", spy)
     for trials in (1, 200):
@@ -708,6 +710,33 @@ def test_convex_polyline_screens_without_exact_probes(monkeypatch):
     assert calls == {"crossings": 0, "svd": 0}
 
 
+def test_exact_probes_take_no_svd(monkeypatch):
+    # a flagged trial's exact test, and the closing midpoint sweep, read
+    # the kernel's secant rows: no SVD
+    from chebzeros import discrete
+    svd_calls, exact = [], []
+    svd, hit = np.linalg.svd, discrete._probe_hit
+
+    def count_svd(*a, **k):
+        svd_calls.append(1)
+        return svd(*a, **k)
+
+    def exact_probe(P, H):
+        before = len(svd_calls)
+        out = hit(P, H)
+        exact.append(len(svd_calls) - before)
+        return out
+
+    monkeypatch.setattr(np.linalg, "svd", count_svd)
+    monkeypatch.setattr(discrete, "_probe_hit", exact_probe)
+    ts = np.arange(8.0)
+    for V, closed in ((np.column_stack([ts, ts % 2, np.sin(ts)]), False),
+                      (np.column_stack([np.cos(ts), np.sin(2 * ts)]), True)):
+        rep = cz.polyline_convexity_check(cz.PolyLine(V, closed), trials=50)
+        assert rep.status == COUNTEREXAMPLE
+    assert exact and set(exact) == {0}
+
+
 def test_next_matches_roll():
     from chebzeros.discrete import _next
     rng = fs.derived_rng(31)
@@ -723,18 +752,64 @@ def test_next_matches_roll():
 # the screen's secant planes from signed minors
 
 
+def _probe_rows(W, off, pts):
+    """A chunk's probes as _probe_draws gives them: each trial's random
+    plane and its secant through pts, as rows (normal, -offset), and the
+    rows' shares."""
+    from chebzeros._linalg import _planes_through
+    S, share = _planes_through(pts)
+    return (np.stack([np.column_stack([W, -off]), S], axis=1),
+            np.column_stack([np.ones(len(W)), share]))
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_planes_through_match_svd_null_vectors(d):
-    from chebzeros._linalg import _planes_through
+    from chebzeros._linalg import _MINOR_FLOOR, _planes_through
     pts = fs.derived_rng(26, d).uniform(-1.0, 1.0, (200, d, d))
-    H, trusted = _planes_through(pts)
-    assert trusted.all()
+    H, share = _planes_through(pts)
+    assert (share >= _MINOR_FLOOR).all()
     assert np.allclose(np.linalg.norm(H[:, :d], axis=1), 1.0, rtol=0.0, atol=1e-15)
     v = np.linalg.svd(np.concatenate([pts, np.ones((200, d, 1))], axis=2))[2][:, -1]
     v /= np.linalg.norm(v[:, :d], axis=1, keepdims=True)
     v *= np.sign(np.sum(v * H, axis=1))[:, None]
     assert np.max(np.abs(v - H)) <= 1e-12
     assert np.max(np.abs(np.matmul(pts, H[:, :d, None])[..., 0] + H[:, d:])) <= 1e-14
+    # a stacked row is the one-row plane, and hyperplane_through's, bit for
+    # bit; dependent blocks (coincident, collinear or nearly so) and blocks
+    # whose plane passes about 1e12 from the origin give a NaN row exactly
+    # where hyperplane_through raises
+    rng = fs.derived_rng(30, d)
+    far = pts[:40] + 10.0 ** rng.uniform(11.0, 13.0, (40, 1, 1)) * rng.standard_normal(d)
+    blocks = np.concatenate([pts, _dependent_secant_points(d, rng), far, 1e-300 * pts[:5]])
+    H, share = _planes_through(blocks)
+    assert 0 < np.isnan(H[:, 0]).sum() < len(H) - 200
+    for p, h, sh in zip(blocks, H, share):
+        one = _planes_through(p[None])
+        assert one[0][0].tobytes() == h.tobytes()
+        assert one[1][0] == pytest.approx(sh, rel=1e-14)
+        if np.isnan(h).any():
+            assert np.isnan(h).all()
+            with pytest.raises(ValueError, match="affinely dependent"):
+                cz.hyperplane_through(p)
+        else:
+            hp, want = cz.hyperplane_through(p), cz.Hyperplane(h[:d], -h[d])
+            assert hp.normal.tobytes() == want.normal.tobytes()
+            assert np.float64(hp.offset).tobytes() == np.float64(want.offset).tobytes()
+
+
+def test_planes_through_tiny_point_sets():
+    # each block is solved in units of its own max |x|, so a plane reads
+    # at most 1e-13 s at its own points of size s; the SVD null vector of
+    # the unscaled [P | 1] read up to 1.5e-4 s at s = 1e-12 and gave x = 0
+    # for the first pair below
+    pts = np.array([[1e-300, 0.0], [0.0, 1e-300]])
+    assert np.max(np.abs(cz.hyperplane_through(pts).value(pts))) <= 1e-313
+    for d in (2, 3, 4):
+        blocks = fs.derived_rng(32, d).uniform(-1.0, 1.0, (300, d, d))
+        for s in (1e-6, 1e-9, 1e-12):
+            err = max(float(np.max(np.abs(cz.hyperplane_through(s * p).value(s * p))))
+                      for p in blocks)
+            assert err <= 1e-13 * s, (d, s, err / s)
 
 
 def _dependent_secant_points(d, rng):
@@ -753,11 +828,10 @@ def _dependent_secant_points(d, rng):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_dependent_secant_points_are_untrusted_and_flagged(d):
     from chebzeros import discrete
-    from chebzeros._linalg import _planes_through
+    from chebzeros._linalg import _MINOR_FLOOR, _planes_through
     rng = fs.derived_rng(27, d)
     bad = _dependent_secant_points(d, rng)
-    H, trusted = _planes_through(bad)
-    assert not trusted.any() and np.isnan(H).all()
+    assert (_planes_through(bad)[1] < _MINOR_FLOOR).all()
     # a convex line, probes that clear it and one trusted secant: only
     # the trials with dependent secant points are flagged
     ts = np.linspace(-1.0, 1.0, 12)
@@ -766,9 +840,10 @@ def test_dependent_secant_points_are_untrusted_and_flagged(d):
     off = np.full(4, 2.0)
     s = np.array([-0.9, -0.55, 0.3, 0.62, 0.95][:d])  # no vertex there
     good = np.stack([s ** j for j in range(1, d + 1)], axis=1)
-    assert _planes_through(good[None])[1].all()
-    pts = np.concatenate([bad, good[None]])
-    assert discrete._screen(P, W, off, pts).tolist() == [True, True, True, False]
+    assert _planes_through(good[None])[1][0] >= _MINOR_FLOOR
+    H, share = _probe_rows(W, off, np.concatenate([bad, good[None]]))
+    flags = discrete._screen(P, H, share, float(np.max(np.abs(P.vertices))))
+    assert flags.tolist() == [True, True, True, False]
 
 
 def _nonconvex_lines():
@@ -802,17 +877,19 @@ def test_screen_flags_every_trial_with_an_exact_hit():
         mids = 0.5 * (V + np.roll(V, -1, axis=0)) if P.closed else 0.5 * (V[:-1] + V[1:])
         scale = float(np.max(np.abs(V)))
         rng = fs.derived_rng(29, i)
-        for start, stop, stream in fs._probe_chunks(i, 60, P.k, 2):
-            W, off, pts = discrete._probe_draws(V, mids, scale, stream, start, stop)
+        for start, stop, _ in fs._probe_chunks(i, 60, P.k, 2):
+            W, off, pts = map(np.array, zip(*(_reference_draws(V, mids, scale, i, t)
+                                              for t in range(start, stop))))
             # every other trial's secant points moved to within 1e-12 of
             # dependence: one point near an affine combination of the rest
             near = pts[::2]
             lam = rng.dirichlet(np.ones(P.d - 1), len(near))
             near[:, -1] = np.einsum("nk,nkj->nj", lam, near[:, :-1]) \
                 + 1e-12 * scale * rng.standard_normal((len(near), P.d))
-            flags = discrete._screen(P, W, off, pts)
+            H, share = _probe_rows(W, off, pts)
+            flags = discrete._screen(P, H, share, scale)
             for t in range(stop - start):
-                hit = discrete._probe_hit(P, W[t], off[t], pts[t])
+                hit = discrete._probe_hit(P, H[t])
                 hits += hit is not None
                 assert hit is None or flags[t], (i, start + t)
                 unflagged += not flags[t]
