@@ -64,37 +64,31 @@ def _det_signs(Ms: np.ndarray):
 
 
 def _planes_through(pts: np.ndarray):
-    """(H, share) for a stack pts (n, d, d) of d finite points in R^d: row i
-    of H is (w, -offset), |w| = 1, of the plane w . x = offset through
+    """(H, trusted) for a stack pts (n, d, d) of d finite points in R^d: row
+    i of H is (w, -offset), |w| = 1, of the plane w . x = offset through
     pts[i], NaN where |offset| >= 1e12 |w| (affinely dependent points;
     coincident ones can instead give a plane of rounding-level share).
     With A = [pts[i] / s | 1], s = max |pts[i]|, c_j = det [A; e_j] is a
-    null vector of A (A c is a determinant with a repeated row), and share
-    = |c[:d]| / R, R the product of A's row norms (Hadamard's bound).  LU
-    errs by about d u R (u = 2**-53) on each c_j, so where share >=
-    _MINOR_FLOOR the plane's values at points of max-norm s err by at most
-    about 3 (d + 1) d u s / _MINOR_FLOOR, 1e-9 s at d = 5.  One block is
-    finished in Python floats, so a row has the same bits alone and stacked."""
+    null vector of A (A c is a determinant with a repeated row), and its
+    share is |c[:d]| / R, R the product of A's row norms (Hadamard's
+    bound).  LU errs by about d u R (u = 2**-53) on each c_j, so a row is
+    trusted where its share >= _MINOR_FLOOR: its values at points of
+    max-norm s then err by at most about 3 (d + 1) d u s / _MINOR_FLOOR,
+    1e-9 s at d = 5."""
     n, d = pts.shape[:2]
     s = np.abs(pts).reshape(n, d * d).max(axis=1, initial=np.finfo(float).tiny)
     X = pts / s[:, None, None]
     M = np.zeros((n, d + 1, d + 1, d + 1))
     M[:, :, :d, :d], M[:, :, :d, d], M[:, :, d] = X[:, None], 1.0, np.eye(d + 1)
     c = np.linalg.det(M)
-    cols = c[0].tolist() if n == 1 else list(c.T)
-    w2 = cols[0] * cols[0]
-    for x in cols[1:d]:
-        w2 += x * x
-    if n == 1:  # the array path's operations on Python floats, in order
-        s, nrm = float(s[0]), math.sqrt(w2)
-        h = [x / nrm if abs(cols[d]) * s < 1e12 * nrm else math.nan for x in cols]
-        h[d] *= s
-        R2 = math.prod(sum(v * v for v in x) + 1.0 for x in X[0].tolist())
-        return np.array([h]), np.array([math.sqrt(w2 / R2)])
+    w2 = c[:, 0] * c[:, 0]
+    for j in range(1, d):
+        w2 += c[:, j] * c[:, j]
     nrm = np.sqrt(w2)
     c /= np.where(np.abs(c[:, d]) * s < 1e12 * nrm, nrm, np.nan)[:, None]
     c[:, d] *= s
-    return c, np.sqrt(w2 / np.prod(np.einsum("nij,nij->ni", X, X) + 1.0, axis=1))
+    R2 = np.prod(np.einsum("nij,nij->ni", X, X) + 1.0, axis=1)
+    return c, np.sqrt(w2 / R2) >= _MINOR_FLOOR
 
 
 def _increasing_tuples(m: int, k: int) -> np.ndarray:

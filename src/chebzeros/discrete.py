@@ -20,8 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import funcspace as fs
-from ._linalg import (_MINOR_FLOOR, _det_signs, _increasing_tuples, _planes_through,
-                      fix_leading_sign, svd_kernel)
+from ._linalg import (_det_signs, _increasing_tuples, _planes_through, fix_leading_sign,
+                      svd_kernel)
 from .chebsys import COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, _check_trials
 from .curves import Hyperplane, _with_ones, monomial_multi_indices, monomial_values
 from .orthosynth import ZeroBoundReport
@@ -200,8 +200,8 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     mids = 0.5 * (V + _next(V)) if P.closed else 0.5 * (V[:-1] + V[1:])
     scale = float(np.max(np.abs(V))) or 1.0
     for start, stop, stream in fs._probe_chunks(rng_seed, trials, P.k, 2):
-        H, share = _probe_draws(V, mids, scale, stream, start, stop)
-        for i in np.flatnonzero(_screen(P, H, share, scale)).tolist():
+        H, trusted = _probe_draws(V, mids, scale, stream, start, stop)
+        for i in np.flatnonzero(_screen(P, H, trusted, scale)).tolist():
             hit = _probe_hit(P, H[i])
             if hit is not None:
                 return PolyConvexityReport(COUNTEREXAMPLE, start + i + 1, *hit, cert)
@@ -215,7 +215,8 @@ def _probe_draws(V, mids, scale, stream, start, stop):
     """Trials start..stop-1's probes, trial t from stream(t), as rows
     (normal, -offset) (n, 2, d + 1): a random plane (offset NaN where V
     projects to a point), then the secant through d perturbed edge
-    midpoints if there are d, and each row's share (1 for random planes).
+    midpoints if there are d, and which rows `_screen` may trust (every
+    random plane, and the secants `_planes_through` trusts).
     The norms and projections are the dot and matrix-vector products a
     per-trial loop takes, bit for bit.
 
@@ -253,9 +254,9 @@ def _probe_draws(V, mids, scale, stream, start, stop):
         draw(i, not flat[i])
     H = np.column_stack([W, -np.where(flat, np.nan, lo + (hi - lo) * u)])[:, None]
     if m < d:
-        return H, np.ones((n, 1))
-    S, share = _planes_through(mids[sel] + 1e-3 * scale * E)
-    return np.concatenate([H, S[:, None]], axis=1), np.column_stack([np.ones(n), share])
+        return H, np.ones((n, 1), bool)
+    S, trusted = _planes_through(mids[sel] + 1e-3 * scale * E)
+    return np.concatenate([H, S[:, None]], axis=1), np.column_stack([np.ones(n, bool), trusted])
 
 
 @functools.lru_cache(maxsize=128)
@@ -323,27 +324,31 @@ def _probe_hit(P, H):
     return None
 
 
-def _screen(P, H, share, scale) -> np.ndarray:
+def _screen(P, H, trusted, scale) -> np.ndarray:
     """Per trial, False only when `_probe_hit` surely finds no hit on its
-    rows H[i]: a row of share below _MINOR_FLOOR counts as NaN, and every
+    rows H[i]: a row that is not trusted counts as NaN, and every
     vertex must clear the vertex reject band plus 1e-6, in units of scale
     (max|V|, 1 if 0), far wider than the trusted rows' errors."""
     V, d = P.vertices, P.d
-    rows = np.where(share[..., None] >= _MINOR_FLOOR, H, np.nan).reshape(-1, d + 1)
+    rows = np.where(trusted[..., None], H, np.nan).reshape(-1, d + 1)
     vals = V @ rows[:, :d].T + rows[:, d]
     s = np.sign(vals)
     flips = np.sum(s != _next(s) if P.closed else s[:-1] != s[1:], axis=0)
     cut = ~(np.min(np.abs(vals), axis=0) > (VERTEX_REJECT_TOL + 1e-6) * scale) | (flips > d)
-    return cut.reshape(share.shape).any(axis=1)
+    return cut.reshape(trusted.shape).any(axis=1)
 
 
 def _midpoint_secant_witness(P: PolyLine, mids: np.ndarray, scale: float):
-    # deterministic sweep: lines through pairs (i, j > i) of edge midpoints,
-    # each shifted by 0, +1e-7 and -1e-7 of scale (max|V|) to clear vertex
-    # hits; one kernel call per i, so memory stays linear in the midpoints
+    # deterministic sweep: lines through pairs (i, j > i) of edge midpoints
+    # at least 1e-12 of scale (max|V|) apart, each shifted by 0, +1e-7 and
+    # -1e-7 of scale to clear vertex hits; the planes are solved in units
+    # of scale (so none is dropped as far), one kernel call per i, so
+    # memory stays linear in the midpoints
     for i in range(mids.shape[0] - 1):
         pairs = np.stack(np.broadcast_arrays(mids[i], mids[i + 1:]), axis=1)
-        H = np.repeat(_planes_through(pairs)[0], 3, axis=0)
+        H = _planes_through(pairs / scale)[0]
+        H[np.linalg.norm(mids[i + 1:] - mids[i], axis=1) <= 1e-12 * scale] = np.nan
+        H = np.repeat(H * [1.0, 1.0, scale], 3, axis=0)
         H[:, -1] -= np.tile([0.0, 1e-7 * scale, -1e-7 * scale], len(pairs))
         if (hit := _probe_hit(P, H)) is not None:
             return hit

@@ -517,12 +517,12 @@ def _assert_draws_match_derived_rng(V, seed):
     from chebzeros._linalg import _planes_through
     mids = 0.5 * (V[:-1] + V[1:])
     for start, stop, stream in fs._probe_chunks(seed, 40, len(V), 2):
-        H, share = discrete._probe_draws(V, mids, 2.0, stream, start, stop)
+        H, trusted = discrete._probe_draws(V, mids, 2.0, stream, start, stop)
         for i, t in enumerate(range(start, stop)):
             w, o, p = _reference_draws(V, mids, 2.0, seed, t)
             assert H[i, 0, :-1].tobytes() == w.tobytes()
             assert np.float64(-H[i, 0, -1]).tobytes() == np.float64(o).tobytes()
-            assert H.shape[1] == (1 if p is None else 2) and share[i, 0] == 1.0
+            assert H.shape[1] == (1 if p is None else 2) and trusted[i, 0]
             if p is not None:
                 # the secant row of the reference points, bit for bit
                 assert H[i, 1].tobytes() == _planes_through(p[None])[0][0].tobytes()
@@ -737,6 +737,54 @@ def test_exact_probes_take_no_svd(monkeypatch):
     assert exact and set(exact) == {0}
 
 
+def _reference_midpoint_sweep(P, mids, scale):
+    """The midpoint sweep with hand-built planar normals, kept as the
+    reference: pairs less than 1e-12 of scale apart are skipped."""
+    for i in range(mids.shape[0]):
+        for j in range(i + 1, mids.shape[0]):
+            t = mids[j] - mids[i]
+            nrm = float(np.linalg.norm(t))
+            if nrm <= 1e-12 * scale:
+                continue
+            w = np.array([-t[1], t[0]]) / nrm
+            base = float(w @ mids[i])
+            for off in (base, base + 1e-7 * scale, base - 1e-7 * scale):
+                hp = cz.Hyperplane(w, off)
+                c = hyperplane_crossings(P, hp)
+                if c is not None and c > P.d:
+                    return hp, c
+    return None
+
+
+def test_midpoint_sweep_matches_pair_loop():
+    # seeded closed planar polygons at scales 1e-3..1e3 and 1e10..1e16,
+    # every other one with a repeated vertex (V[2] = V[0], so its first two
+    # edge midpoints coincide): the kernel's sweep probes the same lines,
+    # in the same order, as the hand-built loop, and skips the same pairs
+    from chebzeros.discrete import _midpoint_secant_witness
+    hits = repeated = 0
+    for s in range(80):
+        rng = fs.derived_rng(33, s)
+        V = rng.standard_normal((int(rng.integers(4, 14)), 2))
+        V *= 10.0 ** rng.uniform(-3.0, 3.0) * (1e13 if s % 4 == 3 else 1.0)
+        if s % 2 == 0:
+            V[2] = V[0]
+        P = cz.PolyLine(V, closed=True)
+        mids = 0.5 * (V + np.roll(V, -1, axis=0))
+        scale = float(np.max(np.abs(V)))
+        got = _midpoint_secant_witness(P, mids, scale)
+        want = _reference_midpoint_sweep(P, mids, scale)
+        assert (got is None) == (want is None), s
+        if want is None:
+            continue
+        hits += 1
+        repeated += s % 2 == 0
+        assert got[1] == want[1], s
+        assert np.allclose(got[0].normal, want[0].normal, rtol=0.0, atol=1e-12), s
+        assert abs(got[0].offset - want[0].offset) <= 1e-12 * scale, s
+    assert hits > 60 and repeated > 30
+
+
 def test_next_matches_roll():
     from chebzeros.discrete import _next
     rng = fs.derived_rng(31)
@@ -754,20 +802,20 @@ def test_next_matches_roll():
 
 def _probe_rows(W, off, pts):
     """A chunk's probes as _probe_draws gives them: each trial's random
-    plane and its secant through pts, as rows (normal, -offset), and the
-    rows' shares."""
+    plane and its secant through pts, as rows (normal, -offset), and
+    which rows are trusted."""
     from chebzeros._linalg import _planes_through
-    S, share = _planes_through(pts)
+    S, trusted = _planes_through(pts)
     return (np.stack([np.column_stack([W, -off]), S], axis=1),
-            np.column_stack([np.ones(len(W)), share]))
+            np.column_stack([np.ones(len(W), bool), trusted]))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_planes_through_match_svd_null_vectors(d):
-    from chebzeros._linalg import _MINOR_FLOOR, _planes_through
+    from chebzeros._linalg import _planes_through
     pts = fs.derived_rng(26, d).uniform(-1.0, 1.0, (200, d, d))
-    H, share = _planes_through(pts)
-    assert (share >= _MINOR_FLOOR).all()
+    H, trusted = _planes_through(pts)
+    assert trusted.all()
     assert np.allclose(np.linalg.norm(H[:, :d], axis=1), 1.0, rtol=0.0, atol=1e-15)
     v = np.linalg.svd(np.concatenate([pts, np.ones((200, d, 1))], axis=2))[2][:, -1]
     v /= np.linalg.norm(v[:, :d], axis=1, keepdims=True)
@@ -781,12 +829,11 @@ def test_planes_through_match_svd_null_vectors(d):
     rng = fs.derived_rng(30, d)
     far = pts[:40] + 10.0 ** rng.uniform(11.0, 13.0, (40, 1, 1)) * rng.standard_normal(d)
     blocks = np.concatenate([pts, _dependent_secant_points(d, rng), far, 1e-300 * pts[:5]])
-    H, share = _planes_through(blocks)
+    H, trusted = _planes_through(blocks)
     assert 0 < np.isnan(H[:, 0]).sum() < len(H) - 200
-    for p, h, sh in zip(blocks, H, share):
+    for p, h, tr in zip(blocks, H, trusted):
         one = _planes_through(p[None])
-        assert one[0][0].tobytes() == h.tobytes()
-        assert one[1][0] == pytest.approx(sh, rel=1e-14)
+        assert one[0][0].tobytes() == h.tobytes() and one[1][0] == tr
         if np.isnan(h).any():
             assert np.isnan(h).all()
             with pytest.raises(ValueError, match="affinely dependent"):
@@ -828,10 +875,10 @@ def _dependent_secant_points(d, rng):
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_dependent_secant_points_are_untrusted_and_flagged(d):
     from chebzeros import discrete
-    from chebzeros._linalg import _MINOR_FLOOR, _planes_through
+    from chebzeros._linalg import _planes_through
     rng = fs.derived_rng(27, d)
     bad = _dependent_secant_points(d, rng)
-    assert (_planes_through(bad)[1] < _MINOR_FLOOR).all()
+    assert not _planes_through(bad)[1].any()
     # a convex line, probes that clear it and one trusted secant: only
     # the trials with dependent secant points are flagged
     ts = np.linspace(-1.0, 1.0, 12)
@@ -840,9 +887,9 @@ def test_dependent_secant_points_are_untrusted_and_flagged(d):
     off = np.full(4, 2.0)
     s = np.array([-0.9, -0.55, 0.3, 0.62, 0.95][:d])  # no vertex there
     good = np.stack([s ** j for j in range(1, d + 1)], axis=1)
-    assert _planes_through(good[None])[1][0] >= _MINOR_FLOOR
-    H, share = _probe_rows(W, off, np.concatenate([bad, good[None]]))
-    flags = discrete._screen(P, H, share, float(np.max(np.abs(P.vertices))))
+    assert _planes_through(good[None])[1][0]
+    H, trusted = _probe_rows(W, off, np.concatenate([bad, good[None]]))
+    flags = discrete._screen(P, H, trusted, float(np.max(np.abs(P.vertices))))
     assert flags.tolist() == [True, True, True, False]
 
 
@@ -886,8 +933,8 @@ def test_screen_flags_every_trial_with_an_exact_hit():
             lam = rng.dirichlet(np.ones(P.d - 1), len(near))
             near[:, -1] = np.einsum("nk,nkj->nj", lam, near[:, :-1]) \
                 + 1e-12 * scale * rng.standard_normal((len(near), P.d))
-            H, share = _probe_rows(W, off, pts)
-            flags = discrete._screen(P, H, share, scale)
+            H, trusted = _probe_rows(W, off, pts)
+            flags = discrete._screen(P, H, trusted, scale)
             for t in range(stop - start):
                 hit = discrete._probe_hit(P, H[t])
                 hits += hit is not None
