@@ -11,8 +11,9 @@ is counted as that grid matrix times its coefficients; curves.theorem4_check
 hands the probe loop [1, P] from the one curve sample P it also slices.
 
 Probe loops take trials in the chunks of fs._probe_chunks (2, 8, 32,
-128, ..., the schedule and the per-trial streams of every falsifier in
-the package): drawn trial by trial, evaluated as arrays, counted in one
+128, ..., the schedule of every falsifier in the package, with the
+per-trial streams of this loop and the curve loop): drawn trial by
+trial, evaluated as arrays, counted in one
 fs._grid_counts call per chunk, then read in trial order, so verdicts
 and witnesses are a trial-by-trial loop's.
 """

@@ -297,14 +297,16 @@ class Hyperplane:
 
 
 def hyperplane_through(points) -> Hyperplane:
-    """The hyperplane through d finite, affinely independent points in R^d."""
+    """The hyperplane through d finite, affinely independent points in R^d.
+    A repeated point is refused outright: the kernel's minors of such a
+    block are rounding, and so would be the plane's direction."""
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("need exactly d points in R^d")
     if not np.isfinite(P).all():
         raise ValueError("points must be finite")
     h = _planes_through(P[None])[0][0]
-    if np.isnan(h[0]):
+    if np.isnan(h[0]) or np.triu((P[:, None] == P).all(axis=2), 1).any():
         raise ValueError("points are affinely dependent")
     return Hyperplane(h[:-1], -h[-1])
 

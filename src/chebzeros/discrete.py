@@ -12,7 +12,6 @@ normals (they sum to zero against every normal by the closure identity).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -186,11 +185,13 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     at most d times.
 
     Closed planar polygons get an exact turn-sign certificate; otherwise
-    seeded random hyperplanes and secants through perturbed edge midpoints,
-    trial t drawn from derived_rng(rng_seed, t, 2), are screened as arrays
-    in the chunks of fs._probe_chunks, and the exact test confirms flagged
-    trials in trial order.  A non-convexity certificate without a sampled
-    witness still reports a counterexample.
+    seeded random hyperplanes and secants through perturbed edge midpoints
+    are drawn and screened as arrays in the chunks of fs._chunk_bounds,
+    the chunk from start to stop from one stream derived_rng(rng_seed,
+    start, 2), so a trial's draws depend on its chunk's bounds as well as
+    on its index; the exact test confirms flagged trials in trial order.
+    A non-convexity certificate without a sampled witness still reports a
+    counterexample.
     """
     _check_trials(trials)
     V = P.vertices
@@ -199,8 +200,9 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
         return PolyConvexityReport(NO_VIOLATION, 0, certified=True)
     mids = 0.5 * (V + _next(V)) if P.closed else 0.5 * (V[:-1] + V[1:])
     scale = float(np.max(np.abs(V))) or 1.0
-    for start, stop, stream in fs._probe_chunks(rng_seed, trials, P.k, 2):
-        H, trusted = _probe_draws(V, mids, scale, stream, start, stop)
+    for start, stop in fs._chunk_bounds(trials, P.k):
+        g = fs.derived_rng(rng_seed, start, 2)
+        H, trusted = _probe_draws(V, mids, scale, g, stop - start)
         for i in np.flatnonzero(_screen(P, H, trusted, scale)).tolist():
             hit = _probe_hit(P, H[i])
             if hit is not None:
@@ -211,106 +213,32 @@ def polyline_convexity_check(P: PolyLine, trials: int = DEFAULT_TRIALS,
     return PolyConvexityReport(NO_VIOLATION, trials, certified=cert)
 
 
-def _probe_draws(V, mids, scale, stream, start, stop):
-    """Trials start..stop-1's probes, trial t from stream(t), as rows
-    (normal, -offset) (n, 2, d + 1): a random plane (offset NaN where V
-    projects to a point), then the secant through d perturbed edge
-    midpoints if there are d, and which rows `_screen` may trust (every
-    random plane, and the secants `_planes_through` trusts).
-    The norms and projections are the dot and matrix-vector products a
-    per-trial loop takes, bit for bit.
+def _probe_draws(V, mids, scale, g, n):
+    """n trials' probes from the Generator g, as rows (normal, -offset)
+    (n, 2, d + 1): a random plane (offset NaN where V projects to a
+    point), then the secant through d perturbed edge midpoints if there
+    are d, and which rows `_screen` may trust (every random plane, and the
+    secants `_planes_through` trusts).
 
-    Each trial draws its normals with standard_normal and takes the words
-    that uniform(0.02, 0.98) and choice(m, d, replace=False) would use
-    with random_raw; _raw_word_draws turns the chunk's words into offsets
-    and midpoint selections.  Rows it flags, and rows where V projects to
-    a point (no uniform drawn: the later draws move up the stream), are
-    drawn again by the Generator calls themselves."""
-    n, d, m = stop - start, V.shape[1], mids.shape[0]
-    words = np.empty((n, 1 + _choice_draws(m, d)[2]), np.uint64)
-    Z, E = np.empty((n, d)), np.empty((n, d, d))
-    for i in range(n):
-        g = stream(start + i)
-        Z[i] = g.standard_normal(d)
-        words[i] = g.bit_generator.random_raw(words.shape[1])
-        if m >= d:
-            E[i] = g.standard_normal((d, d))
-    u, sel, redo = _raw_word_draws(words, m, d)
-
-    def draw(i, uniform):
-        g = stream(start + i)
-        g.standard_normal(d)
-        if uniform:
-            u[i] = g.uniform(0.02, 0.98)
-        if m >= d:
-            sel[i] = g.choice(m, size=d, replace=False)
-            E[i] = g.standard_normal((d, d))
-
+    g draws whole arrays in turn: normals (n, d), offsets uniform(0.02,
+    0.98) (n,), then, if m >= d midpoints, selections (the first d of an
+    argsort of an (n, m) uniform block: an exactly uniform ordered
+    d-subset per row) and perturbations (n, d, d).  Every row is drawn,
+    flat ones too, so no row shifts another row's draws.  The norms and
+    projections are the dot and matrix-vector products a per-trial loop
+    takes, bit for bit."""
+    d, m = V.shape[1], mids.shape[0]
+    Z = g.standard_normal((n, d))
+    u = g.uniform(0.02, 0.98, n)
     W = Z / np.sqrt(np.matmul(Z[:, None, :], Z[:, :, None])[:, 0])
     proj = np.matmul(V, W[:, :, None])[..., 0]
     lo, hi = np.min(proj, axis=1), np.max(proj, axis=1)
-    flat = ~(hi > lo)
-    for i in np.flatnonzero(flat | redo).tolist():
-        draw(i, not flat[i])
-    H = np.column_stack([W, -np.where(flat, np.nan, lo + (hi - lo) * u)])[:, None]
+    H = np.column_stack([W, -np.where(hi > lo, lo + (hi - lo) * u, np.nan)])[:, None]
     if m < d:
         return H, np.ones((n, 1), bool)
-    S, trusted = _planes_through(mids[sel] + 1e-3 * scale * E)
+    sel = np.argsort(g.random((n, m)), axis=1)[:, :d]
+    S, trusted = _planes_through(mids[sel] + 1e-3 * scale * g.standard_normal((n, d, d)))
     return np.concatenate([H, S[:, None]], axis=1), np.column_stack([np.ones(n, bool), trusted])
-
-
-@functools.lru_cache(maxsize=128)
-def _choice_draws(m: int, d: int):
-    """choice(m, d, replace=False)'s bounded draws on [0, r] that take a
-    32-bit half of a PCG64 word, in draw order: Floyd's d (the first, on
-    [0, 0], takes none when m == d), then the shuffle's d - 1; none when
-    m < d, where no choice is drawn.  Returns the spans r + 1 as a column,
-    the leftovers 2**32 mod (r + 1) below which Lemire's method rejects,
-    and the words the draws take, two to a word."""
-    r = [] if m < d else [j for j in range(m - d, m) if j] + list(range(d - 1, 0, -1))
-    span = np.array(r, np.uint64)[:, None] + 1
-    return span, 2 ** 32 % span, -(-len(r) // 2)
-
-
-def _raw_word_draws(words, m: int, d: int):
-    """uniform(0.02, 0.98) and choice(m, d, replace=False) of each row of
-    words (n, 1 + _choice_draws(m, d)[2]) uint64, the random_raw words those
-    calls would read from the row's stream: offsets u (n,), selections
-    (n, d) intp (None when m < d) and a flag on each row whose selection
-    needs more words (a rejected bounded draw, about 1 in 1e8 draws, or
-    the tail shuffle choice takes for m > 10000 and d > m // 50).
-
-    choice runs Floyd's algorithm, then shuffles its d values; every
-    bounded draw on [0, r] is Lemire's: the high half of x * (r + 1), x
-    the next unused 32-bit half of a word, low half first (NumPy's
-    random_bounded_uint64 and PCG64's next_uint32)."""
-    n = words.shape[0]
-    u = 0.02 + (0.98 - 0.02) * ((words[:, 0] >> 11) * 2.0 ** -53)
-    if m < d:
-        return u, None, np.zeros(n, bool)
-    span, reject, _ = _choice_draws(m, d)
-    x = words[:, 1:].astype("<u8").view("<u4")[:, :len(span)].T * span
-    redo = ((x & 0xFFFFFFFF) < reject).any(axis=0) | (m > 10000 and d > m // 50)
-    v = (x >> 32).astype(np.intp)
-    if m == d:
-        v = np.concatenate([np.zeros((1, n), np.intp), v])
-    rows = np.arange(n)
-    # Floyd: draw k gives v[k], or m - d + k if v[k] is taken already
-    # (every value taken so far is below m - d + k)
-    S, taken, at = np.empty((d, n), np.intp), np.zeros(n * m, np.intp), rows * m
-    S[0] = v[0]
-    for k, vk in enumerate(v[1:d] + at, start=1):
-        taken[at + S[k - 1]] = 1
-        t = taken[vk]
-        t *= m - d + k
-        np.maximum(v[k], t, out=S[k])
-    # the shuffle: for i = d - 1 .. 1, swap entries i and v[2d - 1 - i]
-    flat = S.reshape(-1)
-    for i, j in zip(range(d - 1, 0, -1), v[d:] * n + rows):
-        top = S[i].copy()
-        S[i] = flat[j]
-        flat[j] = top
-    return u, S.T, redo
 
 
 def _probe_hit(P, H):

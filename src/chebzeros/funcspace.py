@@ -72,7 +72,10 @@ def derived_rng(seed, *keys):
     Trials seeded as derived_rng(seed, trial_index) do not depend on
     execution order, so sequential and parallel sweeps see identical
     streams.  _trial_seeds and _pcg64_state reproduce these streams for a
-    whole range of trial indices at once, bit for bit.
+    whole range of trial indices at once, bit for bit, for the curve and
+    Chebyshev probe loops.  The polyline loop instead keys one stream by
+    each chunk's first trial and draws the chunk from it as arrays, so
+    there a trial's draws depend on its chunk bounds.
     """
     material = [int(seed) % (2 ** 63)] + [int(k) % (2 ** 63) for k in keys]
     return np.random.default_rng(material)
@@ -182,24 +185,34 @@ _CHUNK_SAMPLES = 2 ** 18
 _HASH_SLICE = 2 ** 16
 
 
-def _probe_chunks(seed, trials: int, rows: int, *keys):
-    """The probe loops' one schedule: (start, stop, stream) for chunks of
-    2, 8, 32, 128, ... trials, cut at the budget and at _CHUNK_SAMPLES //
-    rows trials (rows: the values per probe row).  The short first chunk
-    keeps an early counterexample cheap; a later chunk takes in a shorter
-    remainder of the budget if that fits under the cap.  stream(t), for t
-    in range(start, stop), is a Generator at the start of derived_rng(seed,
-    t, *keys)'s stream until the next chunk: one derived_rng per trial in
-    a chunk of under _HASH_MIN_TRIALS trials, else one reused Generator set
-    to seed words hashed for the first such chunk alone, then for the rest
-    of the budget in slices of _HASH_SLICE trials, so a loop of up to
-    _HASH_SLICE trials hashes at most twice."""
+def _chunk_bounds(trials: int, rows: int):
+    """The probe loops' one schedule: (start, stop) for chunks of 2, 8, 32,
+    128, ... trials, cut at the budget and at _CHUNK_SAMPLES // rows trials
+    (rows: the values per probe row).  The short first chunk keeps an early
+    counterexample cheap; a later chunk takes in a shorter remainder of
+    the budget if that fits under the cap."""
     cap = max(1, _CHUNK_SAMPLES // rows)
-    g, start, size, end = None, 0, 2, 0
+    start, size = 0, 2
     while start < trials:
         stop = min(trials, start + size, start + cap)
         if start and trials - stop < min(4 * size, cap) and trials - start <= cap:
             stop = trials
+        yield start, stop
+        start, size = stop, 4 * size
+
+
+def _probe_chunks(seed, trials: int, rows: int, *keys):
+    """(start, stop, stream) for the chunks of _chunk_bounds(trials, rows),
+    the per-trial streams of the curve and Chebyshev loops: stream(t), for
+    t in range(start, stop), is a Generator at the start of
+    derived_rng(seed, t, *keys)'s stream until the next chunk, so a trial's
+    draws do not depend on the chunk bounds.  One derived_rng per trial in
+    a chunk of under _HASH_MIN_TRIALS trials, else one reused Generator set
+    to seed words hashed for the first such chunk alone, then for the rest
+    of the budget in slices of _HASH_SLICE trials, so a loop of up to
+    _HASH_SLICE trials hashes at most twice."""
+    g, end = None, 0
+    for start, stop in _chunk_bounds(trials, rows):
         if stop > end and stop - start >= _HASH_MIN_TRIALS:
             end = stop if g is None else min(trials, max(stop, start + _HASH_SLICE))
             words, at = _trial_seeds(seed, end, *keys, start=start), start
@@ -211,7 +224,6 @@ def _probe_chunks(seed, trials: int, rows: int, *keys):
                 g.bit_generator.state = _pcg64_state(words[t - at].tolist())
                 return g
             yield start, stop, stream
-        start, size = stop, 4 * size
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from chebzeros import cli
 from chebzeros import funcspace as fs
+from chebzeros.discrete import parse_polyline
 
 DATA = Path(__file__).parent / "data"
 
@@ -223,9 +224,17 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_synth_masses_nonconvex_is_reported(tmp_path, capsys):
-    poly_file = tmp_path / "zigzag.txt"
-    poly_file.write_text("0 0 0\n1 1 0\n2 0 0.1\n3 1 0\n4 0 0\n5 1 0.2\n6 0 0\n")
+# non-convex open lines in R^3 that only the probes refute (bound 4)
+_NONCONVEX_3D = {
+    "zigzag": "0 0 0\n1 1 0\n2 0 0.1\n3 1 0\n4 0 0\n5 1 0.2\n6 0 0\n",
+    "twist3": (DATA / "twist3_polyline.txt").read_text(),
+}
+
+
+@pytest.mark.parametrize("text", list(_NONCONVEX_3D.values()), ids=list(_NONCONVEX_3D))
+def test_synth_masses_nonconvex_is_reported(tmp_path, capsys, text):
+    poly_file = tmp_path / "line.txt"
+    poly_file.write_text(text)
     code, out, _ = run(capsys, "synth", "masses", "--poly", str(poly_file),
                        "--n", "1")
     payload = _strict_json(out)
@@ -233,7 +242,8 @@ def test_synth_masses_nonconvex_is_reported(tmp_path, capsys):
     assert payload["applicable"] is False and payload["passed"] is False
     assert payload["message"] == "hypothesis violated: not convex"
     assert payload["max_residual"] is None and payload["sign_changes"] is None
-    assert payload["bound"] == 4 and len(payload["masses"]) == 7
+    assert payload["bound"] == 4
+    assert len(payload["masses"]) == parse_polyline(text).k
 
 
 def test_synth_masses_moment_polyline_file(capsys):

@@ -122,6 +122,20 @@ def test_hyperplane_through_rejects_non_finite_points(bad):
         cz.hyperplane_through([(0.0, 0.0), (1.0, bad)])
 
 
+def test_hyperplane_through_rejects_repeated_points():
+    # the kernel's minors of a block with a repeated point are rounding:
+    # 211 of these 900 blocks used to come back as a plane whose direction
+    # rounding had set
+    for d in (2, 3, 4):
+        for s in range(300):
+            P = fs.derived_rng(77, d, s).standard_normal((d, d))
+            P[1] = P[0]
+            with pytest.raises(ValueError, match="affinely dependent"):
+                cz.hyperplane_through(P)
+    with pytest.raises(ValueError, match="affinely dependent"):
+        cz.hyperplane_through([(0.0, 1.0), (-0.0, 1.0)])
+
+
 def test_curve_secants_take_no_svd(monkeypatch):
     # each chunk's secants come from one stacked determinant call: the
     # convexity loop makes no SVD, and a one-probe theorem4_check (the

@@ -390,7 +390,8 @@ def test_parse_polyline_errors():
 
 
 def _reference_convexity_check(P, trials, rng_seed):
-    """The trial-by-trial probe loop, kept as the reference."""
+    """The probe loop one trial at a time on each chunk's draws, kept as
+    the reference."""
     from chebzeros.curves import Hyperplane, hyperplane_through
     from chebzeros.discrete import (PolyConvexityReport, _convex_certificate,
                                     _midpoint_secant_witness)
@@ -403,27 +404,22 @@ def _reference_convexity_check(P, trials, rng_seed):
         return PolyConvexityReport(NO_VIOLATION, 0, certified=True)
     mids = 0.5 * (V + np.roll(V, -1, axis=0)) if P.closed else 0.5 * (V[:-1] + V[1:])
     scale = float(np.max(np.abs(V))) or 1.0
-    for trial in range(trials):
-        rng = fs.derived_rng(rng_seed, trial, 2)
-        w = rng.standard_normal(d)
-        w /= np.linalg.norm(w)
-        proj = V @ w
-        lo, hi = float(np.min(proj)), float(np.max(proj))
-        if hi > lo:
-            hp = Hyperplane(w, lo + (hi - lo) * rng.uniform(0.02, 0.98))
-            c = hyperplane_crossings(P, hp)
-            if c is not None and c > d:
-                return PolyConvexityReport(COUNTEREXAMPLE, trial + 1, hp, c, cert)
-        if mids.shape[0] >= d:
-            sel = rng.choice(mids.shape[0], size=d, replace=False)
-            pts = mids[sel] + 1e-3 * scale * rng.standard_normal((d, d))
-            try:
-                hp = hyperplane_through(pts)
-            except ValueError:
-                continue
-            c = hyperplane_crossings(P, hp)
-            if c is not None and c > d:
-                return PolyConvexityReport(COUNTEREXAMPLE, trial + 1, hp, c, cert)
+    for start, stop in fs._chunk_bounds(trials, P.k):
+        draws = _reference_draws(V, mids, scale, rng_seed, start, stop)
+        for trial, (w, off, pts) in enumerate(draws, start):
+            if not np.isnan(off):
+                hp = Hyperplane(w, off)
+                c = hyperplane_crossings(P, hp)
+                if c is not None and c > d:
+                    return PolyConvexityReport(COUNTEREXAMPLE, trial + 1, hp, c, cert)
+            if pts is not None:
+                try:
+                    hp = hyperplane_through(pts)
+                except ValueError:
+                    continue
+                c = hyperplane_crossings(P, hp)
+                if c is not None and c > d:
+                    return PolyConvexityReport(COUNTEREXAMPLE, trial + 1, hp, c, cert)
     if cert is False:
         hit = _midpoint_secant_witness(P, mids, scale)
         if hit is not None:
@@ -486,24 +482,31 @@ def test_batched_convexity_matches_reference_at_wide_seeds(base):
                             _reference_convexity_check(P, 30, seed))
 
 
-def _reference_draws(V, mids, scale, seed, trial):
-    """One trial's draws from its own derived_rng stream."""
-    d = V.shape[1]
-    rng = fs.derived_rng(seed, trial, 2)
-    w = rng.standard_normal(d)
-    w /= np.linalg.norm(w)
-    proj = V @ w
-    lo, hi = float(np.min(proj)), float(np.max(proj))
-    off = lo + (hi - lo) * rng.uniform(0.02, 0.98) if hi > lo else np.nan
-    if mids.shape[0] < d:
-        return w, off, None
-    sel = rng.choice(mids.shape[0], size=d, replace=False)
-    return w, off, mids[sel] + 1e-3 * scale * rng.standard_normal((d, d))
+def _reference_draws(V, mids, scale, seed, start, stop):
+    """(w, offset, secant points or None) of each trial start..stop-1 of a
+    chunk, from the chunk's one derived_rng(seed, start, 2) stream: normals,
+    offsets, a uniform block whose row-wise argsort selects the midpoints,
+    perturbations, each for the whole chunk; then one trial at a time."""
+    n, d, m = stop - start, V.shape[1], mids.shape[0]
+    rng = fs.derived_rng(seed, start, 2)
+    Z = rng.standard_normal((n, d))
+    u = rng.uniform(0.02, 0.98, n)
+    if m >= d:
+        block, E = rng.random((n, m)), rng.standard_normal((n, d, d))
+    out = []
+    for i in range(n):
+        w = Z[i] / np.linalg.norm(Z[i])
+        proj = V @ w
+        lo, hi = float(np.min(proj)), float(np.max(proj))
+        off = lo + (hi - lo) * u[i] if hi > lo else np.nan
+        pts = None if m < d else mids[np.argsort(block[i])[:d]] + 1e-3 * scale * E[i]
+        out.append((w, off, pts))
+    return out
 
 
 _TS30 = np.linspace(-1.0, 1.0, 30)
 _DRAW_LINES = {
-    "point": np.full((5, 3), 0.25),             # one point: no uniform drawn
+    "point": np.full((5, 3), 0.25),             # one point: every offset NaN
     "point-few-mids": np.full((2, 3), -1.5),    # and fewer midpoints than d
     "spread": np.array([[0.0, 1.0], [0.0, 1.0], [2.0, -1.0], [0.5, 0.5]]),
     "d-mids": np.array([[0.0, 0.0, 0.0], [1.0, 0.5, 0.2], [1.5, 2.0, 0.1],
@@ -512,14 +515,18 @@ _DRAW_LINES = {
 }
 
 
-def _assert_draws_match_derived_rng(V, seed):
+@pytest.mark.parametrize("seed", [0, -1])
+@pytest.mark.parametrize("V", list(_DRAW_LINES.values()), ids=list(_DRAW_LINES))
+def test_probe_draws_match_derived_rng(V, seed):
+    # each chunk's probe rows against the reference's trial-by-trial
+    # arithmetic on the same chunk stream, bit for bit
     from chebzeros import discrete
     from chebzeros._linalg import _planes_through
     mids = 0.5 * (V[:-1] + V[1:])
-    for start, stop, stream in fs._probe_chunks(seed, 40, len(V), 2):
-        H, trusted = discrete._probe_draws(V, mids, 2.0, stream, start, stop)
-        for i, t in enumerate(range(start, stop)):
-            w, o, p = _reference_draws(V, mids, 2.0, seed, t)
+    for start, stop in fs._chunk_bounds(40, len(V)):
+        g = fs.derived_rng(seed, start, 2)
+        H, trusted = discrete._probe_draws(V, mids, 2.0, g, stop - start)
+        for i, (w, o, p) in enumerate(_reference_draws(V, mids, 2.0, seed, start, stop)):
             assert H[i, 0, :-1].tobytes() == w.tobytes()
             assert np.float64(-H[i, 0, -1]).tobytes() == np.float64(o).tobytes()
             assert H.shape[1] == (1 if p is None else 2) and trusted[i, 0]
@@ -528,77 +535,40 @@ def _assert_draws_match_derived_rng(V, seed):
                 assert H[i, 1].tobytes() == _planes_through(p[None])[0][0].tobytes()
 
 
-@pytest.mark.parametrize("seed", [0, -1])
-@pytest.mark.parametrize("V", list(_DRAW_LINES.values()), ids=list(_DRAW_LINES))
-def test_probe_draws_match_derived_rng(V, seed):
-    _assert_draws_match_derived_rng(V, seed)
-
-
-def test_probe_draws_redrawn_rows_match_derived_rng(monkeypatch):
-    # every row flagged and its words' draws spoilt: each trial's offset
-    # and selection must come from the Generator calls themselves
+def test_chunk_selections_are_uniform_and_flat_rows_shift_nothing(monkeypatch):
+    # 20 000 probes of an open convex line with m = 5 edge midpoints in the
+    # plane: the secants' ordered midpoint pairs fall on all 20 pairs
+    # evenly (chi-square of 19 degrees of freedom below its 0.999
+    # quantile, 43.8); the perturbations, 1e-3 of scale, leave each
+    # secant point nearest its midpoint
     from chebzeros import discrete
-    raw = discrete._raw_word_draws
+    planes, pts = discrete._planes_through, []
 
-    def flag_all(words, m, d):
-        u, sel, redo = raw(words, m, d)
-        if sel is not None:
-            sel[:] = 0
-        return np.full_like(u, 0.5), sel, np.ones_like(redo)
+    def spy(p):
+        pts.append(p)
+        return planes(p)
 
-    monkeypatch.setattr(discrete, "_raw_word_draws", flag_all)
-    for V in _DRAW_LINES.values():
-        _assert_draws_match_derived_rng(V, 7)
-
-
-def test_raw_word_draws_match_choice_and_uniform():
-    # the words random_raw reads from a stream against uniform(0.02, 0.98)
-    # and choice(m, d, replace=False) on the same stream, byte for byte,
-    # and the next standard normal starts where choice leaves the stream;
-    # 150 (d, m) pairs of 70 streams each
-    from chebzeros import discrete
-    g = np.random.Generator(np.random.PCG64(0))
-    streams = 0
-    for d in range(2, 6):
-        for m in range(d, 41):
-            seeds = fs._trial_seeds(2025, 70, d, m)
-            c = discrete._choice_draws(m, d)[2]
-            words = np.empty((len(seeds), 1 + c), np.uint64)
-            u, sel = np.empty(len(seeds)), np.empty((len(seeds), d), np.int64)
-            for i, row in enumerate(seeds.tolist()):
-                state = fs._pcg64_state(row)
-                g.bit_generator.state = state
-                u[i] = g.uniform(0.02, 0.98)
-                sel[i] = g.choice(m, size=d, replace=False)
-                e = g.standard_normal()
-                g.bit_generator.state = state
-                words[i] = g.bit_generator.random_raw(1 + c)
-                assert g.standard_normal() == e
-            got_u, got_sel, redo = discrete._raw_word_draws(words, m, d)
-            assert not redo.any()
-            assert got_u.tobytes() == u.tobytes()
-            assert got_sel.astype(np.int64).tobytes() == sel.tobytes()
-            streams += len(seeds)
-    assert streams >= 10 ** 4
-
-
-def test_raw_word_draws_flag_rejected_draws():
-    # Lemire's draw on [0, r] rejects a half x when (x * (r + 1)) mod 2**32
-    # falls below 2**32 mod (r + 1).  m = 11, d = 3: the five halves go to
-    # Floyd draws on [0, 8], [0, 9], [0, 10] and shuffle draws on [0, 2],
-    # [0, 1]; the first rejects a leftover below 2**32 mod 9 = 4, the last
-    # (span 2, a power of 2) nothing
-    from chebzeros import discrete
-    inv9 = pow(9, -1, 2 ** 32)
-    halves = np.full((5, 6), 0x9E3779B9, np.uint64)
-    halves[1, 0] = 4 * inv9 % 2 ** 32  # leftover 4: kept
-    halves[2, 0] = 3 * inv9 % 2 ** 32  # leftover 3: rejected
-    halves[3, 0] = 0
-    halves[4, 4] = 0
-    words = np.column_stack([np.zeros(5, np.uint64),
-                             halves[:, 0::2] | halves[:, 1::2] << np.uint64(32)])
-    assert discrete._raw_word_draws(words, 11, 3)[2].tolist() == \
-        [False, False, True, True, False]
+    monkeypatch.setattr(discrete, "_planes_through", spy)
+    ts = np.linspace(-1.0, 1.0, 6)
+    P = cz.PolyLine(np.stack([ts, ts ** 2], axis=1))
+    mids = 0.5 * (P.vertices[:-1] + P.vertices[1:])
+    assert cz.polyline_convexity_check(P, 20000, 11).trials_run == 20000
+    p = np.concatenate(pts)
+    sel = np.argmin(np.linalg.norm(p[:, :, None] - mids, axis=3), axis=2)
+    assert sel.shape == (20000, 2) and (sel[:, 0] != sel[:, 1]).all()
+    counts = np.bincount(5 * sel[:, 0] + sel[:, 1], minlength=25)
+    counts = counts[np.arange(25) % 6 != 0]  # the 20 pairs i != j
+    assert np.sum((counts - 1000.0) ** 2 / 1000.0) < 43.8
+    # a line projecting to a point gets NaN offsets, and its normals and
+    # secant rows are those of a spread line with the same midpoints
+    monkeypatch.undo()
+    V = _DRAW_LINES["30-vertices"]
+    mids = 0.5 * (V[:-1] + V[1:])
+    flat, _ = discrete._probe_draws(np.zeros_like(V), mids, 1.0, fs.derived_rng(4, 2), 64)
+    spread, _ = discrete._probe_draws(V, mids, 1.0, fs.derived_rng(4, 2), 64)
+    assert np.isnan(flat[:, 0, -1]).all() and not np.isnan(spread[:, 0, -1]).any()
+    assert flat[:, 0, :-1].tobytes() == spread[:, 0, :-1].tobytes()
+    assert flat[:, 1].tobytes() == spread[:, 1].tobytes()
 
 
 @pytest.mark.parametrize("rel", [1.0 - 1e-3, 1.0 + 1e-3])
@@ -608,17 +578,6 @@ def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
     seed = 3
     ts = np.linspace(-1.0, 1.0, 6)
     V0 = np.stack([ts, ts ** 2, ts ** 3], axis=1)
-    w, off, _ = _reference_draws(V0, 0.5 * (V0[:-1] + V0[1:]), 1.0, seed, 0)
-    # a new vertex at distance rel * VERTEX_REJECT_TOL from trial 0's plane,
-    # projecting inside the old range so that plane does not move
-    p = 0.5 * (V0[2] + V0[3])
-    x = p + (off + rel * discrete.VERTEX_REJECT_TOL - p @ w) * w / (w @ w)
-    P = cz.PolyLine(np.insert(V0, 3, x, axis=0))
-    V = P.vertices
-    w1, off1, _ = _reference_draws(V, 0.5 * (V[:-1] + V[1:]),
-                                   float(np.max(np.abs(V))), seed, 0)
-    dist = abs(float(Hyperplane(w1, off1).value(x)))
-    assert dist == pytest.approx(rel * discrete.VERTEX_REJECT_TOL, rel=1e-4)
     confirmed = []
     hit = discrete._probe_hit
 
@@ -628,15 +587,30 @@ def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
 
     monkeypatch.setattr(discrete, "_probe_hit", spy)
     for trials in (1, 200):
+        # trial 0's plane is drawn with its first chunk (1 or 2 trials)
+        stop = next(fs._chunk_bounds(trials, 7))[1]
+        w, off, _ = _reference_draws(V0, 0.5 * (V0[:-1] + V0[1:]), 1.0, seed, 0, stop)[0]
+        # a new vertex at distance rel * VERTEX_REJECT_TOL from trial 0's
+        # plane, projecting inside the old range so that plane does not move
+        p = 0.5 * (V0[2] + V0[3])
+        x = p + (off + rel * discrete.VERTEX_REJECT_TOL - p @ w) * w / (w @ w)
+        P = cz.PolyLine(np.insert(V0, 3, x, axis=0))
+        V = P.vertices
+        w1, off1, _ = _reference_draws(V, 0.5 * (V[:-1] + V[1:]),
+                                       float(np.max(np.abs(V))), seed, 0, stop)[0]
+        dist = abs(float(Hyperplane(w1, off1).value(x)))
+        assert dist == pytest.approx(rel * discrete.VERTEX_REJECT_TOL, rel=1e-4)
+        confirmed.clear()
         _assert_same_report(cz.polyline_convexity_check(P, trials, seed),
                             _reference_convexity_check(P, trials, seed))
-    assert confirmed and np.array_equal(confirmed[0], w1)
+        assert confirmed and np.array_equal(confirmed[0], w1)
 
 
 def test_seeds_hashed_for_first_chunk_then_budget(monkeypatch):
-    # every probe loop hashes its first chunk of 5 or more trials alone and
-    # the rest of the budget in one more call; shorter budgets, and a hit
-    # in the first 2 trials, hash nothing
+    # the curve and Chebyshev loops hash their first chunk of 5 or more
+    # trials alone and the rest of the budget in one more call; shorter
+    # budgets, a hit in the first 2 trials, and the polyline loop, which
+    # keys one stream by each chunk's first trial, hash nothing
     from chebzeros import discrete
     hashed = []
     seeds = fs._trial_seeds
@@ -659,8 +633,7 @@ def test_seeds_hashed_for_first_chunk_then_budget(monkeypatch):
         assert cz.verify_chebyshev(cz.trig_system(2), trials).status == NO_VIOLATION
     assert hashed == []
     assert discrete.polyline_convexity_check(convex, 300, 0).trials_run == 300
-    assert hashed == [((2,), 2, 10), ((2,), 10, 300)]
-    hashed.clear()
+    assert hashed == []
     assert cz.convexity_check(c, 200).convex
     assert cz.verify_chebyshev(cz.trig_system(2), 200).status == NO_VIOLATION
     assert hashed == [((1,), 2, 10), ((1,), 10, 200), ((), 2, 10), ((), 10, 200)]
@@ -824,8 +797,8 @@ def test_planes_through_match_svd_null_vectors(d):
     assert np.max(np.abs(np.matmul(pts, H[:, :d, None])[..., 0] + H[:, d:])) <= 1e-14
     # a stacked row is the one-row plane, and hyperplane_through's, bit for
     # bit; dependent blocks (coincident, collinear or nearly so) and blocks
-    # whose plane passes about 1e12 from the origin give a NaN row exactly
-    # where hyperplane_through raises
+    # whose plane passes about 1e12 from the origin give a NaN row, and
+    # hyperplane_through raises exactly there and on a repeated point
     rng = fs.derived_rng(30, d)
     far = pts[:40] + 10.0 ** rng.uniform(11.0, 13.0, (40, 1, 1)) * rng.standard_normal(d)
     blocks = np.concatenate([pts, _dependent_secant_points(d, rng), far, 1e-300 * pts[:5]])
@@ -834,8 +807,10 @@ def test_planes_through_match_svd_null_vectors(d):
     for p, h, tr in zip(blocks, H, trusted):
         one = _planes_through(p[None])
         assert one[0][0].tobytes() == h.tobytes() and one[1][0] == tr
+        repeated = any((p[i] == p[j]).all() for i in range(d) for j in range(i))
         if np.isnan(h).any():
             assert np.isnan(h).all()
+        if np.isnan(h).any() or repeated:
             with pytest.raises(ValueError, match="affinely dependent"):
                 cz.hyperplane_through(p)
         else:
@@ -924,9 +899,8 @@ def test_screen_flags_every_trial_with_an_exact_hit():
         mids = 0.5 * (V + np.roll(V, -1, axis=0)) if P.closed else 0.5 * (V[:-1] + V[1:])
         scale = float(np.max(np.abs(V)))
         rng = fs.derived_rng(29, i)
-        for start, stop, _ in fs._probe_chunks(i, 60, P.k, 2):
-            W, off, pts = map(np.array, zip(*(_reference_draws(V, mids, scale, i, t)
-                                              for t in range(start, stop))))
+        for start, stop in fs._chunk_bounds(60, P.k):
+            W, off, pts = map(np.array, zip(*_reference_draws(V, mids, scale, i, start, stop)))
             # every other trial's secant points moved to within 1e-12 of
             # dependence: one point near an affine combination of the rest
             near = pts[::2]

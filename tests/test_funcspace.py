@@ -94,7 +94,10 @@ def test_trial_streams_reproduce_derived_rng(start, stop):
 
 
 def _chunk_ranges(trials, rows):
-    return [(a, b) for a, b, _ in fs._probe_chunks(0, trials, rows)]
+    # the schedule, which _probe_chunks yields as it is
+    got = list(fs._chunk_bounds(trials, rows))
+    assert [(a, b) for a, b, _ in fs._probe_chunks(0, trials, rows)] == got
+    return got
 
 
 def test_probe_chunk_schedule():
