@@ -11,11 +11,11 @@ is counted as that grid matrix times its coefficients; curves.theorem4_check
 hands the probe loop [1, P] from the one curve sample P it also slices.
 
 Probe loops take trials in the chunks of fs._probe_chunks (2, 8, 32,
-128, ..., the schedule of every falsifier in the package, with the
-per-trial streams of this loop and the curve loop): drawn trial by
-trial, evaluated as arrays, counted in one
-fs._grid_counts call per chunk, then read in trial order, so verdicts
-and witnesses are a trial-by-trial loop's.
+128, ..., the schedule of every falsifier in the package), which hands
+this loop and the curve loop one Generator per trial, trial t's being
+derived_rng(seed, t, ...)'s stream: drawn trial by trial, evaluated as
+arrays, counted in one fs._grid_counts call per chunk, then read in
+trial order, so verdicts and witnesses are a trial-by-trial loop's.
 """
 
 from __future__ import annotations
@@ -233,14 +233,13 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     return _chebyshev_probes(basis, dom, G, trials, rng_seed)
 
 
-def _chebyshev_draws(dom, n, stream, start, stop):
-    """Trials start..stop-1's stratified and clustered tuples, drawn from
-    stream(t), interleaved as rows of a (2m, n) array, and unit coefficient
-    vectors (m, n; NaN, which counts 0, for an all-zero draw)."""
-    m = stop - start
+def _chebyshev_draws(dom, n, gens, m):
+    """The stratified and clustered tuples of m trials, one trial drawn
+    from each Generator of gens in turn, interleaved as rows of a (2m, n)
+    array, and unit coefficient vectors (m, n; NaN, which counts 0, for an
+    all-zero draw)."""
     pts, C = np.empty((2 * m, n)), np.full((m, n), np.nan)
-    for i in range(m):
-        g = stream(start + i)
+    for i, g in enumerate(gens):
         pts[2 * i] = _stratified_tuple(g, dom, n)
         pts[2 * i + 1] = _clustered_tuple(g, dom, n)
         coeffs = g.normal(size=n)
@@ -256,8 +255,8 @@ def _chebyshev_probes(basis, dom, G, trials, rng_seed):
     n = len(basis)
     ref_sign = 0.0
     ref_pts = None
-    for start, stop, stream in fs._probe_chunks(rng_seed, trials, G.shape[0]):
-        pts, C = _chebyshev_draws(dom, n, stream, start, stop)
+    for start, stop, gens in fs._probe_chunks(rng_seed, trials, G.shape[0]):
+        pts, C = _chebyshev_draws(dom, n, gens, stop - start)
         sign, informative = _det_signs(fs.basis_matrix(basis, pts).reshape(-1, n, n))
         counts = fs._grid_counts(np.matmul(G, C[:, :, None])[..., 0], dom.is_circle)
         for i in range(stop - start):

@@ -401,16 +401,16 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
     return _convexity_probes(curve, P, trials, rng_seed)
 
 
-def _convexity_draws(P, stream, start, stop):
-    """Trials start..stop-1's probes of P, the curve on its grid, drawn from
-    stream(t), as rows (normal, -offset) (m, 2, d + 1), a random plane and
-    a secant through d points of P (NaN where P projects to a point, or
-    the points are affinely dependent), and their values on P (m, 2, n)."""
-    m, (n, d) = stop - start, P.shape
+def _convexity_draws(P, gens, m):
+    """The probes of P, the curve on its grid, of m trials, one drawn from
+    each Generator of gens in turn, as rows (normal, -offset) (m, 2, d + 1),
+    a random plane and a secant through d points of P (NaN where P
+    projects to a point, or the points are affinely dependent), and their
+    values on P (m, 2, n)."""
+    n, d = P.shape
     H, idx = np.full((m, 2, d + 1), np.nan), np.empty((m, d), np.intp)
     slices = np.full((m, 2, n), np.nan)
-    for i in range(m):
-        g = stream(start + i)
+    for i, g in enumerate(gens):
         w = g.standard_normal(d)
         w /= np.linalg.norm(w)
         proj = P @ w
@@ -430,8 +430,8 @@ def _convexity_probes(curve, P, trials, rng_seed):
     +-1e-4 of its spread, crosses more than d times is recounted by
     _intersections."""
     d, n = curve.d, P.shape[0]
-    for start, stop, stream in fs._probe_chunks(rng_seed, trials, n, 1):
-        H, S = _convexity_draws(P, stream, start, stop)
+    for start, stop, gens in fs._probe_chunks(rng_seed, trials, n, 1):
+        H, S = _convexity_draws(P, gens, stop - start)
         shift = 1e-4 * np.ptp(S, axis=2)[..., None]
         # S + shift is S minus the shift -1e-4 * spread, bit for bit
         rows = np.stack([S, S - shift, S + shift], axis=2).reshape(-1, n)

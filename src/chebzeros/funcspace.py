@@ -41,6 +41,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,21 +72,21 @@ def derived_rng(seed, *keys):
 
     Trials seeded as derived_rng(seed, trial_index) do not depend on
     execution order, so sequential and parallel sweeps see identical
-    streams.  _trial_seeds and _pcg64_state reproduce these streams for a
-    whole range of trial indices at once, bit for bit, for the curve and
-    Chebyshev probe loops.  The polyline loop instead keys one stream by
-    each chunk's first trial and draws the chunk from it as arrays, so
-    there a trial's draws depend on its chunk bounds.
+    streams.  The curve and Chebyshev probe loops draw these streams bit
+    for bit for a whole range of trial indices at once: _trial_seeds
+    hashes the range's seed words as arrays, and NumPy seeds each trial's
+    PCG64 from its row (_Words).  The polyline loop instead keys one
+    stream by each chunk's first trial and draws the chunk from it as
+    arrays, so there a trial's draws depend on its chunk bounds.
     """
     material = [int(seed) % (2 ** 63)] + [int(k) % (2 ** 63) for k in keys]
     return np.random.default_rng(material)
 
 
-# SeedSequence's hash constants (NumPy NEP 19) and PCG64's 128-bit LCG
-# multiplier (O'Neill 2014): both algorithms are fixed and stream-stable
-_M32, _M128 = 2 ** 32 - 1, 2 ** 128 - 1
+# SeedSequence's hash constants (NumPy NEP 19): the algorithm is fixed and
+# stream-stable
+_M32 = 2 ** 32 - 1
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _S16, _S32 = np.uint32(16), np.uint64(32)
 
 
@@ -129,25 +130,23 @@ def _seed_words(n: int) -> list:
     return words
 
 
-def _trial_seeds(seed, trials: int, *keys, start: int = 0) -> np.ndarray:
+def _trial_seeds(seed, start: int, stop: int, *keys) -> np.ndarray:
     """SeedSequence([seed, t, *keys]).generate_state(4, np.uint64) for t
-    in range(start, trials), from derived_rng's seed material, hashed as
-    arrays: a (trials - start, 4) uint64 array, one row per trial.
-
-    _pcg64_state turns a row into the PCG64 state derived_rng(seed, t,
-    *keys) starts from, so one reused Generator set to it in turn draws
-    each trial's stream without a SeedSequence and a PCG64 per trial.
+    in range(start, stop), from derived_rng's seed material, hashed as
+    arrays: a C-contiguous (stop - start, 4) uint64 array, one row per
+    trial.  PCG64(_Words(row)) starts where derived_rng(seed, t, *keys)
+    does, without a SeedSequence per trial.
     """
-    if trials > 2 ** 32:
+    if stop > 2 ** 32:
         raise ValueError("trial keys past 2**32 take two seed words")
     words = _seed_words(int(seed) % (2 ** 63))
     at = len(words)
     words += [0] + [w for k in keys for w in _seed_words(int(k) % (2 ** 63))]
     if len(words) > 4:
         raise ValueError("seed material past SeedSequence's 4-word pool")
-    pool = np.zeros((4, trials - start), np.uint32)
+    pool = np.zeros((4, stop - start), np.uint32)
     pool[:len(words)] = np.array(words, np.uint32)[:, None]
-    pool[at] = np.arange(start, trials, dtype=np.uint32)
+    pool[at] = np.arange(start, stop, dtype=np.uint32)
     # SeedSequence.mix_entropy: hash each word, then mix every hashed
     # word into the other three; pass src leaves its own row as it is
     pool = _hashmix(pool, _HASH_A[:4], _HASH_A[1:5])
@@ -160,29 +159,33 @@ def _trial_seeds(seed, trials: int, *keys, start: int = 0) -> np.ndarray:
     # little-endian
     out = _hashmix(np.concatenate([pool, pool]), _HASH_B[:8], _HASH_B[1:])
     out = out.astype(np.uint64)
-    return (out[0::2] | out[1::2] << _S32).T
+    return np.ascontiguousarray((out[0::2] | out[1::2] << _S32).T)
 
 
-def _pcg64_state(words) -> dict:
-    """The bit_generator state PCG64 seeds from a SeedSequence whose
-    generate_state(4, np.uint64) is words (Python ints): srandom's state
-    0, one LCG step, add the seed, one more step."""
-    s_hi, s_lo, i_hi, i_lo = words
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _M128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _M128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+class _Words(ISeedSequence):
+    """The seed sequence of one trial: its row of _trial_seeds.  PCG64
+    asks for generate_state(4, np.uint64) and reads the array's memory as
+    it lies, so the row must be C-contiguous; any other request (another
+    bit generator's) is refused, not served the wrong words."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a trial's seed words serve generate_state(4, np.uint64) only")
+        return self.row
 
 
-# below this many trials, one derived_rng per trial (about 22 us) costs less
-# than one _trial_seeds hash (about 75 us) plus a state set per trial
-_HASH_MIN_TRIALS = 5
+# below this many trials, one derived_rng per trial (about 15 us) costs
+# less than one _trial_seeds hash (about 45 us) plus a _Words-seeded
+# Generator per trial (about 2 us): at 3 trials the former took 47 us and
+# the latter 50 us, at 4 trials 60 us and 53 us (best of 15 repeats)
+_HASH_MIN_TRIALS = 4
 # trials per probe chunk are capped so that each probe row of a chunk holds
-# at most this many values
+# at most this many values; the cap also bounds a chunk's seed hash, about
+# 145 bytes a trial
 _CHUNK_SAMPLES = 2 ** 18
-# after the first hashed chunk, seed words are hashed for this many trials
-# at a time (or one chunk, if longer): a hash holds about 145 bytes a trial
-_HASH_SLICE = 2 ** 16
 
 
 def _chunk_bounds(trials: int, rows: int):
@@ -202,28 +205,20 @@ def _chunk_bounds(trials: int, rows: int):
 
 
 def _probe_chunks(seed, trials: int, rows: int, *keys):
-    """(start, stop, stream) for the chunks of _chunk_bounds(trials, rows),
-    the per-trial streams of the curve and Chebyshev loops: stream(t), for
-    t in range(start, stop), is a Generator at the start of
-    derived_rng(seed, t, *keys)'s stream until the next chunk, so a trial's
-    draws do not depend on the chunk bounds.  One derived_rng per trial in
-    a chunk of under _HASH_MIN_TRIALS trials, else one reused Generator set
-    to seed words hashed for the first such chunk alone, then for the rest
-    of the budget in slices of _HASH_SLICE trials, so a loop of up to
-    _HASH_SLICE trials hashes at most twice."""
-    g, end = None, 0
+    """(start, stop, gens) for the chunks of _chunk_bounds(trials, rows):
+    gens yields the Generators of trials start..stop-1 in turn, each at
+    the start of derived_rng(seed, t, *keys)'s stream, so a trial's draws
+    do not depend on the chunk bounds.  A chunk of under _HASH_MIN_TRIALS
+    trials builds one derived_rng per trial; a longer chunk hashes its own
+    trials' seed words once (_trial_seeds), and NumPy seeds each trial's
+    PCG64 from its row."""
     for start, stop in _chunk_bounds(trials, rows):
-        if stop > end and stop - start >= _HASH_MIN_TRIALS:
-            end = stop if g is None else min(trials, max(stop, start + _HASH_SLICE))
-            words, at = _trial_seeds(seed, end, *keys, start=start), start
-            g = g or np.random.Generator(np.random.PCG64(0))
-        if stop > end:
-            yield start, stop, lambda t: derived_rng(seed, t, *keys)
+        if stop - start < _HASH_MIN_TRIALS:
+            gens = (derived_rng(seed, t, *keys) for t in range(start, stop))
         else:
-            def stream(t, words=words, at=at):
-                g.bit_generator.state = _pcg64_state(words[t - at].tolist())
-                return g
-            yield start, stop, stream
+            gens = (np.random.Generator(np.random.PCG64(_Words(row)))
+                    for row in _trial_seeds(seed, start, stop, *keys))
+        yield start, stop, gens
 
 
 # ---------------------------------------------------------------------------

@@ -455,8 +455,8 @@ def test_screen_rows_are_the_shifted_slices(curve, monkeypatch):
     monkeypatch.setattr(fs, "_grid_counts", capture)
     _convexity_probes(curve, P, 2, 0)
     rows = screened_rows[0].reshape(2, 2, 3, -1)
-    start, stop, stream = next(fs._probe_chunks(0, 2, P.shape[0], 1))
-    _, S = _convexity_draws(P, stream, start, stop)
+    start, stop, gens = next(fs._probe_chunks(0, 2, P.shape[0], 1))
+    _, S = _convexity_draws(P, gens, stop - start)
     for sv, screened in zip(S.reshape(4, -1), rows.reshape(4, 3, -1)):
         spread = float(np.ptp(sv))
         for shift, row in zip((0.0, 1e-4 * spread, -1e-4 * spread), screened):

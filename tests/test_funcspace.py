@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 import chebzeros as cz
 from chebzeros import funcspace as fs
+from chebzeros.chebsys import NO_VIOLATION
 
 
 def test_interval_domain_basics():
@@ -52,15 +53,15 @@ def test_derived_rng_deterministic_and_distinct():
                                   2 ** 63, -1])
 @pytest.mark.parametrize("keys", [(2,), (1,), (0,), ()])
 def test_trial_seeds_reproduce_default_rng(seed, keys):
-    # one or two seed words, and the wrap of 2**63 and -1 modulo 2**63
-    seeds = fs._trial_seeds(seed, 301, *keys)
-    assert seeds.shape == (301, 4)
-    g = np.random.Generator(np.random.PCG64(0))
-    for t, words in enumerate(seeds.tolist()):
+    # one or two seed words, and the wrap of 2**63 and -1 modulo 2**63;
+    # NumPy seeds PCG64 from a row as derived_rng's SeedSequence seeds it
+    seeds = fs._trial_seeds(seed, 0, 301, *keys)
+    assert seeds.shape == (301, 4) and seeds.flags.c_contiguous
+    for t, row in enumerate(seeds):
         want = np.random.default_rng([seed % 2 ** 63, t, *keys])
-        state = fs._pcg64_state(words)
-        assert state == want.bit_generator.state
-        g.bit_generator.state = state
+        bg = np.random.PCG64(fs._Words(row))
+        assert bg.state == want.bit_generator.state
+        g = np.random.Generator(bg)
         assert g.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
         assert g.integers(2 ** 62) == want.integers(2 ** 62)
 
@@ -68,26 +69,41 @@ def test_trial_seeds_reproduce_default_rng(seed, keys):
 def test_trial_seeds_reject_material_past_the_pool():
     # a trial key of two words, or five words of seed material in all
     with pytest.raises(ValueError):
-        fs._trial_seeds(0, 2 ** 32 + 1, 2)
+        fs._trial_seeds(0, 2 ** 32 - 1, 2 ** 32 + 1, 2)
     with pytest.raises(ValueError):
-        fs._trial_seeds(2 ** 32, 3, 2 ** 32 + 5)
+        fs._trial_seeds(2 ** 32, 0, 3, 2 ** 32 + 5)
+
+
+def test_trial_words_serve_pcg64_only():
+    # another bit generator's request is refused, not served PCG64's words
+    row = fs._trial_seeds(7, 0, 1, 1)[0]
+    words = fs._Words(row)
+    assert words.generate_state(4, np.uint64) is row
+    for n_words, dtype in [(4, np.uint32), (2, np.uint64), (8, np.uint32),
+                           (624, np.uint32)]:
+        with pytest.raises(ValueError):
+            words.generate_state(n_words, dtype)
+    for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64):
+        with pytest.raises(ValueError):
+            bit_generator(words)
 
 
 @pytest.mark.parametrize("start, stop", [(0, 1), (3, 7), (0, 8), (8, 40), (40, 200)])
 def test_trial_streams_reproduce_derived_rng(start, stop):
     # trials start..stop-1 of a stop-trial budget, in probe chunks that
     # build one derived_rng per trial (all of them under a cap of 1 or 2
-    # trials), hash one chunk's seed words, or slice the rest of the
-    # budget's; all draw derived_rng's streams, again on recall
-    assert np.array_equal(fs._trial_seeds(7, stop, 1, start=start),
-                          fs._trial_seeds(7, stop, 1)[start:])
+    # trials) or hash their own seed words; all draw derived_rng's streams
+    assert np.array_equal(fs._trial_seeds(7, start, stop, 1),
+                          fs._trial_seeds(7, 0, stop, 1)[start:])
     for keys in [(), (1,)]:
-        for rows in (9, 2048, 2 ** 17, 2 ** 18):
-            for a, b, stream in fs._probe_chunks(7, stop, rows, *keys):
-                ts = [t for t in range(a, b) if t >= start]
-                for t in ts + ts[:1]:
+        for rows in (9, 64, 2048, 2 ** 17, 2 ** 18):
+            for a, b, gens in fs._probe_chunks(7, stop, rows, *keys):
+                gens = list(gens)
+                assert len(gens) == b - a
+                for t, g in zip(range(a, b), gens):
+                    if t < start:
+                        continue
                     want = fs.derived_rng(7, t, *keys)
-                    g = stream(t)
                     assert g.standard_normal(3).tobytes() == \
                         want.standard_normal(3).tobytes()
                     assert g.uniform() == want.uniform()
@@ -120,31 +136,50 @@ def test_probe_chunk_schedule():
             assert all(0 < b - a <= cap for a, b in got)
 
 
-def test_long_budgets_hash_seeds_in_slices(monkeypatch):
-    # after the first hashed chunk, seed words come in slices of at most
-    # _HASH_SLICE trials, each starting at a chunk, and streams stay
-    # derived_rng's across slice ends; a budget of one slice hashes twice
+def test_long_chunks_hash_their_own_seeds(monkeypatch):
+    # each chunk of _HASH_MIN_TRIALS or more trials hashes exactly its own
+    # trials' seed words, once; shorter chunks, a hit in the first 2
+    # trials, and the polyline loop, which keys one stream by each chunk's
+    # first trial, hash nothing
+    from chebzeros import discrete
     hashed = []
     seeds = fs._trial_seeds
 
-    def spy(seed, trials, *keys, start=0):
-        hashed.append((start, trials))
-        return seeds(seed, trials, *keys, start=start)
+    def spy(seed, start, stop, *keys):
+        hashed.append((keys, start, stop))
+        return seeds(seed, start, stop, *keys)
 
     monkeypatch.setattr(fs, "_trial_seeds", spy)
-    assert len(list(fs._probe_chunks(7, fs._HASH_SLICE, 64, 1))) > 2
-    assert hashed == [(2, 10), (10, fs._HASH_SLICE)]
+    for trials in (1, 3, 11, 200, 1000):
+        for rows in (9, 2048, 2 ** 17):
+            hashed.clear()
+            bounds = [(a, b) for a, b, _ in fs._probe_chunks(7, trials, rows, 1)]
+            assert hashed == [((1,), a, b) for a, b in bounds
+                              if b - a >= fs._HASH_MIN_TRIALS]
     hashed.clear()
-    budget = 3 * fs._HASH_SLICE + 5
-    starts = []
-    for a, b, stream in fs._probe_chunks(7, budget, 64, 1):
-        starts.append(a)
-        for t in (a, b - 1):
-            assert stream(t).standard_normal(2).tobytes() == \
-                fs.derived_rng(7, t, 1).standard_normal(2).tobytes()
-    assert hashed[0] == (2, 10) and hashed[-1][1] == budget and len(hashed) == 5
-    assert all(a in starts and b - a <= fs._HASH_SLICE for a, b in hashed)
-    assert all(b0 < b1 and a1 <= b0 for (_, b0), (a1, b1) in zip(hashed, hashed[1:]))
+    list(fs._probe_chunks(7, 200, 2048, 1))
+    assert hashed == [((1,), 2, 10), ((1,), 10, 42), ((1,), 42, 170),
+                      ((1,), 170, 200)]
+    hashed.clear()
+    zigzag = cz.PolyLine(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0],
+                                   [3.0, 1.0], [4.0, 0.0]]))
+    assert discrete.polyline_convexity_check(zigzag, 10 ** 6, 0).trials_run <= 2
+    ts = np.linspace(-1.0, 1.0, 9)
+    convex = cz.PolyLine(np.stack([ts, ts ** 2], axis=1))
+    assert discrete.polyline_convexity_check(convex, 300, 0).trials_run == 300
+    assert hashed == []
+    c = cz.moment_curve(3)
+    for trials in range(1, fs._HASH_MIN_TRIALS + 2):
+        assert cz.theorem4_check(c, trials).agree
+        assert cz.convexity_check(c, trials).convex
+        assert cz.verify_chebyshev(cz.trig_system(2), trials).status == NO_VIOLATION
+    assert hashed == []
+    assert cz.convexity_check(c, 200).convex
+    assert cz.verify_chebyshev(cz.trig_system(2), 200).status == NO_VIOLATION
+    assert cz.theorem4_check(c, 200).agree
+    chunks = [(2, 10), (10, 42), (42, 170), (170, 200)]
+    assert hashed == 2 * ([((1,), a, b) for a, b in chunks] +
+                          [((), a, b) for a, b in chunks])
 
 
 def test_seed_hash_memory_is_bounded():
