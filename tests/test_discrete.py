@@ -606,6 +606,46 @@ def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
         assert confirmed and np.array_equal(confirmed[0], w1)
 
 
+def test_seeds_hashed_for_first_chunk_then_budget(monkeypatch):
+    # the curve and Chebyshev loops hash their first chunk of
+    # _HASH_MIN_TRIALS or more trials, then each later chunk of the budget
+    # on its own; shorter budgets, a hit in the first 2 trials, and the
+    # polyline loop, which keys one stream by each chunk's first trial,
+    # hash nothing
+    from chebzeros import discrete
+    hashed = []
+    seeds = fs._trial_seeds
+
+    def spy(seed, start, stop, *keys):
+        hashed.append((keys, start, stop))
+        return seeds(seed, start, stop, *keys)
+
+    monkeypatch.setattr(fs, "_trial_seeds", spy)
+    zigzag = cz.PolyLine(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0],
+                                   [3.0, 1.0], [4.0, 0.0]]))
+    assert discrete.polyline_convexity_check(zigzag, 10 ** 6, 0).trials_run <= 2
+    ts = np.linspace(-1.0, 1.0, 9)
+    convex = cz.PolyLine(np.stack([ts, ts ** 2], axis=1))
+    c = cz.moment_curve(3)
+    for trials in range(1, fs._HASH_MIN_TRIALS + 2):
+        assert discrete.polyline_convexity_check(convex, trials, 0).trials_run == trials
+        assert cz.theorem4_check(c, trials).agree
+        assert cz.convexity_check(c, trials).convex
+        assert cz.verify_chebyshev(cz.trig_system(2), trials).status == NO_VIOLATION
+    assert hashed == []
+    assert discrete.polyline_convexity_check(convex, 300, 0).trials_run == 300
+    assert hashed == []
+    chunks = [(2, 10), (10, 42), (42, 170), (170, 200)]
+    assert cz.convexity_check(c, 200).convex
+    assert cz.verify_chebyshev(cz.trig_system(2), 200).status == NO_VIOLATION
+    assert hashed == ([((1,), a, b) for a, b in chunks] +
+                      [((), a, b) for a, b in chunks])
+    hashed.clear()
+    assert cz.theorem4_check(c, 200).agree
+    assert sorted(hashed) == sorted([((), a, b) for a, b in chunks] +
+                                    [((1,), a, b) for a, b in chunks])
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
 def test_convexity_verdict_does_not_depend_on_scale(scale):
     # the vertex reject band and the screen's band scale with max|V|: a

@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 import chebzeros as cz
 from chebzeros import funcspace as fs
-from chebzeros.chebsys import NO_VIOLATION
 
 
 def test_interval_domain_basics():
@@ -136,12 +135,10 @@ def test_probe_chunk_schedule():
             assert all(0 < b - a <= cap for a, b in got)
 
 
-def test_long_chunks_hash_their_own_seeds(monkeypatch):
+def test_long_budgets_hash_seeds_in_slices(monkeypatch):
     # each chunk of _HASH_MIN_TRIALS or more trials hashes exactly its own
-    # trials' seed words, once; shorter chunks, a hit in the first 2
-    # trials, and the polyline loop, which keys one stream by each chunk's
-    # first trial, hash nothing
-    from chebzeros import discrete
+    # trials' seed words, once, and shorter chunks hash nothing; streams
+    # stay derived_rng's across the slice ends
     hashed = []
     seeds = fs._trial_seeds
 
@@ -161,25 +158,13 @@ def test_long_chunks_hash_their_own_seeds(monkeypatch):
     assert hashed == [((1,), 2, 10), ((1,), 10, 42), ((1,), 42, 170),
                       ((1,), 170, 200)]
     hashed.clear()
-    zigzag = cz.PolyLine(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0],
-                                   [3.0, 1.0], [4.0, 0.0]]))
-    assert discrete.polyline_convexity_check(zigzag, 10 ** 6, 0).trials_run <= 2
-    ts = np.linspace(-1.0, 1.0, 9)
-    convex = cz.PolyLine(np.stack([ts, ts ** 2], axis=1))
-    assert discrete.polyline_convexity_check(convex, 300, 0).trials_run == 300
-    assert hashed == []
-    c = cz.moment_curve(3)
-    for trials in range(1, fs._HASH_MIN_TRIALS + 2):
-        assert cz.theorem4_check(c, trials).agree
-        assert cz.convexity_check(c, trials).convex
-        assert cz.verify_chebyshev(cz.trig_system(2), trials).status == NO_VIOLATION
-    assert hashed == []
-    assert cz.convexity_check(c, 200).convex
-    assert cz.verify_chebyshev(cz.trig_system(2), 200).status == NO_VIOLATION
-    assert cz.theorem4_check(c, 200).agree
-    chunks = [(2, 10), (10, 42), (42, 170), (170, 200)]
-    assert hashed == 2 * ([((1,), a, b) for a, b in chunks] +
-                          [((), a, b) for a, b in chunks])
+    for a, b, gens in fs._probe_chunks(7, 1000, 2 ** 13, 1):
+        gens = list(gens)
+        for t in (a, b - 1):
+            assert gens[t - a].standard_normal(2).tobytes() == \
+                fs.derived_rng(7, t, 1).standard_normal(2).tobytes()
+    assert len(hashed) > 4 and hashed[-1][2] == 1000
+    assert all(b - a <= 2 ** 18 // 2 ** 13 for _, a, b in hashed)
 
 
 def test_seed_hash_memory_is_bounded():
