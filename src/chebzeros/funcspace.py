@@ -177,11 +177,10 @@ class _Words(ISeedSequence):
         return self.row
 
 
-# below this many trials, one derived_rng per trial (about 15 us) costs
-# less than one _trial_seeds hash (about 45 us) plus a _Words-seeded
-# Generator per trial (about 2 us): at 3 trials the former took 47 us and
-# the latter 50 us, at 4 trials 60 us and 53 us (best of 15 repeats)
-_HASH_MIN_TRIALS = 4
+# below this many trials, a chunk builds one derived_rng per trial (about
+# 15 us each) instead of one _trial_seeds hash (about 45 us) plus a
+# _Words-seeded Generator per trial (about 2 us each)
+_HASH_MIN_TRIALS = 5
 # trials per probe chunk are capped so that each probe row of a chunk holds
 # at most this many values; the cap also bounds a chunk's seed hash, about
 # 145 bytes a trial

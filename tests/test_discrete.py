@@ -607,11 +607,10 @@ def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
 
 
 def test_seeds_hashed_for_first_chunk_then_budget(monkeypatch):
-    # the curve and Chebyshev loops hash their first chunk of
-    # _HASH_MIN_TRIALS or more trials, then each later chunk of the budget
-    # on its own; shorter budgets, a hit in the first 2 trials, and the
-    # polyline loop, which keys one stream by each chunk's first trial,
-    # hash nothing
+    # the curve and Chebyshev loops hash each chunk of _HASH_MIN_TRIALS or
+    # more trials on its own; budgets of up to 6 trials (chunks (0, 2) and
+    # (2, 6) at most), a hit in the first 2 trials, and the polyline loop,
+    # which keys one stream by each chunk's first trial, hash nothing
     from chebzeros import discrete
     hashed = []
     seeds = fs._trial_seeds
@@ -627,7 +626,7 @@ def test_seeds_hashed_for_first_chunk_then_budget(monkeypatch):
     ts = np.linspace(-1.0, 1.0, 9)
     convex = cz.PolyLine(np.stack([ts, ts ** 2], axis=1))
     c = cz.moment_curve(3)
-    for trials in range(1, fs._HASH_MIN_TRIALS + 2):
+    for trials in range(1, 7):
         assert discrete.polyline_convexity_check(convex, trials, 0).trials_run == trials
         assert cz.theorem4_check(c, trials).agree
         assert cz.convexity_check(c, trials).convex
