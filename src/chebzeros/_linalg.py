@@ -90,16 +90,3 @@ def _planes_through(pts: np.ndarray):
     R2 = np.prod(np.einsum("nij,nij->ni", X, X) + 1.0, axis=1)
     return c, np.sqrt(w2 / R2) >= _MINOR_FLOOR
 
-
-def _increasing_tuples(m: int, k: int) -> np.ndarray:
-    """All C(m, k) increasing k-tuples of range(m), 1 <= k <= m, as rows of
-    an intp array in the order of itertools.combinations.  Built a column
-    at a time: each row repeats once per choice of its next entry."""
-    T = np.arange(m - k + 1)[:, None]
-    for j in range(1, k):
-        last = T[:, -1]
-        counts = m - k + j - last  # next entry: last + 1 .. m - k + j
-        rows = np.repeat(np.arange(len(T)), counts)
-        starts = np.cumsum(counts) - counts
-        T = np.column_stack([T[rows], last[rows] + 1 + np.arange(rows.size) - starts[rows]])
-    return T

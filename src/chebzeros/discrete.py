@@ -19,8 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import funcspace as fs
-from ._linalg import (_det_signs, _increasing_tuples, _planes_through, fix_leading_sign,
-                      svd_kernel)
+from ._linalg import _det_signs, _planes_through, fix_leading_sign, svd_kernel
 from .chebsys import COUNTEREXAMPLE, DEFAULT_TRIALS, NO_VIOLATION, _check_trials
 from .curves import Hyperplane, _with_ones, monomial_multi_indices, monomial_values
 from .orthosynth import ZeroBoundReport
@@ -29,9 +28,9 @@ VERTEX_REJECT_TOL = 1e-9
 MASS_RESIDUAL_TOL = 1e-10
 _CONVEXITY_SEED = 1729  # fixed internal seed for hypothesis screening
 _CONVEXITY_TRIALS = 200  # probes of the convexity hypothesis in theorem6_check
-# above this many (d+1)-minors, _sign_regular costs about as much as the
-# probes it replaces (about 1.4 ms for C(14, 5) = 2002 minors, 6-8 ms for
-# a 200-trial screen of such a line)
+# _sign_regular decides no line of more than this many (d+1)-minors.  It
+# signs only the k(m - k) + 1 test minors, so the cap no longer tracks its
+# cost; it only keeps which lines are decided (ROADMAP item 3 lifts it)
 _MINORS_CAP = 10 ** 4
 
 
@@ -142,27 +141,41 @@ def _convex_certificate(V: np.ndarray) -> Optional[bool]:
     return abs(abs(total) - fs.TWO_PI) <= 1e-6
 
 
+def _test_tuples(m: int, k: int) -> np.ndarray:
+    """The k(m - k) + 1 increasing k-tuples of range(m) that test strict
+    total positivity of an m x k matrix's maximal minors (the rectangles
+    seed of Gr(k, m); Postnikov, arXiv math/0609764): [0, k) and
+    [0, p) + [q, q + k - p) for p < k, p < q <= m - k + p, as intp rows."""
+    p = np.repeat(np.arange(k), m - k)[:, None]
+    q = p + 1 + np.tile(np.arange(m - k), k)[:, None]
+    j = np.arange(k)
+    return np.vstack([j, np.where(j < p, j, q + j - p)])
+
+
 def _sign_regular(P: PolyLine) -> Optional[bool]:
     """Whether A = [1, (V - v_1) / max|V - v_1|] is strictly sign regular
-    of order d+1: every (d+1)-minor over increasing vertex tuples has a
-    sign that _det_signs trusts, and all share it.  If so, no
+    of order d+1: every (d+1)-minor over increasing vertex tuples has one
+    strict sign.  The minors over _test_tuples decide it: where all of
+    them have a sign that _det_signs trusts, and all share it, every other
+    minor has that strict sign too (each is a subtraction-free expression
+    in them, after a column sign flip if they are negative).  Then no
     vertex-avoiding hyperplane cuts the line more than d times (the
-    variation-diminishing theorem: Gantmacher & Krein 1950; Karlin,
-    Total Positivity, 1968, ch. 5), and on a closed line with even d the
-    cyclic count, which is even, is at most the linear count plus one, so
-    at most d as well.  False only says the strict test fails (a minor
+    variation-diminishing theorem: Gantmacher & Krein 1950; Karlin, Total
+    Positivity, 1968, ch. 5), and on a closed line with even d the cyclic
+    count, which is even, is at most the linear count plus one, so at
+    most d as well.  False only says the strict test fails (a test minor
     untrusted or of the other sign), not that the line is not convex.
 
     None where the minors do not decide: closed planar polygons (the
     cheaper _convex_certificate decides those), closed lines with odd d,
-    m <= d + 1 vertices, and more than _MINORS_CAP minors."""
+    m <= d + 1 vertices, and more than _MINORS_CAP (d+1)-minors in all."""
     m, d = P.k, P.d
     if ((P.closed and (d == 2 or d % 2)) or m <= d + 1
             or math.comb(m, d + 1) > _MINORS_CAP):
         return None
     U = P.vertices - P.vertices[0]
     A = np.insert(U / np.max(np.abs(U)), 0, 1.0, axis=1)
-    sign, trusted = _det_signs(A[_increasing_tuples(m, d + 1)])
+    sign, trusted = _det_signs(A[_test_tuples(m, d + 1)])
     return bool(trusted.all() and (sign == sign[0]).all())
 
 

@@ -288,6 +288,20 @@ def circle() -> Domain:
     return Domain(CIRCLE)
 
 
+@lru_cache(maxsize=32)
+def _shared_grid(dom: Domain, n: int) -> np.ndarray:
+    g = dom.grid(n)
+    g.flags.writeable = False
+    return g
+
+
+def _grid(dom: Domain, n: int) -> np.ndarray:
+    """dom.grid(n)'s floats: for n <= DEFAULT_GRID_N one read-only array per
+    (domain, n), shared by every caller (the last 32 pairs are kept), and a
+    fresh array per call for larger grids."""
+    return _shared_grid(dom, n) if n <= DEFAULT_GRID_N else dom.grid(n)
+
+
 # ---------------------------------------------------------------------------
 # functions
 
@@ -354,7 +368,7 @@ def _int_powers(t, k: int) -> np.ndarray:
     return P
 
 
-# circle grid size n -> (circle().grid(n), [(cos g, sin g), (cos 2g, sin 2g), ...])
+# circle grid size n -> (_grid(circle(), n), [(cos g, sin g), (cos 2g, sin 2g), ...])
 _HARMONIC_ROWS: dict = {}
 
 
@@ -362,18 +376,20 @@ def _harmonics(ts, k: int):
     """[(cos(m g), sin(m g)) for m = 1..k] when ts is the circle grid
     g = circle().grid(n) of n <= DEFAULT_GRID_N points, else None.
 
-    Each row is np.cos(m * g) / np.sin(m * g), computed once, read-only,
-    and kept for the life of the process, so a caller gets the floats of
-    the inline expression.  Larger grids stay uncached: a row of the
-    16384-point grid is 128 KiB, and a caller computes those inline one
-    harmonic at a time to keep its peak memory down."""
+    Each row is np.cos(m * g) / np.sin(m * g), computed once on the shared
+    grid _grid(circle(), n), read-only, and kept for the life of the
+    process, so a caller gets the floats of the inline expression.  The
+    shared grid itself, which counts and circle quadrature pass, is
+    recognized without a compare.  Larger grids stay uncached: a row of
+    the 16384-point grid is 128 KiB, and a caller computes those inline
+    one harmonic at a time to keep its peak memory down."""
     ts = np.asarray(ts)
     n = ts.shape[0] if ts.ndim == 1 else 0
     # the first two points reject almost every other array before a full compare
     if not 2 <= n <= DEFAULT_GRID_N or ts[0] != 0.0 or ts[1] != TWO_PI / n:
         return None
-    g, rows = _HARMONIC_ROWS.get(n) or (circle().grid(n), [])
-    if not np.array_equal(ts, g):
+    g, rows = _HARMONIC_ROWS.get(n) or (_grid(circle(), n), [])
+    if ts is not g and not np.array_equal(ts, g):
         return None
     _HARMONIC_ROWS[n] = g, rows
     for m in range(len(rows) + 1, k + 1):
@@ -506,11 +522,19 @@ def _gauss_pieces(los, his, panels):
     return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * w).ravel()
 
 
+@lru_cache(maxsize=1)
+def _circle_weights() -> np.ndarray:
+    ws = np.full(CIRCLE_NODES, TWO_PI / CIRCLE_NODES)
+    ws.flags.writeable = False
+    return ws
+
+
 def quad_nodes(dom: Domain):
-    """Nodes and weights of the quadrature rule over the whole domain."""
+    """Nodes and weights of the quadrature rule over the whole domain; on
+    the circle both are shared read-only arrays, the nodes being
+    _grid(circle(), CIRCLE_NODES)."""
     if dom.is_circle:
-        n = CIRCLE_NODES
-        return np.arange(n) * (TWO_PI / n), np.full(n, TWO_PI / n)
+        return _grid(dom, CIRCLE_NODES), _circle_weights()
     return _gauss_pieces(np.array([dom.a]), np.array([dom.b]),
                          np.array([GAUSS_PANELS]))
 
@@ -606,14 +630,15 @@ def _no_roots() -> np.ndarray:
 
 
 def _count_grid(dom: Domain, grid_n: int) -> np.ndarray:
-    """dom.grid(grid_n), the counting grid, for a grid_n that is an integer
-    of at least 64: every entry point that counts takes its grid here,
-    before it evaluates a basis or decomposes a matrix."""
+    """_grid(dom, grid_n), the counting grid (read-only and shared up to
+    DEFAULT_GRID_N points), for a grid_n that is an integer of at least
+    64: every entry point that counts takes its grid here, before it
+    evaluates a basis or decomposes a matrix."""
     if isinstance(grid_n, bool) or not isinstance(grid_n, numbers.Integral):
         raise ValueError(f"grid_n must be an integer, got {grid_n!r}")
     if grid_n < 64:
         raise ValueError("grid_n must be at least 64")
-    return dom.grid(grid_n)
+    return _grid(dom, grid_n)
 
 
 def _check_tol(tol) -> None:
@@ -856,16 +881,20 @@ def _root_finder(fvals: Callable, dom: Domain, ts: np.ndarray,
     the returned callable yields the sorted roots of fvals.  Each side's
     secant starts from the neighbouring grid sample, and a bracket that
     holds one of guesses (points where f is known to cross) walks toward
-    it first.  It keeps only the bracket arrays, not the grid a report
-    outlives."""
-    los = ts[ii]
-    his = ts[jj]
-    his = np.where(his <= los, his + TWO_PI, his)  # only the cyclic closing pair
-    vlos, vhis = vals[ii], vals[jj]
-    vlo2, vhi2 = vals[ii - 1], vals[(jj + 1) % ts.size]
-    h, last = ts[1] - ts[0], ts.size - 1
-
+    it first.  The brackets are gathered from ts and vals only when it is
+    called, once (SignChangeReport.locations caches the result): most
+    reports are read for their count alone.  The call then lets ts and
+    vals go, so a report kept after its locations were read holds no grid
+    values."""
     def roots():
+        nonlocal ts, vals
+        los = ts[ii]
+        his = ts[jj]
+        his = np.where(his <= los, his + TWO_PI, his)  # only the cyclic closing pair
+        vlos, vhis = vals[ii], vals[jj]
+        vlo2, vhi2 = vals[ii - 1], vals[(jj + 1) % ts.size]
+        h, last = ts[1] - ts[0], ts.size - 1
+        ts = vals = None
         lo2, hi2 = los - h, his + h
         if not dom.is_circle:
             lo2[ii == 0] = np.nan

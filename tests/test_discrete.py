@@ -1,3 +1,4 @@
+import math
 from itertools import product
 
 import numpy as np
@@ -924,9 +925,39 @@ def test_screen_flags_every_trial_with_an_exact_hit():
 # the sign-regular certificate of theorem6_check's hypothesis
 
 
+def _increasing_tuples(m: int, k: int) -> np.ndarray:
+    """All C(m, k) increasing k-tuples of range(m), 1 <= k <= m, as rows of
+    an intp array in the order of itertools.combinations.  Built a column
+    at a time: each row repeats once per choice of its next entry."""
+    T = np.arange(m - k + 1)[:, None]
+    for j in range(1, k):
+        last = T[:, -1]
+        counts = m - k + j - last  # next entry: last + 1 .. m - k + j
+        rows = np.repeat(np.arange(len(T)), counts)
+        starts = np.cumsum(counts) - counts
+        T = np.column_stack([T[rows], last[rows] + 1 + np.arange(rows.size) - starts[rows]])
+    return T
+
+
+def _all_minors_sign_regular(P):
+    """The all-minors oracle of discrete._sign_regular: every (d+1)-minor
+    of [1, (V - v_1) / max|V - v_1|] over increasing vertex tuples is
+    trusted by _det_signs and all share one sign; None where
+    _sign_regular does not decide."""
+    from chebzeros import discrete
+    from chebzeros._linalg import _det_signs
+    m, d = P.k, P.d
+    if ((P.closed and (d == 2 or d % 2)) or m <= d + 1
+            or math.comb(m, d + 1) > discrete._MINORS_CAP):
+        return None
+    U = P.vertices - P.vertices[0]
+    A = np.insert(U / np.max(np.abs(U)), 0, 1.0, axis=1)
+    sign, trusted = _det_signs(A[_increasing_tuples(m, d + 1)])
+    return bool(trusted.all() and (sign == sign[0]).all())
+
+
 def test_increasing_tuples_match_combinations():
     from itertools import combinations
-    from chebzeros._linalg import _increasing_tuples
     for m in range(1, 15):
         for k in sorted({1, 2, (m + 1) // 2, m}):
             want = np.array(list(combinations(range(m), k)), dtype=np.intp)
@@ -957,6 +988,41 @@ def _certificate_polylines():
     return out
 
 
+def _equivalence_polylines(scale):
+    """Seeded open lines in R^2..R^4 and closed lines in R^4 and R^6, each
+    scaled to max |V| = scale: moment and trig curves' inscribed lines, the
+    same with their vertices perturbed by 1e-5..1e-1 of the spread,
+    lines with one vertex put on an edge, random lines and zigzags, each
+    under a random affine map."""
+    out = []
+    for s in range(150):
+        rng = fs.derived_rng(4099, s)
+        closed = s % 3 == 2
+        d = (4 if s % 2 else 6) if closed else 2 + s % 3
+        k = int(rng.integers(d + 2, 12 if d < 6 else 11))
+        if closed:
+            t = np.sort(rng.uniform(0.0, fs.TWO_PI, k))
+            V = np.stack([f(j * t) for j in range(1, d // 2 + 1) for f in (np.cos, np.sin)],
+                         axis=1)
+        else:
+            t = np.sort(rng.uniform(-1.0, 1.0, k))
+            V = np.stack([t ** j for j in range(1, d + 1)], axis=1)
+        kind = s % 5
+        if kind == 1:
+            V = V + 10.0 ** rng.uniform(-5, -1) * rng.standard_normal(V.shape)
+        elif kind == 2:
+            i, lam = int(rng.integers(0, k - 1)), rng.uniform(0.1, 0.9)
+            V = np.insert(V, i + 1, lam * V[i] + (1.0 - lam) * V[i + 1], axis=0)
+        elif kind == 3:
+            V = rng.standard_normal(V.shape)
+        elif kind == 4:
+            V[1::2, 1:] *= -1.0  # a zigzag through the curve's vertices
+        A = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
+        V = V @ A + rng.standard_normal(d)
+        out.append(cz.PolyLine(scale * V / np.max(np.abs(V)), closed))
+    return out
+
+
 def test_certified_lines_get_no_probe_hit():
     from chebzeros import discrete
     certified = 0
@@ -970,7 +1036,7 @@ def test_certified_lines_get_no_probe_hit():
 
 def test_theorem6_report_matches_probe_only_path(monkeypatch):
     from chebzeros import discrete
-    lines = _certificate_polylines()
+    lines = _certificate_polylines() + _equivalence_polylines(1.0)
     masses = [cz.construct_masses(P, 1, i) for i, P in enumerate(lines)]
     got = [repr(cz.theorem6_check(P, 1, m)) for P, m in zip(lines, masses)]
     monkeypatch.setattr(discrete, "_sign_regular", lambda P: None)
@@ -992,6 +1058,85 @@ def test_certificate_does_not_depend_on_scale(scale):
         b = np.linspace(-2.0, 3.0, V.shape[1])
         for a in (scale, -scale):
             assert discrete._sign_regular(cz.PolyLine(a * V + a * b, closed)) is want
+
+
+def test_test_tuples_are_distinct_increasing_rows():
+    from chebzeros import discrete
+    for m in range(2, 15):
+        for k in range(1, m):
+            T = discrete._test_tuples(m, k)
+            assert T.shape == (k * (m - k) + 1, k) and T.dtype == np.intp
+            assert (T[:, 0] >= 0).all() and (T[:, -1] < m).all()
+            assert (np.diff(T, axis=1) > 0).all()
+            assert len({tuple(r) for r in T.tolist()}) == len(T)
+            assert T[0].tolist() == list(range(k))
+            # each row is [0, p) + [q, q + k - p): one gap at most
+            assert ((np.diff(T, axis=1) > 1).sum(axis=1) <= 1).all()
+    T = discrete._test_tuples(14, 5)
+    assert len(T) == 46 and math.comb(14, 5) == 2002
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])
+def test_sign_regular_equals_all_minors_oracle(scale):
+    from chebzeros import discrete
+    got = []
+    for i, P in enumerate(_equivalence_polylines(scale)):
+        want = _all_minors_sign_regular(P)
+        assert want is not None
+        assert discrete._sign_regular(P) is want, i
+        got.append(want)
+    assert got.count(True) >= 40 and got.count(False) >= 60
+
+
+def _exact_det_sign(M) -> int:
+    """The sign of det M, M a float matrix read as the exact rationals
+    it holds, by fraction-free (Bareiss) elimination."""
+    from fractions import Fraction
+    A = [[Fraction(x) for x in row] for row in M.tolist()]
+    n, sign, prev = len(A), 1, Fraction(1)
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if swap is None:
+                return 0
+            A[k], A[swap], sign = A[swap], A[k], -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) / prev
+        prev = A[k][k]
+    return sign * ((A[-1][-1] > 0) - (A[-1][-1] < 0))
+
+
+def test_trusted_det_signs_are_the_exact_signs():
+    # the certificate rests on this: every determinant sign _det_signs
+    # trusts is the true sign of the float matrix
+    from chebzeros import discrete
+    from chebzeros._linalg import _det_signs
+    rng = fs.derived_rng(8191, 0)
+    stacks = []
+    for n in range(3, 7):
+        Q1 = np.linalg.qr(rng.standard_normal((200, n, n)))[0]
+        Q2 = np.linalg.qr(rng.standard_normal((200, n, n)))[0]
+        cond = 10.0 ** rng.uniform(2.0, 13.0, 200)
+        sv = cond[:, None] ** -np.linspace(0.0, 1.0, n)
+        stacks.append(np.einsum("kij,kj,klj->kil", Q1, sv, Q2))
+    for s in range(40):
+        rng = fs.derived_rng(8191, 1 + s)
+        d = 2 + s % 4
+        t = np.sort(rng.uniform(-1.0, 1.0, int(rng.integers(d + 2, 10))))
+        V = np.stack([t ** j for j in range(1, d + 1)], axis=1)
+        V = V + 10.0 ** rng.uniform(-9, -2) * rng.standard_normal(V.shape)
+        U = V - V[0]
+        A = np.insert(U / np.max(np.abs(U)), 0, 1.0, axis=1)
+        stacks.append(A[discrete._test_tuples(len(A), d + 1)])
+    trusted_total = untrusted_total = 0
+    for Ms in stacks:
+        sign, trusted = _det_signs(Ms)
+        for M, sg in zip(Ms[trusted], sign[trusted]):
+            assert _exact_det_sign(M) == sg
+        trusted_total += int(trusted.sum())
+        untrusted_total += int((~trusted).sum())
+    assert trusted_total >= 600 and untrusted_total >= 50
 
 
 def test_probe_screen_runs_only_where_undecided(monkeypatch):

@@ -437,6 +437,53 @@ def test_every_grid_n_is_checked_before_any_decomposition(monkeypatch, name):
             call(grid_n=bad)
 
 
+@pytest.mark.parametrize("dom", [fs.interval(-1.0, 1.0), fs.interval(0.5, 2.0), fs.circle()],
+                         ids=["interval", "power-interval", "circle"])
+def test_count_grid_is_one_shared_read_only_array(dom):
+    for n in (64, 1000, fs.CIRCLE_NODES, fs.DEFAULT_GRID_N):
+        g = fs._count_grid(dom, n)
+        assert fs._count_grid(dom, n) is g
+        assert fs._count_grid(dom, np.int64(n)) is g
+        assert not g.flags.writeable
+        assert g.tobytes() == dom.grid(n).tobytes()
+        with pytest.raises(ValueError):
+            g[0] = 1.0
+
+
+def test_count_grid_past_the_default_size_is_fresh():
+    for dom in (fs.interval(-1.0, 1.0), fs.circle()):
+        for n in (fs.DEFAULT_GRID_N + 1, 4096):
+            g = fs._count_grid(dom, n)
+            assert g is not fs._count_grid(dom, n)
+            assert g.flags.writeable
+            assert g.tobytes() == dom.grid(n).tobytes()
+
+
+def test_circle_quadrature_arrays_are_shared_and_read_only():
+    n = fs.CIRCLE_NODES
+    ts, ws = fs.quad_nodes(fs.circle())
+    assert not ts.flags.writeable and not ws.flags.writeable
+    assert ts.tobytes() == (np.arange(n) * (fs.TWO_PI / n)).tobytes()
+    assert ws.tobytes() == np.full(n, fs.TWO_PI / n).tobytes()
+    ts2, ws2 = fs.quad_nodes(fs.circle())
+    assert ts2 is ts and ws2 is ws
+    # the nodes are the counting grid of the same size
+    assert fs._count_grid(fs.circle(), n) is ts
+    assert fs.rule_with_breaks(fs.circle(), [])[0] is ts
+
+
+def test_harmonic_rows_for_the_shared_grid_and_a_copy():
+    for n in (fs.CIRCLE_NODES, fs.DEFAULT_GRID_N):
+        g = fs._count_grid(fs.circle(), n)
+        rows = fs._harmonics(g, 4)
+        copy = fs._harmonics(np.array(g), 4)
+        assert len(rows) == len(copy) == 4
+        for m, ((c, s), (c2, s2)) in enumerate(zip(rows, copy), start=1):
+            assert c is c2 and s is s2
+            assert c.tobytes() == np.cos(m * g).tobytes()
+            assert s.tobytes() == np.sin(m * g).tobytes()
+
+
 def test_quadrature_rule_is_fixed():
     # circle: 1024-node trapezoid; interval: 32 Gauss panels of 16 nodes
     ts, ws = fs.quad_nodes(fs.circle())
@@ -939,6 +986,25 @@ def test_multisection_on_a_blas_combination(simple, double):
     want = np.sort(_reference_bisect(f, los, his, slos))
     assert rep.count == want.size == 1
     assert np.max(np.abs(rep.locations - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("dom", [fs.interval(-1.0, 1.0), fs.circle()], ids=["interval", "circle"])
+def test_report_lets_its_grid_go_once_refined(dom):
+    # a report holds its grid and values only until its locations are read
+    import gc
+    import weakref
+    f = fs.Func1D(lambda t: np.sin(5.0 * t) + 0.1)
+    for report in (fs.grid_sign_report, fs.grid_extrema_report):
+        ts = dom.grid(2 * fs.DEFAULT_GRID_N)  # a fresh array, not a shared grid
+        vals = f(ts)
+        held = [weakref.ref(ts)] + [weakref.ref(vals)] * (report is fs.grid_sign_report)
+        rep = report(f, dom, ts, vals)
+        del ts, vals
+        gc.collect()
+        assert all(r() is not None for r in held)
+        assert rep.locations.size == rep.count > 0
+        gc.collect()
+        assert all(r() is None for r in held)
 
 
 def test_count_only_never_evaluates_off_grid():
