@@ -12,10 +12,10 @@ hands the probe loop [1, P] from the one curve sample P it also slices.
 
 Probe loops take trials in the chunks of fs._probe_chunks (2, 8, 32,
 128, ..., the schedule of every falsifier in the package), which hands
-this loop and the curve loop one Generator per trial, trial t's being
-derived_rng(seed, t, ...)'s stream: drawn trial by trial, evaluated as
-arrays, counted in one fs._grid_counts call per chunk, then read in
-trial order, so verdicts and witnesses are a trial-by-trial loop's.
+this loop and the curve loop derived_rng(seed, t, ...) for each trial
+t: drawn trial by trial, evaluated as arrays, counted in one
+fs._grid_counts call per chunk, then read in trial order, so verdicts
+and witnesses are a trial-by-trial loop's.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ from functools import cached_property, lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 TWO_PI = 2.0 * math.pi
 
@@ -72,118 +71,17 @@ def derived_rng(seed, *keys):
 
     Trials seeded as derived_rng(seed, trial_index) do not depend on
     execution order, so sequential and parallel sweeps see identical
-    streams.  The curve and Chebyshev probe loops draw these streams bit
-    for bit for a whole range of trial indices at once: _trial_seeds
-    hashes the range's seed words as arrays, and NumPy seeds each trial's
-    PCG64 from its row (_Words).  The polyline loop instead keys one
-    stream by each chunk's first trial and draws the chunk from it as
-    arrays, so there a trial's draws depend on its chunk bounds.
+    streams.  The curve and Chebyshev probe loops build one such stream
+    per trial (_probe_chunks).  The polyline loop instead keys one stream
+    by each chunk's first trial and draws the chunk from it as arrays, so
+    there a trial's draws depend on its chunk bounds.
     """
     material = [int(seed) % (2 ** 63)] + [int(k) % (2 ** 63) for k in keys]
     return np.random.default_rng(material)
 
 
-# SeedSequence's hash constants (NumPy NEP 19): the algorithm is fixed and
-# stream-stable
-_M32 = 2 ** 32 - 1
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_S16, _S32 = np.uint32(16), np.uint64(32)
-
-
-def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
-    """The constants of SeedSequence's successive hashmix calls, as a
-    column: call j xors with entry j and multiplies by entry j + 1."""
-    c = [init]
-    for _ in range(calls):
-        c.append(c[-1] * mult & _M32)
-    return np.array(c, np.uint32)[:, None]
-
-
-# mix_entropy makes 4 + 12 hashmix calls, generate_state(4, uint64) 8
-_HASH_A = _hash_consts(0x43B0D7E5, 0x931E8875, 16)
-_HASH_B = _hash_consts(0x8B51F9DD, 0x58F38DED, 8)
-
-
-def _mix_consts(src: int):
-    """The constants of mixing pass src's three hashmix calls (of pool word
-    src, one per other word), in the rows of the words they mix into."""
-    xor, mul = np.zeros((4, 1), np.uint32), np.zeros((4, 1), np.uint32)
-    rows, j = [i for i in range(4) if i != src], 4 + 3 * src
-    xor[rows], mul[rows] = _HASH_A[j:j + 3], _HASH_A[j + 1:j + 4]
-    return xor, mul
-
-
-_MIX_PASSES = [_mix_consts(src) for src in range(4)]
-
-
-def _hashmix(v, xor, mul):
-    v = (v ^ xor) * mul
-    return v ^ (v >> _S16)
-
-
-def _seed_words(n: int) -> list:
-    """SeedSequence's uint32 words of a nonnegative int, low word first."""
-    words = [n & _M32]
-    while n >> 32:
-        n >>= 32
-        words.append(n & _M32)
-    return words
-
-
-def _trial_seeds(seed, start: int, stop: int, *keys) -> np.ndarray:
-    """SeedSequence([seed, t, *keys]).generate_state(4, np.uint64) for t
-    in range(start, stop), from derived_rng's seed material, hashed as
-    arrays: a C-contiguous (stop - start, 4) uint64 array, one row per
-    trial.  PCG64(_Words(row)) starts where derived_rng(seed, t, *keys)
-    does, without a SeedSequence per trial.
-    """
-    if stop > 2 ** 32:
-        raise ValueError("trial keys past 2**32 take two seed words")
-    words = _seed_words(int(seed) % (2 ** 63))
-    at = len(words)
-    words += [0] + [w for k in keys for w in _seed_words(int(k) % (2 ** 63))]
-    if len(words) > 4:
-        raise ValueError("seed material past SeedSequence's 4-word pool")
-    pool = np.zeros((4, stop - start), np.uint32)
-    pool[:len(words)] = np.array(words, np.uint32)[:, None]
-    pool[at] = np.arange(start, stop, dtype=np.uint32)
-    # SeedSequence.mix_entropy: hash each word, then mix every hashed
-    # word into the other three; pass src leaves its own row as it is
-    pool = _hashmix(pool, _HASH_A[:4], _HASH_A[1:5])
-    for src, (xor, mul) in enumerate(_MIX_PASSES):
-        r = pool * _MIX_L - _hashmix(pool[src], xor, mul) * _MIX_R
-        keep = pool[src]
-        pool = r ^ (r >> _S16)
-        pool[src] = keep
-    # generate_state(4, np.uint64): 8 words from the pool in turn, paired
-    # little-endian
-    out = _hashmix(np.concatenate([pool, pool]), _HASH_B[:8], _HASH_B[1:])
-    out = out.astype(np.uint64)
-    return np.ascontiguousarray((out[0::2] | out[1::2] << _S32).T)
-
-
-class _Words(ISeedSequence):
-    """The seed sequence of one trial: its row of _trial_seeds.  PCG64
-    asks for generate_state(4, np.uint64) and reads the array's memory as
-    it lies, so the row must be C-contiguous; any other request (another
-    bit generator's) is refused, not served the wrong words."""
-
-    def __init__(self, row: np.ndarray):
-        self.row = row
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
-            raise ValueError("a trial's seed words serve generate_state(4, np.uint64) only")
-        return self.row
-
-
-# below this many trials, a chunk builds one derived_rng per trial (about
-# 15 us each) instead of one _trial_seeds hash (about 45 us) plus a
-# _Words-seeded Generator per trial (about 2 us each)
-_HASH_MIN_TRIALS = 5
 # trials per probe chunk are capped so that each probe row of a chunk holds
-# at most this many values; the cap also bounds a chunk's seed hash, about
-# 145 bytes a trial
+# at most this many values
 _CHUNK_SAMPLES = 2 ** 18
 
 
@@ -205,18 +103,11 @@ def _chunk_bounds(trials: int, rows: int):
 
 def _probe_chunks(seed, trials: int, rows: int, *keys):
     """(start, stop, gens) for the chunks of _chunk_bounds(trials, rows):
-    gens yields the Generators of trials start..stop-1 in turn, each at
-    the start of derived_rng(seed, t, *keys)'s stream, so a trial's draws
-    do not depend on the chunk bounds.  A chunk of under _HASH_MIN_TRIALS
-    trials builds one derived_rng per trial; a longer chunk hashes its own
-    trials' seed words once (_trial_seeds), and NumPy seeds each trial's
-    PCG64 from its row."""
+    gens yields derived_rng(seed, t, *keys) for the trials t of
+    start..stop-1 in turn, so a trial's draws do not depend on the chunk
+    bounds."""
     for start, stop in _chunk_bounds(trials, rows):
-        if stop - start < _HASH_MIN_TRIALS:
-            gens = (derived_rng(seed, t, *keys) for t in range(start, stop))
-        else:
-            gens = (np.random.Generator(np.random.PCG64(_Words(row)))
-                    for row in _trial_seeds(seed, start, stop, *keys))
+        gens = (derived_rng(seed, t, *keys) for t in range(start, stop))
         yield start, stop, gens
 
 

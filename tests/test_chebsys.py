@@ -300,21 +300,3 @@ def test_stacked_det_signs_match_per_matrix():
             if want_ok:
                 assert sg == want_sign
 
-
-def test_one_trial_budget_never_hashes_seeds(monkeypatch):
-    calls = []
-    seeds = fs._trial_seeds
-
-    def spy(*a, **k):
-        calls.append(a)
-        return seeds(*a, **k)
-
-    monkeypatch.setattr(fs, "_trial_seeds", spy)
-    c = cz.moment_curve(3)
-    assert cz.theorem4_check(c, trials=1).agree
-    assert cz.convexity_check(c, trials=1).convex
-    assert cz.verify_chebyshev(cz.trig_system(2), trials=1).status == NO_VIOLATION
-    assert calls == []
-    # a chunk of 8 trials hashes its seed words once per loop
-    assert cz.theorem4_check(c, trials=8).agree
-    assert len(calls) == 2

@@ -607,43 +607,44 @@ def test_vertex_near_reject_band_is_confirmed(monkeypatch, rel):
         assert confirmed and np.array_equal(confirmed[0], w1)
 
 
-def test_seeds_hashed_for_first_chunk_then_budget(monkeypatch):
-    # the curve and Chebyshev loops hash each chunk of _HASH_MIN_TRIALS or
-    # more trials on its own; budgets of up to 6 trials (chunks (0, 2) and
-    # (2, 6) at most), a hit in the first 2 trials, and the polyline loop,
-    # which keys one stream by each chunk's first trial, hash nothing
+def test_probe_loops_draw_one_derived_rng_per_trial(monkeypatch):
+    # the curve loop draws trial t from derived_rng(seed, t, 1) and the
+    # Chebyshev loop from derived_rng(seed, t), one stream per trial in
+    # every chunk; theorem4_check runs both loops, and the polyline loop
+    # keys one stream derived_rng(seed, start, 2) by each chunk's first trial
     from chebzeros import discrete
-    hashed = []
-    seeds = fs._trial_seeds
+    calls = []
+    derived = fs.derived_rng
 
-    def spy(seed, start, stop, *keys):
-        hashed.append((keys, start, stop))
-        return seeds(seed, start, stop, *keys)
+    def spy(seed, *keys):
+        calls.append((seed, *keys))
+        return derived(seed, *keys)
 
-    monkeypatch.setattr(fs, "_trial_seeds", spy)
+    monkeypatch.setattr(fs, "derived_rng", spy)
     zigzag = cz.PolyLine(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0],
                                    [3.0, 1.0], [4.0, 0.0]]))
-    assert discrete.polyline_convexity_check(zigzag, 10 ** 6, 0).trials_run <= 2
+    assert discrete.polyline_convexity_check(zigzag, 10 ** 6, 3).trials_run <= 2
+    assert calls == [(3, 0, 2)]
     ts = np.linspace(-1.0, 1.0, 9)
     convex = cz.PolyLine(np.stack([ts, ts ** 2], axis=1))
-    c = cz.moment_curve(3)
-    for trials in range(1, 7):
-        assert discrete.polyline_convexity_check(convex, trials, 0).trials_run == trials
-        assert cz.theorem4_check(c, trials).agree
-        assert cz.convexity_check(c, trials).convex
-        assert cz.verify_chebyshev(cz.trig_system(2), trials).status == NO_VIOLATION
-    assert hashed == []
-    assert discrete.polyline_convexity_check(convex, 300, 0).trials_run == 300
-    assert hashed == []
-    chunks = [(2, 10), (10, 42), (42, 170), (170, 200)]
-    assert cz.convexity_check(c, 200).convex
-    assert cz.verify_chebyshev(cz.trig_system(2), 200).status == NO_VIOLATION
-    assert hashed == ([((1,), a, b) for a, b in chunks] +
-                      [((), a, b) for a, b in chunks])
-    hashed.clear()
-    assert cz.theorem4_check(c, 200).agree
-    assert sorted(hashed) == sorted([((), a, b) for a, b in chunks] +
-                                    [((1,), a, b) for a, b in chunks])
+    c, trig = cz.moment_curve(3), cz.trig_system(2)
+    for trials in [*range(1, 8), 200]:
+        curve = [(3, t, 1) for t in range(trials)]
+        cheb = [(3, t) for t in range(trials)]
+        calls.clear()
+        assert discrete.polyline_convexity_check(convex, trials, 3).trials_run == trials
+        assert calls == [(3, a, 2) for a, _ in fs._chunk_bounds(trials, convex.k)]
+        calls.clear()
+        rep = cz.convexity_check(c, trials, 3)
+        assert rep.convex and rep.trials_run == trials
+        assert calls == curve
+        calls.clear()
+        rep = cz.verify_chebyshev(trig, trials, 3)
+        assert rep.status == NO_VIOLATION and rep.trials_run == trials
+        assert calls == cheb
+        calls.clear()
+        assert cz.theorem4_check(c, trials, 3).agree
+        assert calls == curve + cheb
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6])

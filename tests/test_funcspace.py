@@ -48,52 +48,27 @@ def test_derived_rng_deterministic_and_distinct():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 1729, 2 ** 32 - 1, 2 ** 32, 2 ** 63 - 1,
-                                  2 ** 63, -1])
-@pytest.mark.parametrize("keys", [(2,), (1,), (0,), ()])
-def test_trial_seeds_reproduce_default_rng(seed, keys):
-    # one or two seed words, and the wrap of 2**63 and -1 modulo 2**63;
-    # NumPy seeds PCG64 from a row as derived_rng's SeedSequence seeds it
-    seeds = fs._trial_seeds(seed, 0, 301, *keys)
-    assert seeds.shape == (301, 4) and seeds.flags.c_contiguous
-    for t, row in enumerate(seeds):
-        want = np.random.default_rng([seed % 2 ** 63, t, *keys])
-        bg = np.random.PCG64(fs._Words(row))
-        assert bg.state == want.bit_generator.state
-        g = np.random.Generator(bg)
-        assert g.standard_normal(3).tobytes() == want.standard_normal(3).tobytes()
-        assert g.integers(2 ** 62) == want.integers(2 ** 62)
-
-
-def test_trial_seeds_reject_material_past_the_pool():
-    # a trial key of two words, or five words of seed material in all
-    with pytest.raises(ValueError):
-        fs._trial_seeds(0, 2 ** 32 - 1, 2 ** 32 + 1, 2)
-    with pytest.raises(ValueError):
-        fs._trial_seeds(2 ** 32, 0, 3, 2 ** 32 + 5)
-
-
-def test_trial_words_serve_pcg64_only():
-    # another bit generator's request is refused, not served PCG64's words
-    row = fs._trial_seeds(7, 0, 1, 1)[0]
-    words = fs._Words(row)
-    assert words.generate_state(4, np.uint64) is row
-    for n_words, dtype in [(4, np.uint32), (2, np.uint64), (8, np.uint32),
-                           (624, np.uint32)]:
-        with pytest.raises(ValueError):
-            words.generate_state(n_words, dtype)
-    for bit_generator in (np.random.MT19937, np.random.Philox, np.random.SFC64):
-        with pytest.raises(ValueError):
-            bit_generator(words)
+def test_import_leaves_numpy_random_unloaded():
+    # a fresh `import chebzeros` loads numpy.random only if importing numpy
+    # itself does (NumPy 1.x); NumPy 2.x loads it at the first draw
+    import os
+    import subprocess
+    import sys
+    src = os.path.dirname(os.path.dirname(cz.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, numpy; before = 'numpy.random' in sys.modules; "
+            "import chebzeros; print(before, 'numpy.random' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert out[1] == out[0]
 
 
 @pytest.mark.parametrize("start, stop", [(0, 1), (3, 7), (0, 8), (8, 40), (40, 200)])
 def test_trial_streams_reproduce_derived_rng(start, stop):
-    # trials start..stop-1 of a stop-trial budget, in probe chunks that
-    # build one derived_rng per trial (all of them under a cap of 1 or 2
-    # trials) or hash their own seed words; all draw derived_rng's streams
-    assert np.array_equal(fs._trial_seeds(7, start, stop, 1),
-                          fs._trial_seeds(7, 0, stop, 1)[start:])
+    # trials start..stop-1 of a stop-trial budget, in probe chunks of any
+    # length (all of them under a cap of 1 or 2 trials) draw derived_rng's
+    # streams
     for keys in [(), (1,)]:
         for rows in (9, 64, 2048, 2 ** 17, 2 ** 18):
             for a, b, gens in fs._probe_chunks(7, stop, rows, *keys):
@@ -133,35 +108,6 @@ def test_probe_chunk_schedule():
             assert [a for a, _ in got] == [0] + [b for _, b in got[:-1]]
             assert got[-1][1] == trials and got[0][1] <= 2
             assert all(0 < b - a <= cap for a, b in got)
-
-
-def test_long_budgets_hash_seeds_in_slices(monkeypatch):
-    # each chunk of _HASH_MIN_TRIALS or more trials hashes exactly its own
-    # range of trials' seed words, once, and shorter chunks hash nothing
-    # (budgets 6 and 7 end in chunks of 4 and 5 trials); each hashed
-    # chunk's first and last streams are derived_rng's
-    hashed = []
-    seeds = fs._trial_seeds
-
-    def spy(seed, start, stop, *keys):
-        hashed.append((keys, start, stop))
-        return seeds(seed, start, stop, *keys)
-
-    monkeypatch.setattr(fs, "_trial_seeds", spy)
-    for trials in (1, 3, 6, 7, 11, 200, 1000):
-        for rows in (9, 2048, 2 ** 17):
-            hashed.clear()
-            bounds = [(a, b) for a, b, _ in fs._probe_chunks(7, trials, rows, 1)]
-            assert hashed == [((1,), a, b) for a, b in bounds
-                              if b - a >= fs._HASH_MIN_TRIALS]
-    hashed.clear()
-    for a, b, gens in fs._probe_chunks(7, 1000, 2 ** 13, 1):
-        gens = list(gens)
-        for t in (a, b - 1):
-            assert gens[t - a].standard_normal(2).tobytes() == \
-                fs.derived_rng(7, t, 1).standard_normal(2).tobytes()
-    assert len(hashed) > 4 and hashed[-1][2] == 1000
-    assert all(b - a <= 2 ** 18 // 2 ** 13 for _, a, b in hashed)
 
 
 def test_seed_hash_memory_is_bounded():
