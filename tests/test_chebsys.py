@@ -300,3 +300,26 @@ def test_stacked_det_signs_match_per_matrix():
             if want_ok:
                 assert sg == want_sign
 
+
+
+def test_one_trial_budget_draws_one_stream_per_loop(monkeypatch):
+    # each curve or Chebyshev trial t draws its own stream derived_rng(seed,
+    # t, ...): a one-trial budget builds one stream per loop, 8 trials build 8
+    calls = []
+    derived = fs.derived_rng
+
+    def spy(seed, *keys):
+        calls.append(keys)
+        return derived(seed, *keys)
+
+    monkeypatch.setattr(fs, "derived_rng", spy)
+    c = cz.moment_curve(3)
+    assert cz.theorem4_check(c, trials=1).agree
+    assert calls == [(0, 1), (0,)]
+    calls.clear()
+    assert cz.convexity_check(c, trials=1).convex
+    assert cz.verify_chebyshev(cz.trig_system(2), trials=1).status == NO_VIOLATION
+    assert calls == [(0, 1), (0,)]
+    calls.clear()
+    assert cz.theorem4_check(c, trials=8).agree
+    assert calls == [(t, 1) for t in range(8)] + [(t,) for t in range(8)]
