@@ -7,10 +7,15 @@ the first harmonic: R is automatically orthogonal to cos and sin on the
 circle.  Constants plus first harmonics form an order-3 system there, so
 R - mean (and more generally the difference against a second oval's R)
 must change sign at least 4 times, giving at least 4 curvature extrema.
+
+The same harmonics bound h and R from below, so most ovals are shown
+to be ovals from their coefficients alone; only the rest are sampled.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -22,12 +27,45 @@ _VALIDATE_GRID = 4096
 ORTHO_TOL = 1e-10
 
 
+def _positivity_certified(h0: float, coeffs) -> bool:
+    """True when the coefficients alone show that h and R, as
+    fs._trig_series computes them on the validation grid, are all > 0.
+
+    |a cos x + b sin x| <= hypot(a, b) for every x, so with K harmonics
+    h >= h0 - S1, S1 = sum of hypot(a_m, b_m), and R >= h0 - S2, S2 =
+    sum of (m^2 - 1) hypot(a_m, b_m).  On the grid, term m is evaluated
+    at x = fl(m t), and the bound holds for that x as for any other.
+    With u = 2**-53 and B = h0 + sum of m^2 (|a_m| + |b_m|) (scale
+    below), the floats of _trig_series differ from the exact sums at
+    those x by at most (eta + 2 (K + 4) u) B: eta = 2**-45 = 256 u is the
+    error allowed np.cos and np.sin (they are within a few ulp, about
+    2**-51), each part of a term is rounded at most 3 times, and the
+    series takes K additions.  Rounding S1, S2 and B here costs at most
+    2 (K + 4) u B more.  eps = (K + 128) 2**-50 = (8 K + 1024) u is over
+    twice the sum of both, so a lower bound above eps B makes every grid
+    value > 0: the grid check would have accepted.  Once K u nears 1/8,
+    eps > 1 and nothing passes.  An overflowing sum (inf, or NaN from
+    0 * inf) fails the comparison."""
+    s1 = s2 = 0.0
+    scale = h0
+    for m, (a, b) in enumerate(coeffs, start=1):
+        r = math.hypot(a, b)
+        s1 += r
+        s2 += (m * m - 1) * r
+        scale += m * m * (abs(a) + abs(b))
+    eps = (len(coeffs) + 128) * 2.0 ** -50
+    return h0 - s1 > eps * scale and h0 - s2 > eps * scale
+
+
 @dataclass(frozen=True)
 class OvalSupport:
     """Support function h0 + sum over m of a_m cos(ma) + b_m sin(ma).
 
     coeffs[m-1] = (a_m, b_m).  Both h and the curvature radius h + h''
-    must be strictly positive; checked on a dense grid at construction.
+    must be strictly positive.  At construction, a lower bound from the
+    coefficients settles this for most ovals (see _positivity_certified);
+    the others are checked on a 4096-point grid.  Either way an oval is
+    accepted exactly when both are positive on that grid.
     """
 
     h0: float
@@ -41,6 +79,8 @@ class OvalSupport:
             raise ValueError("h0 must be positive")
         if not np.isfinite(cf).all():
             raise ValueError("coefficients must be finite")
+        if _positivity_certified(self.h0, cf):
+            return
         ts = fs.circle().grid(_VALIDATE_GRID)
         if np.min(self._h(ts)) <= 0:
             raise ValueError("support function must stay positive")
@@ -55,7 +95,10 @@ class OvalSupport:
 
     @property
     def is_circle(self) -> bool:
-        return all(a == 0.0 and b == 0.0 for a, b in self.coeffs)
+        """True for a circle, centred or not: a first harmonic only
+        translates the oval, so every harmonic m >= 2 must be zero, and
+        then R = h0 is constant."""
+        return all(a == 0.0 and b == 0.0 for a, b in self.coeffs[1:])
 
 
 def radius_of_curvature(oval: OvalSupport) -> fs.Func1D:
@@ -129,8 +172,12 @@ def blaschke_ratio_check(o1: OvalSupport, o2: OvalSupport,
 def random_oval(harmonics: int, amplitude: float,
                 rng_seed: int = 0) -> OvalSupport:
     """Random spectrum scaled so sum(m^2 ||(a_m, b_m)||) = amplitude;
-    any amplitude below 1 guarantees both positivity constraints.
-    Amplitude 0 gives the unit circle."""
+    any amplitude below 1 guarantees both positivity constraints, and
+    OvalSupport certifies them from the coefficients without sampling
+    unless the amplitude lies within about 1e-12 of 1.  Amplitude 0
+    gives the unit circle."""
+    if isinstance(harmonics, bool) or not isinstance(harmonics, numbers.Integral):
+        raise ValueError(f"harmonics must be an integer, got {harmonics!r}")
     if harmonics < 0:
         raise ValueError("harmonics must be >= 0")
     if not 0.0 <= amplitude < 1.0:
