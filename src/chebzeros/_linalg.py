@@ -78,7 +78,7 @@ def _planes_through(pts: np.ndarray):
     n, d = pts.shape[:2]
     s = np.abs(pts).reshape(n, d * d).max(axis=1, initial=np.finfo(float).tiny)
     X = pts / s[:, None, None]
-    M = np.zeros((n, d + 1, d + 1, d + 1))
+    M = np.empty((n, d + 1, d + 1, d + 1))  # every entry is set below
     M[:, :, :d, :d], M[:, :, :d, d], M[:, :, d] = X[:, None], 1.0, np.eye(d + 1)
     c = np.linalg.det(M)
     w2 = c[:, 0] * c[:, 0]

@@ -13,9 +13,9 @@ hands the probe loop [1, P] from the one curve sample P it also slices.
 Probe loops take trials in the chunks of fs._probe_chunks (2, 8, 32,
 128, ..., the schedule of every falsifier in the package), which hands
 this loop and the curve loop derived_rng(seed, t, ...) for each trial
-t: drawn trial by trial, evaluated as arrays, counted in one
-fs._grid_counts call per chunk, then read in trial order, so verdicts
-and witnesses are a trial-by-trial loop's.
+t: only the stream calls are made trial by trial, the chunk's arithmetic
+is done on arrays and counted in one fs._grid_counts call, and its trials
+are read in order, so verdicts and witnesses are a trial-by-trial loop's.
 """
 
 from __future__ import annotations
@@ -218,8 +218,9 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     such a witness raises a diagnostic instead.
 
     Trials run in chunks of 2, 8, 32, 128, ..., trial t drawn from
-    derived_rng(rng_seed, t); a chunk's tuples are signed from one basis
-    evaluation and one stacked slogdet, its combinations counted in one
+    derived_rng(rng_seed, t); a chunk's tuples and coefficients are
+    computed as arrays from its trials' draws, its tuples signed from one
+    basis evaluation and one stacked slogdet, its combinations counted in one
     fs._grid_counts call, and its trials read in order: verdict,
     trials_run and witness are those of a trial-by-trial loop.
 
@@ -237,16 +238,35 @@ def _chebyshev_draws(dom, n, gens, m):
     """The stratified and clustered tuples of m trials, one trial drawn
     from each Generator of gens in turn, interleaved as rows of a (2m, n)
     array, and unit coefficient vectors (m, n; NaN, which counts 0, for an
-    all-zero draw)."""
-    pts, C = np.empty((2 * m, n)), np.full((m, n), np.nan)
+    all-zero draw).  Only the stream calls are made trial by trial; the
+    chunk's arithmetic is that of _stratified_tuple, _clustered_tuple and
+    the normalized normal(size=n), bit for bit, done on arrays."""
+    k = 2 * n + 2
+    D = np.empty((m, k + n))
     for i, g in enumerate(gens):
-        pts[2 * i] = _stratified_tuple(g, dom, n)
-        pts[2 * i + 1] = _clustered_tuple(g, dom, n)
-        coeffs = g.normal(size=n)
-        norm = np.linalg.norm(coeffs)
-        if norm != 0.0:
-            C[i] = coeffs / norm
-    return pts, C
+        # the doubles of uniform(size=n), uniform(), uniform() and
+        # uniform(size=n) are one run of the stream: one random call
+        g.random(out=D[i, :k])
+        D[i, k:] = g.normal(size=n)
+    # _stratified_fracs of both uniform blocks at once; columns n and n + 1,
+    # the window's two draws, come out unused
+    F = (np.arange(k) % (n + 2) + 0.05 + 0.9 * D[:, :k]) / n
+    # Python's pow, as _clustered_tuple takes it: it rounds u ** 2
+    # differently from u * u for about one draw in 1200
+    sq = np.array([x ** 2 for x in D[:, n].tolist()])
+    w, u = (dom.span * (0.05 + 0.95 * sq))[:, None], D[:, n + 1, None]
+    pts = np.empty((m, 2, n))
+    pts[:, 0] = dom.a + dom.span * F[:, :n]
+    if dom.is_circle:
+        pts[:, 1] = np.sort(dom.wrap(u * fs.TWO_PI + w * F[:, n + 2:]), axis=1)
+    else:
+        pts[:, 1] = dom.a + (dom.span - w) * u + w * F[:, n + 2:]
+    # np.linalg.norm of a vector is sqrt(x . x), and a stacked row-by-column
+    # matmul takes the same dot
+    Z = D[:, k:]
+    norm = np.sqrt(np.matmul(Z[:, None], Z[:, :, None]))[:, 0]
+    norm[norm == 0.0] = np.nan
+    return pts.reshape(2 * m, n), Z / norm
 
 
 def _chebyshev_probes(basis, dom, G, trials, rng_seed):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -206,10 +206,15 @@ def smoothed_polygon(m: int, r_frac: float = 0.1) -> CurveRd:
 
 def monomial_multi_indices(n: int, d: int):
     """The C(n+d, d) exponent tuples with |alpha| <= n, ordered by degree
-    then by descending leading exponents."""
+    then by descending leading exponents, as a fresh list."""
     if n < 0 or d < 1:
         raise ValueError("need n >= 0 and d >= 1")
-    return [alpha for deg in range(n + 1) for alpha in _compositions(deg, d)]
+    return list(_multi_indices(n, d))
+
+
+@lru_cache(maxsize=64)
+def _multi_indices(n: int, d: int) -> tuple:
+    return tuple(alpha for deg in range(n + 1) for alpha in _compositions(deg, d))
 
 
 def _compositions(total: int, slots: int):
@@ -259,8 +264,8 @@ def polynomial_on_curve(poly: dict, curve: CurveRd) -> fs.Func1D:
 
 def _with_ones(X) -> np.ndarray:
     """[1, X]: a column of ones before the columns of X."""
-    M = np.ones((X.shape[0], X.shape[1] + 1))
-    M[:, 1:] = X
+    M = np.empty((X.shape[0], X.shape[1] + 1))
+    M[:, 0], M[:, 1:] = 1.0, X
     return M
 
 
@@ -392,9 +397,9 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
 
     Trials run in chunks of 2, 8, 32, 128, ..., trial t drawn from
     derived_rng(rng_seed, t, 1); a chunk's slices and their small shifts
-    (for tangential doubling) are counted in one fs._grid_counts call and
-    flagged slices recounted in trial order: verdict, trials_run and
-    witness are those of a trial-by-trial loop.
+    (for tangential doubling) fill one row buffer, counted in one
+    fs._grid_counts call, and flagged slices are recounted in trial order:
+    verdict, trials_run and witness are those of a trial-by-trial loop.
     """
     _check_trials(trials)
     P = curve_points(curve, fs._count_grid(curve.dom, grid_n))
@@ -403,26 +408,41 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
 
 def _convexity_draws(P, gens, m):
     """The probes of P, the curve on its grid, of m trials, one drawn from
-    each Generator of gens in turn, as rows (normal, -offset) (m, 2, d + 1),
-    a random plane and a secant through d points of P (NaN where P
-    projects to a point, or the points are affinely dependent), and their
-    values on P (m, 2, n)."""
+    each Generator of gens in turn: rows (normal, -offset) (m, 2, d + 1) of
+    a random plane and a secant through d points of P, and one row buffer
+    (m, 2, 3, n) whose row 0 holds the two planes' values on P (rows 1 and
+    2 are left to the caller).  NaN marks the offset and values of a random
+    plane where P projects to a point, and a secant through affinely
+    dependent points.
+
+    Only the stream calls are made trial by trial, in two passes over gens:
+    the normals, then uniform(0.02, 0.98) where the projection has a spread
+    and choice(n, d), each trial's stream in a trial-by-trial loop's order.
+    The arithmetic is that loop's, bit for bit, done on arrays: a vector's
+    np.linalg.norm is sqrt(x . x), which a stacked row-by-column matmul
+    takes as the same dot, and the stacked P @ w is one gemv per trial."""
     n, d = P.shape
-    H, idx = np.full((m, 2, d + 1), np.nan), np.empty((m, d), np.intp)
-    slices = np.full((m, 2, n), np.nan)
+    gens = list(gens)
+    W = np.empty((m, d))
     for i, g in enumerate(gens):
-        w = g.standard_normal(d)
-        w /= np.linalg.norm(w)
-        proj = P @ w
-        lo, hi = float(proj.min()), float(proj.max())
-        if hi > lo:
-            off = lo + (hi - lo) * g.uniform(0.02, 0.98)
-            H[i, 0] = *w, -off
-            slices[i, 0] = proj - off
+        g.standard_normal(out=W[i])
+    W /= np.sqrt(np.matmul(W[:, None], W[:, :, None]))[:, 0]
+    rows = np.empty((m, 2, 3, n))
+    proj = rows[:, 0, 0]
+    np.matmul(P, W[:, :, None], out=proj[..., None])
+    lo, hi = proj.min(axis=1), proj.max(axis=1)
+    u, idx = np.empty(m), np.empty((m, d), np.intp)
+    for i, (g, spread) in enumerate(zip(gens, (hi > lo).tolist())):
+        u[i] = g.uniform(0.02, 0.98) if spread else np.nan
         idx[i] = g.choice(n, size=d, replace=False)
+    off = lo + (hi - lo) * u
+    proj -= off[:, None]
+    H = np.empty((m, 2, d + 1))
+    H[:, 0, :d], H[:, 0, d] = W, -off
     H[:, 1] = _planes_through(P[idx])[0]
-    slices[:, 1] = H[:, 1, :d] @ P.T + H[:, 1, d:]
-    return H, slices
+    np.matmul(H[:, 1, :d], P.T, out=rows[:, 1, 0])
+    rows[:, 1, 0] += H[:, 1, d:]
+    return H, rows
 
 
 def _convexity_probes(curve, P, trials, rng_seed):
@@ -431,11 +451,13 @@ def _convexity_probes(curve, P, trials, rng_seed):
     _intersections."""
     d, n = curve.d, P.shape[0]
     for start, stop, gens in fs._probe_chunks(rng_seed, trials, n, 1):
-        H, S = _convexity_draws(P, gens, stop - start)
+        H, rows = _convexity_draws(P, gens, stop - start)
+        S = rows[:, :, 0]
         shift = 1e-4 * np.ptp(S, axis=2)[..., None]
         # S + shift is S minus the shift -1e-4 * spread, bit for bit
-        rows = np.stack([S, S - shift, S + shift], axis=2).reshape(-1, n)
-        counts = fs._grid_counts(rows, curve.dom.is_circle)
+        np.subtract(S, shift, out=rows[:, :, 1])
+        np.add(S, shift, out=rows[:, :, 2])
+        counts = fs._grid_counts(rows.reshape(-1, n), curve.dom.is_circle)
         # probe 2i is trial i's random slice, 2i + 1 its secant
         for k in np.flatnonzero((counts.reshape(-1, 3) > d).any(axis=1)).tolist():
             h = H.reshape(-1, d + 1)[k]

@@ -75,9 +75,17 @@ def derived_rng(seed, *keys):
     per trial (_probe_chunks).  The polyline loop instead keys one stream
     by each chunk's first trial and draws the chunk from it as arrays, so
     there a trial's draws depend on its chunk bounds.
+
+    The stream is default_rng([seed, *keys]), each value taken mod 2**63.
+    SeedSequence receives the values as the uint32 words NumPy would split
+    them into, least significant first (one word below 2**32, two above):
+    the same entropy, which NumPy takes faster than a list it must coerce.
     """
-    material = [int(seed) % (2 ** 63)] + [int(k) % (2 ** 63) for k in keys]
-    return np.random.default_rng(material)
+    words = []
+    for v in (seed, *keys):
+        v = int(v) % (2 ** 63)
+        words += (v & 0xFFFFFFFF, v >> 32) if v >> 32 else (v,)
+    return np.random.default_rng(np.array(words, dtype=np.uint32))
 
 
 # trials per probe chunk are capped so that each probe row of a chunk holds

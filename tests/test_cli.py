@@ -169,6 +169,34 @@ def test_oval_csv_rows_are_pinned(capsys):
     assert len(rows) == 1 + 14 + 9
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_fourvertex_random_ovals_are_not_circles(capsys, monkeypatch, seed):
+    # an oval of the first harmonic alone is a translated circle, whose
+    # constant curvature radius passes as degenerate: every random oval
+    # row must count at least 4 extrema of a non-degenerate radius
+    reports = []
+    check = cli.four_vertex_check
+
+    def spy(oval, **kw):
+        reports.append(check(oval, **kw))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "four_vertex_check", spy)
+    code, out, _ = run(capsys, "verify", "fourvertex", "--seed", seed,
+                       "--format", "csv")
+    assert code == 0
+    rows = [r for r in csv.DictReader(io.StringIO(out))
+            if r["instance"].startswith("oval t=")]
+    assert len(rows) == 12
+    for r in rows:
+        assert r["ok"] == "1"
+        assert int(r["observed"].split()[0].removeprefix("extrema=")) >= 4
+    # the 12 random ovals come first, then the fixed oval and the circle
+    assert len(reports) == 14
+    assert not any(rep.degenerate for rep in reports[:12])
+    assert reports[13].degenerate
+
+
 # ---------------------------------------------------------------------------
 # synth payloads
 

@@ -88,6 +88,28 @@ def test_monomial_multi_indices_oracles():
     assert len(cz.monomial_multi_indices(3, 3)) == 20
 
 
+def test_cached_multi_indices_come_as_a_fresh_list():
+    # the exponent tuples are built once per (n, d); a caller that edits
+    # the list it got changes no later call and no basis built from it
+    from chebzeros.discrete import vandermonde_moment_matrix
+    want = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
+            (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    ts = np.linspace(-1.0, 1.0, 12)
+    line = cz.PolyLine(np.stack([ts, ts ** 2, ts ** 3], axis=1))
+    labels = [f.label for f in cz.restrict_polynomials(cz.moment_curve(3), 2)]
+    V = vandermonde_moment_matrix(line, 2)
+    got = cz.monomial_multi_indices(2, 3)
+    assert got == want
+    got.reverse()
+    got[0] = (9, 9, 9)
+    got.append((5, 0, 0))
+    assert cz.monomial_multi_indices(2, 3) == want
+    assert cz.monomial_multi_indices(2, 3) is not cz.monomial_multi_indices(2, 3)
+    assert labels == ["x^" + "".join(map(str, a)) for a in want]
+    assert [f.label for f in cz.restrict_polynomials(cz.moment_curve(3), 2)] == labels
+    assert vandermonde_moment_matrix(line, 2).tobytes() == V.tobytes()
+
+
 def test_restricted_dimensions():
     c3 = cz.moment_curve(3)
     funcs = cz.restrict_polynomials(c3, 2)
@@ -456,7 +478,7 @@ def test_screen_rows_are_the_shifted_slices(curve, monkeypatch):
     _convexity_probes(curve, P, 2, 0)
     rows = screened_rows[0].reshape(2, 2, 3, -1)
     start, stop, gens = next(fs._probe_chunks(0, 2, P.shape[0], 1))
-    _, S = _convexity_draws(P, gens, stop - start)
+    S = _convexity_draws(P, gens, stop - start)[1][:, :, 0]
     for sv, screened in zip(S.reshape(4, -1), rows.reshape(4, 3, -1)):
         spread = float(np.ptp(sv))
         for shift, row in zip((0.0, 1e-4 * spread, -1e-4 * spread), screened):

@@ -83,6 +83,18 @@ def test_trial_streams_reproduce_derived_rng(start, stop):
                     assert g.uniform() == want.uniform()
 
 
+@pytest.mark.parametrize("material", [(0,), (7, 3), (7, 3, 1), (0, 0, 2), (-1, 5),
+                                      (2 ** 32 - 1, 2 ** 32), (2 ** 63 - 1, 2 ** 63),
+                                      (2 ** 64 + 5, -(2 ** 40)), (np.int64(9), True)])
+def test_derived_rng_is_default_rng_of_the_material(material):
+    # the uint32 words handed to SeedSequence are the ones it would make
+    # of the list of values mod 2**63
+    want = np.random.default_rng([int(v) % 2 ** 63 for v in material])
+    got = fs.derived_rng(*material)
+    assert got.bit_generator.state == want.bit_generator.state
+    assert got.standard_normal(5).tobytes() == want.standard_normal(5).tobytes()
+
+
 def _chunk_ranges(trials, rows):
     # the schedule, which _probe_chunks yields as it is
     got = list(fs._chunk_bounds(trials, rows))
