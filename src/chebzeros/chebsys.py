@@ -14,8 +14,10 @@ Probe loops take trials in the chunks of fs._probe_chunks (2, 8, 32,
 128, ..., the schedule of every falsifier in the package), which hands
 this loop and the curve loop derived_rng(seed, t, ...) for each trial
 t: only the stream calls are made trial by trial, the chunk's arithmetic
-is done on arrays and counted in one fs._grid_counts call, and its trials
-are read in order, so verdicts and witnesses are a trial-by-trial loop's.
+is done on arrays and counted in one fs._counts_over call (raw sign flips,
+with the exact fs._grid_counts only on rows that may exceed the bound), and
+its trials are read in order, so verdicts and witnesses are a
+trial-by-trial loop's.
 """
 
 from __future__ import annotations
@@ -221,7 +223,8 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     derived_rng(rng_seed, t); a chunk's tuples and coefficients are
     computed as arrays from its trials' draws, its tuples signed from one
     basis evaluation and one stacked slogdet, its combinations counted in one
-    fs._grid_counts call, and its trials read in order: verdict,
+    fs._counts_over call against the bound n - 1 (a combination past it
+    keeps its exact count), and its trials read in order: verdict,
     trials_run and witness are those of a trial-by-trial loop.
 
     sys may be a ChebSystem or a raw (funcs, dom) pair; the raw form
@@ -278,7 +281,7 @@ def _chebyshev_probes(basis, dom, G, trials, rng_seed):
     for start, stop, gens in fs._probe_chunks(rng_seed, trials, G.shape[0]):
         pts, C = _chebyshev_draws(dom, n, gens, stop - start)
         sign, informative = _det_signs(fs.basis_matrix(basis, pts).reshape(-1, n, n))
-        counts = fs._grid_counts(np.matmul(G, C[:, :, None])[..., 0], dom.is_circle)
+        counts = fs._counts_over(np.matmul(G, C[:, :, None])[..., 0], dom.is_circle, n - 1)
         for i in range(stop - start):
             for j in (2 * i, 2 * i + 1):
                 if not informative[j]:

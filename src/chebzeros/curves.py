@@ -397,8 +397,8 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
 
     Trials run in chunks of 2, 8, 32, 128, ..., trial t drawn from
     derived_rng(rng_seed, t, 1); a chunk's slices and their small shifts
-    (for tangential doubling) fill one row buffer, counted in one
-    fs._grid_counts call, and flagged slices are recounted in trial order:
+    (for tangential doubling) fill one row buffer, counted against d in
+    one fs._counts_over call, and flagged slices are recounted in trial order:
     verdict, trials_run and witness are those of a trial-by-trial loop.
     """
     _check_trials(trials)
@@ -457,7 +457,7 @@ def _convexity_probes(curve, P, trials, rng_seed):
         # S + shift is S minus the shift -1e-4 * spread, bit for bit
         np.subtract(S, shift, out=rows[:, :, 1])
         np.add(S, shift, out=rows[:, :, 2])
-        counts = fs._grid_counts(rows.reshape(-1, n), curve.dom.is_circle)
+        counts = fs._counts_over(rows.reshape(-1, n), curve.dom.is_circle, d)
         # probe 2i is trial i's random slice, 2i + 1 its secant
         for k in np.flatnonzero((counts.reshape(-1, 3) > d).any(axis=1)).tolist():
             h = H.reshape(-1, d + 1)[k]

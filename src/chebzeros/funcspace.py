@@ -14,8 +14,10 @@ cyclic, which makes them even for any function that is not numerically
 zero.  Three entry points apply the rules to grid values a caller has
 already sampled: count_grid_sign_changes (a bare count),
 grid_sign_report and grid_extrema_report (full reports).  _grid_counts is
-the batched counter, each row of a (k, n) array counted on its own; every
-probe loop calls it once per chunk.
+the batched counter, each row of a (k, n) array counted on its own;
+_counts_over screens rows by their raw sign flips, which never undercount,
+and counts only rows that may exceed a bound with it, once per chunk of
+every curve and Chebyshev probe loop.
 
 A count costs one grid evaluation of f.  Transition locations are
 sharpened between the bracketing grid samples, but only when a report's
@@ -554,8 +556,9 @@ def _sign_transitions(vals: np.ndarray, cyclic: bool):
     input with no surviving sample (empty, zero or NaN) is degenerate and
     gives empty integer arrays.
     """
-    vmax = float(np.max(np.abs(vals))) if vals.size else 0.0
-    keep = np.nonzero(np.abs(vals) > DEFAULT_TOL_REL * vmax)[0]
+    a = np.abs(vals)
+    vmax = float(np.max(a)) if vals.size else 0.0
+    keep = np.nonzero(a > DEFAULT_TOL_REL * vmax)[0]
     if keep.size == 0:
         none = np.empty(0, dtype=int)
         return none, none, True
@@ -598,6 +601,30 @@ def _grid_counts(vals: np.ndarray, cyclic: bool) -> np.ndarray:
     counts = np.bincount(flips[flips % n != n - 1] // n, minlength=k)
     if cyclic:
         counts += s[::n] != s[n - 1::n]
+    return counts
+
+
+def _counts_over(vals: np.ndarray, cyclic: bool, bound: int) -> np.ndarray:
+    """A count for every row of a (k, n) array that exceeds bound exactly
+    where _grid_counts' does, and equals it there.
+
+    Each row is first counted by the raw flips of vals > 0, and only rows
+    whose raw count exceeds bound go to _grid_counts.  A kept sample has
+    its strict sign, and between two consecutive kept samples (around the
+    wrap, on a circle) raw signs flip at least once where those two signs
+    differ, the one flip _grid_counts counts there; so raw flips never
+    undercount, and a row at or below bound keeps its raw count."""
+    k, n = vals.shape
+    s = (vals > 0).ravel()
+    flips = np.empty_like(s)
+    np.not_equal(s[1:], s[:-1], out=flips[:-1])
+    # a row's last slot would pair it with the next row; it holds the row's
+    # wrap pair on a circle and no flip on an interval
+    flips[n - 1::n] = (s[::n] != s[n - 1::n]) if cyclic else False
+    counts = np.bincount(flips.nonzero()[0] // n, minlength=k)
+    over = (counts > bound).nonzero()[0]
+    if over.size:
+        counts[over] = _grid_counts(vals[over], cyclic)
     return counts
 
 

@@ -468,13 +468,13 @@ def test_screen_rows_are_the_shifted_slices(curve, monkeypatch):
     from chebzeros.curves import _convexity_draws, _convexity_probes
     P = cz.curve_points(curve, curve.dom.grid(fs.DEFAULT_GRID_N))
     screened_rows = []
-    grid_counts = fs._grid_counts
+    counts_over = fs._counts_over
 
-    def capture(rows, cyclic):
+    def capture(rows, cyclic, bound):
         screened_rows.append(rows.copy())
-        return grid_counts(rows, cyclic)
+        return counts_over(rows, cyclic, bound)
 
-    monkeypatch.setattr(fs, "_grid_counts", capture)
+    monkeypatch.setattr(fs, "_counts_over", capture)
     _convexity_probes(curve, P, 2, 0)
     rows = screened_rows[0].reshape(2, 2, 3, -1)
     start, stop, gens = next(fs._probe_chunks(0, 2, P.shape[0], 1))
@@ -483,6 +483,29 @@ def test_screen_rows_are_the_shifted_slices(curve, monkeypatch):
         spread = float(np.ptp(sv))
         for shift, row in zip((0.0, 1e-4 * spread, -1e-4 * spread), screened):
             assert (sv - shift).tobytes() == row.tobytes()
+
+
+def test_probe_loops_count_exactly_only_rows_past_the_bound(monkeypatch):
+    # raw sign flips settle every probe row of a convex curve: neither
+    # probe loop sends one to the exact counter
+    exact_rows = []
+    grid_counts = fs._grid_counts
+
+    def spy(rows, cyclic):
+        exact_rows.append(rows.shape[0])
+        return grid_counts(rows, cyclic)
+
+    monkeypatch.setattr(fs, "_grid_counts", spy)
+    rep = cz.theorem4_check(cz.moment_curve(3), trials=200)
+    assert rep.agree and rep.convexity.convex
+    assert exact_rows == []
+    # a counterexample keeps its witness, trials_run and exact count
+    rep = cz.convexity_check(cz.sine_graph(), 200)
+    assert rep.status == COUNTEREXAMPLE and rep.trials_run == 2
+    assert rep.witness.normal.tolist() == [0.6429113545112382, 0.7659405918480396]
+    assert rep.witness.offset == 6.648898886671433
+    assert rep.witness_count.count_with_multiplicity == 3
+    assert exact_rows
 
 
 @pytest.mark.parametrize("curve", _theorem4_inputs(4) + [_line_curve()],

@@ -176,6 +176,57 @@ def test_grid_counts_match_one_row_at_a_time(rows, cyclic):
     assert fs._grid_counts(rows, cyclic).tolist() == _reference_grid_counts(rows, cyclic)
 
 
+# the rows of test_grid_counts_edge_rows and the strategy of
+# test_grid_counts_match_one_row_at_a_time, which keep their own copies
+_EDGE_ROWS = np.array([
+    [0.0, 0.0, 1.0, -1.0, 0.0, 2.0, 0.0, 0.0],      # dropped runs at both ends
+    [0.0] * 8,                                      # all dropped
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1e-12, -1.0, 1e-12, 1e-12, 1.0, -1e-12, 1.0, -1.0],  # near-zero runs
+    [1.0, np.nan, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0],  # NaN row counts 0
+    [-1.0, 1.0, -1.0, 1.0, -1.0, 1.0, -1.0, 1.0],
+    [0.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0],      # one run, kept ends
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -3.0],      # one kept sample
+    [np.inf, 1.0, -1.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+])
+
+
+_COUNT_ROWS = st.integers(1, 30).flatmap(lambda n: st.lists(
+    st.one_of(st.lists(_COUNT_VALUES, min_size=n, max_size=n),
+              st.just([0.0] * n), st.just([np.nan] * n),
+              st.lists(st.sampled_from([0.0, 1.0, -1.0, np.nan]),
+                       min_size=n, max_size=n)),
+    min_size=1, max_size=6))
+
+
+def _assert_screen_matches(rows, cyclic):
+    # raw flips of vals > 0, row by row, never undercount; the screen's
+    # count passes each bound exactly where the exact count does, and then
+    # equals it
+    exact = _reference_grid_counts(rows, cyclic)
+    for row, want in zip(rows, exact):
+        s = (row > 0).tolist()
+        pairs = list(zip(s, s[1:])) + ([(s[-1], s[0])] if cyclic else [])
+        assert sum(a != b for a, b in pairs) >= want
+    for bound in range(7):
+        got = fs._counts_over(rows, cyclic, bound).tolist()
+        assert [c > bound for c in got] == [c > bound for c in exact]
+        assert [c for c in got if c > bound] == [c for c in exact if c > bound]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COUNT_ROWS, st.booleans())
+def test_counts_over_match_grid_counts_past_every_bound(rows, cyclic):
+    _assert_screen_matches(np.array(rows, dtype=float), cyclic)
+
+
+@pytest.mark.parametrize("cyclic", [False, True])
+def test_counts_over_edge_rows(cyclic):
+    _assert_screen_matches(_EDGE_ROWS, cyclic)
+    _assert_screen_matches(_EDGE_ROWS[:, :1], cyclic)
+    assert fs._counts_over(np.empty((0, 8)), cyclic, 0).tolist() == []
+
+
 def test_sample_scalar_fallback():
     import math
     f = fs.Func1D(lambda t: math.sin(t))  # scalar-only callable
