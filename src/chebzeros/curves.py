@@ -528,7 +528,7 @@ def construct_orthogonal_on_curve(curve: CurveRd, n: int,
     continuous with honest crossings at the active points.
     """
     dom = curve.dom
-    ts = fs._count_grid(dom, grid_n)
+    fs._count_grid(dom, grid_n)  # rejects a bad grid_n before any basis evaluation
     funcs = restrict_polynomials(curve, n)
     dim = dimension_estimate(funcs, dom)
     if pieces is None:
@@ -554,7 +554,7 @@ def construct_orthogonal_on_curve(curve: CurveRd, n: int,
         raise NotChebyshevError("refined orthogonality residual above tolerance")
     step = StepWeight(pts, h2, dom)
     F = fs.product(g, step.as_func(), label="F")
-    rep = fs.grid_sign_report(F, dom, ts, fs.sample(F, ts))
+    rep = fs._sign_report(F, dom, grid_n, guesses=pts)
     return CurveSynthResult(F, step, pts, dim, residuals, rep)
 
 

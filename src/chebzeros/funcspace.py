@@ -19,19 +19,22 @@ _counts_over screens rows by their raw sign flips, which never undercount,
 and counts only rows that may exceed a bound with it, once per chunk of
 every curve and Chebyshev probe loop.
 
-A count costs one grid evaluation of f.  Transition locations are
-sharpened between the bracketing grid samples, but only when a report's
-`locations` is first read; callers that need only the count (every lower
-bound in the package) never evaluate f between grid points.  Refinement
-gives bisection's floats.  One f evaluation tests, for every bracket,
-bisection's own midpoints walking toward a guess of its root, and the
-halvings are kept while f's signs agree with the walk; a bracket stops
-once it has shrunk to float resolution, where further halvings could not
-move it.  The first guess is a crossing the caller already knows
-(grid_sign_report's guesses: prescribed points, breaks), else a
-one-sided secant through the bracket's end and the grid sample beyond
-it; a secant guess walks only as deep as its two sides agree.  No
-refinement takes more than _MAX_ROUNDS evaluations.
+A count costs one grid evaluation of f, once per function and counting
+grid: _sign_report keeps the report on f for the shared grids, so a
+check of a function its synthesis counted reuses its count and crossings.
+Transition locations are sharpened between the bracketing grid samples,
+but only when a report's `locations` is first read, and then once;
+callers that need only the count (every lower bound in the package)
+never evaluate f between grid points.  Refinement gives bisection's
+floats.  One f evaluation tests, for every bracket, bisection's own
+midpoints walking toward a guess of its root, and the halvings are kept
+while f's signs agree with the walk; a bracket stops once it has shrunk
+to float resolution, where further halvings could not move it.  The
+first guess is a crossing the caller already knows (grid_sign_report's
+guesses: prescribed points, breaks), else a one-sided secant through the
+bracket's end and the grid sample beyond it; a secant guess walks only
+as deep as its two sides agree.  No refinement takes more than
+_MAX_ROUNDS evaluations.
 """
 
 from __future__ import annotations
@@ -503,8 +506,10 @@ class SignChangeReport:
     """Count of strict sign transitions with their refined locations.
 
     count and degenerate come from one pass over the sample grid.
-    locations is computed on its first read and cached, so the same array
-    comes back on every later read.  It is refined to bisection's floats
+    locations is computed on its first read and cached, read-only, so the
+    same array comes back on every later read; count_sign_changes hands
+    out one report per function and counting grid, so its refinement runs
+    once however many callers read it.  It is refined to bisection's floats
     by guess-guided rounds of one f evaluation each (_bisect_roots), and
     stops once every bracket has reached float resolution.  A caller that
     reads only count never evaluates f between grid points, so a
@@ -523,7 +528,9 @@ class SignChangeReport:
 
     @cached_property
     def locations(self) -> np.ndarray:
-        return self._locate()
+        out = self._locate()
+        out.flags.writeable = False
+        return out
 
 
 def _no_roots() -> np.ndarray:
@@ -853,11 +860,12 @@ def count_sign_changes(f: Func1D, dom: Domain,
     zero.  Zero runs collapse to one transition when the signs on both sides
     differ and to none when they agree, so tangential touches are not
     counted.  Circle counts are cyclic.  The count costs one evaluation
-    of f on the grid; locations are refined by bisection when first
-    read, and reported sorted.
+    of f on the grid, once per function and counting grid (_sign_report):
+    a later count of the same f object on the same grid returns the same
+    report.  Locations are refined by bisection when first read, and
+    reported sorted.
     """
-    ts = _count_grid(dom, grid_n)
-    return grid_sign_report(f, dom, ts, sample(f, ts))
+    return _sign_report(f, dom, grid_n)
 
 
 def grid_sign_report(f: Func1D, dom: Domain, ts: np.ndarray,
@@ -873,6 +881,29 @@ def grid_sign_report(f: Func1D, dom: Domain, ts: np.ndarray,
     roots = _root_finder(lambda m: sample(f, dom.wrap(m)), dom, ts, vals, ii, jj,
                          guesses)
     return SignChangeReport(ii.size, roots, False)
+
+
+def _sign_report(f: Func1D, dom: Domain, grid_n: int, guesses=None,
+                 vals=None) -> SignChangeReport:
+    """grid_sign_report of f on the counting grid _count_grid(dom, grid_n),
+    computed once per function and counting grid; vals, when given, are
+    f's values there, which the caller has sampled already.  On a shared
+    grid (up to DEFAULT_GRID_N points, one read-only array per (dom,
+    grid_n)) the report is kept on f and freed with it, so a check of a
+    function its synthesis has counted neither samples the grid nor
+    refines again; guesses count only on the first call, where they
+    decide how many f calls refinement takes, not its floats.  The grid
+    values are not kept: a report holds them only until its locations
+    are first read.  A larger grid is a fresh array per call and keeps
+    nothing."""
+    ts = _count_grid(dom, grid_n)
+    memo = {} if grid_n > DEFAULT_GRID_N else f.__dict__.setdefault("_sign_reports", {})
+    if (dom, grid_n) not in memo:
+        # refined through a copy of f, so that f and its memo form no cycle
+        memo[dom, grid_n] = grid_sign_report(
+            Func1D(f.eval, f.label), dom, ts, sample(f, ts) if vals is None else vals,
+            guesses=guesses)
+    return memo[dom, grid_n]
 
 
 def count_extrema(f: Func1D, dom: Domain,

@@ -198,7 +198,7 @@ def synth_orthogonal(sys: ChebSystem, points,
     locations (within 1e-6) are all verified before returning.
     """
     dom = sys.dom
-    ts = fs._count_grid(dom, grid_n)
+    fs._count_grid(dom, grid_n)  # rejects a bad grid_n before any basis evaluation
     m = m_of(dom, sys.order_n)
     pts = np.asarray(points, dtype=float)
     if pts.size != m:
@@ -212,7 +212,7 @@ def synth_orthogonal(sys: ChebSystem, points,
     residuals = A @ p
     if np.max(np.abs(residuals)) > RESIDUAL_TOL:
         raise NotChebyshevError("orthogonality residual above tolerance")
-    rep = fs.grid_sign_report(F, dom, ts, fs.sample(F, ts), guesses=pts)
+    rep = fs._sign_report(F, dom, grid_n, guesses=pts)
     if rep.degenerate or rep.count != m or \
             np.max(np.abs(np.sort(rep.locations) - np.sort(pts))) > LOC_TOL:
         raise NotChebyshevError(
@@ -299,8 +299,11 @@ def theorem1_check(sys: ChebSystem, f: fs.Func1D,
     Residual integrals split the domain at f's sign-change locations
     plus any points passed in breaks, so step-weight discontinuities do
     not poison the quadrature; pass the step's breakpoints and support
-    edges in breaks when rho came from a synthesis.  f is sampled on the
-    count grid once, for the count and the vanishing test alike.
+    edges in breaks when rho came from a synthesis.  f is counted once
+    per function and counting grid: after synth_orthogonal or synth_weight
+    counted the same f object, the check reuses that count and its refined
+    crossings; with a rho, f is sampled on the grid once more, to test
+    whether f * rho vanishes there.
     """
     bound = m_of(sys.dom, sys.order_n)
     return _zero_bound(f, sys.basis, sys.dom, bound, rho, tol, grid_n, breaks)
@@ -313,8 +316,10 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
     residuals are within tol and f * rho does not vanish."""
     fs._check_tol(tol)
     grid = fs._count_grid(dom, grid_n)
-    fgrid = fs.sample(f, grid)
-    rep = fs.grid_sign_report(f, dom, grid, fgrid, guesses=breaks)
+    # f * rho is tested for vanishing on the grid; with no rho, f vanishing
+    # there is the report's degeneracy
+    fgrid = None if rho is None else fs.sample(f, grid)
+    rep = fs._sign_report(f, dom, grid_n, guesses=breaks, vals=fgrid)
     cuts = np.asarray(rep.locations, dtype=float)
     if breaks is not None:
         extra = np.asarray(breaks, dtype=float)
@@ -330,7 +335,7 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
     ts, ws = fs.rule_with_breaks(dom, cuts)
     residuals = (ws * with_rho(fs.sample(f, ts), ts)) @ fs.basis_matrix(basis, ts)
     max_res = float(np.max(np.abs(residuals)))
-    vanishes = float(np.max(np.abs(with_rho(fgrid, grid)))) == 0.0
+    vanishes = rho is not None and float(np.max(np.abs(with_rho(fgrid, grid)))) == 0.0
     if max_res > tol or rep.degenerate or vanishes:
         return ZeroBoundReport(False, False, -1, bound, max_res)
     return ZeroBoundReport(True, rep.count >= bound, rep.count, bound, max_res)

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -42,4 +44,29 @@ def size_log(monkeypatch):
     bisect = fs._bisect_roots
     monkeypatch.setattr(fs, "_bisect_roots",
                         lambda fvals, *args: bisect(log.tag(fvals), *args))
+    return log
+
+
+@pytest.fixture
+def sample_log(monkeypatch):
+    """A log of fs.sample calls as (f, ts) pairs in .samples, of
+    fs._bisect_roots calls in .refines and of the f calls those make in
+    .rounds."""
+    log = types.SimpleNamespace(samples=[], refines=0, rounds=0)
+    sample, bisect = fs.sample, fs._bisect_roots
+
+    def spy_sample(f, ts):
+        log.samples.append((f, ts))
+        return sample(f, ts)
+
+    def spy_bisect(fvals, *args):
+        def counted(m):
+            log.rounds += 1
+            return fvals(m)
+
+        log.refines += 1
+        return bisect(counted, *args)
+
+    monkeypatch.setattr(fs, "sample", spy_sample)
+    monkeypatch.setattr(fs, "_bisect_roots", spy_bisect)
     return log

@@ -560,6 +560,36 @@ def test_theorem5_samples_f_once_on_quadrature_nodes(size_log):
     assert sizes.count(fs.DEFAULT_GRID_N) == 1
 
 
+def test_theorem5_after_construct_reuses_its_count(sample_log):
+    # the construction's count serves theorem5_verify: F is not sampled on
+    # the counting grid again, and the first read of the crossings, which
+    # walks toward the prescribed points, takes one f call; a second check
+    # refines nothing, and a fresh wrapper of F agrees bit for bit
+    log = sample_log
+    for curve, n in [(cz.moment_curve(2), 1), (cz.moment_curve(2), 2),
+                     (cz.moment_curve(3), 1), (cz.trig_curve(1), 1),
+                     (cz.trig_curve(1), 2), (cz.trig_curve(2), 1)]:
+        grid = fs._count_grid(curve.dom, fs.DEFAULT_GRID_N)
+        dim = cz.dimension_estimate(cz.restrict_polynomials(curve, n), curve.dom)
+        for pieces in range(dim + 1, dim + 5):
+            res = cz.construct_orthogonal_on_curve(curve, n, pieces=pieces)
+            assert res.sign_report.count > 0
+            del log.samples[:]
+            refines, rounds = log.refines, log.rounds
+            rep = cz.theorem5_verify(curve, n, res.F)
+            assert not any(f is res.F and ts is grid for f, ts in log.samples)
+            assert (log.refines, log.rounds) == (refines + 1, rounds + 1)
+            assert cz.theorem5_verify(curve, n, res.F) == rep
+            assert log.refines == refines + 1
+            fresh = fs.Func1D(res.F.eval)
+            assert rep == cz.theorem5_verify(curve, n, fresh)
+            again = fs.count_sign_changes(fs.Func1D(res.F.eval), curve.dom)
+            assert again.count == res.sign_report.count
+            # not applicable where a cancelled point's kink lifts the residual
+            assert rep.sign_changes == (again.count if rep.applicable else -1)
+            assert again.locations.tobytes() == res.sign_report.locations.tobytes()
+
+
 def test_theorem5_breaks_at_the_construction_points():
     # the step flips sign with the annihilator at one prescribed point, so
     # F does not cross there but keeps a kink, which a quadrature split

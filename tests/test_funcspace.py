@@ -1016,6 +1016,74 @@ def test_report_lets_its_grid_go_once_refined(dom):
         assert all(r() is None for r in held)
 
 
+@pytest.mark.parametrize("dom", [fs.interval(-1.0, 1.0), fs.circle()], ids=["interval", "circle"])
+def test_counts_once_per_function_and_counting_grid(dom, size_log):
+    # each shared counting grid gets its own report, sampled and refined
+    # once; a later count of the same function object returns it
+    f, sizes = size_log(fs.Func1D(lambda t: np.sin(7.0 * t) + 0.1))
+    small = fs.count_sign_changes(f, dom, 1024)
+    full = fs.count_sign_changes(f, dom)
+    assert small is not full and small.count == full.count > 0
+    assert fs.count_sign_changes(f, dom, 1024) is small
+    assert fs._sign_report(f, dom, fs.DEFAULT_GRID_N, guesses=[0.5]) is full
+    assert full.locations is fs.count_sign_changes(f, dom).locations
+    refined = size_log.refine_calls
+    assert fs.count_sign_changes(f, dom).locations is full.locations
+    assert size_log.refine_calls == refined
+    assert sizes == [1024, fs.DEFAULT_GRID_N]
+    # another function object with the same eval is counted afresh
+    other = fs.count_sign_changes(fs.Func1D(f.eval), dom)
+    assert other is not full and sizes == [1024] + [fs.DEFAULT_GRID_N] * 2
+
+
+def test_counts_past_the_default_grid_keep_nothing(size_log):
+    import weakref
+    dom, n = fs.interval(-1.0, 1.0), 2 * fs.DEFAULT_GRID_N
+    f, sizes = size_log(fs.Func1D(lambda t: np.sin(7.0 * t) + 0.1))
+    rep = fs.count_sign_changes(f, dom, n)
+    assert fs.count_sign_changes(f, dom, n) is not rep
+    assert sizes == [n, n]
+    held = weakref.ref(rep)
+    del rep
+    assert held() is None
+
+
+def test_count_memo_dies_with_its_function():
+    # the memo keeps a function's report, whose grid values go once its
+    # locations are read, and the report goes with the function: the memo
+    # holds no reference back to it, so no garbage collection is needed
+    import weakref
+    for dom in (fs.interval(-1.0, 1.0), fs.circle()):
+        made = []
+
+        def ev(t):
+            v = np.cos(3.0 * t) + 0.2
+            made.append(weakref.ref(v))
+            return v
+
+        f = fs.Func1D(ev)
+        rep = fs.count_sign_changes(f, dom)
+        grid_vals = made[0]
+        assert grid_vals() is not None
+        locations = rep.locations
+        assert grid_vals() is None
+        held = [weakref.ref(x) for x in (f, rep, locations)]
+        del rep, locations
+        assert all(r() is not None for r in held)
+        del f
+        assert all(r() is None for r in held)
+
+
+def test_count_memo_is_read_only():
+    # one report serves every count of a function, so its locations are
+    # read-only
+    rep = fs.count_sign_changes(fs.Func1D(lambda t: np.sin(7.0 * t)), fs.interval(-1.0, 1.0))
+    assert rep.count == 5
+    assert not rep.locations.flags.writeable
+    with pytest.raises(ValueError):
+        rep.locations[0] = 1.0
+
+
 def test_count_only_never_evaluates_off_grid():
     dom = fs.interval(0.0, 1.0)
     grid = dom.grid(fs.DEFAULT_GRID_N)

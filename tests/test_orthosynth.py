@@ -122,8 +122,69 @@ def test_prescribed_points_refine_in_one_call(size_log):
         assert size_log.refine_calls == before + 1
         rep = cz.theorem1_check(sys, res.F, breaks=res.step.breakpoints)
         assert rep.applicable and rep.passed
-        assert size_log.refine_calls == before + 2
+        assert size_log.refine_calls == before + 1
     assert n == 40
+
+
+def _grid_samples(samples, f, dom):
+    grid = fs._count_grid(dom, fs.DEFAULT_GRID_N)
+    return sum(g is f and ts is grid for g, ts in samples)
+
+
+def test_theorem1_after_synth_orthogonal_reuses_its_count(sample_log):
+    # the synthesis samples F on the counting grid once and refines once;
+    # theorem1_check then neither samples F there nor refines, and a fresh
+    # wrapper of the same F counts and checks to the same bytes
+    log = sample_log
+    for sys, pts in _synth_instances():
+        del log.samples[:]
+        before = log.refines
+        res = cz.synth_orthogonal(sys, pts)
+        assert _grid_samples(log.samples, res.F, sys.dom) == 1
+        assert log.refines == before + 1
+        del log.samples[:]
+        rep = cz.theorem1_check(sys, res.F, breaks=res.step.breakpoints)
+        assert _grid_samples(log.samples, res.F, sys.dom) == 0
+        assert log.refines == before + 1
+        fresh = fs.Func1D(res.F.eval)
+        assert rep == cz.theorem1_check(sys, fresh, breaks=res.step.breakpoints)
+        again = fs.count_sign_changes(fs.Func1D(res.F.eval), sys.dom)
+        assert rep.sign_changes == again.count == res.sign_report.count
+        assert again.locations.tobytes() == res.sign_report.locations.tobytes()
+
+
+def test_theorem1_after_synth_weight_reuses_its_count(sample_log):
+    # synth_weight's count of f and its crossings serve theorem1_check,
+    # which refines nothing; f is sampled on the counting grid only for the
+    # test that f * rho vanishes there, once itself and once inside rho
+    log = sample_log
+    for sys, pts in _synth_instances():
+        f = cz.default_annihilator(pts, sys.dom)
+        res = cz.synth_weight(sys, f)
+        breaks = list(res.step.breakpoints) + list(res.step.support or ())
+        del log.samples[:]
+        before = log.refines
+        rep = cz.theorem1_check(sys, f, res.rho, breaks=breaks)
+        assert rep.applicable and rep.passed
+        assert _grid_samples(log.samples, f, sys.dom) == 2
+        assert log.refines == before
+        fresh = fs.Func1D(f.eval)
+        assert rep == cz.theorem1_check(sys, fresh, res.rho, breaks=breaks)
+        again = fs.count_sign_changes(fresh, sys.dom)
+        assert again.count == res.sign_report.count == rep.sign_changes
+        assert again.locations.tobytes() == res.sign_report.locations.tobytes()
+
+
+def test_guesses_do_not_move_the_shared_locations():
+    # whichever caller counts F first on a grid decides the guesses of its
+    # one refinement; with the prescribed points or without, the floats agree
+    for sys, pts in _synth_instances():
+        F = cz.synth_orthogonal(sys, pts).F
+        guided = fs._sign_report(fs.Func1D(F.eval), sys.dom, fs.DEFAULT_GRID_N,
+                                 guesses=pts)
+        plain = fs.count_sign_changes(fs.Func1D(F.eval), sys.dom)
+        assert guided.count == plain.count == pts.size
+        assert guided.locations.tobytes() == plain.locations.tobytes()
 
 
 def test_synth_orthogonal_wrong_count():
