@@ -2,22 +2,10 @@
 
 A system of order n is Chebyshev when no nontrivial combination of its
 basis has n or more distinct zeros.  That property cannot be certified
-numerically, so verify_chebyshev falsifies: it hunts for a combination
-with too many sign changes, both directly (random coefficients) and
-through sign flips of collocation determinants.  The honest verdict for
-a clean run is therefore "NoViolationFound", never "proved".  The basis
-is evaluated on the counting grid once per call, and each combination
-is counted as that grid matrix times its coefficients; curves.theorem4_check
-hands the probe loop [1, P] from the one curve sample P it also slices.
-
-Probe loops take trials in the chunks of fs._probe_chunks (2, 8, 32,
-128, ..., the schedule of every falsifier in the package), which hands
-this loop and the curve loop derived_rng(seed, t, ...) for each trial
-t: only the stream calls are made trial by trial, the chunk's arithmetic
-is done on arrays and counted in one fs._counts_over call (raw sign flips,
-with the exact fs._grid_counts only on rows that may exceed the bound), and
-its trials are read in order, so verdicts and witnesses are a
-trial-by-trial loop's.
+numerically, so verify_chebyshev falsifies: a clean run is
+"NoViolationFound", evidence and never proof, and a "Counterexample"
+carries a combination with n or more sign changes under the counting
+rule of fs.count_sign_changes.
 """
 
 from __future__ import annotations
@@ -214,18 +202,11 @@ def verify_chebyshev(sys, trials: int = DEFAULT_TRIALS, rng_seed: int = 0,
     informative tuple fixes the reference; circle tuples are kept in
     ascending [0, 2pi) order, fixing the cyclic orientation); (iii) a
     random unit coefficient vector must give a combination with at most
-    n-1 sign changes.  The first verified violation is returned as a
-    Counterexample with coefficients whose combination demonstrably has
-    >= n sign changes; a determinant flip that cannot be converted into
-    such a witness raises a diagnostic instead.
-
-    Trials run in chunks of 2, 8, 32, 128, ..., trial t drawn from
-    derived_rng(rng_seed, t); a chunk's tuples and coefficients are
-    computed as arrays from its trials' draws, its tuples signed from one
-    basis evaluation and one stacked slogdet, its combinations counted in one
-    fs._counts_over call against the bound n - 1 (a combination past it
-    keeps its exact count), and its trials read in order: verdict,
-    trials_run and witness are those of a trial-by-trial loop.
+    n-1 sign changes on the counting grid.  The first verified violation
+    is returned as a Counterexample whose coefficients give >= n sign
+    changes; a determinant flip that cannot be converted into such a
+    witness raises NotChebyshevError.  Trial t draws from
+    derived_rng(rng_seed, t), so a verdict depends only on the inputs.
 
     sys may be a ChebSystem or a raw (funcs, dom) pair; the raw form
     exists so candidate spaces of even order on the circle (which the
@@ -274,7 +255,10 @@ def _chebyshev_draws(dom, n, gens, m):
 
 def _chebyshev_probes(basis, dom, G, trials, rng_seed):
     """verify_chebyshev's probe loop, counting on G, the basis's matrix on
-    the counting grid."""
+    the counting grid.  Trials run in the chunks of fs._probe_chunks, each
+    chunk's arithmetic done on arrays (_chebyshev_draws) and its
+    combinations counted in one fs._counts_over call, and are read in
+    order: verdict, trials_run and witness are a trial-by-trial loop's."""
     n = len(basis)
     ref_sign = 0.0
     ref_pts = None

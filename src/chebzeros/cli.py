@@ -622,27 +622,26 @@ def _step_payload(res) -> dict:
             "sign_changes": res.sign_report.count}
 
 
+# the spec flags each synth and curve subcommand needs
+_NEEDS = {"ortho": ("system", "points"), "weight": ("system", "func"),
+          "masses": ("poly", "n"), "annihilator": ("system",),
+          "convexity": ("curve",), "dimension": ("curve",)}
+
+
 def cmd_synth(args) -> dict:
+    sys = parse_system(args.system) if "system" in _NEEDS[args.what] else None
     if args.what == "ortho":
-        if not args.system or not args.points:
-            raise ValueError("synth ortho needs --system and --points")
-        sys = parse_system(args.system)
         pts = _floats(args.points)
         res = synth_orthogonal(sys, pts, grid_n=args.grid)
         return {"system": args.system, "points": pts, **_step_payload(res),
                 "locations": _jsonable(res.sign_report.locations)}
     if args.what == "weight":
-        if not args.system or not args.func:
-            raise ValueError("synth weight needs --system and --func")
-        sys = parse_system(args.system)
         f = parse_func(args.func, sys.dom)
         res = synth_weight(sys, f, grid_n=args.grid)
         return {"system": args.system, "func": args.func, **_step_payload(res),
                 "support": _jsonable(np.asarray(res.step.support))
                 if res.step.support is not None else None}
     if args.what == "masses":
-        if not args.poly or args.n is None:
-            raise ValueError("synth masses needs --poly FILE and --n")
         with open(args.poly, "r", encoding="utf-8") as fh:
             P = parse_polyline(fh.read())
         mv = construct_masses(P, args.n, args.seed)
@@ -654,9 +653,6 @@ def cmd_synth(args) -> dict:
                 "max_residual": res if np.isfinite(res) else None,
                 "sign_changes": rep.sign_changes if rep.applicable else None}
     if args.what == "annihilator":
-        if not args.system:
-            raise ValueError("synth annihilator needs --system")
-        sys = parse_system(args.system)
         rp = RootPrescription(
             simple_roots=tuple(_floats(args.simple)) if args.simple else (),
             double_roots=tuple(_floats(args.double)) if args.double else ())
@@ -667,8 +663,6 @@ def cmd_synth(args) -> dict:
 
 
 def cmd_curve(args) -> dict:
-    if not args.curve:
-        raise ValueError("this command needs --curve")
     cur = parse_curve(args.curve)
     if args.what == "convexity":
         trials = args.trials if args.trials is not None else _PROBES
@@ -682,9 +676,8 @@ def cmd_curve(args) -> dict:
             payload["witness_crossings"] = r.witness_count.count_with_multiplicity
         return payload
     if args.what == "dimension":
-        n = args.n if args.n is not None else 1
-        dim = dimension_estimate(restrict_polynomials(cur, n), cur.dom)
-        return {"curve": args.curve, "n": n, "dimension": dim}
+        dim = dimension_estimate(restrict_polynomials(cur, args.n), cur.dom)
+        return {"curve": args.curve, "n": args.n, "dimension": dim}
     raise ValueError(f"unknown curve subcommand {args.what!r}")
 
 
@@ -743,18 +736,16 @@ def _emit_payload(payload: dict, args) -> None:
 # argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p.add_argument("--trials", type=int, default=None,
-                   help="instances per configuration (command default varies)")
-    p.add_argument("--tol", type=float, default=1e-8,
-                   help="orthogonality residual tolerance (finite, > 0)")
-    p.add_argument("--grid", type=int, default=fs.DEFAULT_GRID_N,
-                   help="sign-counting grid size (>= 64)")
+def _add_common(p: argparse.ArgumentParser, **helps) -> None:
+    # only the flags some code path of the command reads, each with what it
+    # means there; every command writes a report
+    kinds = {"seed": dict(type=int, default=0), "trials": dict(type=int, default=None),
+             "grid": dict(type=int, default=fs.DEFAULT_GRID_N),
+             "tol": dict(type=float, default=1e-8), "no_timing": dict(action="store_true")}
+    for name, text in helps.items():
+        p.add_argument("--" + name.replace("_", "-"), help=text, **kinds[name])
     p.add_argument("--out", default=None, help="write the report here")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--no-timing", action="store_true",
-                   help="report wall_time_ms as 0 for reproducible bytes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -766,7 +757,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run a seeded verification sweep")
     pv.add_argument("what", choices=list(FAMILIES) + ["all"])
-    _add_common(pv)
+    _add_common(pv, seed="base seed of the instances and probe streams",
+                trials="instances per family (default: the family's own; 3 under all)",
+                grid="sign-counting grid size of every check that counts (>= 64)",
+                tol="residual tolerance of the zero-bound and mass checks (finite, "
+                    "> 0; theorem6 uses at most 1e-10)",
+                no_timing="report wall_time_ms as 0 for reproducible bytes")
     pv.add_argument("--harmonics", type=int, default=None,
                     help="hurwitz: restrict to one harmonic order")
     pv.add_argument("--n", type=int, default=None,
@@ -776,7 +772,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("synth", help="run one construction and print it")
     ps.add_argument("what", choices=["ortho", "weight", "masses", "annihilator"])
-    _add_common(ps)
+    _add_common(ps, seed="masses: seed of the random kernel direction",
+                grid="ortho, weight, annihilator: sign-counting grid size (>= 64)",
+                tol="masses: moment residual tolerance (finite, > 0; at most 1e-10 is used)")
     ps.add_argument("--system", default=None,
                     help=" | ".join(_SYSTEM_FORMS.values()))
     ps.add_argument("--points", default=None,
@@ -790,10 +788,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("curve", help="convexity verdict or dimension")
     pc.add_argument("what", choices=["convexity", "dimension"])
-    _add_common(pc)
+    _add_common(pc, seed="convexity: probe seed",
+                trials=f"convexity: probe budget (default {_PROBES})",
+                grid="convexity: sign-counting grid size (>= 64)")
     pc.add_argument("--curve", default=None,
                     help=" | ".join(spec[-1] for spec in _CURVE_SPECS.values()))
-    pc.add_argument("--n", type=int, default=None,
+    pc.add_argument("--n", type=int, default=1,
                     help="dimension: polynomial degree (default 1)")
     return p
 
@@ -801,7 +801,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _check_common(args) -> None:
     if args.grid < 64:
         raise ValueError("--grid must be at least 64")
-    if not (np.isfinite(args.tol) and args.tol > 0.0):
+    tol = getattr(args, "tol", 1.0)
+    if not (np.isfinite(tol) and tol > 0.0):
         raise ValueError("--tol must be finite and positive")
     for flag in ("harmonics", "n"):
         value = getattr(args, flag, None)
@@ -818,6 +819,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             records = run_verify(args)
             ms = 0 if args.no_timing else int((time.perf_counter() - t0) * 1000)
             return _emit_verify(records, args, ms)
+        missing = [f"--{a}" for a in _NEEDS[args.what] if getattr(args, a) in (None, "")]
+        if missing:
+            raise ValueError(f"{args.cmd} {args.what} needs {' and '.join(missing)}")
         payload = cmd_synth(args) if args.cmd == "synth" else cmd_curve(args)
         _emit_payload(payload, args)
         return 0 if payload.get("passed", True) else 1

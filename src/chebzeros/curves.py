@@ -391,15 +391,11 @@ def convexity_check(curve: CurveRd, trials: int = DEFAULT_TRIALS, rng_seed: int 
     Each trial slices with a random hyperplane (uniform normal, offset
     inside the projection range) and with a secant hyperplane through d
     sampled curve points; a slice crossing more than d times is a
-    counterexample.  Grid sign flips never exceed the true crossing
-    count of a continuous slice functional, so a genuinely convex curve
-    cannot be flagged; absence of a witness is still only evidence.
-
-    Trials run in chunks of 2, 8, 32, 128, ..., trial t drawn from
-    derived_rng(rng_seed, t, 1); a chunk's slices and their small shifts
-    (for tangential doubling) fill one row buffer, counted against d in
-    one fs._counts_over call, and flagged slices are recounted in trial order:
-    verdict, trials_run and witness are those of a trial-by-trial loop.
+    counterexample, recounted in full before it is returned.  Grid sign
+    flips never exceed the true crossing count of a continuous slice
+    functional, so a genuinely convex curve cannot be flagged; absence of
+    a witness is still only evidence.  Trial t draws from
+    derived_rng(rng_seed, t, 1).
     """
     _check_trials(trials)
     P = curve_points(curve, fs._count_grid(curve.dom, grid_n))
@@ -446,9 +442,11 @@ def _convexity_draws(P, gens, m):
 
 
 def _convexity_probes(curve, P, trials, rng_seed):
-    """convexity_check's probe loop over P: a slice that, shifted by 0 or
-    +-1e-4 of its spread, crosses more than d times is recounted by
-    _intersections."""
+    """convexity_check's probe loop over P, the curve on its counting grid,
+    in the chunks of fs._probe_chunks: a slice that, shifted by 0 or +-1e-4
+    of its spread, crosses more than d times is recounted by _intersections,
+    in trial order, so verdict, trials_run and witness are a trial-by-trial
+    loop's."""
     d, n = curve.d, P.shape[0]
     for start, stop, gens in fs._probe_chunks(rng_seed, trials, n, 1):
         H, rows = _convexity_draws(P, gens, stop - start)

@@ -29,8 +29,8 @@ MASS_RESIDUAL_TOL = 1e-10
 _CONVEXITY_SEED = 1729  # fixed internal seed for hypothesis screening
 _CONVEXITY_TRIALS = 200  # probes of the convexity hypothesis in theorem6_check
 # _sign_regular decides no line of more than this many (d+1)-minors.  It
-# signs only the k(m - k) + 1 test minors, so the cap no longer tracks its
-# cost; it only keeps which lines are decided (ROADMAP item 3 lifts it)
+# signs only the k(m - k) + 1 test minors, so the cap does not bound its
+# cost; it only keeps which lines are decided
 _MINORS_CAP = 10 ** 4
 
 

@@ -1,40 +1,13 @@
-"""Domains, scalar functions, basis evaluation, quadrature, and
-sign-change counting.  A Basis holds Func1D members and one matrix(ts):
-a catalog family's fill, whose columns are its members (Basis.from_fill),
-or column-by-column samples of a list (as_basis).  basis_matrix, one
-checked call of it, is the one way to evaluate a basis.
+"""Domains, scalar functions, bases, quadrature, sign-change counting,
+and the seeded streams of the probe loops.
 
-Every integral and zero count in the package flows through this module,
-so both conventions are fixed here once.  Integrals use one quadrature
-rule (see quad_nodes and segment_rule).  Counts sample on a uniform
-grid, mark samples whose magnitude is within DEFAULT_TOL_REL of the
-overall maximum, collapse maximal runs of marked samples, and count
-transitions between opposite strict signs.  Counts on a circle are
-cyclic, which makes them even for any function that is not numerically
-zero.  Three entry points apply the rules to grid values a caller has
-already sampled: count_grid_sign_changes (a bare count),
-grid_sign_report and grid_extrema_report (full reports).  _grid_counts is
-the batched counter, each row of a (k, n) array counted on its own;
-_counts_over screens rows by their raw sign flips, which never undercount,
-and counts only rows that may exceed a bound with it, once per chunk of
-every curve and Chebyshev probe loop.
-
-A count costs one grid evaluation of f, once per function and counting
-grid: _sign_report keeps the report on f for the shared grids, so a
-check of a function its synthesis counted reuses its count and crossings.
-Transition locations are sharpened between the bracketing grid samples,
-but only when a report's `locations` is first read, and then once;
-callers that need only the count (every lower bound in the package)
-never evaluate f between grid points.  Refinement gives bisection's
-floats.  One f evaluation tests, for every bracket, bisection's own
-midpoints walking toward a guess of its root, and the halvings are kept
-while f's signs agree with the walk; a bracket stops once it has shrunk
-to float resolution, where further halvings could not move it.  The
-first guess is a crossing the caller already knows (grid_sign_report's
-guesses: prescribed points, breaks), else a one-sided secant through the
-bracket's end and the grid sample beyond it; a secant guess walks only
-as deep as its two sides agree.  No refinement takes more than
-_MAX_ROUNDS evaluations.
+Every integral and zero count in the package goes through this module.
+Integrals use one rule (quad_nodes, segment_rules).  Counts use one rule,
+stated by count_sign_changes; count_extrema applies it to a derivative.
+basis_matrix is the one way to evaluate a basis, and _count_grid the one
+way an entry point gets its counting grid.  Grids of up to DEFAULT_GRID_N
+points and the circle's quadrature nodes are shared read-only arrays, so
+a counted or integrated f must not write to its input.
 """
 
 from __future__ import annotations
@@ -61,8 +34,7 @@ _BISECT_ITERS = 60
 # halvings per f evaluation that _bisect_roots guarantees on average, so
 # that no refinement takes more than _MAX_ROUNDS calls of f.  It sets only
 # the worst case: its multisection trees serve brackets whose guesses keep
-# missing, and no bracket of a synth benchmark pass at seeds 1, 2, 3 or
-# 1009 needs one
+# missing
 _MULTISECT_DEPTH = 5
 _MAX_ROUNDS = -(-_BISECT_ITERS // _MULTISECT_DEPTH)
 # levels a secant-guided walk lists beyond where its two one-sided secants
@@ -72,19 +44,13 @@ _WALK_SLACK = 3
 
 
 def derived_rng(seed, *keys):
-    """Deterministic generator keyed by (seed, key, ...).
+    """Deterministic generator keyed by (seed, key, ...), so that a trial
+    seeded as derived_rng(seed, trial) does not depend on execution order.
 
-    Trials seeded as derived_rng(seed, trial_index) do not depend on
-    execution order, so sequential and parallel sweeps see identical
-    streams.  The curve and Chebyshev probe loops build one such stream
-    per trial (_probe_chunks).  The polyline loop instead keys one stream
-    by each chunk's first trial and draws the chunk from it as arrays, so
-    there a trial's draws depend on its chunk bounds.
-
-    The stream is default_rng([seed, *keys]), each value taken mod 2**63.
-    SeedSequence receives the values as the uint32 words NumPy would split
-    them into, least significant first (one word below 2**32, two above):
-    the same entropy, which NumPy takes faster than a list it must coerce.
+    The stream is default_rng([seed, *keys]), each value taken mod 2**63,
+    handed to SeedSequence as the uint32 words NumPy would split it into
+    (least significant first): the same entropy, without the coercion of
+    a list.
     """
     words = []
     for v in (seed, *keys):
@@ -280,13 +246,10 @@ def _harmonics(ts, k: int):
     """[(cos(m g), sin(m g)) for m = 1..k] when ts is the circle grid
     g = circle().grid(n) of n <= DEFAULT_GRID_N points, else None.
 
-    Each row is np.cos(m * g) / np.sin(m * g), computed once on the shared
-    grid _grid(circle(), n), read-only, and kept for the life of the
-    process, so a caller gets the floats of the inline expression.  The
-    shared grid itself, which counts and circle quadrature pass, is
-    recognized without a compare.  Larger grids stay uncached: a row of
-    the 16384-point grid is 128 KiB, and a caller computes those inline
-    one harmonic at a time to keep its peak memory down."""
+    Rows are np.cos(m * g) and np.sin(m * g), the inline expression's
+    floats, computed once on the shared grid, read-only and kept for the
+    life of the process.  Larger grids are not cached; callers compute
+    them one harmonic at a time to bound peak memory."""
     ts = np.asarray(ts)
     n = ts.shape[0] if ts.ndim == 1 else 0
     # the first two points reject almost every other array before a full compare
@@ -503,23 +466,15 @@ def integrate_with_breaks(f: Func1D, dom: Domain, breaks) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SignChangeReport:
-    """Count of strict sign transitions with their refined locations.
+    """Count of strict sign transitions (or extrema) and their locations.
 
-    count and degenerate come from one pass over the sample grid.
-    locations is computed on its first read and cached, read-only, so the
-    same array comes back on every later read; count_sign_changes hands
-    out one report per function and counting grid, so its refinement runs
-    once however many callers read it.  It is refined to bisection's floats
-    by guess-guided rounds of one f evaluation each (_bisect_roots), and
-    stops once every bracket has reached float resolution.  A caller that
-    reads only count never evaluates f between grid points, so a
-    non-finite value of f there raises ValueError only when locations is
-    read.
-
-    locations is sorted increasing (representatives in [0, 2pi) on the
-    circle) and has length == count.  degenerate flags inputs that were
-    numerically zero (for sign counting) or numerically constant (for
-    extremum counting); the count is 0 in that case.
+    count and degenerate come from one pass over the grid; degenerate
+    flags a numerically zero (sign counting) or constant (extremum
+    counting) input, whose count is 0.  locations, sorted increasing (in
+    [0, 2pi) on the circle) and of length count, is refined on its first
+    read (_root_finder) and cached read-only.  A caller that reads only
+    count never evaluates f between grid points, so a non-finite value of
+    f there raises ValueError only when locations is read.
     """
 
     count: int
@@ -849,21 +804,14 @@ def _root_finder(fvals: Callable, dom: Domain, ts: np.ndarray,
 
 def count_sign_changes(f: Func1D, dom: Domain,
                        grid_n: int = DEFAULT_GRID_N) -> SignChangeReport:
-    """Count strict sign changes of f on the domain.
-
-    Parameters
-    ----------
-    f, dom : the function and its domain.
-    grid_n : uniform sample count (>= 64).
+    """Count strict sign changes of f on the domain's counting grid of
+    grid_n (>= 64) points: the package's one counting rule.
 
     A sample within DEFAULT_TOL_REL of the largest magnitude counts as
-    zero.  Zero runs collapse to one transition when the signs on both sides
-    differ and to none when they agree, so tangential touches are not
-    counted.  Circle counts are cyclic.  The count costs one evaluation
-    of f on the grid, once per function and counting grid (_sign_report):
-    a later count of the same f object on the same grid returns the same
-    report.  Locations are refined by bisection when first read, and
-    reported sorted.
+    zero.  Zero runs collapse to one transition when the signs on both
+    sides differ and to none when they agree, so tangential touches are
+    not counted.  Counts on the circle are cyclic, hence even.  The
+    report is computed once per function and counting grid (_sign_report).
     """
     return _sign_report(f, dom, grid_n)
 
@@ -885,17 +833,14 @@ def grid_sign_report(f: Func1D, dom: Domain, ts: np.ndarray,
 
 def _sign_report(f: Func1D, dom: Domain, grid_n: int, guesses=None,
                  vals=None) -> SignChangeReport:
-    """grid_sign_report of f on the counting grid _count_grid(dom, grid_n),
-    computed once per function and counting grid; vals, when given, are
-    f's values there, which the caller has sampled already.  On a shared
-    grid (up to DEFAULT_GRID_N points, one read-only array per (dom,
-    grid_n)) the report is kept on f and freed with it, so a check of a
-    function its synthesis has counted neither samples the grid nor
-    refines again; guesses count only on the first call, where they
-    decide how many f calls refinement takes, not its floats.  The grid
-    values are not kept: a report holds them only until its locations
-    are first read.  A larger grid is a fresh array per call and keeps
-    nothing."""
+    """grid_sign_report of f on _count_grid(dom, grid_n), computed once per
+    function and counting grid; vals, when given, are f's values there,
+    which the caller has sampled already.  On a shared grid (up to
+    DEFAULT_GRID_N points) the report is kept on f and freed with it, so a
+    check of a function its synthesis counted neither samples the grid nor
+    refines again; guesses count only on the first call, and decide only
+    how many f calls refinement takes, not its floats.  The grid values
+    are not kept (see _root_finder).  A larger grid keeps nothing."""
     ts = _count_grid(dom, grid_n)
     memo = {} if grid_n > DEFAULT_GRID_N else f.__dict__.setdefault("_sign_reports", {})
     if (dom, grid_n) not in memo:

@@ -294,26 +294,22 @@ def theorem1_check(sys: ChebSystem, f: fs.Func1D,
                    breaks=None) -> ZeroBoundReport:
     """Verify the forced-zero bound: if f is rho-orthogonal to the whole
     system (all residuals <= tol) and f*rho is not numerically zero,
-    then f must have at least m_of(dom, order) sign changes.
-
-    Residual integrals split the domain at f's sign-change locations
-    plus any points passed in breaks, so step-weight discontinuities do
-    not poison the quadrature; pass the step's breakpoints and support
-    edges in breaks when rho came from a synthesis.  f is counted once
-    per function and counting grid: after synth_orthogonal or synth_weight
-    counted the same f object, the check reuses that count and its refined
-    crossings; with a rho, f is sampled on the grid once more, to test
-    whether f * rho vanishes there.
-    """
+    then f must have at least m_of(dom, order) sign changes.  The check
+    is _zero_bound's; when rho came from a synthesis, pass the step's
+    breakpoints and support edges in breaks."""
     bound = m_of(sys.dom, sys.order_n)
     return _zero_bound(f, sys.basis, sys.dom, bound, rho, tol, grid_n, breaks)
 
 
 def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundReport:
-    """The theorem-of-zeros check of f against the functions in basis:
-    count f's sign changes on the grid, integrate f * rho * basis split
-    at the crossings and breaks, and hold the count to bound when the
-    residuals are within tol and f * rho does not vanish."""
+    """The theorem-of-zeros check of f against the functions in basis.
+
+    f's sign changes are counted by fs._sign_report, so the count and
+    refined crossings of a synthesis of the same f object are reused.
+    The residual integrals of f * rho * basis are split at those crossings
+    and at breaks, so that step discontinuities do not poison the
+    quadrature.  The count is held to bound when the residuals are within
+    tol and f * rho does not vanish on the counting grid."""
     fs._check_tol(tol)
     grid = fs._count_grid(dom, grid_n)
     # f * rho is tested for vanishing on the grid; with no rho, f vanishing

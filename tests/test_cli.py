@@ -470,3 +470,34 @@ def test_exit_2_on_negative_counts(capsys, flag):
     family = "hurwitz" if flag == "--harmonics" else "theorem6"
     code, out, err = run(capsys, "verify", family, f"{flag}=-1", "--trials", "1")
     assert code == 2 and out == "" and flag in err
+
+
+_ORTHO = ["synth", "ortho", "--system", "poly:3", "--points=-0.6,-0.1,0.4,0.8"]
+_CONVEXITY = ["curve", "convexity", "--curve", "sinegraph"]
+
+
+@pytest.mark.parametrize("argv, accepted", [
+    (_ORTHO + ["--trials", "3"], False),
+    (_ORTHO + ["--no-timing"], False),
+    (["curve", "dimension", "--curve", "expgraph", "--tol", "1e-8"], False),
+    (_CONVEXITY + ["--no-timing"], False),
+    (["verify", "theorem6", "--seed", "1", "--trials", "1", "--grid", "128",
+      "--tol", "1e-9", "--no-timing", "--harmonics", "1", "--n", "1", "--k", "9",
+      "--format", "csv", "--out", "r.csv"], True),
+    (_ORTHO + ["--seed", "1", "--grid", "128", "--tol", "1e-9", "--func", "poly:1",
+               "--poly", "p.txt", "--n", "1", "--simple=0.1", "--double=0.2",
+               "--format", "csv", "--out", "r.csv"], True),
+    (_CONVEXITY + ["--seed", "1", "--trials", "5", "--grid", "128", "--n", "2",
+                   "--format", "csv", "--out", "r.csv"], True),
+], ids=["synth-trials", "synth-no-timing", "curve-tol", "curve-no-timing",
+        "verify-kept", "synth-kept", "curve-kept"])
+def test_each_command_accepts_only_the_flags_it_reads(capsys, argv, accepted):
+    # a flag no code path of the command reads is refused like an unknown one
+    if accepted:
+        args = cli.build_parser().parse_args(argv)
+        assert args.seed == 1 and args.grid == 128 and args.out == "r.csv"
+        return
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
