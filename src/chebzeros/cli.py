@@ -61,12 +61,9 @@ _EXC = (ValueError, NotChebyshevError, RuntimeError)
 
 def _trials(args, default: int) -> int:
     # --trials when given, else 3 under `verify all`, else the family's own
-    t = args.trials
-    if t is None:
-        t = 3 if args.what == "all" else default
-    if t < 1:
-        raise ValueError("--trials must be at least 1")
-    return t
+    if args.trials is not None:
+        return args.trials
+    return 3 if args.what == "all" else default
 
 
 def _points_for(rng, dom: fs.Domain, m: int) -> np.ndarray:
@@ -622,63 +619,58 @@ def _step_payload(res) -> dict:
             "sign_changes": res.sign_report.count}
 
 
-# the spec flags each synth and curve subcommand needs
-_NEEDS = {"ortho": ("system", "points"), "weight": ("system", "func"),
-          "masses": ("poly", "n"), "annihilator": ("system",),
-          "convexity": ("curve",), "dimension": ("curve",)}
+def cmd_ortho(args) -> dict:
+    pts = _floats(args.points)
+    res = synth_orthogonal(parse_system(args.system), pts, grid_n=args.grid)
+    return {"system": args.system, "points": pts, **_step_payload(res),
+            "locations": _jsonable(res.sign_report.locations)}
 
 
-def cmd_synth(args) -> dict:
-    sys = parse_system(args.system) if "system" in _NEEDS[args.what] else None
-    if args.what == "ortho":
-        pts = _floats(args.points)
-        res = synth_orthogonal(sys, pts, grid_n=args.grid)
-        return {"system": args.system, "points": pts, **_step_payload(res),
-                "locations": _jsonable(res.sign_report.locations)}
-    if args.what == "weight":
-        f = parse_func(args.func, sys.dom)
-        res = synth_weight(sys, f, grid_n=args.grid)
-        return {"system": args.system, "func": args.func, **_step_payload(res),
-                "support": _jsonable(np.asarray(res.step.support))
-                if res.step.support is not None else None}
-    if args.what == "masses":
-        with open(args.poly, "r", encoding="utf-8") as fh:
-            P = parse_polyline(fh.read())
-        mv = construct_masses(P, args.n, args.seed)
-        rep = theorem6_check(P, args.n, mv, tol=min(args.tol, 1e-10))
-        res = rep.max_residual
-        return {"poly": args.poly, "n": args.n, "k": P.k, "closed": P.closed,
-                "masses": _jsonable(mv.masses), "applicable": rep.applicable,
-                "passed": rep.passed, "message": rep.message, "bound": rep.bound,
-                "max_residual": res if np.isfinite(res) else None,
-                "sign_changes": rep.sign_changes if rep.applicable else None}
-    if args.what == "annihilator":
-        rp = RootPrescription(
-            simple_roots=tuple(_floats(args.simple)) if args.simple else (),
-            double_roots=tuple(_floats(args.double)) if args.double else ())
-        co = general_annihilator(sys, rp, grid_n=args.grid)
-        return {"system": args.system, "simple": list(rp.simple_roots),
-                "double": list(rp.double_roots), "coeffs": _jsonable(co)}
-    raise ValueError(f"unknown synth subcommand {args.what!r}")
+def cmd_weight(args) -> dict:
+    sys = parse_system(args.system)
+    res = synth_weight(sys, parse_func(args.func, sys.dom), grid_n=args.grid)
+    return {"system": args.system, "func": args.func, **_step_payload(res),
+            "support": _jsonable(np.asarray(res.step.support))
+            if res.step.support is not None else None}
 
 
-def cmd_curve(args) -> dict:
+def cmd_masses(args) -> dict:
+    with open(args.poly, "r", encoding="utf-8") as fh:
+        P = parse_polyline(fh.read())
+    mv = construct_masses(P, args.n, args.seed)
+    rep = theorem6_check(P, args.n, mv, tol=min(args.tol, 1e-10))
+    res = rep.max_residual
+    return {"poly": args.poly, "n": args.n, "k": P.k, "closed": P.closed,
+            "masses": _jsonable(mv.masses), "applicable": rep.applicable,
+            "passed": rep.passed, "message": rep.message, "bound": rep.bound,
+            "max_residual": res if np.isfinite(res) else None,
+            "sign_changes": rep.sign_changes if rep.applicable else None}
+
+
+def cmd_annihilator(args) -> dict:
+    rp = RootPrescription(
+        simple_roots=tuple(_floats(args.simple)) if args.simple else (),
+        double_roots=tuple(_floats(args.double)) if args.double else ())
+    co = general_annihilator(parse_system(args.system), rp, grid_n=args.grid)
+    return {"system": args.system, "simple": list(rp.simple_roots),
+            "double": list(rp.double_roots), "coeffs": _jsonable(co)}
+
+
+def cmd_convexity(args) -> dict:
+    r = convexity_check(parse_curve(args.curve), trials=args.trials,
+                        rng_seed=args.seed, grid_n=args.grid)
+    payload = {"curve": args.curve, "status": r.status, "trials_run": r.trials_run}
+    if r.witness is not None:
+        payload["witness_normal"] = _jsonable(r.witness.normal)
+        payload["witness_offset"] = float(r.witness.offset)
+        payload["witness_crossings"] = r.witness_count.count_with_multiplicity
+    return payload
+
+
+def cmd_dimension(args) -> dict:
     cur = parse_curve(args.curve)
-    if args.what == "convexity":
-        trials = args.trials if args.trials is not None else _PROBES
-        r = convexity_check(cur, trials=trials, rng_seed=args.seed,
-                            grid_n=args.grid)
-        payload = {"curve": args.curve, "status": r.status,
-                   "trials_run": r.trials_run}
-        if r.witness is not None:
-            payload["witness_normal"] = _jsonable(r.witness.normal)
-            payload["witness_offset"] = float(r.witness.offset)
-            payload["witness_crossings"] = r.witness_count.count_with_multiplicity
-        return payload
-    if args.what == "dimension":
-        dim = dimension_estimate(restrict_polynomials(cur, args.n), cur.dom)
-        return {"curve": args.curve, "n": args.n, "dimension": dim}
-    raise ValueError(f"unknown curve subcommand {args.what!r}")
+    dim = dimension_estimate(restrict_polynomials(cur, args.n), cur.dom)
+    return {"curve": args.curve, "n": args.n, "dimension": dim}
 
 
 # ---------------------------------------------------------------------------
@@ -733,19 +725,43 @@ def _emit_payload(payload: dict, args) -> None:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: each command's parser is its whole contract, the flags
+# it takes, which of them it needs, and their ranges and defaults
 
 
-def _add_common(p: argparse.ArgumentParser, **helps) -> None:
-    # only the flags some code path of the command reads, each with what it
-    # means there; every command writes a report
-    kinds = {"seed": dict(type=int, default=0), "trials": dict(type=int, default=None),
-             "grid": dict(type=int, default=fs.DEFAULT_GRID_N),
-             "tol": dict(type=float, default=1e-8), "no_timing": dict(action="store_true")}
-    for name, text in helps.items():
-        p.add_argument("--" + name.replace("_", "-"), help=text, **kinds[name])
-    p.add_argument("--out", default=None, help="write the report here")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+def _ranged(parse, ok, rule: str):
+    # an argparse type: a value outside the rule exits 2 naming the flag
+    def convert(text):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, not {text}")
+        return value
+
+    convert.__name__ = parse.__name__  # argparse's "invalid int value"
+    return convert
+
+
+_SEED = dict(type=int, default=0)
+_TRIALS = dict(type=_ranged(int, lambda v: v >= 1, "at least 1"))
+_GRID = dict(type=_ranged(int, lambda v: v >= 64, "at least 64"),
+             default=fs.DEFAULT_GRID_N)
+_TOL = dict(type=_ranged(float, lambda v: np.isfinite(v) and v > 0.0,
+                         "finite and positive"), default=1e-8)
+_COUNT = dict(type=_ranged(int, lambda v: v >= 0, "nonnegative"))
+_SPEC = dict(required=True)
+
+
+def _command(sub, name: str, run, help: str, **flags) -> argparse.ArgumentParser:
+    """A command taking exactly the given flags (name: add_argument
+    keywords) and the report's --out and --format; run handles it."""
+    p = sub.add_parser(name, help=help)
+    for flag, kw in flags.items():
+        p.add_argument("--" + flag.replace("_", "-"), **kw)
+    p.add_argument("--out", default=None, help="write the report to this file, not stdout")
+    p.add_argument("--format", choices=["json", "csv"], default="json",
+                   help="report format (default json)")
+    p.set_defaults(run=run)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -755,76 +771,66 @@ def build_parser() -> argparse.ArgumentParser:
                     "Chebyshev systems, on curves and polygons")
     sub = p.add_subparsers(dest="cmd", required=True)
 
-    pv = sub.add_parser("verify", help="run a seeded verification sweep")
+    pv = _command(
+        sub, "verify", run_verify, "run a seeded verification sweep",
+        seed=dict(_SEED, help="base seed of the instances and probe streams"),
+        trials=dict(_TRIALS, help="instances per family, >= 1 (default: its own; 3 under all)"),
+        grid=dict(_GRID, help="sign-counting grid size of every check that counts (>= 64)"),
+        tol=dict(_TOL, help="residual tolerance of the zero-bound and mass checks "
+                            "(finite, > 0; theorem6 uses at most 1e-10)"),
+        no_timing=dict(action="store_true", help="report wall_time_ms as 0 for equal reruns"),
+        harmonics=dict(_COUNT, help="hurwitz: restrict to one harmonic order (>= 0)"),
+        n=dict(_COUNT, help="theorem6: moment degree (>= 0)"),
+        k=dict(_COUNT, help="theorem6: vertex count (>= 0)"))
     pv.add_argument("what", choices=list(FAMILIES) + ["all"])
-    _add_common(pv, seed="base seed of the instances and probe streams",
-                trials="instances per family (default: the family's own; 3 under all)",
-                grid="sign-counting grid size of every check that counts (>= 64)",
-                tol="residual tolerance of the zero-bound and mass checks (finite, "
-                    "> 0; theorem6 uses at most 1e-10)",
-                no_timing="report wall_time_ms as 0 for reproducible bytes")
-    pv.add_argument("--harmonics", type=int, default=None,
-                    help="hurwitz: restrict to one harmonic order")
-    pv.add_argument("--n", type=int, default=None,
-                    help="theorem6: moment degree")
-    pv.add_argument("--k", type=int, default=None,
-                    help="theorem6: vertex count")
 
-    ps = sub.add_parser("synth", help="run one construction and print it")
-    ps.add_argument("what", choices=["ortho", "weight", "masses", "annihilator"])
-    _add_common(ps, seed="masses: seed of the random kernel direction",
-                grid="ortho, weight, annihilator: sign-counting grid size (>= 64)",
-                tol="masses: moment residual tolerance (finite, > 0; at most 1e-10 is used)")
-    ps.add_argument("--system", default=None,
-                    help=" | ".join(_SYSTEM_FORMS.values()))
-    ps.add_argument("--points", default=None,
-                    help="comma list of prescribed sign points")
-    ps.add_argument("--func", default=None,
-                    help="poly:c0,c1,.. | trig:a0,a1,b1,.. | roots:r1,..")
-    ps.add_argument("--poly", default=None, help="polyline file")
-    ps.add_argument("--n", type=int, default=None, help="moment degree")
-    ps.add_argument("--simple", default=None, help="comma list of simple roots")
-    ps.add_argument("--double", default=None, help="comma list of double roots")
+    ps = sub.add_parser("synth", help="run one construction and print it"
+                        ).add_subparsers(dest="what", required=True)
+    system = dict(_SPEC, help="the Chebyshev system: " + " | ".join(_SYSTEM_FORMS.values()))
+    grid = dict(_GRID, help="sign-counting grid size (>= 64)")
+    _command(ps, "ortho", cmd_ortho,
+             "a function changing sign exactly at the points, orthogonal to the system",
+             system=system, points=dict(_SPEC, help="comma list of its sign points"), grid=grid)
+    _command(ps, "weight", cmd_weight,
+             "a constant-sign weight making the function orthogonal to the system",
+             system=system, grid=grid,
+             func=dict(_SPEC, help="the function: poly:c0,.. | trig:a0,a1,b1,.. | roots:r1,.."))
+    _command(ps, "annihilator", cmd_annihilator,
+             "a combination of the system with prescribed simple and double roots",
+             system=system, simple=dict(help="comma list of simple roots"),
+             double=dict(help="comma list of double roots"), grid=grid)
+    _command(ps, "masses", cmd_masses,
+             "vertex masses annihilating a polyline's moments, with their check",
+             poly=dict(_SPEC, help="polyline file, one vertex per line"),
+             n=dict(_COUNT, required=True, help="moment degree (>= 0)"),
+             seed=dict(_SEED, help="seed of the random kernel direction"),
+             tol=dict(_TOL, help="moment residual tolerance (finite, > 0); at most "
+                                 "1e-10 is used"))
 
-    pc = sub.add_parser("curve", help="convexity verdict or dimension")
-    pc.add_argument("what", choices=["convexity", "dimension"])
-    _add_common(pc, seed="convexity: probe seed",
-                trials=f"convexity: probe budget (default {_PROBES})",
-                grid="convexity: sign-counting grid size (>= 64)")
-    pc.add_argument("--curve", default=None,
-                    help=" | ".join(spec[-1] for spec in _CURVE_SPECS.values()))
-    pc.add_argument("--n", type=int, default=1,
-                    help="dimension: polynomial degree (default 1)")
+    pc = sub.add_parser("curve", help="convexity verdict or dimension"
+                        ).add_subparsers(dest="what", required=True)
+    curve = dict(_SPEC, help="the curve: " + " | ".join(c[-1] for c in _CURVE_SPECS.values()))
+    _command(pc, "convexity", cmd_convexity, "seeded falsifier of the curve's convexity",
+             curve=curve, seed=dict(_SEED, help="probe seed"),
+             trials=dict(_TRIALS, default=_PROBES,
+                         help=f"probe budget (>= 1, default {_PROBES})"),
+             grid=dict(_GRID, help="sign-counting grid size of each probe (>= 64)"))
+    _command(pc, "dimension", cmd_dimension,
+             "dimension of the polynomials of degree <= n restricted to the curve",
+             curve=curve, n=dict(_COUNT, default=1, help="polynomial degree (>= 0, default 1)"))
     return p
-
-
-def _check_common(args) -> None:
-    if args.grid < 64:
-        raise ValueError("--grid must be at least 64")
-    tol = getattr(args, "tol", 1.0)
-    if not (np.isfinite(tol) and tol > 0.0):
-        raise ValueError("--tol must be finite and positive")
-    for flag in ("harmonics", "n"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            raise ValueError(f"--{flag} must be nonnegative")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_common(args)
         t0 = time.perf_counter()
+        out = args.run(args)
         if args.cmd == "verify":
-            records = run_verify(args)
             ms = 0 if args.no_timing else int((time.perf_counter() - t0) * 1000)
-            return _emit_verify(records, args, ms)
-        missing = [f"--{a}" for a in _NEEDS[args.what] if getattr(args, a) in (None, "")]
-        if missing:
-            raise ValueError(f"{args.cmd} {args.what} needs {' and '.join(missing)}")
-        payload = cmd_synth(args) if args.cmd == "synth" else cmd_curve(args)
-        _emit_payload(payload, args)
-        return 0 if payload.get("passed", True) else 1
+            return _emit_verify(out, args, ms)
+        _emit_payload(out, args)
+        return 0 if out.get("passed", True) else 1
     except _EXC + (OSError,) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

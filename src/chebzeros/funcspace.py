@@ -831,11 +831,10 @@ def grid_sign_report(f: Func1D, dom: Domain, ts: np.ndarray,
     return SignChangeReport(ii.size, roots, False)
 
 
-def _sign_report(f: Func1D, dom: Domain, grid_n: int, guesses=None,
-                 vals=None) -> SignChangeReport:
+def _sign_report(f: Func1D, dom: Domain, grid_n: int,
+                 guesses=None) -> SignChangeReport:
     """grid_sign_report of f on _count_grid(dom, grid_n), computed once per
-    function and counting grid; vals, when given, are f's values there,
-    which the caller has sampled already.  On a shared grid (up to
+    function and counting grid.  On a shared grid (up to
     DEFAULT_GRID_N points) the report is kept on f and freed with it, so a
     check of a function its synthesis counted neither samples the grid nor
     refines again; guesses count only on the first call, and decide only
@@ -846,8 +845,7 @@ def _sign_report(f: Func1D, dom: Domain, grid_n: int, guesses=None,
     if (dom, grid_n) not in memo:
         # refined through a copy of f, so that f and its memo form no cycle
         memo[dom, grid_n] = grid_sign_report(
-            Func1D(f.eval, f.label), dom, ts, sample(f, ts) if vals is None else vals,
-            guesses=guesses)
+            Func1D(f.eval, f.label), dom, ts, sample(f, ts), guesses=guesses)
     return memo[dom, grid_n]
 
 

@@ -309,13 +309,11 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
     The residual integrals of f * rho * basis are split at those crossings
     and at breaks, so that step discontinuities do not poison the
     quadrature.  The count is held to bound when the residuals are within
-    tol and f * rho does not vanish on the counting grid."""
+    tol and f * rho does not vanish on the residuals' quadrature nodes
+    (with no rho, f vanishing on the counting grid is the report's
+    degeneracy)."""
     fs._check_tol(tol)
-    grid = fs._count_grid(dom, grid_n)
-    # f * rho is tested for vanishing on the grid; with no rho, f vanishing
-    # there is the report's degeneracy
-    fgrid = None if rho is None else fs.sample(f, grid)
-    rep = fs._sign_report(f, dom, grid_n, guesses=breaks, vals=fgrid)
+    rep = fs._sign_report(f, dom, grid_n, guesses=breaks)
     cuts = np.asarray(rep.locations, dtype=float)
     if breaks is not None:
         extra = np.asarray(breaks, dtype=float)
@@ -325,13 +323,11 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
             extra = extra[(extra > dom.a) & (extra < dom.b)]
         cuts = np.union1d(cuts, extra)
 
-    def with_rho(vals, ts):
-        return vals if rho is None else vals * fs.sample(rho, ts)
-
     ts, ws = fs.rule_with_breaks(dom, cuts)
-    residuals = (ws * with_rho(fs.sample(f, ts), ts)) @ fs.basis_matrix(basis, ts)
+    prod = fs.sample(f, ts) if rho is None else fs.sample(f, ts) * fs.sample(rho, ts)
+    residuals = (ws * prod) @ fs.basis_matrix(basis, ts)
     max_res = float(np.max(np.abs(residuals)))
-    vanishes = rho is not None and float(np.max(np.abs(with_rho(fgrid, grid)))) == 0.0
+    vanishes = rho is not None and float(np.max(np.abs(prod))) == 0.0
     if max_res > tol or rep.degenerate or vanishes:
         return ZeroBoundReport(False, False, -1, bound, max_res)
     return ZeroBoundReport(True, rep.count >= bound, rep.count, bound, max_res)

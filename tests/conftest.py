@@ -1,8 +1,10 @@
+import argparse
 import types
 
 import numpy as np
 import pytest
 
+from chebzeros import cli
 from chebzeros import funcspace as fs
 
 
@@ -70,3 +72,23 @@ def sample_log(monkeypatch):
     monkeypatch.setattr(fs, "sample", spy_sample)
     monkeypatch.setattr(fs, "_bisect_roots", spy_bisect)
     return log
+
+
+def _subparsers(parser):
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
+@pytest.fixture
+def command_flags():
+    """{"synth ortho": {"--system": True, "--grid": False, ...}, ...}: the
+    flags of verify and of each synth and curve subcommand, as the CLI
+    parser defines them, True where the flag is required."""
+    leaves = {}
+    for name, p in _subparsers(cli.build_parser()).items():
+        subs = _subparsers(p) if name != "verify" else {"": p}
+        for what, leaf in subs.items():
+            leaves[f"{name} {what}".strip()] = {
+                opt: a.required for a in leaf._actions for opt in a.option_strings
+                if opt != "--help" and opt.startswith("--")}
+    return leaves

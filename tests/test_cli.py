@@ -14,7 +14,10 @@ DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as e:  # the parser refused the request
+        code = e.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -449,7 +452,7 @@ def test_exit_2_on_bad_inputs(capsys):
                          "/nonexistent/poly.txt", "--n", "1")
     assert code3 == 2
     code4, _, err4 = run(capsys, "synth", "ortho", "--system", "poly:1")
-    assert code4 == 2 and "needs" in err4
+    assert code4 == 2 and "--points" in err4
 
 
 @pytest.mark.parametrize("func", ["poly:", "poly:,", "trig:"])
@@ -484,13 +487,8 @@ _CONVEXITY = ["curve", "convexity", "--curve", "sinegraph"]
     (["verify", "theorem6", "--seed", "1", "--trials", "1", "--grid", "128",
       "--tol", "1e-9", "--no-timing", "--harmonics", "1", "--n", "1", "--k", "9",
       "--format", "csv", "--out", "r.csv"], True),
-    (_ORTHO + ["--seed", "1", "--grid", "128", "--tol", "1e-9", "--func", "poly:1",
-               "--poly", "p.txt", "--n", "1", "--simple=0.1", "--double=0.2",
-               "--format", "csv", "--out", "r.csv"], True),
-    (_CONVEXITY + ["--seed", "1", "--trials", "5", "--grid", "128", "--n", "2",
-                   "--format", "csv", "--out", "r.csv"], True),
 ], ids=["synth-trials", "synth-no-timing", "curve-tol", "curve-no-timing",
-        "verify-kept", "synth-kept", "curve-kept"])
+        "verify-kept"])
 def test_each_command_accepts_only_the_flags_it_reads(capsys, argv, accepted):
     # a flag no code path of the command reads is refused like an unknown one
     if accepted:
@@ -501,3 +499,82 @@ def test_each_command_accepts_only_the_flags_it_reads(capsys, argv, accepted):
         cli.main(argv)
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# each synth and curve subcommand's flags: (required, optional)
+_REPORT = {"--out", "--format"}
+_TABLE = {
+    "synth ortho": ({"--system", "--points"}, {"--grid"} | _REPORT),
+    "synth weight": ({"--system", "--func"}, {"--grid"} | _REPORT),
+    "synth annihilator": ({"--system"}, {"--simple", "--double", "--grid"} | _REPORT),
+    "synth masses": ({"--poly", "--n"}, {"--seed", "--tol"} | _REPORT),
+    "curve convexity": ({"--curve"}, {"--seed", "--trials", "--grid"} | _REPORT),
+    "curve dimension": ({"--curve"}, {"--n"} | _REPORT),
+}
+# a value each flag parses
+_VALUE = {"--system": "poly:3", "--points": "0.1", "--func": "poly:1",
+          "--poly": "p.txt", "--n": "2", "--seed": "1", "--tol": "1e-9",
+          "--grid": "128", "--trials": "5", "--curve": "moment:2",
+          "--simple": "0.1", "--double": "0.2", "--out": "r.csv", "--format": "csv"}
+
+
+def test_synth_and_curve_take_their_table_rows(command_flags):
+    rows = {c: flags for c, flags in command_flags.items() if c != "verify"}
+    for command, (required, optional) in _TABLE.items():
+        flags = rows.pop(command)
+        assert {f for f, req in flags.items() if req} == required
+        assert set(flags) == required | optional
+    assert rows == {}
+    assert sum(len(r | o) for r, o in _TABLE.values()) == 32
+
+
+@pytest.mark.parametrize("command", list(_TABLE))
+def test_a_sibling_flag_is_refused(capsys, command_flags, command):
+    # every flag a sibling subcommand takes is accepted exactly where the
+    # table lists it, and is otherwise refused like an unknown flag
+    family = command.split()[0]
+    required, optional = _TABLE[command]
+    base = command.split() + [x for f in sorted(required) for x in (f, _VALUE[f])]
+    offered = set().union(*(flags for c, flags in command_flags.items()
+                            if c.split()[0] == family))
+    for flag in sorted(offered - required):
+        argv = base + [flag, _VALUE[flag]]
+        if flag in optional:
+            args = cli.build_parser().parse_args(argv)
+            assert args.run is getattr(cli, "cmd_" + command.split()[1])
+            continue
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {_VALUE[flag]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (req, _) in _TABLE.items()
+                                           for f in sorted(req)])
+def test_exit_2_on_missing_spec(capsys, command, flag):
+    required = _TABLE[command][0] - {flag}
+    argv = command.split() + [x for f in sorted(required) for x in (f, _VALUE[f])]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "required" in err and flag in err
+
+
+_POLY = str(DATA / "moment3_polyline.txt")
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--trials", ["verify", "fourvertex", "--trials", "0"]),
+    ("--trials", ["curve", "convexity", "--curve", "moment:2", "--trials", "0"]),
+    ("--grid", ["synth", "ortho", "--system", "poly:1", "--points=-0.5,0.5",
+                "--grid", "63"]),
+    ("--grid", ["curve", "convexity", "--curve", "moment:2", "--grid", "10"]),
+    ("--tol", ["synth", "masses", "--poly", _POLY, "--n", "1", "--tol", "nan"]),
+    ("--n", ["synth", "masses", "--poly", _POLY, "--n=-1"]),
+    ("--n", ["curve", "dimension", "--curve", "moment:2", "--n=-1"]),
+    ("--k", ["verify", "theorem6", "--k=-1", "--trials", "1"]),
+    ("--grid", ["curve", "convexity", "--curve", "moment:2", "--grid", "x"]),
+], ids=["verify-trials", "convexity-trials", "ortho-grid", "convexity-grid",
+        "masses-tol", "masses-n", "dimension-n", "verify-k", "convexity-grid-text"])
+def test_exit_2_on_out_of_range_values(capsys, flag, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and f"argument {flag}:" in err

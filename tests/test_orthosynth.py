@@ -155,8 +155,8 @@ def test_theorem1_after_synth_orthogonal_reuses_its_count(sample_log):
 
 def test_theorem1_after_synth_weight_reuses_its_count(sample_log):
     # synth_weight's count of f and its crossings serve theorem1_check,
-    # which refines nothing; f is sampled on the counting grid only for the
-    # test that f * rho vanishes there, once itself and once inside rho
+    # which refines nothing and samples f on no counting grid: the test
+    # that f * rho vanishes reads the quadrature nodes
     log = sample_log
     for sys, pts in _synth_instances():
         f = cz.default_annihilator(pts, sys.dom)
@@ -166,7 +166,7 @@ def test_theorem1_after_synth_weight_reuses_its_count(sample_log):
         before = log.refines
         rep = cz.theorem1_check(sys, f, res.rho, breaks=breaks)
         assert rep.applicable and rep.passed
-        assert _grid_samples(log.samples, f, sys.dom) == 2
+        assert _grid_samples(log.samples, f, sys.dom) == 0
         assert log.refines == before
         fresh = fs.Func1D(f.eval)
         assert rep == cz.theorem1_check(sys, fresh, res.rho, breaks=breaks)
@@ -306,10 +306,29 @@ def test_theorem1_samples_f_once_on_quadrature_nodes(weighted, size_log):
     assert size_log.refine_calls > 0
     quad = [n for n in sizes if n != fs.DEFAULT_GRID_N]
     assert len(quad) == 1 and quad[0] >= 16
-    # one sample on the count grid serves the count and the vanishing test
+    # one sample on the count grid serves the count; the vanishing test
+    # reads f * rho on the quadrature nodes
     assert sizes.count(fs.DEFAULT_GRID_N) == 1
     if weighted:
-        assert rho_sizes == [quad[0], fs.DEFAULT_GRID_N]
+        assert rho_sizes == [quad[0]]
+
+
+@pytest.mark.parametrize("off_grid_only", [False, True])
+def test_theorem1_not_applicable_when_f_rho_vanishes_on_the_nodes(off_grid_only):
+    # residuals of a product that is zero on every quadrature node are
+    # vacuous, whatever rho is on the counting grid
+    sys = cz.polynomial_system(2)
+    res = cz.synth_orthogonal(sys, [-0.5, 0.0, 0.5])
+
+    def rho_eval(t):
+        t = np.asarray(t, dtype=float)
+        on_grid = off_grid_only and t.size == fs.DEFAULT_GRID_N
+        return np.full_like(t, 1.0 if on_grid else 0.0)
+
+    rep = cz.theorem1_check(sys, res.F, rho=fs.Func1D(rho_eval),
+                            breaks=res.step.breakpoints)
+    assert not rep.applicable and not rep.passed
+    assert rep.sign_changes == -1 and rep.max_residual == 0.0
 
 
 def test_theorem1_not_applicable():
