@@ -579,12 +579,16 @@ FAMILIES: Dict[str, Callable[..., Iterator[Case]]] = {
     "example5": example5_cases,
     "example6": example6_cases,
 }
+# the families of fixed records, which take no --trials
+_FIXED = ("example1", "example2", "example5", "example6")
 
 
 def run_verify(args) -> List[Record]:
     """Records of one family, or of every family under `all` with the
     family name as instance prefix.  A check raising a library exception
     gives an error record, not a failed one."""
+    if args.trials is not None and args.what in _FIXED:
+        raise ValueError(f"verify {args.what} runs fixed records and takes no --trials")
     names = list(FAMILIES) if args.what == "all" else [args.what]
     records: List[Record] = []
     for name in names:
@@ -774,7 +778,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv = _command(
         sub, "verify", run_verify, "run a seeded verification sweep",
         seed=dict(_SEED, help="base seed of the instances and probe streams"),
-        trials=dict(_TRIALS, help="instances per family, >= 1 (default: its own; 3 under all)"),
+        trials=dict(_TRIALS, help="instances per family, >= 1 (default: its own; 3 under "
+                                  "all); the example families run fixed records"),
         grid=dict(_GRID, help="sign-counting grid size of every check that counts (>= 64)"),
         tol=dict(_TOL, help="residual tolerance of the zero-bound and mass checks "
                             "(finite, > 0; theorem6 uses at most 1e-10)"),

@@ -360,7 +360,7 @@ def _intersections(curve, hp, ts, vals) -> IntersectionCount:
     spread = float(np.ptp(vals))
     shifts = [0.0] + [sgn * 1e-3 * scale * spread
                       for scale in _MULT_SCALES for sgn in (1.0, -1.0)]
-    counts = fs._grid_counts(vals - np.array(shifts)[:, None], dom.is_circle).tolist()
+    counts = [fs.count_grid_sign_changes(vals - s, dom.is_circle) for s in shifts]
     # the first maximum sets perturbation_used; a zero shift repeats the
     # unshifted count, so it never wins
     best, used = counts[0], 0.0

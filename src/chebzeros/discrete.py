@@ -12,7 +12,6 @@ normals (they sum to zero against every normal by the closure identity).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,10 +27,6 @@ VERTEX_REJECT_TOL = 1e-9
 MASS_RESIDUAL_TOL = 1e-10
 _CONVEXITY_SEED = 1729  # fixed internal seed for hypothesis screening
 _CONVEXITY_TRIALS = 200  # probes of the convexity hypothesis in theorem6_check
-# _sign_regular decides no line of more than this many (d+1)-minors.  It
-# signs only the k(m - k) + 1 test minors, so the cap does not bound its
-# cost; it only keeps which lines are decided
-_MINORS_CAP = 10 ** 4
 
 
 @dataclass(frozen=True)
@@ -168,10 +163,9 @@ def _sign_regular(P: PolyLine) -> Optional[bool]:
 
     None where the minors do not decide: closed planar polygons (the
     cheaper _convex_certificate decides those), closed lines with odd d,
-    m <= d + 1 vertices, and more than _MINORS_CAP (d+1)-minors in all."""
+    and m <= d + 1 vertices."""
     m, d = P.k, P.d
-    if ((P.closed and (d == 2 or d % 2)) or m <= d + 1
-            or math.comb(m, d + 1) > _MINORS_CAP):
+    if (P.closed and (d == 2 or d % 2)) or m <= d + 1:
         return None
     U = P.vertices - P.vertices[0]
     A = np.insert(U / np.max(np.abs(U)), 0, 1.0, axis=1)

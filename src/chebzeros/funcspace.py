@@ -541,40 +541,15 @@ def count_grid_sign_changes(vals, cyclic: bool) -> int:
     return ii.size
 
 
-def _grid_counts(vals: np.ndarray, cyclic: bool) -> np.ndarray:
-    """count_grid_sign_changes of every row of a (k, n) array.  A dropped
-    sample takes the sign of the kept one before it (after it, in a run
-    opening its row), so a dropped run counts as in _sign_transitions."""
-    k, n = vals.shape
-    a = np.abs(vals)
-    s = (vals > 0).ravel()
-    drop = (~(a > DEFAULT_TOL_REL * a.max(axis=1, keepdims=True))).ravel().nonzero()[0]
-    if drop.size:
-        start = drop % n == 0
-        start[0] = True
-        start[1:] |= drop[1:] - drop[:-1] != 1
-        end = np.ones_like(start)
-        end[:-1] = start[1:]
-        first = np.maximum.accumulate(np.where(start, drop, 0))
-        last = np.minimum.accumulate(np.where(end, drop, s.size)[::-1])[::-1]
-        src = np.where(first % n == 0, last + 1, first - 1)
-        s[drop] = s[np.minimum(src, s.size - 1)]
-    flips = (s[1:] != s[:-1]).nonzero()[0]
-    counts = np.bincount(flips[flips % n != n - 1] // n, minlength=k)
-    if cyclic:
-        counts += s[::n] != s[n - 1::n]
-    return counts
-
-
 def _counts_over(vals: np.ndarray, cyclic: bool, bound: int) -> np.ndarray:
     """A count for every row of a (k, n) array that exceeds bound exactly
-    where _grid_counts' does, and equals it there.
+    where count_grid_sign_changes' does, and equals it there.
 
     Each row is first counted by the raw flips of vals > 0, and only rows
-    whose raw count exceeds bound go to _grid_counts.  A kept sample has
+    whose raw count exceeds bound are counted exactly.  A kept sample has
     its strict sign, and between two consecutive kept samples (around the
     wrap, on a circle) raw signs flip at least once where those two signs
-    differ, the one flip _grid_counts counts there; so raw flips never
+    differ, the one flip the exact count counts there; so raw flips never
     undercount, and a row at or below bound keeps its raw count."""
     k, n = vals.shape
     s = (vals > 0).ravel()
@@ -584,9 +559,8 @@ def _counts_over(vals: np.ndarray, cyclic: bool, bound: int) -> np.ndarray:
     # wrap pair on a circle and no flip on an interval
     flips[n - 1::n] = (s[::n] != s[n - 1::n]) if cyclic else False
     counts = np.bincount(flips.nonzero()[0] // n, minlength=k)
-    over = (counts > bound).nonzero()[0]
-    if over.size:
-        counts[over] = _grid_counts(vals[over], cyclic)
+    for i in (counts > bound).nonzero()[0].tolist():
+        counts[i] = count_grid_sign_changes(vals[i], cyclic)
     return counts
 
 

@@ -276,7 +276,9 @@ class ZeroBoundReport:
 
     applicable says whether the hypotheses held.  A report that does not
     apply has sign_changes = -1 and passed = False; Theorem 6 also says
-    in message which hypothesis failed.
+    in message which hypothesis failed, and Theorems 1 and 5 say there
+    when the count was taken on the union of the counting grid and the
+    residuals' quadrature nodes.
     """
 
     applicable: bool
@@ -311,7 +313,10 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
     quadrature.  The count is held to bound when the residuals are within
     tol and f * rho does not vanish on the residuals' quadrature nodes
     (with no rho, f vanishing on the counting grid is the report's
-    degeneracy)."""
+    degeneracy).  A count short of bound is taken again on the sorted
+    union of the counting grid and those nodes, where the residuals were
+    proved, so a sign change between two grid nodes is not missed; the
+    larger count is reported."""
     fs._check_tol(tol)
     rep = fs._sign_report(f, dom, grid_n, guesses=breaks)
     cuts = np.asarray(rep.locations, dtype=float)
@@ -330,4 +335,11 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
     vanishes = rho is not None and float(np.max(np.abs(prod))) == 0.0
     if max_res > tol or rep.degenerate or vanishes:
         return ZeroBoundReport(False, False, -1, bound, max_res)
-    return ZeroBoundReport(True, rep.count >= bound, rep.count, bound, max_res)
+    count, message = rep.count, ""
+    if count < bound:
+        union = np.union1d(fs._count_grid(dom, grid_n), ts)
+        recount = fs.count_grid_sign_changes(fs.sample(f, union), dom.is_circle)
+        if recount > count:
+            count = recount
+            message = "counted on the union of the counting grid and the quadrature nodes"
+    return ZeroBoundReport(True, count >= bound, count, bound, max_res, message)

@@ -462,6 +462,15 @@ def test_exit_2_on_empty_func_spec(capsys, func):
     assert code == 2 and out == "" and "needs" in err
 
 
+@pytest.mark.parametrize("family", ["example1", "example2", "example5", "example6"])
+def test_exit_2_on_trials_for_fixed_records(capsys, family):
+    # these families run the same records whatever --trials says; under
+    # `all` the flag still sets the other families' instances
+    code, out, err = run(capsys, "verify", family, "--trials", "7")
+    assert code == 2 and out == ""
+    assert "--trials" in err and "fixed records" in err
+
+
 def test_exit_2_on_zero_k(capsys):
     code, out, err = run(capsys, "verify", "theorem6", "--k", "0",
                          "--trials", "1")

@@ -489,13 +489,13 @@ def test_probe_loops_count_exactly_only_rows_past_the_bound(monkeypatch):
     # raw sign flips settle every probe row of a convex curve: neither
     # probe loop sends one to the exact counter
     exact_rows = []
-    grid_counts = fs._grid_counts
+    count = fs.count_grid_sign_changes
 
-    def spy(rows, cyclic):
-        exact_rows.append(rows.shape[0])
-        return grid_counts(rows, cyclic)
+    def spy(vals, cyclic):
+        exact_rows.append(len(vals))
+        return count(vals, cyclic)
 
-    monkeypatch.setattr(fs, "_grid_counts", spy)
+    monkeypatch.setattr(fs, "count_grid_sign_changes", spy)
     rep = cz.theorem4_check(cz.moment_curve(3), trials=200)
     assert rep.agree and rep.convexity.convex
     assert exact_rows == []

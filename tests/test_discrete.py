@@ -945,11 +945,9 @@ def _all_minors_sign_regular(P):
     of [1, (V - v_1) / max|V - v_1|] over increasing vertex tuples is
     trusted by _det_signs and all share one sign; None where
     _sign_regular does not decide."""
-    from chebzeros import discrete
     from chebzeros._linalg import _det_signs
     m, d = P.k, P.d
-    if ((P.closed and (d == 2 or d % 2)) or m <= d + 1
-            or math.comb(m, d + 1) > discrete._MINORS_CAP):
+    if (P.closed and (d == 2 or d % 2)) or m <= d + 1:
         return None
     U = P.vertices - P.vertices[0]
     A = np.insert(U / np.max(np.abs(U)), 0, 1.0, axis=1)
@@ -1089,6 +1087,15 @@ def test_sign_regular_equals_all_minors_oracle(scale):
     assert got.count(True) >= 40 and got.count(False) >= 60
 
 
+def test_sign_regular_decides_a_long_moment_line():
+    # 40 vertices on the moment curve in R^4 have C(40, 5) = 658,008
+    # 5-minors; the k(m - k) + 1 = 176 test minors certify the line
+    from chebzeros import discrete
+    t = np.linspace(-1.0, 1.0, 40)
+    P = cz.PolyLine(np.stack([t ** j for j in range(1, 5)], axis=1), False)
+    assert discrete._sign_regular(P) is True
+
+
 def _exact_det_sign(M) -> int:
     """The sign of det M, M a float matrix read as the exact rationals
     it holds, by fraction-free (Bareiss) elimination."""
@@ -1161,7 +1168,6 @@ def test_probe_screen_runs_only_where_undecided(monkeypatch):
     undecided = [
         cz.PolyLine(np.stack([np.cos(t), np.sin(t), np.cos(2 * t)], axis=1), True),
         _regular_polygon(9),
-        cz.PolyLine(np.stack([ts ** j for j in range(1, 5)], axis=1)),  # C(30, 5) minors
         cz.PolyLine(np.stack([ts[:4] ** j for j in range(1, 4)], axis=1)),  # m = d + 1
     ]
     for P in undecided:
@@ -1170,6 +1176,7 @@ def test_probe_screen_runs_only_where_undecided(monkeypatch):
     certified = [
         cz.PolyLine(np.stack([ts[:10], ts[:10] ** 2], axis=1)),
         cz.PolyLine(np.stack([ts[::3] ** j for j in range(1, 4)], axis=1)),
+        cz.PolyLine(np.stack([ts ** j for j in range(1, 5)], axis=1)),  # C(30, 5) minors
         cz.PolyLine(np.stack([np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)],
                              axis=1), True),
     ]

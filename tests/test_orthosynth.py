@@ -331,6 +331,61 @@ def test_theorem1_not_applicable_when_f_rho_vanishes_on_the_nodes(off_grid_only)
     assert rep.sign_changes == -1 and rep.max_residual == 0.0
 
 
+def _gap_step(basis, dom, breaks):
+    """The step with these breaks whose heights are the null direction of
+    its piece moments against basis: orthogonal to basis, and changing
+    sign at every break."""
+    from chebzeros.orthosynth import _step_edges, moments_on_edges
+    A = moments_on_edges(basis, fs.constant(1.0), dom, _step_edges(dom, breaks))
+    return cz.StepWeight(breaks, cz.null_direction(A), dom).as_func()
+
+
+def test_theorem1_counts_a_gap_the_grid_misses():
+    # heights (5.4e-5, -1, 1.9e-4): no node of the counting grid lies in
+    # [0.3, 0.3002], but 32 nodes of the residual rule do
+    sys = cz.polynomial_system(1)
+    f = _gap_step(sys.basis, sys.dom, [0.3, 0.3002])
+    assert fs.count_sign_changes(f, sys.dom).count == 0
+    rep = cz.theorem1_check(sys, f, breaks=[0.3, 0.3002])
+    assert rep.applicable and rep.passed
+    assert rep.sign_changes == 2 and rep.bound == 2 and rep.max_residual < 1e-15
+    assert "union" in rep.message
+    # a count that reaches the bound on the grid is reported as before
+    rep = cz.theorem1_check(sys, _gap_step(sys.basis, sys.dom, [0.1, 0.1001]),
+                            breaks=[0.1, 0.1001])
+    assert rep.passed and rep.sign_changes == 2 and rep.message == ""
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zero_bound_counts_gaps_between_grid_nodes(seed):
+    # every sign change of a step the residual rule proves orthogonal is
+    # counted, though the counting grid sees one or none of them
+    rng = fs.derived_rng(2038, seed)
+
+    def in_one_cell(dom, first=1):
+        # two breaks inside one cell of the counting grid, past node first
+        ts = dom.grid(fs.DEFAULT_GRID_N)
+        i = int(rng.integers(first, ts.size - 2))
+        return ts[i] + (ts[i + 1] - ts[i]) * np.sort(rng.uniform(0.05, 0.95, 2))
+
+    for sys in (cz.polynomial_system(1), cz.trig_system(0)):
+        breaks = in_one_cell(sys.dom)
+        f = _gap_step(sys.basis, sys.dom, breaks)
+        rep = cz.theorem1_check(sys, f, breaks=breaks)
+        assert rep.applicable and rep.passed and rep.sign_changes == 2, sys.dom
+        assert "union" in rep.message
+    # Theorem 5 on the parabola: at least 3 sign changes, two of them in
+    # one cell of the right half of the grid
+    curve = cz.moment_curve(2)
+    breaks = np.concatenate([[rng.uniform(-0.9, -0.5)],
+                             in_one_cell(curve.dom, fs.DEFAULT_GRID_N // 2)])
+    f = _gap_step(cz.restrict_polynomials(curve, 1), curve.dom, breaks)
+    assert fs.count_sign_changes(f, curve.dom).count == 1
+    rep = cz.theorem5_verify(curve, 1, f, breaks=breaks)
+    assert rep.applicable and rep.passed and rep.sign_changes == 3 == rep.bound
+    assert "union" in rep.message
+
+
 def test_theorem1_not_applicable():
     # f not orthogonal: report must say so instead of claiming the bound
     sys = cz.polynomial_system(2)
