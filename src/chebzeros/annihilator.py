@@ -204,24 +204,26 @@ def general_annihilator(sys: ChebSystem, rp: RootPrescription,
     if M.shape[0] == 0:
         # empty prescription: the whole coefficient space is the kernel
         kernel = np.eye(n)
-        candidates = list(kernel.T)
+        fixed = list(kernel.T)
     else:
         kernel, _, _ = svd_kernel(M)
         if kernel.shape[1] == 0:
             raise NotChebyshevError(
                 "prescription conditions have no numerical kernel although "
                 "2p + q < order; system is degenerate on these points")
-        candidates = [kernel[:, -1]] + list(kernel[:, :-1].T)
-    rng = fs.derived_rng(7, n, rp.q, rp.p)
-    for _ in range(24):
-        mix = rng.normal(size=kernel.shape[1])
-        v = kernel @ mix
-        nv = np.linalg.norm(v)
-        if nv > 0:
-            candidates.append(v / nv)
+        fixed = [kernel[:, -1]] + list(kernel[:, :-1].T)
+
+    def candidates():  # random combinations are drawn only once needed
+        yield from fixed
+        rng = fs.derived_rng(7, n, rp.q, rp.p)
+        for _ in range(24):
+            v = kernel @ rng.normal(size=kernel.shape[1])
+            nv = np.linalg.norm(v)
+            if nv > 0:
+                yield v / nv
 
     scan = _scan_nodes(dom, rp)
-    for cand in candidates:
+    for cand in candidates():
         cand = cand / np.linalg.norm(cand)
         if _verify_candidate(sys, rp, cand, grid, scan):
             combo = fs.combination(sys.basis, cand)

@@ -358,13 +358,13 @@ def _intersections(curve, hp, ts, vals) -> IntersectionCount:
     if not np.any(vals):
         return IntersectionCount(grid_n, fs._no_roots, 0.0, True)
     spread = float(np.ptp(vals))
-    shifts = [0.0] + [sgn * 1e-3 * scale * spread
-                      for scale in _MULT_SCALES for sgn in (1.0, -1.0)]
-    counts = [fs.count_grid_sign_changes(vals - s, dom.is_circle) for s in shifts]
-    # the first maximum sets perturbation_used; a zero shift repeats the
-    # unshifted count, so it never wins
-    best, used = counts[0], 0.0
-    for c, shift in zip(counts[1:], shifts[1:]):
+    shifts = np.array([sgn * 1e-3 * scale * spread
+                       for scale in _MULT_SCALES for sgn in (1.0, -1.0)])
+    best, used = fs.count_grid_sign_changes(vals, dom.is_circle), 0.0
+    # a shifted slice is counted exactly only when its raw flips exceed
+    # best, as it cannot win otherwise; the first maximum sets perturbation_used
+    counts = fs._counts_over(vals - shifts[:, None], dom.is_circle, best)
+    for c, shift in zip(counts.tolist(), shifts.tolist()):
         if c > best:
             best, used = c, abs(shift)
     return IntersectionCount(

@@ -519,17 +519,21 @@ def _sign_transitions(vals: np.ndarray, cyclic: bool):
     gives empty integer arrays.
     """
     a = np.abs(vals)
-    vmax = float(np.max(a)) if vals.size else 0.0
-    keep = np.nonzero(a > DEFAULT_TOL_REL * vmax)[0]
-    if keep.size == 0:
-        none = np.empty(0, dtype=int)
-        return none, none, True
-    s = np.sign(vals[keep])
-    flips = np.nonzero(s[:-1] != s[1:])[0]
-    ii, jj = keep[flips], keep[flips + 1]
-    if cyclic and keep.size >= 2 and s[-1] != s[0]:
-        ii = np.append(ii, keep[-1])
-        jj = np.append(jj, keep[0])
+    vmax = float(a.max()) if vals.size else 0.0
+    keep = None  # no sample dropped: survivors are positions
+    if not (vals.size and float(a.min()) > DEFAULT_TOL_REL * vmax):
+        keep = np.nonzero(a > DEFAULT_TOL_REL * vmax)[0]
+        if keep.size == 0:
+            none = np.empty(0, dtype=int)
+            return none, none, True
+        vals = vals[keep]
+    s = vals > 0
+    ii = (s[:-1] != s[1:]).nonzero()[0]
+    jj = ii + 1
+    if cyclic and s[-1] != s[0]:
+        ii, jj = np.append(ii, s.size - 1), np.append(jj, 0)
+    if keep is not None:
+        ii, jj = keep[ii], keep[jj]
     return ii, jj, False
 
 
@@ -541,16 +545,11 @@ def count_grid_sign_changes(vals, cyclic: bool) -> int:
     return ii.size
 
 
-def _counts_over(vals: np.ndarray, cyclic: bool, bound: int) -> np.ndarray:
-    """A count for every row of a (k, n) array that exceeds bound exactly
-    where count_grid_sign_changes' does, and equals it there.
-
-    Each row is first counted by the raw flips of vals > 0, and only rows
-    whose raw count exceeds bound are counted exactly.  A kept sample has
-    its strict sign, and between two consecutive kept samples (around the
-    wrap, on a circle) raw signs flip at least once where those two signs
-    differ, the one flip the exact count counts there; so raw flips never
-    undercount, and a row at or below bound keeps its raw count."""
+def _raw_flips(vals: np.ndarray, cyclic: bool) -> np.ndarray:
+    """Flips of vals > 0 along each row of a (k, n) array, with the wrap
+    pair when cyclic.  They never undercount count_grid_sign_changes: raw
+    signs flip at least once between consecutive kept samples of opposite
+    sign."""
     k, n = vals.shape
     s = (vals > 0).ravel()
     flips = np.empty_like(s)
@@ -558,7 +557,14 @@ def _counts_over(vals: np.ndarray, cyclic: bool, bound: int) -> np.ndarray:
     # a row's last slot would pair it with the next row; it holds the row's
     # wrap pair on a circle and no flip on an interval
     flips[n - 1::n] = (s[::n] != s[n - 1::n]) if cyclic else False
-    counts = np.bincount(flips.nonzero()[0] // n, minlength=k)
+    return np.bincount(flips.nonzero()[0] // n, minlength=k)
+
+
+def _counts_over(vals: np.ndarray, cyclic: bool, bound: int) -> np.ndarray:
+    """A count for every row of a (k, n) array that exceeds bound exactly
+    where count_grid_sign_changes' does, and equals it there: only rows
+    whose _raw_flips exceed bound are counted exactly."""
+    counts = _raw_flips(vals, cyclic)
     for i in (counts > bound).nonzero()[0].tolist():
         counts[i] = count_grid_sign_changes(vals[i], cyclic)
     return counts
@@ -843,8 +849,9 @@ def grid_extrema_report(f: Func1D, dom: Domain, ts: np.ndarray,
     """count_extrema from f's values vals on the grid ts = dom.grid(n),
     for a caller that has sampled them already; locations are refined
     from f when first read."""
-    fscale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    if fscale == 0.0 or float(np.ptp(vals)) <= DEFAULT_TOL_REL * fscale:
+    hi, lo = (float(vals.max()), float(vals.min())) if vals.size else (0.0, 0.0)
+    fscale = max(hi, -lo)  # max|v|
+    if fscale == 0.0 or hi - lo <= DEFAULT_TOL_REL * fscale:
         return SignChangeReport(0, _no_roots, True)
 
     h = dom.span / ts.size

@@ -278,7 +278,8 @@ class ZeroBoundReport:
     apply has sign_changes = -1 and passed = False; Theorem 6 also says
     in message which hypothesis failed, and Theorems 1 and 5 say there
     when the count was taken on the union of the counting grid and the
-    residuals' quadrature nodes.
+    residuals' quadrature nodes, and when the sign changes it lacks sit
+    under the zero tolerance.
     """
 
     applicable: bool
@@ -316,7 +317,8 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
     degeneracy).  A count short of bound is taken again on the sorted
     union of the counting grid and those nodes, where the residuals were
     proved, so a sign change between two grid nodes is not missed; the
-    larger count is reported."""
+    larger count is reported.  When that count is still short but the raw
+    flips of f > 0 there reach bound, message says so."""
     fs._check_tol(tol)
     rep = fs._sign_report(f, dom, grid_n, guesses=breaks)
     cuts = np.asarray(rep.locations, dtype=float)
@@ -338,8 +340,12 @@ def _zero_bound(f, basis, dom, bound, rho, tol, grid_n, breaks) -> ZeroBoundRepo
     count, message = rep.count, ""
     if count < bound:
         union = np.union1d(fs._count_grid(dom, grid_n), ts)
-        recount = fs.count_grid_sign_changes(fs.sample(f, union), dom.is_circle)
+        uvals = fs.sample(f, union)
+        recount = fs.count_grid_sign_changes(uvals, dom.is_circle)
         if recount > count:
             count = recount
             message = "counted on the union of the counting grid and the quadrature nodes"
+        if count < bound and fs._raw_flips(uvals[None], dom.is_circle)[0] >= bound:
+            message += ("; " if message else "") + (
+                "the missing sign changes sit under the zero tolerance")
     return ZeroBoundReport(True, count >= bound, count, bound, max_res, message)

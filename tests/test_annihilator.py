@@ -108,6 +108,37 @@ def test_general_annihilator_decomposes_conditions_once(monkeypatch):
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("rp, checked, drawn", [
+    (cz.RootPrescription((-0.3, 0.2), (0.6,)), 1, 0),
+    (cz.RootPrescription((0.6626953894475845,), (0.8364323271261284,)), 3, 1),
+])
+def test_general_annihilator_draws_random_candidates_only_when_needed(
+        monkeypatch, rp, checked, drawn):
+    # a prescription whose first candidate verifies draws no random kernel
+    # combination; one whose third verifies, after both kernel columns,
+    # draws one
+    from chebzeros import annihilator
+    seen, draws = [], []
+    verify, rng_of = annihilator._verify_candidate, fs.derived_rng
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def normal(self, *args, **kwargs):
+            draws.append(kwargs)
+            return self.rng.normal(*args, **kwargs)
+
+    def spy(*args):
+        seen.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(annihilator, "_verify_candidate", spy)
+    monkeypatch.setattr(fs, "derived_rng", lambda *keys: Counted(rng_of(*keys)))
+    cz.general_annihilator(cz.polynomial_system(4), rp)
+    assert (len(seen), len(draws)) == (checked, drawn)
+
+
 def test_annihilator_roots_must_be_one_dimensional():
     dom = fs.interval(-1.0, 1.0)
     for bad in (0.3, [[0.3, 0.5]], [[0.3], [0.5]]):

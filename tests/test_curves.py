@@ -508,6 +508,39 @@ def test_probe_loops_count_exactly_only_rows_past_the_bound(monkeypatch):
     assert exact_rows
 
 
+@pytest.mark.parametrize("curve, normal, offset, past", [
+    (cz.moment_curve(2), [0.0, 1.0], 0.0, 3),     # tangent: the shifts into it
+    (cz.trig_curve(1), [1.0, 0.0], 0.0, 0),       # two simple crossings
+    (cz.sine_graph(), [0.8, 1.0], 6.0 + 0.8 * np.pi, 0),
+], ids=["tangent", "diameter", "sine"])
+def test_intersections_count_exactly_only_shifts_past_the_unshifted_count(
+        monkeypatch, curve, normal, offset, past):
+    # the unshifted slice is counted exactly, then only the shifted slices
+    # whose raw flips exceed its count
+    from chebzeros.curves import _MULT_SCALES, _intersections
+    ts = curve.dom.grid(fs.DEFAULT_GRID_N)
+    vals = cz.curve_points(curve, ts) @ np.array(normal) - offset
+    cyclic, count = curve.dom.is_circle, fs.count_grid_sign_changes
+    exact_rows = []
+
+    def spy(row, cyc):
+        exact_rows.append(np.array(row).tobytes())
+        return count(row, cyc)
+
+    def raw(row):
+        s = (row > 0).tolist()
+        return sum(a != b for a, b in zip(s, s[1:] + s[:1] if cyclic else s[1:]))
+
+    monkeypatch.setattr(fs, "count_grid_sign_changes", spy)
+    _intersections(curve, cz.Hyperplane(np.array(normal), offset), ts, vals)
+    spread = float(np.ptp(vals))
+    shifted = [vals - sgn * 1e-3 * scale * spread
+               for scale in _MULT_SCALES for sgn in (1.0, -1.0)]
+    past_rows = [r.tobytes() for r in shifted if raw(r) > count(vals, cyclic)]
+    assert exact_rows == [vals.tobytes()] + past_rows
+    assert len(past_rows) == past
+
+
 @pytest.mark.parametrize("curve", _theorem4_inputs(4) + [_line_curve()],
                          ids=lambda c: c.label)
 def test_intersections_match_one_count_per_shift(curve):

@@ -218,6 +218,73 @@ def test_count_grid_sign_changes_matches_the_plain_rule(rows, cyclic):
     assert got == _reference_grid_counts(rows, cyclic)
 
 
+def _reference_transitions(row, cyclic):
+    """(ii, jj, degenerate) of the counting rule in plain Python: the
+    consecutive survivors of opposite sign, the last and first when
+    cyclic; a row with no survivor or with a NaN is degenerate."""
+    if any(math.isnan(v) for v in row):
+        return [], [], True
+    vmax = max((abs(v) for v in row), default=0.0)
+    keep = [i for i, v in enumerate(row) if abs(v) > 1e-9 * vmax]
+    if not keep:
+        return [], [], True
+    pairs = list(zip(keep, keep[1:]))
+    if cyclic and len(keep) >= 2:
+        pairs.append((keep[-1], keep[0]))
+    pairs = [(i, j) for i, j in pairs if (row[i] > 0) != (row[j] > 0)]
+    return [i for i, _ in pairs], [j for _, j in pairs], False
+
+
+def _at_threshold(scale, pattern):
+    # max|v| is scale; "t" samples sit exactly at the drop threshold
+    # 1e-9 * max|v|, "u" samples one float above it
+    small = {"t": 1e-9 * scale, "u": float(np.nextafter(1e-9 * scale, np.inf))}
+    return [scale] + [sgn * (scale if k == "1" else small[k]) for sgn, k in pattern]
+
+
+_THRESHOLD_ROWS = st.builds(_at_threshold, st.floats(1e-300, 1e300), st.lists(
+    st.tuples(st.sampled_from([1.0, -1.0]), st.sampled_from("1tu")), max_size=10))
+_TRANSITION_ROWS = st.one_of(
+    _COUNT_ROWS,
+    st.lists(_THRESHOLD_ROWS, min_size=1, max_size=4),
+    st.lists(st.lists(st.one_of(_COUNT_VALUES,
+                                st.sampled_from([np.inf, -np.inf, np.nan])),
+                      max_size=12), min_size=1, max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TRANSITION_ROWS, st.booleans())
+@example(_EDGE_ROWS.tolist(), False)
+@example(_EDGE_ROWS.tolist(), True)
+@example([[], [0.0], [-0.0], [2.0], [1.0, -1.0], [-0.0, 0.0], [np.inf, -1.0],
+          [np.nan, 1.0], [1.0, 1e-9], [1.0, -1e-9, -1.0, 1e-9]], True)
+@example([[], [-3.0], [1.0, -1.0], [np.inf], [1.0, 1e-9, -1.0]], False)
+def test_sign_transitions_match_the_plain_rule(rows, cyclic):
+    # index arrays, their dtype and degeneracy, with and without dropped
+    # samples
+    for row in rows:
+        ii, jj, degenerate = fs._sign_transitions(np.array(row, dtype=float), cyclic)
+        assert ii.dtype == jj.dtype == np.dtype(int)
+        assert (ii.tolist(), jj.tolist(), degenerate) == _reference_transitions(row, cyclic)
+
+
+def test_extrema_degeneracy_edges():
+    # degenerate exactly when the range is at most 1e-9 of max|v|; an inf
+    # sample makes both infinite
+    dom = fs.circle()
+    ts = dom.grid(64)
+    ripple = np.cos(ts)
+    assert 1e9 - (1e9 - 1.0) == 1e-9 * 1e9  # a range of exactly 1e-9 of the scale
+    cases = [(1e9 - 0.5 + 0.5 * ripple, True), (1e9 - 1.0 + ripple, False),
+             (-1e9 + 0.5 + 0.5 * ripple, True), (-(2.0 + ripple), False),
+             (np.where(ripple > 0.9, np.inf, ripple), True)]
+    f = fs.Func1D(lambda t: -np.cos(t))
+    for vals, degenerate in cases:
+        rep = fs.grid_extrema_report(f, dom, ts, vals)
+        assert rep.degenerate == degenerate
+        assert rep.count == (0 if degenerate else 2)
+
+
 def test_sample_scalar_fallback():
     import math
     f = fs.Func1D(lambda t: math.sin(t))  # scalar-only callable

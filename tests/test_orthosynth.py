@@ -386,6 +386,26 @@ def test_zero_bound_counts_gaps_between_grid_nodes(seed):
     assert "union" in rep.message
 
 
+@pytest.mark.parametrize("k, breaks, count, message", [
+    # heights (1, -5e-10): the one sign change is dropped as zero
+    (0, [-1.0 + 1e-9], 0, "the missing sign changes sit under the zero tolerance"),
+    # a gap the union counts, and a third change under the zero tolerance
+    (2, [0.3, 0.3002, 1.0 - 1e-9], 2,
+     "counted on the union of the counting grid and the quadrature nodes; "
+     "the missing sign changes sit under the zero tolerance"),
+    # heights (1, -1.5e-9): above the tolerance, the union counts it
+    (0, [-1.0 + 3e-9], 1, "counted on the union of the counting grid and the "
+     "quadrature nodes"),
+], ids=["hidden", "gap-and-hidden", "union"])
+def test_zero_bound_says_when_sign_changes_sit_under_the_tolerance(k, breaks, count,
+                                                                   message):
+    sys = cz.polynomial_system(k)
+    rep = cz.theorem1_check(sys, _gap_step(sys.basis, sys.dom, breaks), breaks=breaks)
+    assert rep.applicable and rep.max_residual < 1e-15
+    assert (rep.passed, rep.sign_changes, rep.bound) == (count == k + 1, count, k + 1)
+    assert rep.message == message
+
+
 def test_theorem1_not_applicable():
     # f not orthogonal: report must say so instead of claiming the bound
     sys = cz.polynomial_system(2)
